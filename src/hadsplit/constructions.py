@@ -84,13 +84,8 @@ def gram_construction(h: HadamardMatrix) -> BshInstance:
     (m^2, m, m, 0) split.
     """
     m = h.order
-    hn = normalize(h)
-    r = hn.tolist()
-    rows = []
-    for i in range(m):
-        for s in range(m):
-            rows.append([r[j][s] * r[i][t] for j in range(m) for t in range(m)])
-    big = HadamardMatrix(rows)
+    r = normalize(h).array
+    big = HadamardMatrix(np.einsum("js,it->isjt", r, r).reshape(m * m, m * m))
     return _instance(big, list(range(m)), SplitParams(m * m, m, m, 0))
 
 
@@ -116,11 +111,8 @@ def two_row_split(h: HadamardMatrix) -> BshInstance:
     n = h.order
     if n < 4:
         raise ValueError("order must be at least 4")
-    hn = normalize(h)
-    arr = np.array(hn.tolist(), dtype=np.int64)
-    order = sorted(range(n), key=lambda c: (-arr[1][c], c))
-    arr = arr[:, order]
-    big = HadamardMatrix(arr.tolist())
+    arr = normalize(h).array
+    big = HadamardMatrix(arr[:, np.argsort(-arr[1], kind="stable")])
     return _instance(big, list(range(2, n)), SplitParams(n, n - 2, 0, -2))
 
 

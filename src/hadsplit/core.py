@@ -1,8 +1,18 @@
 """Exact integer matrices and Hadamard matrix primitives.
 
-All arithmetic is exact. Matrices with entries small enough to rule out
-int64 overflow in a product are kept as numpy int64 arrays for speed;
-anything larger falls back to object arrays of Python ints.
+All arithmetic is exact. Matrices whose entries stay below 2**62 in absolute
+value are kept as numpy int64 arrays; anything larger falls back to object
+arrays of Python ints.
+
+Every matrix product goes through exact_matmul, which picks one of three
+routes from bound = max|A| * max|B| * inner dimension:
+
+  float64: bound < 2**53. Each term a_ik b_kj and each partial sum of terms
+    is an integer of absolute value at most bound, and every integer below
+    2**53 is a float64, so no addition or fused multiply-add ever rounds:
+    the result is exact whatever order BLAS sums in.
+  int64: bound < 2**62, so no partial sum can overflow.
+  object: Python ints, exact at any size.
 """
 
 from __future__ import annotations
@@ -27,8 +37,12 @@ __all__ = [
     "parse_matrix",
     "serialize_matrix",
 ]
+# exact_matmul is importable but not exported: it works on the raw arrays of
+# the package's own modules, and IntMatrix @ is the public product.
 
-# int64 matmul is safe when max|A| * max|B| * inner_dim stays below this.
+# Products whose bound max|A| * max|B| * inner_dim stays below these are
+# exact in float64 and in int64 respectively (see the module docstring).
+_FLOAT64_EXACT = 2**53
 _INT64_SAFE = 2**62
 
 
@@ -40,7 +54,19 @@ class ParseError(HadsplitError):
     """Malformed matrix or Latin square text."""
 
 
-def _as_array(rows: Iterable[Iterable[int]]) -> np.ndarray:
+def _as_array(rows: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
+    if isinstance(rows, (list, tuple)):
+        try:
+            guess = np.array(rows)
+        except (TypeError, ValueError):  # ragged or odd rows: the loop below reports them
+            guess = None
+        if guess is not None and guess.dtype.kind in "biu":
+            rows = guess
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size and rows.dtype.kind in "biu":
+        if _max_abs(rows) < _INT64_SAFE:
+            arr = rows.astype(np.int64)  # always a copy: the caller keeps its array
+            arr.setflags(write=False)
+            return arr
     data = [[int(v) for v in row] for row in rows]
     if not data or not data[0]:
         raise ValueError("matrix must have at least one row and column")
@@ -48,22 +74,41 @@ def _as_array(rows: Iterable[Iterable[int]]) -> np.ndarray:
     for row in data:
         if len(row) != width:
             raise ValueError("ragged rows")
-    peak = max(abs(v) for row in data for v in row)
-    if peak < _INT64_SAFE:
+    try:
         arr = np.array(data, dtype=np.int64)
-    else:
-        arr = np.empty((len(data), width), dtype=object)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                arr[i, j] = v
+    except OverflowError:
+        arr = None
+    if arr is None or _max_abs(arr) >= _INT64_SAFE:
+        arr = np.array(data, dtype=object)
     arr.setflags(write=False)
     return arr
 
 
 def _max_abs(arr: np.ndarray) -> int:
+    if arr.size == 0:
+        return 0
     if arr.dtype == object:
         return max(abs(int(v)) for v in arr.flat)
-    return int(np.abs(arr).max())
+    # max and min, not abs: abs of the most negative int64 wraps
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two 2-D integer arrays.
+
+    Returns int64 when bound = max|A| * max|B| * inner stays below 2**62,
+    computed in float64 BLAS when the bound is below 2**53, and an object
+    array of Python ints otherwise.
+    """
+    if a.shape[1] != b.shape[0]:
+        raise ValueError("inner dimension mismatch")
+    # max(.., 1): a zero factor must not let a huge one into float64
+    bound = max(_max_abs(a), 1) * max(_max_abs(b), 1) * a.shape[1]
+    if bound < _FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if bound < _INT64_SAFE:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return a.astype(object) @ b.astype(object)
 
 
 class IntMatrix:
@@ -71,7 +116,7 @@ class IntMatrix:
 
     __slots__ = ("_a",)
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
+    def __init__(self, rows: Iterable[Iterable[int]] | np.ndarray):
         self._a = _as_array(rows)
 
     @classmethod
@@ -96,6 +141,11 @@ class IntMatrix:
         return cls._wrap(np.ones((nrows, ncols), dtype=np.int64))
 
     @property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only array: int64, or object past 2**62."""
+        return self._a
+
+    @property
     def shape(self) -> tuple[int, int]:
         return self._a.shape  # type: ignore[return-value]
 
@@ -115,13 +165,13 @@ class IntMatrix:
         return int(self._a[ij])
 
     def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self._a[i])
+        return tuple(self._a[i].tolist())
 
     def rows(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.nrows)]
 
     def tolist(self) -> list[list[int]]:
-        return [[int(v) for v in r] for r in self._a]
+        return self._a.tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -166,15 +216,7 @@ class IntMatrix:
         return IntMatrix._wrap(k * a)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimension mismatch")
-        a, b = self._a, other._a
-        if a.dtype == object or b.dtype == object:
-            return IntMatrix._wrap(a.astype(object) @ b.astype(object))
-        bound = _max_abs(a) * _max_abs(b) * self.ncols
-        if bound >= _INT64_SAFE:
-            return IntMatrix._wrap(a.astype(object) @ b.astype(object))
-        return IntMatrix._wrap(a @ b)
+        return IntMatrix._wrap(exact_matmul(self._a, other._a))
 
     @property
     def T(self) -> "IntMatrix":
@@ -202,9 +244,8 @@ class IntMatrix:
         """Distinct values outside the main diagonal (square matrices)."""
         if not self.is_square:
             raise ValueError("square matrix required")
-        n = self.nrows
-        mask = ~np.eye(n, dtype=bool)
-        return {int(v) for v in self._a[mask]}
+        mask = ~np.eye(self.nrows, dtype=bool)
+        return {int(v) for v in np.unique(self._a[mask])}
 
     def value_positions(self, value: int) -> "IntMatrix":
         """0/1 matrix marking entries equal to value."""
@@ -212,17 +253,18 @@ class IntMatrix:
 
     def scaled_exact(self, num: int, den: int) -> "IntMatrix":
         """Multiply by num/den, requiring exact divisibility of every entry."""
-        out = []
-        for r in self._a:
-            row = []
-            for v in r:
-                t = int(v) * num
-                q, rem = divmod(t, den)
-                if rem:
-                    raise ValueError(f"entry {int(v)} not divisible by {den}")
-                row.append(q)
-            out.append(row)
-        return IntMatrix(out)
+        if den == 0:
+            raise ZeroDivisionError("scaled_exact by num/0")
+        a = self._a
+        if a.dtype != object and abs(num) * _max_abs(a) >= _INT64_SAFE:
+            a = a.astype(object)
+        t = a * num
+        rem = t % den
+        bad = np.flatnonzero(rem)
+        if bad.size:
+            raise ValueError(f"entry {int(self._a.flat[bad[0]])} not divisible by {den}")
+        q = t // den
+        return IntMatrix(q) if q.dtype == object else IntMatrix._wrap(q)
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -240,7 +282,7 @@ class HadamardMatrix(IntMatrix):
 
     __slots__ = ()
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
+    def __init__(self, rows: Iterable[Iterable[int]] | np.ndarray):
         super().__init__(rows)
         _check_hadamard(self)
 
@@ -283,7 +325,7 @@ def sylvester(m_exponent: int) -> HadamardMatrix:
     base = np.array([[1, 1], [1, -1]], dtype=np.int64)
     for _ in range(m_exponent):
         h = np.kron(h, base)
-    return HadamardMatrix(h.tolist())
+    return HadamardMatrix(h)
 
 
 def normalize(h: HadamardMatrix) -> HadamardMatrix:
@@ -291,7 +333,7 @@ def normalize(h: HadamardMatrix) -> HadamardMatrix:
     a = h._a.copy()
     a = a * a[0, :]  # column flips
     a = a * a[:, [0]]  # row flips
-    return HadamardMatrix(a.tolist())
+    return HadamardMatrix(a)
 
 
 class SkewCore:

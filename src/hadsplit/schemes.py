@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HadamardMatrix, HadsplitError, IntMatrix, isqrt_exact
+from .core import HadamardMatrix, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
 from .exactla import GaussianRational, invert, mat_vec, nullspace, rref
 from .latin import LatinSquare, NotUfs, circle_symmetric, compose_ufs, is_mutually_ufs
 from .splitting import SplitReport
@@ -66,9 +66,11 @@ class AuxiliarySet:
         n = h.order
         if report.params.n != n:
             raise ValueError("report does not belong to this matrix")
-        arr = np.array(h.tolist(), dtype=np.int64)
+        arr = h.array
         eye = n * np.eye(n, dtype=np.int64)
-        if not np.array_equal(arr @ arr.T, eye) or not np.array_equal(arr.T @ arr, eye):
+        if not np.array_equal(exact_matmul(arr, arr.T), eye) or not np.array_equal(
+            exact_matmul(arr.T, arr), eye
+        ):
             raise HadsplitError("row or column orthogonality failed")
         self.h = h
         self.report = report
@@ -76,13 +78,13 @@ class AuxiliarySet:
         self._cs = [np.outer(arr[i], arr[i]) for i in range(n)]
         gram = sum(self._cs[i] for i in report.rows)
         h1 = arr[list(report.rows)]
-        if not np.array_equal(gram, h1.T @ h1):
+        if not np.array_equal(gram, exact_matmul(h1.T, h1)):
             raise HadsplitError("split members do not sum to the split Gram")
         self.gram = gram
 
     @property
     def matrices(self) -> tuple[IntMatrix, ...]:
-        return tuple(IntMatrix(c.tolist()) for c in self._cs)
+        return tuple(IntMatrix(c) for c in self._cs)
 
     def projector(self, i: int) -> np.ndarray:
         return self._cs[i]
@@ -94,14 +96,16 @@ class AuxiliarySet:
         if rep.adjacency is None:
             return False
         n, ell, a, b = rep.params.astuple()
-        adj = np.array(rep.adjacency.tolist(), dtype=np.int64)
+        adj = rep.adjacency.array
         for i in rep.rows:
             if int(self._arr[i].sum()) != 0:
                 return False
             c = self._cs[i]
-            left = (a - b) * (adj @ c)
+            left = (a - b) * exact_matmul(adj, c)
             right = (n - ell + b) * c
-            if not np.array_equal(left, right) or not np.array_equal((a - b) * (c @ adj), right):
+            if not np.array_equal(left, right) or not np.array_equal(
+                (a - b) * exact_matmul(c, adj), right
+            ):
                 return False
         return True
 
@@ -133,9 +137,9 @@ def lift_latin(square: LatinSquare, aux: AuxiliarySet, verify: bool = True) -> I
         n = aux.report.params.n
         m = square.order
         want = np.kron(np.eye(m, dtype=np.int64), n * aux.gram)
-        if not np.array_equal(big @ big.T, want):
+        if not np.array_equal(exact_matmul(big, big.T), want):
             raise HadsplitError("distinct rows of the square agree at a nonzero symbol")
-    return IntMatrix(big.tolist())
+    return IntMatrix(big)
 
 
 @dataclass(frozen=True)
@@ -165,13 +169,14 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     """Check every axiom on a candidate list of 0/1 class matrices."""
     if not matrices:
         raise AxiomFailure("no class matrices")
-    arrs = [np.array(m.tolist(), dtype=np.int64) for m in matrices]
+    arrs = [m.array for m in matrices]
     v = arrs[0].shape[0]
     for idx, a in enumerate(arrs):
         if a.shape != (v, v):
             raise AxiomFailure(f"class {idx} is not {v} x {v}")
         if not np.all((a == 0) | (a == 1)):
             raise AxiomFailure(f"class {idx} has entries outside 0/1")
+    arrs = [a.astype(np.int64, copy=False) for a in arrs]
     if not np.array_equal(arrs[0], np.eye(v, dtype=np.int64)):
         raise AxiomFailure("first class is not the identity")
     total = np.zeros((v, v), dtype=np.int64)
@@ -204,12 +209,10 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
             raise AxiomFailure(f"class {k} is not regular")
         valencies.append(int(s[0]))
 
-    # products are exact in float64 since every entry is at most v
-    floats = [a.astype(np.float64) for a in arrs]
     p = [[None] * d1 for _ in range(d1)]
     for i in range(d1):
         for j in range(d1):
-            prod = (floats[i] @ floats[j]).astype(np.int64)
+            prod = exact_matmul(arrs[i], arrs[j])
             pk = tuple(int(prod[x, y]) for x, y in reps)
             if not np.array_equal(prod, np.array(pk, dtype=np.int64)[color]):
                 raise AxiomFailure(f"product of classes {i}, {j} leaves the algebra")
@@ -228,7 +231,7 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
 
 
 def _split_pattern_blocks(report: SplitReport, n: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
-    adj = np.array(report.adjacency.tolist(), dtype=np.int64)
+    adj = report.adjacency.array
     eye_b = np.eye(copies, dtype=np.int64)
     a1 = np.kron(eye_b, adj)
     a2 = np.kron(eye_b, np.ones((n, n), dtype=np.int64) - adj - np.eye(n, dtype=np.int64))
@@ -243,9 +246,7 @@ def _require_zero_row_sums(h: HadamardMatrix, report: SplitReport) -> None:
 
 
 def _signed_parts(big: np.ndarray) -> tuple[IntMatrix, IntMatrix]:
-    pos = (big > 0).astype(np.int64)
-    neg = (big < 0).astype(np.int64)
-    return IntMatrix(pos.tolist()), IntMatrix(neg.tolist())
+    return IntMatrix(big > 0), IntMatrix(big < 0)
 
 
 def _check_scheme_square(square: LatinSquare, ell: int) -> None:
@@ -271,14 +272,14 @@ def build_4class_symmetric(
         square = circle_symmetric(ell + 1)
     _check_scheme_square(square, ell)
     aux = AuxiliarySet(h, report)
-    lifted = np.array(lift_latin(square, aux).tolist(), dtype=np.int64)
+    lifted = lift_latin(square, aux).array
     a1, a2 = _split_pattern_blocks(report, n, ell + 1)
     a3, a4 = _signed_parts(lifted)
     size = (ell + 1) * n
     mats = [
         IntMatrix.identity(size),
-        IntMatrix(a1.tolist()),
-        IntMatrix(a2.tolist()),
+        IntMatrix(a1),
+        IntMatrix(a2),
         a3,
         a4,
     ]
@@ -299,7 +300,7 @@ def build_4class_nonsymmetric(
         square = circle_symmetric(ell + 1)
     _check_scheme_square(square, ell)
     aux = AuxiliarySet(h, report)
-    lifted = np.array(lift_latin(square, aux).tolist(), dtype=np.int64)
+    lifted = lift_latin(square, aux).array
     m = ell + 1
     signs = np.kron(
         np.triu(np.ones((m, m), dtype=np.int64)) - np.tril(np.ones((m, m), dtype=np.int64), -1),
@@ -311,8 +312,8 @@ def build_4class_nonsymmetric(
     size = m * n
     mats = [
         IntMatrix.identity(size),
-        IntMatrix(a1.tolist()),
-        IntMatrix(a2.tolist()),
+        IntMatrix(a1),
+        IntMatrix(a2),
         a3,
         a4,
     ]
@@ -343,9 +344,7 @@ def _composed_cross_blocks(
             if u == w:
                 continue
             lifted = lift_latin(compose_ufs(squares[u], squares[w]), aux)
-            big[u * s : (u + 1) * s, w * s : (w + 1) * s] = np.array(
-                lifted.tolist(), dtype=np.int64
-            )
+            big[u * s : (u + 1) * s, w * s : (w + 1) * s] = lifted.array
     return big
 
 
@@ -372,11 +371,11 @@ def build_5class(
     size = f * ell * n
     mats = [
         IntMatrix.identity(size),
-        IntMatrix(a1.tolist()),
-        IntMatrix(a2.tolist()),
+        IntMatrix(a1),
+        IntMatrix(a2),
         a3,
         a4,
-        IntMatrix(a5.tolist()),
+        IntMatrix(a5),
     ]
     return verify_scheme(mats)
 
@@ -410,12 +409,12 @@ def build_6class(
     size = f * m * n
     mats = [
         IntMatrix.identity(size),
-        IntMatrix(a1.tolist()),
-        IntMatrix(a2.tolist()),
+        IntMatrix(a1),
+        IntMatrix(a2),
         a3,
         a4,
-        IntMatrix(a5.tolist()),
-        IntMatrix(a6.tolist()),
+        IntMatrix(a5),
+        IntMatrix(a6),
     ]
     return verify_scheme(mats)
 
@@ -702,7 +701,7 @@ def hamming_scheme(n: int) -> Scheme:
                 acc += np.kron(prev[i - 1], base[1])
             nxt.append(acc)
         mats = nxt
-    return verify_scheme([IntMatrix(a.tolist()) for a in mats])
+    return verify_scheme([IntMatrix(a) for a in mats])
 
 
 def muzychuk_fusion(n: int, variant: str) -> Scheme:
@@ -718,7 +717,7 @@ def muzychuk_fusion(n: int, variant: str) -> Scheme:
     if n < 2:
         raise ValueError("need length at least 2")
     ham = hamming_scheme(n)
-    arrs = [np.array(m.tolist(), dtype=np.int64) for m in ham.matrices]
+    arrs = [m.array for m in ham.matrices]
     inside = [k for k in range(1, n + 1) if k % 4 in keep]
     outside = [k for k in range(1, n + 1) if k % 4 not in keep]
     if not inside or not outside:
@@ -727,5 +726,5 @@ def muzychuk_fusion(n: int, variant: str) -> Scheme:
     a2 = sum(arrs[k] for k in outside)
     v = arrs[0].shape[0]
     return verify_scheme(
-        [IntMatrix.identity(v), IntMatrix(a1.tolist()), IntMatrix(a2.tolist())]
+        [IntMatrix.identity(v), IntMatrix(a1), IntMatrix(a2)]
     )

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import HadamardMatrix, HadsplitError, IntMatrix, isqrt_exact
+from .core import HadamardMatrix, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
 from .search import max_clique
 
 __all__ = [
@@ -199,14 +199,15 @@ def direct_srg_params(a: IntMatrix) -> SrgParams | None:
     v = a.nrows
     if not a.is_square or not a.is_symmetric():
         return None
-    arr = np.array(a.tolist(), dtype=np.int64)
+    arr = a.array
     if not np.all((arr == 0) | (arr == 1)) or np.any(np.diagonal(arr)):
         return None
+    arr = arr.astype(np.int64, copy=False)
     sums = arr.sum(axis=1)
     if not np.all(sums == sums[0]):
         return None
     k = int(sums[0])
-    sq = arr @ arr
+    sq = exact_matmul(arr, arr)
     edge = arr == 1
     nonedge = (arr == 0) & ~np.eye(v, dtype=bool)
     lam = int(sq[edge][0]) if edge.any() else 0
@@ -265,9 +266,7 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         )
 
     a, b = values[1], values[0]
-    garr = np.array(gram.tolist(), dtype=np.int64)
-    amask = (garr == a) & ~np.eye(n, dtype=bool)
-    adjacency = IntMatrix(amask.astype(np.int64).tolist())
+    adjacency = IntMatrix((gram.array == a) & ~np.eye(n, dtype=bool))
     checks["gram_ok"] = gram == _two_value_gram(n, ell, a, b, adjacency) and (
         gram @ gram == n * gram
     )
@@ -287,19 +286,18 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         if len(matches) > 1:
             alt = matches[1]
 
-    srg = direct_srg_params(adjacency)
-    if branch == "seidel":
-        checks["seidel_ok"] = _seidel_identity_holds(gram, n, ell, a)
-
-    return SplitReport(
+    report = SplitReport(
         params=SplitParams(n, ell, a, b),
         rows=rows,
         adjacency=adjacency,
         branch=branch,
-        srg=srg,
+        srg=direct_srg_params(adjacency),
         checks=checks,
         alt_branch=alt,
     )
+    if branch == "seidel":
+        checks["seidel_ok"] = verify_seidel_matrix(report)
+    return report
 
 
 def _two_value_gram(n: int, ell: int, a: int, b: int, adjacency: IntMatrix | None) -> IntMatrix:
@@ -308,16 +306,6 @@ def _two_value_gram(n: int, ell: int, a: int, b: int, adjacency: IntMatrix | Non
     if adjacency is None:
         return ell * eye + a * (j - eye)
     return ell * eye + a * adjacency + b * (j - adjacency - eye)
-
-
-def _seidel_identity_holds(gram: IntMatrix, n: int, ell: int, a: int) -> bool:
-    # S = (G - ell I)/a has entries 0 on the diagonal and +-1 elsewhere
-    eye = IntMatrix.identity(n)
-    try:
-        s = (gram - ell * eye).scaled_exact(1, a)
-    except ValueError:
-        return False
-    return a * a * (s @ s) == a * (n - 2 * ell) * s + (ell * (n - ell)) * eye
 
 
 def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
@@ -491,7 +479,7 @@ def unbiased_partner(h: HadamardMatrix, report: SplitReport) -> HadamardMatrix:
     k = (2 * gram - n * IntMatrix.identity(n)).scaled_exact(1, 2 * a)
     partner = HadamardMatrix.from_matrix(k)
     prod = h @ partner.T
-    if any(abs(v) != root for row in prod.tolist() for v in row):
+    if not np.all(np.abs(prod.array) == root):
         raise HadsplitError("partner failed the unbiasedness check")
     return partner
 
@@ -506,7 +494,7 @@ def regular_hadamard_normalize(h: HadamardMatrix, report: SplitReport) -> Hadama
     m = p.a
     if p.b != -m or p.n != 4 * m * m or p.ell != 2 * m * m - m:
         raise WrongParameters(f"{p} is not of the form (4m^2, 2m^2 - m, m, -m)")
-    arr = np.array(h.tolist(), dtype=np.int64)
+    arr = h.array.copy()
     inside = np.zeros(p.n, dtype=bool)
     inside[list(report.rows)] = True
     arr[~inside] *= -1
@@ -514,7 +502,7 @@ def regular_hadamard_normalize(h: HadamardMatrix, report: SplitReport) -> Hadama
     if not np.all(np.abs(sums) == 2 * m):
         raise HadsplitError("column sums are not +-2m after row flips")
     arr[:, sums < 0] *= -1
-    out = HadamardMatrix(arr.tolist())
+    out = HadamardMatrix(arr)
     assert all(s == 2 * m for s in out.col_sums())
     assert all(s == 2 * m for s in out.row_sums())
     return out
@@ -525,22 +513,20 @@ def diagonalize_by_hadamard(a: IntMatrix, h: HadamardMatrix) -> SpectrumLayout:
     n = h.order
     if a.shape != (n, n):
         raise ValueError("shape mismatch")
-    d = h @ a @ h.T
-    arr = np.array(d.tolist(), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            if i != j and arr[i][j] != 0:
-                raise NotDiagonalized(
-                    f"off-diagonal entry at ({i}, {j})", witness=(i, j, int(arr[i][j]))
-                )
-    per_row = []
-    for i in range(n):
-        q, r = divmod(int(arr[i][i]), n)
-        if r:
-            raise NotDiagonalized(f"diagonal entry at ({i}, {i}) not divisible by {n}",
-                                  witness=(i, i, int(arr[i][i])))
-        per_row.append(q)
-    return SpectrumLayout(per_row=tuple(per_row))
+    d = (h @ a @ h.T).array
+    off = d != 0
+    np.fill_diagonal(off, False)
+    bad = np.flatnonzero(off)
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise NotDiagonalized(f"off-diagonal entry at ({i}, {j})", witness=(i, j, int(d[i, j])))
+    diag = np.diagonal(d)
+    bad = np.flatnonzero(diag % n)
+    if bad.size:
+        i = int(bad[0])
+        raise NotDiagonalized(f"diagonal entry at ({i}, {i}) not divisible by {n}",
+                              witness=(i, i, int(d[i, i])))
+    return SpectrumLayout(per_row=tuple((diag // n).tolist()))
 
 
 def split_from_diagonalizable_srg(a: IntMatrix, h: HadamardMatrix) -> SplitReport:
@@ -575,7 +561,7 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     count = math.comb(n, ell)
     if count > budget:
         raise BudgetExceeded(f"C({n}, {ell}) = {count} exceeds budget {budget}")
-    arr = np.array(h.tolist(), dtype=np.int64)
+    arr = h.array
     seen: set[tuple[int, int, int, int]] = set()
     out: list[SplitReport] = []
     eye = np.eye(n, dtype=bool)

@@ -88,6 +88,19 @@ def test_twin_partition_covers(m):
     assert t.reports[2].params.astuple() == twin
 
 
+def test_twin_sylvester_order_1024():
+    # Table 1's largest exists-by-construction row
+    t = twin_sylvester(5)
+    assert sorted(t.h1_rows + t.h2_rows + t.h3_rows) == list(range(1024))
+    assert [r.params.astuple() for r in t.reports] == [
+        (1024, 32, 32, 0),
+        (1024, 496, 16, -16),
+        (1024, 496, 16, -16),
+    ]
+    assert [r.branch for r in t.reports[1:]] == ["seidel", "seidel"]
+    assert all(r.checks["seidel_ok"] for r in t.reports[1:])
+
+
 def test_twin_rows_order_16():
     t = twin_sylvester(2)
     assert t.h1_rows == (0, 2, 8, 10)

@@ -45,6 +45,36 @@ def test_intmatrix_survives_huge_entries():
     assert sq.tolist() == [[big * big, 0], [0, big * big]]
 
 
+def test_intmatrix_from_ndarray_is_a_read_only_copy():
+    src = np.array([[1, -1], [1, 1]], dtype=np.int32)
+    a = IntMatrix(src)
+    h = HadamardMatrix(src)
+    src[0, 0] = 7
+    assert a.tolist() == h.tolist() == [[1, -1], [1, 1]]
+    assert a.array.dtype == np.int64
+    assert not a.array.flags.writeable
+    with pytest.raises(ValueError):
+        a.array[0, 0] = 5
+
+
+def test_intmatrix_from_ndarray_past_int64_range_uses_python_ints():
+    a = IntMatrix(np.array([[2**62, 1]], dtype=np.int64))
+    assert a.array.dtype == object
+    assert (a @ a.T).tolist() == [[2**124 + 1]]
+    assert IntMatrix(np.array([[2**63 + 5]], dtype=np.uint64)).tolist() == [[2**63 + 5]]
+
+
+def test_scaled_exact():
+    a = IntMatrix([[2, -4], [6, 0]])
+    assert a.scaled_exact(3, 2).tolist() == [[3, -6], [9, 0]]
+    assert a.scaled_exact(1, -2).tolist() == [[-1, 2], [-3, 0]]
+    with pytest.raises(ValueError, match="entry 3 not divisible by 2"):
+        IntMatrix([[2, 4], [3, 5]]).scaled_exact(1, 2)
+    big = IntMatrix([[2**70, -(2**71)]]).scaled_exact(3, 2**70)
+    assert big.tolist() == [[3, -6]]
+    assert big.array.dtype == np.int64
+
+
 def test_row_and_col_sums():
     a = IntMatrix([[1, -1, 1], [1, 1, 1]])
     assert list(a.row_sums()) == [1, 3]

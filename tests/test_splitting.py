@@ -252,6 +252,22 @@ def test_diagonalize_by_hadamard(twin16):
     assert err.value.witness == (10, 15, 32)
 
 
+def test_not_diagonalized_names_first_offdiagonal_entry(twin16):
+    rng = np.random.default_rng(5)
+    mats = [_load("shrikhande")]
+    # non-symmetric inputs tell row-major order from column-major
+    mats += [IntMatrix(rng.integers(-1, 2, size=(16, 16))) for _ in range(4)]
+    for a in mats:
+        d = (twin16.h @ a @ twin16.h.T).tolist()
+        first = next(
+            (i, j, d[i][j]) for i in range(16) for j in range(16) if i != j and d[i][j]
+        )
+        with pytest.raises(NotDiagonalized) as err:
+            diagonalize_by_hadamard(a, twin16.h)
+        assert err.value.witness == first
+        assert str(err.value) == f"off-diagonal entry at ({first[0]}, {first[1]})"
+
+
 def test_split_from_diagonalizable_srg(twin16):
     with pytest.raises(MissingAllOnesRow):
         split_from_diagonalizable_srg(_load("lattice-4x4"), twin16.h)
