@@ -63,25 +63,26 @@ def _as_array(rows: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
         if guess is not None and guess.dtype.kind in "biu":
             rows = guess
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size and rows.dtype.kind in "biu":
-        if _max_abs(rows) < _INT64_SAFE:
-            arr = rows.astype(np.int64)  # always a copy: the caller keeps its array
-            arr.setflags(write=False)
-            return arr
-    data = [[int(v) for v in row] for row in rows]
-    if not data or not data[0]:
-        raise ValueError("matrix must have at least one row and column")
-    width = len(data[0])
-    for row in data:
-        if len(row) != width:
-            raise ValueError("ragged rows")
-    try:
-        arr = np.array(data, dtype=np.int64)
-    except OverflowError:
-        arr = None
-    if arr is None or _max_abs(arr) >= _INT64_SAFE:
+        arr = rows.copy()  # the caller keeps its array
+    else:
+        data = [[_integer(v) for v in row] for row in rows]
+        if not data or not data[0]:
+            raise ValueError("matrix must have at least one row and column")
+        width = len(data[0])
+        for row in data:
+            if len(row) != width:
+                raise ValueError("ragged rows")
         arr = np.array(data, dtype=object)
+    (arr,) = _exact_operands(_max_abs(arr), arr)
     arr.setflags(write=False)
     return arr
+
+
+def _integer(v) -> int:
+    i = int(v)
+    if i != v:
+        raise ValueError(f"entry {v!r} is not an integer")
+    return i
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -93,6 +94,25 @@ def _max_abs(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min()))
 
 
+def _bound(*factors: np.ndarray | int) -> int:
+    """Product of the factors' magnitudes (max|x| for an array).
+
+    A zero factor counts as 1, so a huge factor next to a zero one still
+    gives a huge bound and is never cast to a fixed-width dtype.
+    """
+    out = 1
+    for f in factors:
+        out *= max(_max_abs(f) if isinstance(f, np.ndarray) else abs(f), 1)
+    return out
+
+
+def _exact_operands(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays as int64 when bound, which must cover every entry and
+    intermediate of the operation, is below 2**62; else as Python ints."""
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return tuple(a.astype(dtype, copy=False) for a in arrays)
+
+
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two 2-D integer arrays.
 
@@ -102,17 +122,15 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("inner dimension mismatch")
-    # max(.., 1): a zero factor must not let a huge one into float64
-    bound = max(_max_abs(a), 1) * max(_max_abs(b), 1) * a.shape[1]
+    bound = _bound(a, b, a.shape[1])
     if bound < _FLOAT64_EXACT:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    if bound < _INT64_SAFE:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return a.astype(object) @ b.astype(object)
+    x, y = _exact_operands(bound, a, b)
+    return x @ y
 
 
 class IntMatrix:
-    """Immutable exact integer matrix."""
+    """Immutable exact integer matrix; a non-integer entry raises ValueError."""
 
     __slots__ = ("_a",)
 
@@ -190,13 +208,7 @@ class IntMatrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         a, b = self._a, other._a
-        if a.dtype == object or b.dtype == object:
-            a, b = a.astype(object), b.astype(object)
-        out = op(a, b)
-        peak = _max_abs(out)
-        if out.dtype != object and peak >= _INT64_SAFE:  # pragma: no cover
-            out = op(a.astype(object), b.astype(object))
-        return IntMatrix._wrap(out)
+        return IntMatrix._wrap(op(*_exact_operands(_max_abs(a) + _max_abs(b), a, b)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return self._binary(other, lambda a, b: a + b)
@@ -210,9 +222,7 @@ class IntMatrix:
     def __rmul__(self, k: int) -> "IntMatrix":
         if not isinstance(k, int):
             return NotImplemented
-        a = self._a
-        if a.dtype != object and abs(k) * _max_abs(a) >= _INT64_SAFE:
-            a = a.astype(object)
+        (a,) = _exact_operands(_bound(k, self._a), self._a)
         return IntMatrix._wrap(k * a)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -255,9 +265,7 @@ class IntMatrix:
         """Multiply by num/den, requiring exact divisibility of every entry."""
         if den == 0:
             raise ZeroDivisionError("scaled_exact by num/0")
-        a = self._a
-        if a.dtype != object and abs(num) * _max_abs(a) >= _INT64_SAFE:
-            a = a.astype(object)
+        (a,) = _exact_operands(_bound(num, self._a, den), self._a)
         t = a * num
         rem = t % den
         bad = np.flatnonzero(rem)
@@ -269,11 +277,7 @@ class IntMatrix:
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product, exact."""
-    x, y = a._a, b._a
-    if x.dtype == object or y.dtype == object:
-        x, y = x.astype(object), y.astype(object)
-    elif _max_abs(x) * _max_abs(y) >= _INT64_SAFE:
-        x, y = x.astype(object), y.astype(object)
+    x, y = _exact_operands(_bound(a._a, b._a), a._a, b._a)
     return IntMatrix._wrap(np.kron(x, y))
 
 

@@ -64,6 +64,28 @@ def test_intmatrix_from_ndarray_past_int64_range_uses_python_ints():
     assert IntMatrix(np.array([[2**63 + 5]], dtype=np.uint64)).tolist() == [[2**63 + 5]]
 
 
+def test_intmatrix_rejects_non_integer_entries():
+    for rows in ([[1.5]], np.array([[0.5]]), [[1, 2], [3, 4.25]]):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix(rows)
+    assert IntMatrix([[2.0, -3.0]]).tolist() == [[2, -3]]
+    assert IntMatrix(np.array([[2.0], [-1.0]])).array.dtype == np.int64
+
+
+def test_zero_factor_keeps_huge_scalars_out_of_int64():
+    zero = IntMatrix.zeros(2)
+    assert ((2**100) * zero).tolist() == [[0, 0], [0, 0]]
+    assert zero.scaled_exact(2**100, 1).tolist() == [[0, 0], [0, 0]]
+    with pytest.raises(ValueError, match="entry 4 not divisible"):
+        IntMatrix([[4]]).scaled_exact(1, 2**70)
+
+
+def test_sum_past_int64_safe_range_is_exact():
+    x = 2**62 - 1
+    assert (IntMatrix([[x]]) + IntMatrix([[x]])).tolist() == [[2 * x]]
+    assert (IntMatrix([[x]]) - IntMatrix([[-x]])).tolist() == [[2 * x]]
+
+
 def test_scaled_exact():
     a = IntMatrix([[2, -4], [6, 0]])
     assert a.scaled_exact(3, 2).tolist() == [[3, -6], [9, 0]]

@@ -85,6 +85,11 @@ def test_lemma_c(aux16, twin16, split_16_9):
     assert not AuxiliarySet(twin16.h, twin16.reports[0]).lemma_c_ok()
 
 
+def test_auxiliary_set_computes_only_the_split_gram(kernel_calls, twin16):
+    AuxiliarySet(twin16.h, twin16.reports[1])
+    assert kernel_calls == [((16, 6), (6, 16))]
+
+
 def test_auxiliary_rejects_foreign_report(split_16_9):
     with pytest.raises(ValueError):
         AuxiliarySet(sylvester(2), split_16_9)

@@ -3,7 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hadsplit.core import HadamardMatrix, IntMatrix, sylvester
+from hadsplit.constructions import (
+    core_tensor,
+    gram_construction,
+    kron_square,
+    skew_core_bsh,
+    twin_sylvester,
+    two_row_split,
+)
+from hadsplit.core import HadamardMatrix, IntMatrix, paley_skew_core, sylvester
 from hadsplit.splitting import (
     BoundInapplicable,
     BudgetExceeded,
@@ -106,6 +114,60 @@ def test_gram_square_identity_always_checked(twin16):
         rows = np.array(twin16.h.tolist())[list(rep.rows)]
         g = rows.T @ rows
         assert np.array_equal(g @ g, 16 * g)
+
+
+def _twin(m):
+    tw = twin_sylvester(m)
+    return [(tw.h, rep) for rep in tw.reports]
+
+
+def _insts(*insts):
+    return [(inst.h, inst.report) for inst in insts]
+
+
+def _searched(h):
+    return [(h, rep) for ell in (1, 2, 4, 6, 15, 16) for rep in search_splits(h, ell)]
+
+
+SPLIT_FAMILIES = {
+    "twin2": lambda: _twin(2),
+    "twin3": lambda: _twin(3),
+    "kron-small": lambda: _insts(*(kron_square(sylvester(e), "small") for e in (2, 3))),
+    "kron-large": lambda: _insts(*(kron_square(sylvester(e), "large") for e in (2, 3))),
+    "gram": lambda: _insts(gram_construction(sylvester(2))),
+    "core-tensor": lambda: _insts(core_tensor(sylvester(1), sylvester(2))),
+    "two-row": lambda: _insts(two_row_split(sylvester(3))),
+    "skew-core7": lambda: _insts(skew_core_bsh(paley_skew_core(7))),
+    "search16": lambda: _searched(sylvester(4)),
+}
+
+
+@pytest.mark.parametrize("family", SPLIT_FAMILIES)
+def test_derived_checks_match_the_explicit_products(family):
+    # the products check_split made before deriving gram_ok and seidel_ok
+    for h, rep in SPLIT_FAMILIES[family]():
+        n, ell, a, b = rep.params.astuple()
+        h1 = h.array[list(rep.rows)]
+        g = h1.T @ h1
+        eye = np.eye(n, dtype=np.int64)
+        adj = 0 * eye if rep.adjacency is None else rep.adjacency.array
+        two_value = np.array_equal(g, ell * eye + a * adj + b * (1 - adj - eye))
+        assert rep.checks["gram_ok"] == (two_value and np.array_equal(g @ g, n * g))
+        seidel = ["seidel_ok"] if rep.branch == "seidel" else []
+        assert list(rep.checks) == ["rowsum_zero", "gram_ok"] + seidel
+        if seidel:
+            assert rep.checks["seidel_ok"] == verify_seidel_matrix(rep)
+
+
+def test_check_split_computes_only_the_gram_and_the_adjacency_square(kernel_calls, twin16):
+    for rep in twin16.reports:
+        kernel_calls.clear()
+        check_split(twin16.h, rep.rows)
+        ell = rep.params.ell
+        assert kernel_calls == [((16, ell), (ell, 16)), ((16, 16), (16, 16))]
+    kernel_calls.clear()
+    check_split(twin16.h, [0])
+    assert kernel_calls == [((16, 1), (1, 16))]
 
 
 # ------------------------------------------------------------- derivations
