@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["GaussianRational", "rref", "rank", "nullspace", "invert", "mat_mul", "mat_vec"]
+__all__ = ["GaussianRational", "rref", "nullspace", "invert", "mat_mul", "mat_vec"]
 
 
 class GaussianRational:
@@ -127,10 +127,6 @@ def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         if r == nrows:
             break
     return a[:r] + a[r:], pivots
-
-
-def rank(m: Sequence[Sequence]) -> int:
-    return len(rref(m)[1])
 
 
 def nullspace(m: Sequence[Sequence], one=Fraction(1)) -> list[list]:

@@ -61,76 +61,79 @@ class AuxiliarySet:
     split Gram H1t H1 by definition. The first three facts reduce to row and
     column orthogonality of the parent matrix, which HadamardMatrix proved
     when h was built (HHt = nI, hence HtH = nI), so nothing is re-checked here.
+    Projectors are formed only when asked for.
     """
 
     def __init__(self, h: HadamardMatrix, report: SplitReport):
-        n = h.order
-        if report.params.n != n:
+        if report.params.n != h.order:
             raise ValueError("report does not belong to this matrix")
-        arr = h.array
         self.h = h
         self.report = report
-        self._arr = arr
-        self._cs = [np.outer(arr[i], arr[i]) for i in range(n)]
-        h1 = arr[list(report.rows)]
-        self.gram = exact_matmul(h1.T, h1)
+        self._arr = h.array
+        self._h1 = self._arr[list(report.rows)]
+        self.gram = exact_matmul(self._h1.T, self._h1)
 
     @property
     def matrices(self) -> tuple[IntMatrix, ...]:
-        return tuple(IntMatrix(c) for c in self._cs)
+        return tuple(IntMatrix(self.projector(i)) for i in range(self.h.order))
 
     def projector(self, i: int) -> np.ndarray:
-        return self._cs[i]
+        return np.outer(self._arr[i], self._arr[i])
 
     def lemma_c_ok(self) -> bool:
         """Split projectors with zero row sums commute with the a-marked
-        graph, scaling by (n - ell + b)/(a - b)."""
+        graph, scaling by (n - ell + b)/(a - b).
+
+        A is symmetric and each split row h is nonzero, so
+        (a - b) A hht = (n - ell + b) hht holds exactly when
+        (a - b) A h = (n - ell + b) h, and hht A is the transpose of A hht:
+        one product of A with the split rows decides the lemma.
+        """
         rep = self.report
         if rep.adjacency is None:
             return False
         n, ell, a, b = rep.params.astuple()
-        adj = rep.adjacency.array
-        for i in rep.rows:
-            if int(self._arr[i].sum()) != 0:
-                return False
-            c = self._cs[i]
-            left = (a - b) * exact_matmul(adj, c)
-            right = (n - ell + b) * c
-            if not np.array_equal(left, right) or not np.array_equal(
-                (a - b) * exact_matmul(c, adj), right
-            ):
-                return False
-        return True
+        if np.any(self._h1.sum(axis=1)):
+            return False
+        left = (a - b) * exact_matmul(rep.adjacency.array, self._h1.T)
+        return bool(np.array_equal(left, (n - ell + b) * self._h1.T))
 
 
-def _lift_array(square: LatinSquare, aux: AuxiliarySet) -> np.ndarray:
+def lift_latin(square: LatinSquare, aux: AuxiliarySet) -> IntMatrix:
+    """Replace each symbol s >= 1 by the projector of split row s and 0 by a
+    zero block.
+
+    The lift L satisfies L Lt = I (x) nG, with G the split Gram. Since
+    HHt = nI, the split projectors P_s satisfy P_s P_t = n [s = t] P_s and
+    are linearly independent, so block (i, k) of L Lt is n times the sum of
+    P_s over the columns where rows i and k both hold s >= 1. The identity
+    therefore holds exactly when every row holds each split symbol 1..ell
+    exactly once and distinct rows never agree at a nonzero symbol; both
+    are checked on the square, and no product of the lift is formed.
+    """
     n, ell = aux.report.params.n, aux.report.params.ell
     m = square.order
     if square.min_symbol not in (0, 1) or square.min_symbol + m - 1 != ell:
         raise ValueError(f"square symbols {square.symbols} do not index a split of size {ell}")
-    split = aux.report.rows
-    big = np.zeros((m * n, m * n), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            s = square.cells[i][j]
-            if s >= 1:
-                big[i * n : (i + 1) * n, j * n : (j + 1) * n] = aux.projector(split[s - 1])
-    return big
-
-
-def lift_latin(square: LatinSquare, aux: AuxiliarySet) -> IntMatrix:
-    """Replace each symbol by the matching split projector (0 by a zero block).
-
-    Checks that the lift times its transpose is the identity pattern of
-    split Grams, which holds exactly when distinct rows of the square never
-    agree at a nonzero symbol.
-    """
-    big = _lift_array(square, aux)
-    n = aux.report.params.n
-    want = np.kron(np.eye(square.order, dtype=np.int64), n * aux.gram)
-    if not np.array_equal(exact_matmul(big, big.T), want):
+    for i, row in enumerate(square.cells):
+        for j, s in enumerate(row):
+            if s not in square.symbols:
+                raise ValueError(
+                    f"cell ({i}, {j}) holds {s!r}, outside the symbols {square.min_symbol}..{ell}"
+                )
+    # m distinct cells within the symbols are each split symbol once
+    for i, row in enumerate(square.cells):
+        if len(set(row)) != m:
+            raise HadsplitError(f"row {i} of the square repeats a symbol")
+    cells = np.array(square.cells, dtype=np.int64)
+    agree = (cells[:, None, :] == cells[None, :, :]) & (cells[None, :, :] >= 1)
+    if np.any(agree[~np.eye(m, dtype=bool)]):
         raise HadsplitError("distinct rows of the square agree at a nonzero symbol")
-    return IntMatrix(big)
+    rows = np.zeros((ell + 1, n), dtype=np.int64)
+    rows[1:] = aux._h1
+    blocks = rows[cells]
+    lifted = np.einsum("ija,ijb->iajb", blocks, blocks, order="C")
+    return IntMatrix(lifted.reshape(m * n, m * n))
 
 
 @dataclass(frozen=True)
@@ -221,23 +224,31 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     )
 
 
-def _split_pattern_blocks(report: SplitReport, n: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
-    adj = report.adjacency.array
-    eye_b = np.eye(copies, dtype=np.int64)
-    a1 = np.kron(eye_b, adj)
-    a2 = np.kron(eye_b, np.ones((n, n), dtype=np.int64) - adj - np.eye(n, dtype=np.int64))
-    return a1, a2
-
-
-def _require_zero_row_sums(h: HadamardMatrix, report: SplitReport) -> None:
+def _require_zero_row_sums(report: SplitReport) -> None:
     if report.adjacency is None:
         raise HadsplitError("need a two-value split")
     if not report.checks.get("rowsum_zero"):
         raise HadsplitError("split rows must sum to zero")
 
 
-def _signed_parts(big: np.ndarray) -> tuple[IntMatrix, IntMatrix]:
-    return IntMatrix(big > 0), IntMatrix(big < 0)
+def _assemble(
+    report: SplitReport, copies: int, lifted: np.ndarray, patterns: Sequence[np.ndarray] = ()
+) -> Scheme:
+    """Verify the classes I, I_c (x) A, I_c (x) (J - I - A), the positive and
+    the negative cells of the lift, and each block pattern (x) J_n."""
+    n = report.params.n
+    adj = report.adjacency.array
+    eye_c = np.eye(copies, dtype=np.int64)
+    jn = np.ones((n, n), dtype=np.int64)
+    mats = [
+        IntMatrix.identity(copies * n),
+        IntMatrix(np.kron(eye_c, adj)),
+        IntMatrix(np.kron(eye_c, jn - adj - np.eye(n, dtype=np.int64))),
+        IntMatrix(lifted > 0),
+        IntMatrix(lifted < 0),
+    ]
+    mats += [IntMatrix(np.kron(pattern, jn)) for pattern in patterns]
+    return verify_scheme(mats)
 
 
 def _check_scheme_square(square: LatinSquare, ell: int) -> None:
@@ -249,32 +260,32 @@ def _check_scheme_square(square: LatinSquare, ell: int) -> None:
         raise ValueError("square must be symmetric with zero diagonal")
 
 
-def build_4class_symmetric(
-    h: HadamardMatrix, report: SplitReport, square: LatinSquare | None = None
+def _build_4class(
+    h: HadamardMatrix, report: SplitReport, square: LatinSquare | None, below: int
 ) -> Scheme:
-    """Symmetric scheme on (ell+1) n points from a zero-row-sum split and a
-    symmetric zero-diagonal square; the one-factorization square is the
-    default. ell must be odd for such a square to exist."""
-    _require_zero_row_sums(h, report)
+    """4-class body: the lifted blocks below the block diagonal are scaled
+    by below (1 keeps the scheme symmetric, -1 pairs the last two classes)."""
+    _require_zero_row_sums(report)
     n, ell = report.params.n, report.params.ell
     if ell % 2 == 0:
         raise OddityViolation("an even split size leaves no symmetric zero-diagonal square")
     if square is None:
         square = circle_symmetric(ell + 1)
     _check_scheme_square(square, ell)
-    aux = AuxiliarySet(h, report)
-    lifted = lift_latin(square, aux).array
-    a1, a2 = _split_pattern_blocks(report, n, ell + 1)
-    a3, a4 = _signed_parts(lifted)
-    size = (ell + 1) * n
-    mats = [
-        IntMatrix.identity(size),
-        IntMatrix(a1),
-        IntMatrix(a2),
-        a3,
-        a4,
-    ]
-    return verify_scheme(mats)
+    m = ell + 1
+    lifted = lift_latin(square, AuxiliarySet(h, report)).array
+    signs = np.where(np.tri(m, k=-1, dtype=bool), below, 1)
+    lifted = (lifted.reshape(m, n, m, n) * signs[:, None, :, None]).reshape(m * n, m * n)
+    return _assemble(report, m, lifted)
+
+
+def build_4class_symmetric(
+    h: HadamardMatrix, report: SplitReport, square: LatinSquare | None = None
+) -> Scheme:
+    """Symmetric scheme on (ell+1) n points from a zero-row-sum split and a
+    symmetric zero-diagonal square; the one-factorization square is the
+    default. ell must be odd for such a square to exist."""
+    return _build_4class(h, report, square, 1)
 
 
 def build_4class_nonsymmetric(
@@ -283,35 +294,19 @@ def build_4class_nonsymmetric(
     """Same point set as the symmetric builder, with the lifted blocks above
     the diagonal negated below it, pairing the last two classes as mutual
     transposes."""
-    _require_zero_row_sums(h, report)
+    return _build_4class(h, report, square, -1)
+
+
+def _ufs_cross_lift(
+    h: HadamardMatrix, report: SplitReport, squares: Sequence[LatinSquare], min_symbol: int
+) -> np.ndarray:
+    """Check the split and a family of f pairwise UFS squares of order
+    ell + 1 - min_symbol (with zero diagonal when 0 is a symbol), and return
+    the f x f block array whose (u, w) block, u != w, lifts the composition
+    of squares u and w."""
+    _require_zero_row_sums(report)
     n, ell = report.params.n, report.params.ell
-    if ell % 2 == 0:
-        raise OddityViolation("an even split size leaves no symmetric zero-diagonal square")
-    if square is None:
-        square = circle_symmetric(ell + 1)
-    _check_scheme_square(square, ell)
-    aux = AuxiliarySet(h, report)
-    lifted = lift_latin(square, aux).array
-    m = ell + 1
-    signs = np.kron(
-        np.triu(np.ones((m, m), dtype=np.int64)) - np.tril(np.ones((m, m), dtype=np.int64), -1),
-        np.ones((n, n), dtype=np.int64),
-    )
-    lifted = lifted * signs
-    a1, a2 = _split_pattern_blocks(report, n, m)
-    a3, a4 = _signed_parts(lifted)
-    size = m * n
-    mats = [
-        IntMatrix.identity(size),
-        IntMatrix(a1),
-        IntMatrix(a2),
-        a3,
-        a4,
-    ]
-    return verify_scheme(mats)
-
-
-def _check_ufs_family(squares: Sequence[LatinSquare], order: int, min_symbol: int) -> None:
+    order = ell + 1 - min_symbol
     if len(squares) < 2:
         raise ValueError("need at least two squares")
     for sq in squares:
@@ -321,21 +316,17 @@ def _check_ufs_family(squares: Sequence[LatinSquare], order: int, min_symbol: in
             raise ValueError("square is not Latin")
     if not is_mutually_ufs(list(squares)):
         raise NotUfs("squares are not pairwise UFS")
-
-
-def _composed_cross_blocks(
-    squares: Sequence[LatinSquare], aux: AuxiliarySet, n: int, block: int
-) -> np.ndarray:
+    if min_symbol == 0 and not all(sq.has_constant_diagonal(0) for sq in squares):
+        raise ValueError("every square must have a zero diagonal")
+    aux = AuxiliarySet(h, report)
     f = len(squares)
-    size = f * block * n
-    big = np.zeros((size, size), dtype=np.int64)
-    s = block * n
+    s = order * n
+    big = np.zeros((f * s, f * s), dtype=np.int64)
     for u in range(f):
         for w in range(f):
-            if u == w:
-                continue
-            lifted = lift_latin(compose_ufs(squares[u], squares[w]), aux)
-            big[u * s : (u + 1) * s, w * s : (w + 1) * s] = lifted.array
+            if u != w:
+                lifted = lift_latin(compose_ufs(squares[u], squares[w]), aux)
+                big[u * s : (u + 1) * s, w * s : (w + 1) * s] = lifted.array
     return big
 
 
@@ -344,31 +335,11 @@ def build_5class(
 ) -> Scheme:
     """Scheme on f * ell * n points from f mutually UFS squares of order ell
     on symbols 1..ell."""
-    _require_zero_row_sums(h, report)
-    n, ell = report.params.n, report.params.ell
-    _check_ufs_family(squares, ell, 1)
+    ell = report.params.ell
+    big = _ufs_cross_lift(h, report, squares, 1)
     f = len(squares)
-    aux = AuxiliarySet(h, report)
-    big = _composed_cross_blocks(squares, aux, n, ell)
-    a1, a2 = _split_pattern_blocks(report, n, f * ell)
-    a3, a4 = _signed_parts(big)
-    a5 = np.kron(
-        np.eye(f, dtype=np.int64),
-        np.kron(
-            np.ones((ell, ell), dtype=np.int64) - np.eye(ell, dtype=np.int64),
-            np.ones((n, n), dtype=np.int64),
-        ),
-    )
-    size = f * ell * n
-    mats = [
-        IntMatrix.identity(size),
-        IntMatrix(a1),
-        IntMatrix(a2),
-        a3,
-        a4,
-        IntMatrix(a5),
-    ]
-    return verify_scheme(mats)
+    off = np.ones((ell, ell), dtype=np.int64) - np.eye(ell, dtype=np.int64)
+    return _assemble(report, f * ell, big, [np.kron(np.eye(f, dtype=np.int64), off)])
 
 
 def build_6class(
@@ -376,38 +347,15 @@ def build_6class(
 ) -> Scheme:
     """Scheme on f * (ell+1) * n points from f mutually UFS squares of order
     ell+1 on symbols 0..ell with constant zero diagonal."""
-    _require_zero_row_sums(h, report)
-    n, ell = report.params.n, report.params.ell
-    _check_ufs_family(squares, ell + 1, 0)
-    for sq in squares:
-        if not sq.has_constant_diagonal(0):
-            raise ValueError("every square must have a zero diagonal")
+    m = report.params.ell + 1
+    big = _ufs_cross_lift(h, report, squares, 0)
     f = len(squares)
-    m = ell + 1
-    aux = AuxiliarySet(h, report)
-    big = _composed_cross_blocks(squares, aux, n, m)
-    a1, a2 = _split_pattern_blocks(report, n, f * m)
-    a3, a4 = _signed_parts(big)
-    jn = np.ones((n, n), dtype=np.int64)
-    a5 = np.kron(
-        np.eye(f, dtype=np.int64),
-        np.kron(np.ones((m, m), dtype=np.int64) - np.eye(m, dtype=np.int64), jn),
-    )
-    a6 = np.kron(
-        np.ones((f, f), dtype=np.int64) - np.eye(f, dtype=np.int64),
-        np.kron(np.eye(m, dtype=np.int64), jn),
-    )
-    size = f * m * n
-    mats = [
-        IntMatrix.identity(size),
-        IntMatrix(a1),
-        IntMatrix(a2),
-        a3,
-        a4,
-        IntMatrix(a5),
-        IntMatrix(a6),
+    eye_f, eye_m = np.eye(f, dtype=np.int64), np.eye(m, dtype=np.int64)
+    patterns = [
+        np.kron(eye_f, np.ones((m, m), dtype=np.int64) - eye_m),
+        np.kron(np.ones((f, f), dtype=np.int64) - eye_f, eye_m),
     ]
-    return verify_scheme(mats)
+    return _assemble(report, f * m, big, patterns)
 
 
 @dataclass(frozen=True)

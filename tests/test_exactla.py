@@ -8,7 +8,6 @@ from hadsplit.exactla import (
     mat_mul,
     mat_vec,
     nullspace,
-    rank,
     rref,
 )
 
@@ -55,12 +54,6 @@ def test_rref_known_case():
     assert piv == [0, 2]
     assert red[0][:3] == [F(1), F(2), F(0)]
     assert red[1][:3] == [F(0), F(0), F(1)]
-
-
-def test_rank():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[0, 0], [0, 0]]) == 0
 
 
 def test_nullspace_normalization():

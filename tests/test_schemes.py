@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hadsplit.constructions import twin_sylvester
 from hadsplit.core import HadsplitError, IntMatrix, sylvester
 from hadsplit.exactla import GaussianRational, mat_mul
 from hadsplit.latin import (
@@ -104,17 +105,43 @@ def test_lift_latin_shape_and_identity(aux16):
     assert np.array_equal(big @ big.T, want)
 
 
+def _with_cell(square, i, j, symbol):
+    cells = [list(row) for row in square.cells]
+    cells[i][j] = symbol
+    return LatinSquare(square.order, square.min_symbol, tuple(map(tuple, cells)))
+
+
 def test_lift_latin_rejects_agreeing_rows(aux16):
     sq = force_constant_diagonal(affine_ufs_family(7)[0], 0)
     cells = (sq.cells[0], sq.cells[0]) + sq.cells[2:]
     broken = LatinSquare(order=7, min_symbol=0, cells=cells)
     with pytest.raises(HadsplitError):
         lift_latin(broken, aux16)
+    with pytest.raises(HadsplitError, match="row 3 of the square repeats a symbol"):
+        lift_latin(_with_cell(sq, 3, 1, sq.cells[3][2]), aux16)
 
 
 def test_lift_latin_rejects_wrong_symbol_range(aux16):
     with pytest.raises(ValueError):
         lift_latin(circle_symmetric(10), aux16)
+    sq = force_constant_diagonal(affine_ufs_family(7)[0], 0)
+    for symbol in (7, -1):
+        message = rf"cell \(2, 4\) holds {symbol}, outside the symbols 0..6"
+        with pytest.raises(ValueError, match=message):
+            lift_latin(_with_cell(sq, 2, 4, symbol), aux16)
+
+
+def test_lemma_c_and_lift_form_no_projector_products(kernel_calls, aux16):
+    lift_latin(force_constant_diagonal(affine_ufs_family(7)[0], 0), aux16)
+    assert kernel_calls == []
+    assert aux16.lemma_c_ok()
+    assert kernel_calls == [((16, 16), (16, 6))]
+
+
+def test_lemma_c_at_order_256():
+    tw = twin_sylvester(4)
+    for rep in tw.reports[1:]:
+        assert AuxiliarySet(tw.h, rep).lemma_c_ok()
 
 
 # --------------------------------------------------------- 4-class schemes
