@@ -426,6 +426,8 @@ def _cmd_latin(args: argparse.Namespace) -> int:
         _require(args, "q")
         fam = affine_ufs_family(args.q)
         if args.pick is not None:
+            if not 0 <= args.pick < len(fam):
+                raise ValueError(f"--pick must be in 0..{len(fam) - 1}, got {args.pick}")
             _emit_square(fam[args.pick], args, em)
             return em.finish()
         em.data["count"] = len(fam)
@@ -521,6 +523,12 @@ def _scheme_split(args: argparse.Namespace):
     return h, check_split(h, _parse_rows(args.rows))
 
 
+def _first_squares(fam: list[LatinSquare], f: int) -> list[LatinSquare]:
+    if not 2 <= f <= len(fam):
+        raise ValueError(f"--f must be in 2..{len(fam)}, got {f}")
+    return fam[:f]
+
+
 def _cmd_scheme(args: argparse.Namespace) -> int:
     em = _Emitter(args)
     mode = args.mode
@@ -533,14 +541,14 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
     elif mode == "build5":
         h, rep = _scheme_split(args)
         fam = [with_min_symbol(sq, 1) for sq in affine_ufs_family(rep.params.ell)]
-        scheme = build_5class(h, rep, fam[: args.f])
+        scheme = build_5class(h, rep, _first_squares(fam, args.f))
     elif mode == "build6":
         h, rep = _scheme_split(args)
         fam = [
             force_constant_diagonal(sq, 0)
             for sq in affine_ufs_family(rep.params.ell + 1)
         ]
-        scheme = build_6class(h, rep, fam[: args.f])
+        scheme = build_6class(h, rep, _first_squares(fam, args.f))
     elif mode == "hamming":
         _require(args, "n")
         scheme = hamming_scheme(args.n)

@@ -33,7 +33,6 @@ __all__ = [
     "normalize",
     "paley_skew_core",
     "conference_from_core",
-    "is_hadamard",
     "parse_matrix",
     "serialize_matrix",
 ]
@@ -185,9 +184,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(self._a[i].tolist())
 
-    def rows(self) -> list[tuple[int, ...]]:
-        return [self.row(i) for i in range(self.nrows)]
-
     def tolist(self) -> list[list[int]]:
         return self._a.tolist()
 
@@ -235,17 +231,11 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         return self.is_square and bool(np.array_equal(self._a, self._a.T))
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.diagonal(self._a))
-
     def row_sums(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self._a.sum(axis=1))
 
     def col_sums(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self._a.sum(axis=0))
-
-    def max_abs(self) -> int:
-        return _max_abs(self._a)
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
         return IntMatrix._wrap(self._a[list(indices), :].copy())
@@ -256,10 +246,6 @@ class IntMatrix:
             raise ValueError("square matrix required")
         mask = ~np.eye(self.nrows, dtype=bool)
         return {int(v) for v in np.unique(self._a[mask])}
-
-    def value_positions(self, value: int) -> "IntMatrix":
-        """0/1 matrix marking entries equal to value."""
-        return IntMatrix._wrap((self._a == value).astype(np.int64))
 
     def scaled_exact(self, num: int, den: int) -> "IntMatrix":
         """Multiply by num/den, requiring exact divisibility of every entry."""
@@ -311,14 +297,6 @@ def _check_hadamard(m: IntMatrix) -> None:
     g = m @ m.T
     if g != n * IntMatrix.identity(n):
         raise ValueError("rows are not orthogonal")
-
-
-def is_hadamard(m: IntMatrix) -> bool:
-    try:
-        _check_hadamard(m)
-    except ValueError:
-        return False
-    return True
 
 
 def sylvester(m_exponent: int) -> HadamardMatrix:

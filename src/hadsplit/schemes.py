@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import HadamardMatrix, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
-from .exactla import GaussianRational, invert, mat_vec, nullspace, rref
+from .exactla import GaussianRational, invert, mat_mul, mat_vec, nullspace, rref
 from .latin import LatinSquare, NotUfs, circle_symmetric, compose_ufs, is_mutually_ufs
 from .splitting import SplitReport
 
@@ -433,7 +433,7 @@ def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], bound: in
     s = len(basis)
     t = _restricted_matrix(bmat, basis)
     pieces = []
-    found_eigs = []
+    shifted = []
     used = 0
     for theta in range(-bound, bound + 1):
         m = [[t[r][c] - (theta if r == c else 0) for c in range(s)] for r in range(s)]
@@ -441,7 +441,7 @@ def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], bound: in
         if not ker:
             continue
         pieces.append([_combine(basis, c) for c in ker])
-        found_eigs.append(theta)
+        shifted.append(m)
         used += len(ker)
         if used == s:
             break
@@ -449,12 +449,8 @@ def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], bound: in
         # leftover = column space of the product of (T - theta I) over the
         # eigenvalues already found; the product kills every found eigenspace
         prod = [[Fraction(1) if r == c else Fraction(0) for c in range(s)] for r in range(s)]
-        for theta in found_eigs:
-            m = [[t[r][c] - (theta if r == c else 0) for c in range(s)] for r in range(s)]
-            prod = [
-                [sum((prod[r][k] * m[k][c] for k in range(s)), Fraction(0)) for c in range(s)]
-                for r in range(s)
-            ]
+        for m in shifted:
+            prod = mat_mul(prod, m)
         red, piv = rref([list(col) for col in zip(*prod)])
         left = [list(red[i]) for i in range(len(piv))]
         pieces.append([_combine(basis, c) for c in left])
@@ -502,6 +498,17 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     Simultaneously diagonalizes the intersection matrices over Q, splitting
     any leftover plane over Q(i); raises IrrationalEigenvalue when the
     algebra needs a larger field.
+
+    bmats[i] is multiplication by A_i in the basis A_0..A_d of the algebra
+    that verify_scheme proved closed and commutative. A vector c passing the
+    exact common-eigenvector check gives e = sum c_k A_k != 0 with
+    A_i e = theta_i e, so theta_0 = 1 and theta_i theta_j = sum_k p_ij^k
+    theta_k: each row of P is a character. If P inverts, x -> (chi_k(x))_k
+    is an algebra isomorphism onto C^(d+1) that sends E_j = sum_i Q_ij A_i
+    / |X| to the j-th unit vector, since chi_k(E_j) = (P P^-1)_kj = [k = j].
+    Hence E_j E_k = [j = k] E_j and sum_j E_j = I, and P^-1 P = I at column 0
+    (all ones) gives sum_j Q_ij = |X| [i = 0]; none of this is re-checked
+    (Bannai and Ito, Algebraic Combinatorics I, 1984, ch. II).
     """
     d1 = scheme.classes + 1
     bmats = []
@@ -577,47 +584,9 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     if sum(mults) != size:
         raise HadsplitError("multiplicities do not sum to the point count")
 
-    _verify_idempotents(scheme, p_rows, q_rows)
     return EigenTables(
         p=tuple(p_rows), q=q_rows, multiplicities=tuple(mults), size=size
     )
-
-
-def _verify_idempotents(scheme: Scheme, p_rows, q_rows) -> None:
-    d1 = scheme.classes + 1
-    size = scheme.size
-    zero = GaussianRational(0)
-    cols = []
-    for j in range(d1):
-        cols.append([q_rows[i][j] / size for i in range(d1)])
-
-    def algebra_product(x, y):
-        out = [zero] * d1
-        for i in range(d1):
-            if not x[i]:
-                continue
-            for k in range(d1):
-                if not y[k]:
-                    continue
-                coef = x[i] * y[k]
-                for m in range(d1):
-                    pik = scheme.p[i][k][m]
-                    if pik:
-                        out[m] = out[m] + coef * pik
-        return out
-
-    for j in range(d1):
-        for k in range(d1):
-            prod = algebra_product(cols[j], cols[k])
-            want = cols[j] if j == k else [zero] * d1
-            if prod != want:
-                raise HadsplitError("idempotent identities failed")
-    for i in range(d1):
-        total = q_rows[i][0]
-        for j in range(1, d1):
-            total = total + q_rows[i][j]
-        if total != (size if i == 0 else 0):
-            raise HadsplitError("second eigenmatrix rows do not resolve the identity")
 
 
 def hamming_scheme(n: int) -> Scheme:

@@ -259,6 +259,14 @@ def test_latin_affine_pick_and_ufs(capsys, tmp_path):
     assert "one-agreement" in out
 
 
+def test_latin_affine_pick_out_of_range_exits_two(capsys):
+    for pick in ("4", "99", "-1"):
+        code, out, err = run(capsys, "latin", "affine", "--q", "5", "--pick", pick)
+        assert code == 2
+        assert out == ""
+        assert f"error: --pick must be in 0..3, got {pick}" in err
+
+
 def test_latin_compose_and_diagfix(capsys, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run(capsys, "latin", "affine", "--q", "7", "--pick", "0", "--out", str(a))
@@ -305,12 +313,20 @@ def test_scheme_build5(capsys):
     assert code == 0
     assert "5-class symmetric scheme on 288 points" in out
     assert "(1, 9, 6, 72, 72, 128)" in out
+    for f in ("-1", "0", "1", "9", "50"):
+        code, out, err = run(capsys, "scheme", "build5", "--twin-delete", "2", "--f", f)
+        assert code == 2
+        assert f"error: --f must be in 2..8, got {f}" in err
 
 
 def test_scheme_build6(capsys):
     code, out, _ = run(capsys, "scheme", "build6", "--twin", "2", "--f", "2")
     assert code == 0
     assert "6-class symmetric scheme on 224 points" in out
+    for f in ("-1", "1", "7", "50"):
+        code, out, err = run(capsys, "scheme", "build6", "--twin", "2", "--f", f)
+        assert code == 2
+        assert f"error: --f must be in 2..6, got {f}" in err
 
 
 def test_scheme_hamming_and_fusion(capsys):

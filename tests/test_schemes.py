@@ -62,6 +62,34 @@ def _signed_square_law(scheme, n, ell, a, b, f):
     assert d @ d == rhs
 
 
+def _algebra_product(p, x, y):
+    """Coordinates of (sum x_i A_i)(sum y_k A_k) in the basis A_0..A_d."""
+    d1 = len(x)
+    out = [GaussianRational(0)] * d1
+    for i in range(d1):
+        for k in range(d1):
+            if x[i] and y[k]:
+                coef = x[i] * y[k]
+                for m in range(d1):
+                    if p[i][k][m]:
+                        out[m] = out[m] + coef * p[i][k][m]
+    return out
+
+
+def _assert_primitive_idempotents(scheme, et):
+    """E_j = sum_i Q_ij A_i / |X| satisfy E_j E_k = [j = k] E_j, and
+    sum_j Q_ij = |X| [i = 0], which is sum_j E_j = I."""
+    d1, size = scheme.classes + 1, scheme.size
+    zero = GaussianRational(0)
+    e = [[et.q[i][j] / size for i in range(d1)] for j in range(d1)]
+    for j in range(d1):
+        for k in range(d1):
+            want = e[j] if j == k else [zero] * d1
+            assert _algebra_product(scheme.p, e[j], e[k]) == want, (j, k)
+    for i in range(d1):
+        assert sum(et.q[i], zero) == (size if i == 0 else 0), i
+
+
 # ------------------------------------------------------- auxiliary matrices
 
 
@@ -393,6 +421,25 @@ def test_eigenmatrices_pentagon_is_irrational():
     assert sch.valencies == (1, 2, 2)
     with pytest.raises(IrrationalEigenvalue):
         eigenmatrices(sch)
+
+
+_IDEMPOTENT_CASES = {
+    "4class-sym": lambda tw, s9, fam9: build_4class_symmetric(tw.h, s9),
+    "4class-nonsym": lambda tw, s9, fam9: build_4class_nonsymmetric(tw.h, s9),
+    "5class-f2": lambda tw, s9, fam9: build_5class(tw.h, s9, fam9[:2]),
+    "6class-f2": lambda tw, s9, fam9: build_6class(
+        tw.h, tw.reports[1], [force_constant_diagonal(sq, 0) for sq in affine_ufs_family(7)][:2]
+    ),
+    "hamming4": lambda tw, s9, fam9: hamming_scheme(4),
+    "fusion01": lambda tw, s9, fam9: muzychuk_fusion(6, "01"),
+    "fusion03": lambda tw, s9, fam9: muzychuk_fusion(6, "03"),
+}
+
+
+@pytest.mark.parametrize("case", list(_IDEMPOTENT_CASES))
+def test_eigenmatrices_give_primitive_idempotents(case, twin16, split_16_9, fam9):
+    sch = _IDEMPOTENT_CASES[case](twin16, split_16_9, fam9)
+    _assert_primitive_idempotents(sch, eigenmatrices(sch))
 
 
 # --------------------------------------------------------- named schemes

@@ -293,6 +293,11 @@ def test_unbiased_partner(twin16):
     assert set(np.abs(prod).ravel().tolist()) == {4}
 
 
+def test_unbiased_partner_forms_only_the_gram_and_the_hadamard_check(kernel_calls, twin16):
+    unbiased_partner(twin16.h, twin16.reports[1])
+    assert kernel_calls == [((16, 6), (6, 16)), ((16, 16), (16, 16))]
+
+
 def test_unbiased_rejects_other_branches(twin16, split_16_9):
     with pytest.raises(NotUnbiasedCase):
         unbiased_partner(twin16.h, split_16_9)
