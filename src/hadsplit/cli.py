@@ -577,12 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hadsplit",
         description="balanced splits of Hadamard matrices and their schemes",
     )
-    ap.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is serial",
-    )
     sp = ap.add_subparsers(dest="subcommand", required=True)
 
     c = sp.add_parser("construct", help="build a split by a named construction")

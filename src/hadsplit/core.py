@@ -4,13 +4,15 @@ All arithmetic is exact. Matrices whose entries stay below 2**62 in absolute
 value are kept as numpy int64 arrays; anything larger falls back to object
 arrays of Python ints.
 
-Every matrix product goes through exact_matmul, which picks one of three
+Every matrix product goes through exact_matmul, which picks one of four
 routes from bound = max|A| * max|B| * inner dimension:
 
-  float64: bound < 2**53. Each term a_ik b_kj and each partial sum of terms
-    is an integer of absolute value at most bound, and every integer below
-    2**53 is a float64, so no addition or fused multiply-add ever rounds:
-    the result is exact whatever order BLAS sums in.
+  float32: bound < 2**24. Each entry, each term a_ik b_kj and each partial
+    sum of terms is an integer of absolute value at most bound, and every
+    integer below 2**24 is a float32, so no addition or fused multiply-add
+    ever rounds: the result is exact whatever order BLAS sums in. The class
+    matrices of a scheme on fewer than 2**24 points always take this route.
+  float64: bound < 2**53, by the same argument with the float64 mantissa.
   int64: bound < 2**62, so no partial sum can overflow.
   object: Python ints, exact at any size.
 """
@@ -40,7 +42,8 @@ __all__ = [
 # the package's own modules, and IntMatrix @ is the public product.
 
 # Products whose bound max|A| * max|B| * inner_dim stays below these are
-# exact in float64 and in int64 respectively (see the module docstring).
+# exact in float32, float64 and int64 respectively (see the module docstring).
+_FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 _INT64_SAFE = 2**62
 
@@ -116,14 +119,16 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two 2-D integer arrays.
 
     Returns int64 when bound = max|A| * max|B| * inner stays below 2**62,
-    computed in float64 BLAS when the bound is below 2**53, and an object
-    array of Python ints otherwise.
+    computed in float32 BLAS when the bound is below 2**24 and in float64
+    BLAS when it is below 2**53, and an object array of Python ints
+    otherwise.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("inner dimension mismatch")
     bound = _bound(a, b, a.shape[1])
     if bound < _FLOAT64_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        real = np.float32 if bound < _FLOAT32_EXACT else np.float64
+        return (a.astype(real) @ b.astype(real)).astype(np.int64)
     x, y = _exact_operands(bound, a, b)
     return x @ y
 

@@ -160,7 +160,18 @@ class Scheme:
 
 
 def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
-    """Check every axiom on a candidate list of 0/1 class matrices."""
+    """Check every axiom on a candidate list of 0/1 class matrices.
+
+    Products are formed only up to transposition. A_0 = I is checked
+    outright, so p_0j^k = p_j0^k = [j = k] needs no product. For i, j >= 1,
+    (A_i A_j)^T = A_j' A_i', where ' is the transpose map, an involution on
+    nonempty classes that partition the cells. Once A_i A_j = sum_k p_ij^k
+    A_k is proved, transposing gives A_j' A_i' = sum_k p_ij^k A_k', that is
+    p_j'i'^m = p_ij^m'. So one product per orbit {(i, j), (j', i')} proves
+    the intersection numbers of both pairs, a product leaves the algebra
+    exactly when its partner does, and the commutativity comparison reads
+    the whole table.
+    """
     if not matrices:
         raise AxiomFailure("no class matrices")
     arrs = [m.array for m in matrices]
@@ -170,8 +181,9 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
             raise AxiomFailure(f"class {idx} is not {v} x {v}")
         if not np.all((a == 0) | (a == 1)):
             raise AxiomFailure(f"class {idx} has entries outside 0/1")
-    arrs = [a.astype(np.int64, copy=False) for a in arrs]
-    if not np.array_equal(arrs[0], np.eye(v, dtype=np.int64)):
+    # 0/1 entries: uint8 holds them exactly and is the kernel's cheapest cast
+    arrs = [a.astype(np.uint8) for a in arrs]
+    if not np.array_equal(arrs[0], np.eye(v, dtype=np.uint8)):
         raise AxiomFailure("first class is not the identity")
     total = np.zeros((v, v), dtype=np.int64)
     color = np.zeros((v, v), dtype=np.int64)
@@ -182,35 +194,44 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
         raise AxiomFailure("classes do not partition the cells")
 
     d1 = len(arrs)
-    transpose_map = []
-    for i, a in enumerate(arrs):
-        t = next((j for j, bmat in enumerate(arrs) if np.array_equal(a.T, bmat)), None)
-        if t is None:
-            raise AxiomFailure(f"transpose of class {i} is not a class")
-        transpose_map.append(t)
+    first = [int(np.argmax(a)) for a in arrs]
+    sizes = np.bincount(color.ravel(), minlength=d1)
+    # A_i^T = A_j exactly when every cell of class i has its transpose in
+    # class j, the class of the first one's transpose, and |A_i| = |A_j|
+    tmap = np.where(sizes > 0, color.T.ravel()[first], np.arange(d1))
+    wrong = set(np.unique(color[color.T != tmap[color]]).tolist())
+    wrong.update(np.flatnonzero(sizes != sizes[tmap]).tolist())
+    if wrong:
+        raise AxiomFailure(f"transpose of class {min(wrong)} is not a class")
+    tr = tuple(int(t) for t in tmap)
 
-    reps = []
-    for k, a in enumerate(arrs):
-        flat = int(np.argmax(a))
-        if a.flat[flat] != 1:
+    for k in range(d1):
+        if not sizes[k]:
             raise AxiomFailure(f"class {k} is empty")
-        reps.append(divmod(flat, v))
+    reps = [divmod(f, v) for f in first]
 
-    sums = [a.sum(axis=1) for a in arrs]
     valencies = []
-    for k, s in enumerate(sums):
+    for k, a in enumerate(arrs):
+        s = a.sum(axis=1)
         if not np.all(s == s[0]):
             raise AxiomFailure(f"class {k} is not regular")
         valencies.append(int(s[0]))
 
+    unit = [tuple(int(j == k) for k in range(d1)) for j in range(d1)]
     p = [[None] * d1 for _ in range(d1)]
-    for i in range(d1):
-        for j in range(d1):
+    p[0] = list(unit)
+    for j in range(d1):
+        p[j][0] = unit[j]
+    for i in range(1, d1):
+        for j in range(1, d1):
+            if p[i][j] is not None:
+                continue
             prod = exact_matmul(arrs[i], arrs[j])
             pk = tuple(int(prod[x, y]) for x, y in reps)
             if not np.array_equal(prod, np.array(pk, dtype=np.int64)[color]):
                 raise AxiomFailure(f"product of classes {i}, {j} leaves the algebra")
             p[i][j] = pk
+            p[tr[j]][tr[i]] = tuple(pk[tr[m]] for m in range(d1))
     for i in range(d1):
         for j in range(d1):
             if p[i][j] != p[j][i]:
@@ -220,7 +241,7 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
         matrices=tuple(matrices),
         p=tuple(tuple(row) for row in p),
         valencies=tuple(valencies),
-        transpose_map=tuple(transpose_map),
+        transpose_map=tr,
     )
 
 
@@ -428,28 +449,51 @@ def _combine(basis: list[list], coeffs: list) -> list:
     return out
 
 
-def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], bound: int):
-    """Split an invariant subspace into integer eigenspaces plus a leftover."""
-    s = len(basis)
-    t = _restricted_matrix(bmat, basis)
-    pieces = []
-    shifted = []
+def _proposed_eigenvalues(t: list[list], bound: int) -> list[int]:
+    """Integers in [-bound, bound] nearest the float eigenvalues of t, in
+    increasing order: candidates only, each still proved by a nullspace."""
+    try:
+        eigs = np.linalg.eigvals(np.array(t, dtype=np.float64))
+    except np.linalg.LinAlgError:  # no proposals: the caller scans instead
+        return []
+    return sorted({int(x) for x in np.rint(eigs.real) if -bound <= x <= bound})
+
+
+def _integer_eigenspaces(t: list[list], thetas) -> list[tuple[list[list], list[list]]]:
+    """(T - theta I, exact kernel basis) for each theta with a nonzero
+    kernel, stopping once the kernels fill the space."""
+    s = len(t)
+    found = []
     used = 0
-    for theta in range(-bound, bound + 1):
+    for theta in thetas:
         m = [[t[r][c] - (theta if r == c else 0) for c in range(s)] for r in range(s)]
         ker = nullspace(m)
-        if not ker:
-            continue
-        pieces.append([_combine(basis, c) for c in ker])
-        shifted.append(m)
-        used += len(ker)
-        if used == s:
-            break
-    if used < s:
+        if ker:
+            found.append((m, ker))
+            used += len(ker)
+            if used == s:
+                break
+    return found
+
+
+def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], bound: int):
+    """Split an invariant subspace into integer eigenspaces plus a leftover.
+
+    Floating point only proposes eigenvalues. When the exact eigenspaces of
+    the proposals do not fill the subspace, every integer in [-bound, bound]
+    is tried, so a leftover is never the result of a missed proposal.
+    """
+    s = len(basis)
+    t = _restricted_matrix(bmat, basis)
+    found = _integer_eigenspaces(t, _proposed_eigenvalues(t, bound))
+    if sum(len(ker) for _, ker in found) < s:
+        found = _integer_eigenspaces(t, range(-bound, bound + 1))
+    pieces = [[_combine(basis, c) for c in ker] for _, ker in found]
+    if sum(map(len, pieces)) < s:
         # leftover = column space of the product of (T - theta I) over the
-        # eigenvalues already found; the product kills every found eigenspace
+        # eigenvalues found; the product kills every found eigenspace
         prod = [[Fraction(1) if r == c else Fraction(0) for c in range(s)] for r in range(s)]
-        for m in shifted:
+        for m, _ in found:
             prod = mat_mul(prod, m)
         red, piv = rref([list(col) for col in zip(*prod)])
         left = [list(red[i]) for i in range(len(piv))]

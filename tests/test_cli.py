@@ -347,10 +347,12 @@ def test_scheme_split_requires_source(capsys):
 # --------------------------------------------------------------------- misc
 
 
-def test_workers_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--workers", "4", "enumerate", "table1", "--max-n", "16")
-    assert code == 0
-    assert "1 parameter sets" in out
+def test_workers_flag_is_rejected(capsys):
+    # the global --workers option is gone: execution was always serial
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", "4", "enumerate", "table1", "--max-n", "16"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bad_subcommand_usage_error(capsys):

@@ -1,9 +1,10 @@
 """Property tests for the exact product kernel.
 
 Inputs are scaled so that bound = max|A| * max|B| * inner lands just below
-or just above each route threshold (2**53 for float64, 2**62 for int64), with
-entries biased toward the extremes so that partial sums come close to the
-bound. Every route must agree with the product of Python ints.
+or just above each route threshold (2**24 for float32, 2**53 for float64,
+2**62 for int64), with entries biased toward the extremes and of both signs
+so that partial sums come close to the bound, on operands of random shape.
+Every route must agree with the product of Python ints.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from hadsplit.core import exact_matmul
 
-F64, I64 = 2**53, 2**62
+F32, F64, I64 = 2**24, 2**53, 2**62
 
 
 def _entries(draw, rows, cols, peak):
@@ -52,6 +53,8 @@ def _reference(a, b):
 @pytest.mark.parametrize(
     "target, side, dtype",
     [
+        (F32, "below", np.int64),
+        (F32, "above", np.int64),
         (F64, "below", np.int64),
         (F64, "above", np.int64),
         (I64, "below", np.int64),
@@ -77,6 +80,24 @@ def test_float64_route_is_exact_at_its_edge():
     b[1::2, 1] = -(peak - 1)
     assert peak * peak * k < F64
     assert exact_matmul(a, b).tolist() == _reference(a, b)
+
+
+def test_float32_route_is_exact_at_its_edge():
+    # mixed signs, non-square: partial sums run up to just under 2**24
+    k = 5
+    peak = math.isqrt((F32 - 1) // k)
+    a = np.full((3, k), peak, dtype=np.int64)
+    a[1, 1::2] = -peak
+    b = np.full((k, 2), -(peak - 1), dtype=np.int64)
+    assert peak * peak * k < F32
+    assert exact_matmul(a, b).tolist() == _reference(a, b)
+
+
+def test_odd_sum_past_float32_stays_exact():
+    # 2**24 + 1 is not a float32; a bound of 2**25 must leave that route
+    a = np.array([[2**12, 1]], dtype=np.int64)
+    b = np.array([[2**12], [1]], dtype=np.int64)
+    assert exact_matmul(a, b).tolist() == [[2**24 + 1]]
 
 
 def test_zero_factor_keeps_huge_entries_out_of_float64():

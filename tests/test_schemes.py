@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import hadsplit.schemes
 from hadsplit.constructions import twin_sylvester
 from hadsplit.core import HadsplitError, IntMatrix, sylvester
 from hadsplit.exactla import GaussianRational, mat_mul
@@ -48,6 +51,25 @@ def scheme4non(twin16, split_16_9):
 @pytest.fixture(scope="module")
 def fam9():
     return [with_min_symbol(sq, 1) for sq in affine_ufs_family(9)]
+
+
+# Every scheme the library builds, at small sizes.
+_BUILT_SCHEMES = {
+    "4class-sym": lambda tw, s9, fam9: build_4class_symmetric(tw.h, s9),
+    "4class-nonsym": lambda tw, s9, fam9: build_4class_nonsymmetric(tw.h, s9),
+    "5class-f2": lambda tw, s9, fam9: build_5class(tw.h, s9, fam9[:2]),
+    "6class-f2": lambda tw, s9, fam9: build_6class(
+        tw.h, tw.reports[1], [force_constant_diagonal(sq, 0) for sq in affine_ufs_family(7)][:2]
+    ),
+    **{f"hamming{n}": (lambda tw, s9, fam9, n=n: hamming_scheme(n)) for n in range(3, 7)},
+    "fusion01": lambda tw, s9, fam9: muzychuk_fusion(6, "01"),
+    "fusion03": lambda tw, s9, fam9: muzychuk_fusion(6, "03"),
+}
+
+
+@pytest.fixture(scope="module")
+def built_schemes(twin16, split_16_9, fam9):
+    return {name: make(twin16, split_16_9, fam9) for name, make in _BUILT_SCHEMES.items()}
 
 
 def _i(im):
@@ -297,6 +319,13 @@ def test_5class_three_squares(twin16, split_16_9, fam9):
     _signed_square_law(sch, 16, 9, 1, -3, f=3)
 
 
+def test_5class_all_eight_squares(twin16, split_16_9, fam9):
+    sch = build_5class(twin16.h, split_16_9, fam9)
+    assert sch.size == 1152
+    assert sch.valencies == (1, 9, 6, 504, 504, 128)
+    assert eigenmatrices(sch).multiplicities == (1, 432, 567, 81, 7, 64)
+
+
 def test_5class_closed_forms(twin16, split_16_9, fam9):
     n, ell, a = 16, 9, 1
     d = (n - 1) * a * a + 2 * ell * a + ell * (n - ell)
@@ -393,8 +422,45 @@ def test_verify_rejects_broken_partition():
 def test_verify_rejects_open_transpose():
     cyc = IntMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
     rest = IntMatrix.ones(4) - IntMatrix.identity(4) - cyc
-    with pytest.raises(AxiomFailure):
+    # both classes fail; the first one is named
+    with pytest.raises(AxiomFailure, match="transpose of class 1 is not a class"):
         verify_scheme([IntMatrix.identity(4), cyc, rest])
+
+
+def test_verify_names_the_first_class_with_an_open_transpose(scheme4non):
+    # classes 3 and 4 are mutual transposes; moving a symmetric pair of
+    # cells from class 1 into class 3 leaves both with an open transpose
+    arrs = [m.array.copy() for m in scheme4non.matrices]
+    x, y = np.argwhere(arrs[1])[0]
+    arrs[1][x, y] = arrs[1][y, x] = 0
+    arrs[3][x, y] = arrs[3][y, x] = 1
+    for order, named in (([0, 1, 2, 3, 4], 3), ([0, 4, 3, 1, 2], 1), ([0, 1, 4, 2, 3], 2)):
+        with pytest.raises(AxiomFailure, match=f"transpose of class {named} is not a class"):
+            verify_scheme([IntMatrix(arrs[k]) for k in order])
+
+
+def test_verify_forms_one_product_per_transpose_orbit(kernel_calls, monkeypatch, twin16, split_16_9):
+    ham = hamming_scheme(8)
+    operands = []
+    counting = hadsplit.schemes.exact_matmul
+
+    def recording(a, b):
+        operands.append((a, b))
+        return counting(a, b)
+
+    monkeypatch.setattr(hadsplit.schemes, "exact_matmul", recording)
+    kernel_calls.clear()
+    verify_scheme(ham.matrices)
+    assert len(kernel_calls) == 36  # pairs i <= j of the 8 symmetric classes
+    eye = np.eye(256)
+    assert not any(np.array_equal(x, eye) or np.array_equal(y, eye) for x, y in operands)
+
+    kernel_calls.clear()
+    sch = build_4class_nonsymmetric(twin16.h, split_16_9)
+    t = sch.transpose_map
+    orbits = {min((i, j), (t[j], t[i])) for i in range(1, 5) for j in range(1, 5)}
+    assert len(orbits) == 10
+    assert kernel_calls.count(((160, 160), (160, 160))) == len(orbits)
 
 
 def test_verify_rejects_irregular_class():
@@ -402,6 +468,101 @@ def test_verify_rejects_irregular_class():
     rest = IntMatrix.ones(3) - IntMatrix.identity(3) - path
     with pytest.raises(AxiomFailure):
         verify_scheme([IntMatrix.identity(3), path, rest])
+
+
+# Every built scheme, perturbed: verify_scheme must reject what is no longer
+# a scheme, whichever of its checks catches it.
+
+
+def _colors(scheme):
+    return sum(k * m.array.astype(np.int64) for k, m in enumerate(scheme.matrices))
+
+
+def _classes_from(color, d1):
+    return [IntMatrix((color == k).astype(np.int64)) for k in range(d1)]
+
+
+def _reference_is_scheme(color, d1):
+    """All (d+1)^2 products, each constant on every class: the definition,
+    with no use of transposition or of the identity class."""
+    arrs = [(color == k).astype(np.float64) for k in range(d1)]
+    first = [np.unravel_index(int(np.argmax(color == k)), color.shape) for k in range(d1)]
+    tables = {}
+    for i in range(d1):
+        for j in range(d1):
+            prod = (arrs[i] @ arrs[j]).astype(np.int64)
+            pk = np.array([prod[x, y] for x, y in first])
+            if not np.array_equal(prod, pk[color]):
+                return False
+            tables[i, j] = pk.tolist()
+    return all(tables[i, j] == tables[j, i] for i in range(d1) for j in range(d1))
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_verify_rejects_a_flipped_cell(case, built_schemes, data):
+    sch = built_schemes[case]
+    v, d1 = sch.size, sch.classes + 1
+    k = data.draw(st.integers(0, d1 - 1))
+    x, y = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, v - 1))
+    arrs = [m.array.copy() for m in sch.matrices]
+    arrs[k][x, y] ^= 1
+    with pytest.raises(AxiomFailure):
+        verify_scheme([IntMatrix(a) for a in arrs])
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_verify_rejects_swapped_cells(case, built_schemes, data):
+    """Exchange the classes of two off-diagonal cells together with their
+    transposed cells: the cells stay partitioned and every class keeps a
+    class as its transpose, but the row through one cell and not the other
+    changes its class counts."""
+    sch = built_schemes[case]
+    v, tmap = sch.size, sch.transpose_map
+    color = _colors(sch)
+    point = st.integers(0, v - 1)
+    x1, y1, x2, y2 = (data.draw(point) for _ in range(4))
+    assume(x1 != y1 and x2 != y2 and {(x1, y1), (y1, x1)}.isdisjoint({(x2, y2), (y2, x2)}))
+    c1, c2 = int(color[x1, y1]), int(color[x2, y2])
+    assume(c1 != c2)
+    color[x1, y1], color[y1, x1] = c2, tmap[c2]
+    color[x2, y2], color[y2, x2] = c1, tmap[c1]
+    with pytest.raises(AxiomFailure):
+        verify_scheme(_classes_from(color, sch.classes + 1))
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_verify_judges_a_switched_square_like_the_definition(case, built_schemes, data):
+    """Switch four cells (x, y), (x, y'), (x', y), (x', y') whose classes
+    read c1, c2, c2, c1 to c2, c1, c1, c2, with their transposed cells.
+    Partition, transposes and every valency survive, so only the product
+    checks can tell; a switch can also give a scheme again, so the verdict
+    is compared with the definition."""
+    sch = built_schemes[case]
+    v, d1, tmap = sch.size, sch.classes + 1, sch.transpose_map
+    color = _colors(sch)
+    point = st.integers(0, v - 1)
+    x, y, y2 = (data.draw(point) for _ in range(3))
+    assume(len({x, y, y2}) == 3 and color[x, y] != color[x, y2])
+    c1, c2 = int(color[x, y]), int(color[x, y2])
+    partners = [
+        z for z in range(v)
+        if z not in (x, y, y2) and color[z, y2] == c1 and color[z, y] == c2
+    ]
+    assume(partners)
+    x2 = partners[data.draw(st.integers(0, len(partners) - 1))]
+    for (r, c), k in {(x, y): c2, (x, y2): c1, (x2, y): c1, (x2, y2): c2}.items():
+        color[r, c], color[c, r] = k, tmap[k]
+    if _reference_is_scheme(color, d1):
+        verify_scheme(_classes_from(color, d1))
+    else:
+        with pytest.raises(AxiomFailure):
+            verify_scheme(_classes_from(color, d1))
 
 
 # ------------------------------------------------------------ eigenmatrices
@@ -423,23 +584,36 @@ def test_eigenmatrices_pentagon_is_irrational():
         eigenmatrices(sch)
 
 
-_IDEMPOTENT_CASES = {
-    "4class-sym": lambda tw, s9, fam9: build_4class_symmetric(tw.h, s9),
-    "4class-nonsym": lambda tw, s9, fam9: build_4class_nonsymmetric(tw.h, s9),
-    "5class-f2": lambda tw, s9, fam9: build_5class(tw.h, s9, fam9[:2]),
-    "6class-f2": lambda tw, s9, fam9: build_6class(
-        tw.h, tw.reports[1], [force_constant_diagonal(sq, 0) for sq in affine_ufs_family(7)][:2]
-    ),
-    "hamming4": lambda tw, s9, fam9: hamming_scheme(4),
-    "fusion01": lambda tw, s9, fam9: muzychuk_fusion(6, "01"),
-    "fusion03": lambda tw, s9, fam9: muzychuk_fusion(6, "03"),
-}
-
-
-@pytest.mark.parametrize("case", list(_IDEMPOTENT_CASES))
-def test_eigenmatrices_give_primitive_idempotents(case, twin16, split_16_9, fam9):
-    sch = _IDEMPOTENT_CASES[case](twin16, split_16_9, fam9)
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+def test_eigenmatrices_give_primitive_idempotents(case, built_schemes):
+    sch = built_schemes[case]
     _assert_primitive_idempotents(sch, eigenmatrices(sch))
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+def test_eigenvalue_scan_fallback_gives_the_same_tables(case, built_schemes, monkeypatch):
+    sch = built_schemes[case]
+    want = repr(eigenmatrices(sch))
+    for proposal in (lambda t, bound: [], lambda t, bound: [bound]):
+        monkeypatch.setattr(hadsplit.schemes, "_proposed_eigenvalues", proposal)
+        assert repr(eigenmatrices(sch)) == want
+
+
+@pytest.mark.parametrize("case", [c for c in _BUILT_SCHEMES if c != "4class-nonsym"])
+def test_integer_eigenvalues_need_no_scan(case, built_schemes, monkeypatch):
+    """Where every eigenvalue is an integer, the float proposals find them
+    all and the [-k, k] scan never runs."""
+    sch = built_schemes[case]
+    tried = []
+    spaces = hadsplit.schemes._integer_eigenspaces
+
+    def recording(t, thetas):
+        tried.append(thetas)
+        return spaces(t, thetas)
+
+    monkeypatch.setattr(hadsplit.schemes, "_integer_eigenspaces", recording)
+    eigenmatrices(sch)
+    assert tried and not any(isinstance(thetas, range) for thetas in tried)
 
 
 # --------------------------------------------------------- named schemes
@@ -465,6 +639,16 @@ def test_hamming_4():
         (1, -1, 2, 0, -2),
         (1, 1, -4, 6, -4),
     )
+
+
+def test_hamming_8_has_binomial_multiplicities():
+    sch = hamming_scheme(8)
+    binomials = (1, 8, 28, 56, 70, 56, 28, 8, 1)
+    assert sch.valencies == binomials
+    assert sch.transpose_map == tuple(range(9))
+    et = eigenmatrices(sch)
+    assert et.multiplicities == (1, 1, 8, 28, 56, 70, 56, 28, 8)
+    assert sorted(et.multiplicities) == sorted(binomials)
 
 
 def test_hamming_distance_one_diagonalized_by_sylvester():
