@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["GaussianRational", "rref", "nullspace", "invert", "mat_mul", "mat_vec"]
+__all__ = ["GaussianRational", "rref", "nullspace", "mat_mul", "mat_vec"]
 
 
 class GaussianRational:
@@ -104,7 +104,8 @@ def _clone(m: Sequence[Sequence]) -> Matrix:
 
 
 def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    """Reduced row echelon form; returns (all rows, nonzero rows first, and
+    the pivot column indices)."""
     a = _clone(m)
     if not a:
         return a, []
@@ -126,7 +127,7 @@ def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         r += 1
         if r == nrows:
             break
-    return a[:r] + a[r:], pivots
+    return a, pivots
 
 
 def nullspace(m: Sequence[Sequence], one=Fraction(1)) -> list[list]:
@@ -149,26 +150,6 @@ def nullspace(m: Sequence[Sequence], one=Fraction(1)) -> list[list]:
             v[pc] = -red[r][fc] * one
         basis.append(v)
     return basis
-
-
-def invert(m: Sequence[Sequence]):
-    """Exact inverse via Gauss-Jordan, or None if singular."""
-    n = len(m)
-    one = _one_like(next((v for row in m for v in row if isinstance(v, GaussianRational)), m[0][0]))
-    zero = one - one
-    a = [list(row) + [zero] * n for row in m]
-    for i in range(n):
-        a[i][n + i] = one
-    red, pivots = rref(a)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
-
-
-def _one_like(sample):
-    if isinstance(sample, GaussianRational):
-        return GaussianRational(1)
-    return Fraction(1)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:

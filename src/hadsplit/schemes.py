@@ -4,7 +4,9 @@ Builders construct candidate class matrices and hand them to verify_scheme,
 which checks every axiom outright, so any returned Scheme is genuine and
 carries an exact intersection table. Eigenmatrices are computed over the
 rationals (extended by i for the non-symmetric scheme) with no floating
-point anywhere in the algebra.
+point anywhere in the algebra: eigenvalues are the integer roots of the
+intersection matrices' characteristic polynomials, and Q follows from P by
+the orthogonality relations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import HadamardMatrix, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
-from .exactla import GaussianRational, invert, mat_mul, mat_vec, nullspace, rref
+from .exactla import GaussianRational, mat_mul, mat_vec, nullspace, rref
 from .latin import LatinSquare, NotUfs, circle_symmetric, compose_ufs, is_mutually_ufs
 from .splitting import SplitReport
 
@@ -449,47 +451,52 @@ def _combine(basis: list[list], coeffs: list) -> list:
     return out
 
 
-def _proposed_eigenvalues(t: list[list], bound: int) -> list[int]:
-    """Integers in [-bound, bound] nearest the float eigenvalues of t, in
-    increasing order: candidates only, each still proved by a nullspace."""
-    try:
-        eigs = np.linalg.eigvals(np.array(t, dtype=np.float64))
-    except np.linalg.LinAlgError:  # no proposals: the caller scans instead
-        return []
-    return sorted({int(x) for x in np.rint(eigs.real) if -bound <= x <= bound})
+def _integer_roots(m: Sequence[Sequence[int]], bound: int) -> list[int]:
+    """Integers in [-bound, bound], increasing, that are roots of det(xI - m).
+
+    Faddeev-LeVerrier gives the coefficients of the integer matrix m
+    (M_1 = I, c_(n-k) = -tr(m M_k) / k, M_(k+1) = m M_k + c_(n-k) I); they
+    are integers, so each division is exact. Horner's rule evaluates them.
+    """
+    n = len(m)
+    coeffs = [1]
+    prod = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for r in range(n):
+            prod[r][r] += coeffs[-1]
+        prod = mat_mul(m, prod)
+        coeffs.append(-sum(prod[r][r] for r in range(n)) // k)
+    roots = []
+    for theta in range(-bound, bound + 1):
+        acc = 0
+        for c in coeffs:
+            acc = acc * theta + c
+        if not acc:
+            roots.append(theta)
+    return roots
 
 
-def _integer_eigenspaces(t: list[list], thetas) -> list[tuple[list[list], list[list]]]:
-    """(T - theta I, exact kernel basis) for each theta with a nonzero
-    kernel, stopping once the kernels fill the space."""
-    s = len(t)
-    found = []
+def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], roots: list[int]):
+    """Split a bmat-invariant subspace into integer eigenspaces plus a leftover.
+
+    roots holds every integer eigenvalue of bmat. The restriction T has only
+    eigenvalues of bmat, and its rational ones are rational roots of a monic
+    integer polynomial, hence integers: the leftover has none.
+    """
+    s = len(basis)
+    t = _restricted_matrix(bmat, basis)
+    found = []  # (T - theta I, exact kernel basis) per eigenvalue theta of T
     used = 0
-    for theta in thetas:
+    for theta in roots:
+        if used == s:
+            break
         m = [[t[r][c] - (theta if r == c else 0) for c in range(s)] for r in range(s)]
         ker = nullspace(m)
         if ker:
             found.append((m, ker))
             used += len(ker)
-            if used == s:
-                break
-    return found
-
-
-def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], bound: int):
-    """Split an invariant subspace into integer eigenspaces plus a leftover.
-
-    Floating point only proposes eigenvalues. When the exact eigenspaces of
-    the proposals do not fill the subspace, every integer in [-bound, bound]
-    is tried, so a leftover is never the result of a missed proposal.
-    """
-    s = len(basis)
-    t = _restricted_matrix(bmat, basis)
-    found = _integer_eigenspaces(t, _proposed_eigenvalues(t, bound))
-    if sum(len(ker) for _, ker in found) < s:
-        found = _integer_eigenspaces(t, range(-bound, bound + 1))
     pieces = [[_combine(basis, c) for c in ker] for _, ker in found]
-    if sum(map(len, pieces)) < s:
+    if used < s:
         # leftover = column space of the product of (T - theta I) over the
         # eigenvalues found; the product kills every found eigenspace
         prod = [[Fraction(1) if r == c else Fraction(0) for c in range(s)] for r in range(s)]
@@ -543,35 +550,37 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     any leftover plane over Q(i); raises IrrationalEigenvalue when the
     algebra needs a larger field.
 
-    bmats[i] is multiplication by A_i in the basis A_0..A_d of the algebra
-    that verify_scheme proved closed and commutative. A vector c passing the
-    exact common-eigenvector check gives e = sum c_k A_k != 0 with
+    bmats[i], multiplication by A_i in the basis A_0..A_d of the algebra
+    verify_scheme proved closed and commutative, is an integer matrix with
+    the eigenvalues of A_i, so they lie in [-k_i, k_i]. A vector c passing
+    the exact common-eigenvector check gives e = sum c_k A_k != 0 with
     A_i e = theta_i e, so theta_0 = 1 and theta_i theta_j = sum_k p_ij^k
-    theta_k: each row of P is a character. If P inverts, x -> (chi_k(x))_k
-    is an algebra isomorphism onto C^(d+1) that sends E_j = sum_i Q_ij A_i
-    / |X| to the j-th unit vector, since chi_k(E_j) = (P P^-1)_kj = [k = j].
-    Hence E_j E_k = [j = k] E_j and sum_j E_j = I, and P^-1 P = I at column 0
-    (all ones) gives sum_j Q_ij = |X| [i = 0]; none of this is re-checked
-    (Bannai and Ito, Algebraic Combinatorics I, 1984, ch. II).
+    theta_k: each row of P is a character. The d+1 settled vectors are
+    independent common eigenvectors of this left-regular representation of
+    a commutative semisimple algebra, where each character occurs exactly
+    once, so the rows of P are the d+1 distinct characters and P needs no
+    singularity check. The first orthogonality relation then gives m_j =
+    |X| / sum_i |P_ji|^2 / k_i and Q_ij = m_j conj(P_ji) / k_i with PQ =
+    |X| I, so E_j = sum_i Q_ij A_i / |X| are the primitive idempotents:
+    E_j E_k = [j = k] E_j and sum_j E_j = I, none of it re-checked (Bannai
+    and Ito, Algebraic Combinatorics I, 1984, sec. II.3).
     """
     d1 = scheme.classes + 1
-    bmats = []
-    for i in range(d1):
-        bmats.append(
-            [[Fraction(scheme.p[i][k][m]) for k in range(d1)] for m in range(d1)]
-        )
+    val = scheme.valencies
+    bmats = [[[scheme.p[i][k][m] for k in range(d1)] for m in range(d1)] for i in range(d1)]
 
     unit = [[Fraction(1) if r == c else Fraction(0) for r in range(d1)] for c in range(d1)]
     subspaces = [unit]
     for i in range(1, d1):
+        if len(subspaces) == d1:
+            break
+        roots = _integer_roots(bmats[i], val[i])
         nxt = []
         for basis in subspaces:
             if len(basis) == 1:
                 nxt.append(basis)
             else:
-                nxt.extend(
-                    _split_by_integer_eigenvalues(basis, bmats[i], scheme.valencies[i])
-                )
+                nxt.extend(_split_by_integer_eigenvalues(basis, bmats[i], roots))
         subspaces = nxt
 
     settled = [b for b in subspaces if len(b) == 1]
@@ -602,7 +611,7 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
             row.append(GaussianRational._coerce(theta))
         rows.append(tuple(row))
 
-    val_row = tuple(GaussianRational(v) for v in scheme.valencies)
+    val_row = tuple(GaussianRational(v) for v in val)
     try:
         lead = rows.index(val_row)
     except ValueError:
@@ -611,23 +620,20 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     rows.sort(key=lambda row: tuple(e.sort_key() for e in row))
     p_rows = [first] + rows
 
-    pinv = invert([list(r) for r in p_rows])
-    if pinv is None:
-        raise HadsplitError("eigenvalue matrix is singular")
     size = scheme.size
-    q_rows = tuple(
-        tuple(GaussianRational._coerce(size * e) for e in row) for row in pinv
-    )
-
     mults = []
-    for j in range(d1):
-        m = q_rows[0][j]
-        if not m.is_rational or m.re.denominator != 1 or m.re <= 0:
-            raise HadsplitError(f"multiplicity {m!r} is not a positive integer")
-        mults.append(int(m.re))
+    for row in p_rows:
+        m = size / sum(((e * e.conjugate()).re / k for e, k in zip(row, val)), Fraction(0))
+        if m.denominator != 1 or m <= 0:
+            raise HadsplitError(f"multiplicity {m} is not a positive integer")
+        mults.append(int(m))
     if sum(mults) != size:
         raise HadsplitError("multiplicities do not sum to the point count")
 
+    q_rows = tuple(
+        tuple(mults[j] * p_rows[j][i].conjugate() / val[i] for j in range(d1))
+        for i in range(d1)
+    )
     return EigenTables(
         p=tuple(p_rows), q=q_rows, multiplicities=tuple(mults), size=size
     )

@@ -4,7 +4,6 @@ import pytest
 
 from hadsplit.exactla import (
     GaussianRational,
-    invert,
     mat_mul,
     mat_vec,
     nullspace,
@@ -73,23 +72,6 @@ def test_nullspace_over_gaussian_field():
     assert len(vecs) == 1
     v = vecs[0]
     assert m[0][0] * v[0] + m[0][1] * v[1] == G(0)
-
-
-def test_invert_round_trip():
-    m = [[F(1), F(2)], [F(3), F(4)]]
-    inv = invert(m)
-    prod = mat_mul(m, inv)
-    assert prod == [[F(1), F(0)], [F(0), F(1)]]
-    assert invert([[F(1), F(2)], [F(2), F(4)]]) is None
-
-
-def test_invert_complex():
-    i = G(0, 1)
-    m = [[G(1), i], [i, G(1)]]
-    inv = invert(m)
-    prod = mat_mul(m, inv)
-    assert prod[0][0] == G(1) and prod[0][1] == G(0)
-    assert prod[1][0] == G(0) and prod[1][1] == G(1)
 
 
 def test_mat_vec():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import hadsplit.schemes
 from hadsplit.constructions import twin_sylvester
 from hadsplit.core import HadsplitError, IntMatrix, sylvester
-from hadsplit.exactla import GaussianRational, mat_mul
+from hadsplit.exactla import GaussianRational, mat_mul, nullspace
 from hadsplit.latin import (
     LatinSquare,
     affine_ufs_family,
@@ -19,6 +19,7 @@ from hadsplit.schemes import (
     AxiomFailure,
     IrrationalEigenvalue,
     OddityViolation,
+    _integer_roots,
     build_4class_nonsymmetric,
     build_4class_symmetric,
     build_5class,
@@ -590,30 +591,86 @@ def test_eigenmatrices_give_primitive_idempotents(case, built_schemes):
     _assert_primitive_idempotents(sch, eigenmatrices(sch))
 
 
+def _row_sum_bound(m):
+    """max_r sum_c |m_rc|, which no eigenvalue of m exceeds in absolute value."""
+    return max(sum(abs(x) for x in row) for row in m)
+
+
+def _kernel_roots(m, bound):
+    """Reference: theta is an integer eigenvalue of m exactly when
+    m - theta I has a nonzero exact kernel."""
+    s = len(m)
+    return [
+        theta
+        for theta in range(-bound, bound + 1)
+        if nullspace([[m[r][c] - (theta if r == c else 0) for c in range(s)] for r in range(s)])
+    ]
+
+
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
-def test_eigenvalue_scan_fallback_gives_the_same_tables(case, built_schemes, monkeypatch):
+def test_eigenmatrices_need_no_floating_point(case, built_schemes, monkeypatch):
     sch = built_schemes[case]
     want = repr(eigenmatrices(sch))
-    for proposal in (lambda t, bound: [], lambda t, bound: [bound]):
-        monkeypatch.setattr(hadsplit.schemes, "_proposed_eigenvalues", proposal)
-        assert repr(eigenmatrices(sch)) == want
+
+    def no_float(*args, **kwargs):
+        raise AssertionError("floating-point eigensolver called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_float)
+    assert repr(eigenmatrices(sch)) == want
 
 
-@pytest.mark.parametrize("case", [c for c in _BUILT_SCHEMES if c != "4class-nonsym"])
-def test_integer_eigenvalues_need_no_scan(case, built_schemes, monkeypatch):
-    """Where every eigenvalue is an integer, the float proposals find them
-    all and the [-k, k] scan never runs."""
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypatch):
+    """Each subspace split takes at most one exact kernel per integer
+    eigenvalue of the splitting class, also where a leftover plane has
+    the non-real eigenvalues of the 4-class non-symmetric scheme."""
     sch = built_schemes[case]
-    tried = []
-    spaces = hadsplit.schemes._integer_eigenspaces
+    calls = []
+    splits = []
+    kernel = hadsplit.schemes.nullspace
+    split = hadsplit.schemes._split_by_integer_eigenvalues
 
-    def recording(t, thetas):
-        tried.append(thetas)
-        return spaces(t, thetas)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(hadsplit.schemes, "_integer_eigenspaces", recording)
+    def recording(basis, bmat, *rest):
+        before = len(calls)
+        pieces = split(basis, bmat, *rest)
+        splits.append((bmat, len(calls) - before))
+        return pieces
+
+    monkeypatch.setattr(hadsplit.schemes, "nullspace", counting)
+    monkeypatch.setattr(hadsplit.schemes, "_split_by_integer_eigenvalues", recording)
     eigenmatrices(sch)
-    assert tried and not any(isinstance(thetas, range) for thetas in tried)
+    assert splits
+    for bmat, taken in splits:
+        assert taken <= len(_kernel_roots(bmat, _row_sum_bound(bmat)))
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+def test_integer_roots_match_kernels_on_intersection_matrices(case, built_schemes):
+    """[-k_i, k_i] holds every integer eigenvalue of B_i, (B_i)_mk = p_ik^m."""
+    sch = built_schemes[case]
+    d1 = sch.classes + 1
+    for i in range(1, d1):
+        bmat = [[sch.p[i][k][m] for k in range(d1)] for m in range(d1)]
+        want = _kernel_roots(bmat, _row_sum_bound(bmat))
+        assert _integer_roots(bmat, sch.valencies[i]) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda s: st.lists(
+            st.lists(st.integers(-3, 3), min_size=s, max_size=s), min_size=s, max_size=s
+        )
+    )
+)
+def test_integer_roots_match_kernels_on_random_matrices(m):
+    bound = _row_sum_bound(m)
+    assert _integer_roots(m, bound) == _kernel_roots(m, bound)
 
 
 # --------------------------------------------------------- named schemes
