@@ -36,8 +36,10 @@ from .constructions import (
     witness_for,
 )
 from .feasibility import eigvec_search, enumerate_case_a, enumerate_seidel
+from .gf import NotPrimePower
 from .latin import (
     LatinSquare,
+    OddOrder,
     affine_ufs_family,
     circle_symmetric,
     compose_ufs,
@@ -113,6 +115,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ValueError("missing required option(s): " + ", ".join(f"--{n}" for n in missing))
 
 
+def _parameter(build, value: int):
+    """build(value), reporting a value it cannot build for as bad input."""
+    try:
+        return build(value)
+    except (NotPrimePower, OddOrder) as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _parse_rows(text: str) -> list[int]:
     out: list[int] = []
     for tok in text.split(","):
@@ -120,8 +130,10 @@ def _parse_rows(text: str) -> list[int]:
         if not tok:
             continue
         if "-" in tok[1:]:
-            lo, hi = tok.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in tok.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed row range {tok!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(tok))
     if not out:
@@ -213,7 +225,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return em.finish()
 
     if kind == "skew-core":
-        inst = skew_core_bsh(paley_skew_core(args.q))
+        inst = skew_core_bsh(_parameter(paley_skew_core, args.q))
     elif kind == "kron":
         inst = kron_square(_source_hadamard(args), args.variant)
     elif kind == "gram":
@@ -419,12 +431,12 @@ def _cmd_latin(args: argparse.Namespace) -> int:
 
     if mode == "circle":
         _require(args, "v")
-        _emit_square(circle_symmetric(args.v), args, em)
+        _emit_square(_parameter(circle_symmetric, args.v), args, em)
         return em.finish()
 
     if mode == "affine":
         _require(args, "q")
-        fam = affine_ufs_family(args.q)
+        fam = _parameter(affine_ufs_family, args.q)
         if args.pick is not None:
             if not 0 <= args.pick < len(fam):
                 raise ValueError(f"--pick must be in 0..{len(fam) - 1}, got {args.pick}")
@@ -675,7 +687,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownDataset, ValueError, OSError) as exc:
+    except (ParseError, UnknownDataset, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HadsplitError as exc:

@@ -1,10 +1,10 @@
 """Exact integer matrices and Hadamard matrix primitives.
 
-All arithmetic is exact. Matrices whose entries stay below 2**62 in absolute
-value are kept as numpy int64 arrays; anything larger falls back to object
-arrays of Python ints.
+Every matrix is a read-only numpy int64 array. Each operation bounds its
+entries and intermediates first and raises OverflowError when the bound
+reaches 2**62, so int64 never wraps; nothing the package builds comes near.
 
-Every matrix product goes through exact_matmul, which picks one of four
+Every matrix product goes through exact_matmul, which picks one of three
 routes from bound = max|A| * max|B| * inner dimension:
 
   float32: bound < 2**24. Each entry, each term a_ik b_kj and each partial
@@ -14,7 +14,6 @@ routes from bound = max|A| * max|B| * inner dimension:
     matrices of a scheme on fewer than 2**24 points always take this route.
   float64: bound < 2**53, by the same argument with the float64 mantissa.
   int64: bound < 2**62, so no partial sum can overflow.
-  object: Python ints, exact at any size.
 """
 
 from __future__ import annotations
@@ -65,7 +64,8 @@ def _as_array(rows: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
         if guess is not None and guess.dtype.kind in "biu":
             rows = guess
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size and rows.dtype.kind in "biu":
-        arr = rows.copy()  # the caller keeps its array
+        _check_bound(_max_abs(rows))
+        arr = rows.astype(np.int64)  # a copy: the caller keeps its array
     else:
         data = [[_integer(v) for v in row] for row in rows]
         if not data or not data[0]:
@@ -74,8 +74,8 @@ def _as_array(rows: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
         for row in data:
             if len(row) != width:
                 raise ValueError("ragged rows")
-        arr = np.array(data, dtype=object)
-    (arr,) = _exact_operands(_max_abs(arr), arr)
+        _check_bound(max(abs(v) for row in data for v in row))
+        arr = np.array(data, dtype=np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -90,8 +90,6 @@ def _integer(v) -> int:
 def _max_abs(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
-    if arr.dtype == object:
-        return max(abs(int(v)) for v in arr.flat)
     # max and min, not abs: abs of the most negative int64 wraps
     return max(int(arr.max()), -int(arr.min()))
 
@@ -100,7 +98,7 @@ def _bound(*factors: np.ndarray | int) -> int:
     """Product of the factors' magnitudes (max|x| for an array).
 
     A zero factor counts as 1, so a huge factor next to a zero one still
-    gives a huge bound and is never cast to a fixed-width dtype.
+    gives a huge bound and raises in _check_bound.
     """
     out = 1
     for f in factors:
@@ -108,20 +106,19 @@ def _bound(*factors: np.ndarray | int) -> int:
     return out
 
 
-def _exact_operands(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays as int64 when bound, which must cover every entry and
-    intermediate of the operation, is below 2**62; else as Python ints."""
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    return tuple(a.astype(dtype, copy=False) for a in arrays)
+def _check_bound(bound: int) -> None:
+    """Raise OverflowError unless bound, which must cover every entry and
+    intermediate of an operation, is below 2**62, where int64 is exact."""
+    if bound >= _INT64_SAFE:
+        raise OverflowError(f"integer bound {bound} reaches 2**62, past exact int64 arithmetic")
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two 2-D integer arrays.
 
-    Returns int64 when bound = max|A| * max|B| * inner stays below 2**62,
-    computed in float32 BLAS when the bound is below 2**24 and in float64
-    BLAS when it is below 2**53, and an object array of Python ints
-    otherwise.
+    Returns int64, computed in float32 BLAS when bound = max|A| * max|B| *
+    inner is below 2**24, in float64 BLAS when it is below 2**53, and in
+    int64 when it is below 2**62; a larger bound raises OverflowError.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("inner dimension mismatch")
@@ -129,8 +126,8 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if bound < _FLOAT64_EXACT:
         real = np.float32 if bound < _FLOAT32_EXACT else np.float64
         return (a.astype(real) @ b.astype(real)).astype(np.int64)
-    x, y = _exact_operands(bound, a, b)
-    return x @ y
+    _check_bound(bound)
+    return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
 
 
 class IntMatrix:
@@ -164,7 +161,7 @@ class IntMatrix:
 
     @property
     def array(self) -> np.ndarray:
-        """The entries as a read-only array: int64, or object past 2**62."""
+        """The entries as a read-only int64 array, each below 2**62 in magnitude."""
         return self._a
 
     @property
@@ -208,8 +205,8 @@ class IntMatrix:
     def _binary(self, other: "IntMatrix", op) -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        a, b = self._a, other._a
-        return IntMatrix._wrap(op(*_exact_operands(_max_abs(a) + _max_abs(b), a, b)))
+        _check_bound(_max_abs(self._a) + _max_abs(other._a))
+        return IntMatrix._wrap(op(self._a, other._a))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return self._binary(other, lambda a, b: a + b)
@@ -223,8 +220,8 @@ class IntMatrix:
     def __rmul__(self, k: int) -> "IntMatrix":
         if not isinstance(k, int):
             return NotImplemented
-        (a,) = _exact_operands(_bound(k, self._a), self._a)
-        return IntMatrix._wrap(k * a)
+        _check_bound(_bound(k, self._a))
+        return IntMatrix._wrap(k * self._a)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix._wrap(exact_matmul(self._a, other._a))
@@ -256,20 +253,19 @@ class IntMatrix:
         """Multiply by num/den, requiring exact divisibility of every entry."""
         if den == 0:
             raise ZeroDivisionError("scaled_exact by num/0")
-        (a,) = _exact_operands(_bound(num, self._a, den), self._a)
-        t = a * num
+        _check_bound(_bound(num, self._a, den))
+        t = self._a * num
         rem = t % den
         bad = np.flatnonzero(rem)
         if bad.size:
             raise ValueError(f"entry {int(self._a.flat[bad[0]])} not divisible by {den}")
-        q = t // den
-        return IntMatrix(q) if q.dtype == object else IntMatrix._wrap(q)
+        return IntMatrix._wrap(t // den)
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product, exact."""
-    x, y = _exact_operands(_bound(a._a, b._a), a._a, b._a)
-    return IntMatrix._wrap(np.kron(x, y))
+    _check_bound(_bound(a._a, b._a))
+    return IntMatrix._wrap(np.kron(a._a, b._a))
 
 
 class HadamardMatrix(IntMatrix):
@@ -361,15 +357,15 @@ def paley_skew_core(q: int) -> SkewCore:
 
 
 def conference_from_core(core: SkewCore) -> IntMatrix:
-    """Skew conference matrix of order q+1: border the core with ones."""
+    """Skew conference matrix C = [[0, jt], [-j, Q]] of order q+1.
+
+    SkewCore proved QQt = qI - J, QJ = 0 and Qt = -Q, so blockwise CCt = qI
+    and Ct = -C; neither is re-checked.
+    """
     q = core.q
     top = [[0] + [1] * q]
     body = [[-1] + list(core.matrix.row(i)) for i in range(q)]
-    c = IntMatrix(top + body)
-    n = q + 1
-    assert c @ c.T == q * IntMatrix.identity(n)
-    assert c.T == -c
-    return c
+    return IntMatrix(top + body)
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -550,37 +550,39 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     any leftover plane over Q(i); raises IrrationalEigenvalue when the
     algebra needs a larger field.
 
-    bmats[i], multiplication by A_i in the basis A_0..A_d of the algebra
+    B_i, multiplication by A_i in the basis A_0..A_d of the algebra
     verify_scheme proved closed and commutative, is an integer matrix with
-    the eigenvalues of A_i, so they lie in [-k_i, k_i]. A vector c passing
-    the exact common-eigenvector check gives e = sum c_k A_k != 0 with
-    A_i e = theta_i e, so theta_0 = 1 and theta_i theta_j = sum_k p_ij^k
-    theta_k: each row of P is a character. The d+1 settled vectors are
-    independent common eigenvectors of this left-regular representation of
-    a commutative semisimple algebra, where each character occurs exactly
-    once, so the rows of P are the d+1 distinct characters and P needs no
-    singularity check. The first orthogonality relation then gives m_j =
-    |X| / sum_i |P_ji|^2 / k_i and Q_ij = m_j conj(P_ji) / k_i with PQ =
-    |X| I, so E_j = sum_i Q_ij A_i / |X| are the primitive idempotents:
-    E_j E_k = [j = k] E_j and sum_j E_j = I, none of it re-checked (Bannai
-    and Ito, Algebraic Combinatorics I, 1984, sec. II.3).
+    the eigenvalues of A_i, so they lie in [-k_i, k_i]; scheme.p[i], indexed
+    [k][m], is B_i^T. Each split takes eigenspaces, or the leftover image,
+    of one B_i^T inside a subspace invariant under all of them; they
+    commute, so every piece is invariant too and each settled line is a
+    common left eigenvector x of the B_i. Coordinate 0 of x B_i = theta_i x
+    reads theta_i x_0 = x_i, so x / x_0 is a row of P, with theta_0 = 1 and
+    theta_i theta_j = sum_k p_ij^k theta_k: each row of P is a character.
+    The d+1 settled lines are independent common eigenvectors of this
+    representation of a commutative semisimple algebra, where each
+    character occurs exactly once, so the rows of P are the d+1 distinct
+    characters and P needs no singularity check. The first orthogonality
+    relation then gives m_j = |X| / sum_i |P_ji|^2 / k_i and Q_ij = m_j
+    conj(P_ji) / k_i with PQ = |X| I, so E_j = sum_i Q_ij A_i / |X| are the
+    primitive idempotents: E_j E_k = [j = k] E_j and sum_j E_j = I, none of
+    it re-checked (Bannai and Ito, Algebraic Combinatorics I, 1984, sec. II.3).
     """
     d1 = scheme.classes + 1
     val = scheme.valencies
-    bmats = [[[scheme.p[i][k][m] for k in range(d1)] for m in range(d1)] for i in range(d1)]
 
     unit = [[Fraction(1) if r == c else Fraction(0) for r in range(d1)] for c in range(d1)]
     subspaces = [unit]
     for i in range(1, d1):
         if len(subspaces) == d1:
             break
-        roots = _integer_roots(bmats[i], val[i])
+        roots = _integer_roots(scheme.p[i], val[i])
         nxt = []
         for basis in subspaces:
             if len(basis) == 1:
                 nxt.append(basis)
             else:
-                nxt.extend(_split_by_integer_eigenvalues(basis, bmats[i], roots))
+                nxt.extend(_split_by_integer_eigenvalues(basis, scheme.p[i], roots))
         subspaces = nxt
 
     settled = [b for b in subspaces if len(b) == 1]
@@ -590,7 +592,7 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
         if len(basis) != 2:
             raise IrrationalEigenvalue("cannot separate a subspace of dimension > 2")
         for i in range(1, d1):
-            pieces = _split_complex_pair(basis, bmats[i])
+            pieces = _split_complex_pair(basis, scheme.p[i])
             if pieces is not None:
                 settled.extend(pieces)
                 break
@@ -599,17 +601,7 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     if len(settled) != d1:
         raise HadsplitError("eigenspace count mismatch")
 
-    rows = []
-    for (vec,) in settled:
-        t0 = next(t for t in range(d1) if vec[t])
-        row = []
-        for i in range(d1):
-            img = mat_vec(bmats[i], vec)
-            theta = img[t0] / vec[t0]
-            if any(img[t] != theta * vec[t] for t in range(d1)):
-                raise HadsplitError("vector is not a common eigenvector")
-            row.append(GaussianRational._coerce(theta))
-        rows.append(tuple(row))
+    rows = [tuple(GaussianRational._coerce(x / vec[0]) for x in vec) for (vec,) in settled]
 
     val_row = tuple(GaussianRational(v) for v in val)
     try:

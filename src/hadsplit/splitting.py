@@ -204,7 +204,6 @@ def direct_srg_params(a: IntMatrix) -> SrgParams | None:
     arr = a.array
     if not np.all((arr == 0) | (arr == 1)) or np.any(np.diagonal(arr)):
         return None
-    arr = arr.astype(np.int64, copy=False)
     sums = arr.sum(axis=1)
     if not np.all(sums == sums[0]):
         return None

@@ -72,6 +72,14 @@ def test_check_row_ranges(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--input", str(f), "--rows", "1-3")
     assert code == 0
     assert "(4, 3, -1, -1)" in out
+    t = tmp_path / "twin.txt"
+    run(capsys, "construct", "twin", "--m", "2", "--out", str(t))
+    code, out, _ = run(capsys, "check", "--input", str(t), "--rows", "1,4-6,9,15")
+    assert code == 0
+    code, out, err = run(capsys, "check", "--input", str(t), "--rows", "1,4,6-5,9,15")
+    assert code == 2
+    assert out == ""
+    assert "error: reversed row range '6-5'" in err
 
 
 def test_check_not_splittable_exits_one(capsys, tmp_path):
@@ -88,6 +96,13 @@ def test_construct_skew_core(capsys):
     payload = json.loads(out)
     assert payload["data"]["n"] == 12
     assert payload["data"]["witness"] == "skew-core q=3"
+
+
+def test_construct_skew_core_non_prime_power_exits_two(capsys):
+    code, out, err = run(capsys, "construct", "skew-core", "--q", "15")
+    assert code == 2
+    assert out == ""
+    assert "error: 15 is not a prime power" in err
 
 
 def test_construct_kron_small(capsys):
@@ -247,6 +262,20 @@ def test_latin_circle_check_round_trip(capsys, tmp_path):
     assert "symmetric: True" in out
 
 
+def test_latin_circle_odd_order_exits_two(capsys):
+    code, out, err = run(capsys, "latin", "circle", "--v", "5")
+    assert code == 2
+    assert out == ""
+    assert "error: no one-factorization of an odd order (5)" in err
+
+
+def test_latin_affine_non_prime_power_exits_two(capsys):
+    code, out, err = run(capsys, "latin", "affine", "--q", "6")
+    assert code == 2
+    assert out == ""
+    assert "error: 6 is not a prime power" in err
+
+
 def test_latin_affine_pick_and_ufs(capsys, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run(capsys, "latin", "affine", "--q", "5", "--pick", "0", "--out", str(a))
@@ -299,6 +328,15 @@ def test_scheme_build4_and_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "scheme", "verify", "--inputs", files)
     assert code == 0
     assert "4-class symmetric scheme on 160 points" in out
+
+
+def test_scheme_verify_entry_past_int64_exits_two(capsys, tmp_path):
+    f = tmp_path / "big.txt"
+    f.write_text(f"2 2\n{2**70} 0\n0 1\n")
+    code, out, err = run(capsys, "scheme", "verify", "--inputs", str(f))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "2**62" in err
 
 
 def test_scheme_build4n_eig(capsys):

@@ -39,10 +39,12 @@ def test_intmatrix_is_immutable():
 
 
 def test_intmatrix_survives_huge_entries():
-    big = 2**70
-    a = IntMatrix([[big, 0], [0, big]])
-    sq = a @ a
-    assert sq.tolist() == [[big * big, 0], [0, big * big]]
+    # refused, never wrapped: int64 is exact only below 2**62
+    with pytest.raises(OverflowError):
+        IntMatrix([[2**70, 0], [0, 2**70]])
+    a = IntMatrix([[2**31, 0], [0, 2**31]])
+    with pytest.raises(OverflowError):
+        a @ a
 
 
 def test_intmatrix_from_ndarray_is_a_read_only_copy():
@@ -57,11 +59,15 @@ def test_intmatrix_from_ndarray_is_a_read_only_copy():
         a.array[0, 0] = 5
 
 
-def test_intmatrix_from_ndarray_past_int64_range_uses_python_ints():
-    a = IntMatrix(np.array([[2**62, 1]], dtype=np.int64))
-    assert a.array.dtype == object
-    assert (a @ a.T).tolist() == [[2**124 + 1]]
-    assert IntMatrix(np.array([[2**63 + 5]], dtype=np.uint64)).tolist() == [[2**63 + 5]]
+def test_intmatrix_from_ndarray_past_int64_range_raises():
+    with pytest.raises(OverflowError):
+        IntMatrix(np.array([[2**62, 1]], dtype=np.int64))
+    with pytest.raises(OverflowError):
+        IntMatrix(np.array([[1, -(2**63)]], dtype=np.int64))
+    with pytest.raises(OverflowError):
+        IntMatrix(np.array([[2**63 + 5]], dtype=np.uint64))
+    edge = IntMatrix(np.array([[2**62 - 1, -(2**62 - 1)]], dtype=np.int64))
+    assert edge.tolist() == [[2**62 - 1, -(2**62 - 1)]]
 
 
 def test_intmatrix_rejects_non_integer_entries():
@@ -73,17 +79,24 @@ def test_intmatrix_rejects_non_integer_entries():
 
 
 def test_zero_factor_keeps_huge_scalars_out_of_int64():
+    # a zero factor counts as 1 in the bound, so a huge scalar still raises
     zero = IntMatrix.zeros(2)
-    assert ((2**100) * zero).tolist() == [[0, 0], [0, 0]]
-    assert zero.scaled_exact(2**100, 1).tolist() == [[0, 0], [0, 0]]
-    with pytest.raises(ValueError, match="entry 4 not divisible"):
+    with pytest.raises(OverflowError):
+        (2**100) * zero
+    with pytest.raises(OverflowError):
+        zero.scaled_exact(2**100, 1)
+    with pytest.raises(OverflowError):
         IntMatrix([[4]]).scaled_exact(1, 2**70)
 
 
-def test_sum_past_int64_safe_range_is_exact():
+def test_sum_past_int64_safe_range_raises():
     x = 2**62 - 1
-    assert (IntMatrix([[x]]) + IntMatrix([[x]])).tolist() == [[2 * x]]
-    assert (IntMatrix([[x]]) - IntMatrix([[-x]])).tolist() == [[2 * x]]
+    with pytest.raises(OverflowError):
+        IntMatrix([[x]]) + IntMatrix([[x]])
+    with pytest.raises(OverflowError):
+        IntMatrix([[x]]) - IntMatrix([[-x]])
+    half = 2**61
+    assert (IntMatrix([[half - 1]]) + IntMatrix([[half]])).tolist() == [[2**62 - 1]]
 
 
 def test_scaled_exact():
@@ -92,8 +105,10 @@ def test_scaled_exact():
     assert a.scaled_exact(1, -2).tolist() == [[-1, 2], [-3, 0]]
     with pytest.raises(ValueError, match="entry 3 not divisible by 2"):
         IntMatrix([[2, 4], [3, 5]]).scaled_exact(1, 2)
-    big = IntMatrix([[2**70, -(2**71)]]).scaled_exact(3, 2**70)
-    assert big.tolist() == [[3, -6]]
+    with pytest.raises(OverflowError):
+        IntMatrix([[2**70, -(2**71)]]).scaled_exact(3, 2**70)
+    big = IntMatrix([[2**40, -(2**41)]]).scaled_exact(3, 2**10)
+    assert big.tolist() == [[3 * 2**30, -6 * 2**30]]
     assert big.array.dtype == np.int64
 
 
@@ -178,9 +193,12 @@ def test_paley_skew_core_rejects_non_prime_power():
         paley_skew_core(15)
 
 
-def test_conference_from_core_is_skew_and_orthogonal():
-    c = conference_from_core(paley_skew_core(7))
-    n = 8
+@pytest.mark.parametrize("q", [3, 7, 11, 19])
+def test_conference_from_core_is_skew_and_orthogonal(q):
+    """The reference for CCt = qI and Ct = -C, which conference_from_core
+    derives from the core's identities instead of re-checking."""
+    c = conference_from_core(paley_skew_core(q))
+    n = q + 1
     assert c.T.tolist() == (-1 * c).tolist()
     assert (c @ c.T).tolist() == ((n - 1) * IntMatrix.identity(n)).tolist()
     # skew conference plus identity is Hadamard

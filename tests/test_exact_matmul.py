@@ -4,7 +4,8 @@ Inputs are scaled so that bound = max|A| * max|B| * inner lands just below
 or just above each route threshold (2**24 for float32, 2**53 for float64,
 2**62 for int64), with entries biased toward the extremes and of both signs
 so that partial sums come close to the bound, on operands of random shape.
-Every route must agree with the product of Python ints.
+Every route must agree with the product of Python ints, and a bound at or
+past 2**62 must raise OverflowError.
 """
 
 import math
@@ -51,22 +52,26 @@ def _reference(a, b):
 
 
 @pytest.mark.parametrize(
-    "target, side, dtype",
+    "target, side, outcome",
     [
         (F32, "below", np.int64),
         (F32, "above", np.int64),
         (F64, "below", np.int64),
         (F64, "above", np.int64),
         (I64, "below", np.int64),
-        (I64, "above", object),
+        (I64, "above", OverflowError),
     ],
 )
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_every_route_matches_python_ints(target, side, dtype, data):
+def test_every_route_matches_python_ints(target, side, outcome, data):
     a, b = data.draw(near_bound(target, side))
+    if outcome is OverflowError:
+        with pytest.raises(OverflowError):
+            exact_matmul(a, b)
+        return
     got = exact_matmul(a, b)
-    assert got.dtype == dtype
+    assert got.dtype == outcome
     assert got.tolist() == _reference(a, b)
 
 
@@ -101,9 +106,14 @@ def test_odd_sum_past_float32_stays_exact():
 
 
 def test_zero_factor_keeps_huge_entries_out_of_float64():
-    huge = np.array([[2**70, -(2**80)]], dtype=object)
+    # a zero factor counts as 1 in the bound, so the huge side still raises
     zero = np.zeros((2, 3), dtype=np.int64)
-    assert exact_matmul(huge, zero).tolist() == [[0, 0, 0]]
+    for huge in (
+        np.array([[2**70, -(2**80)]], dtype=object),
+        np.array([[2**62, -1]], dtype=np.int64),
+    ):
+        with pytest.raises(OverflowError):
+            exact_matmul(huge, zero)
 
 
 def test_small_object_inputs_take_a_fixed_width_route():

@@ -591,6 +591,21 @@ def test_eigenmatrices_give_primitive_idempotents(case, built_schemes):
     _assert_primitive_idempotents(sch, eigenmatrices(sch))
 
 
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+def test_eigenmatrix_rows_are_characters(case, built_schemes):
+    """The reference for what eigenmatrices reads off each common left
+    eigenvector: theta_0 = 1 and theta_i theta_j = sum_k p_ij^k theta_k."""
+    sch = built_schemes[case]
+    d1 = sch.classes + 1
+    zero = GaussianRational(0)
+    for row in eigenmatrices(sch).p:
+        assert row[0] == 1
+        for i in range(d1):
+            for j in range(d1):
+                want = sum((sch.p[i][j][k] * row[k] for k in range(d1)), zero)
+                assert row[i] * row[j] == want, (row, i, j)
+
+
 def _row_sum_bound(m):
     """max_r sum_c |m_rc|, which no eigenvalue of m exceeds in absolute value."""
     return max(sum(abs(x) for x in row) for row in m)
