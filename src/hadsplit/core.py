@@ -120,9 +120,9 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner is below 2**24, in float64 BLAS when it is below 2**53, and in
     int64 when it is below 2**62; a larger bound raises OverflowError.
     """
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError("inner dimension mismatch")
-    bound = _bound(a, b, a.shape[1])
+    bound = _bound(a, b, a.shape[-1])
     if bound < _FLOAT64_EXACT:
         real = np.float32 if bound < _FLOAT32_EXACT else np.float64
         return (a.astype(real) @ b.astype(real)).astype(np.int64)
@@ -234,9 +234,11 @@ class IntMatrix:
         return self.is_square and bool(np.array_equal(self._a, self._a.T))
 
     def row_sums(self) -> tuple[int, ...]:
+        _check_bound(_bound(self._a, self.ncols))
         return tuple(int(v) for v in self._a.sum(axis=1))
 
     def col_sums(self) -> tuple[int, ...]:
+        _check_bound(_bound(self._a, self.nrows))
         return tuple(int(v) for v in self._a.sum(axis=0))
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
@@ -311,12 +313,22 @@ def sylvester(m_exponent: int) -> HadamardMatrix:
     return HadamardMatrix(h)
 
 
+def _resigned(h: HadamardMatrix, rows: np.ndarray, cols: np.ndarray) -> HadamardMatrix:
+    """D1 H D2 for the +-1 diagonals D1 = diag(rows), D2 = diag(cols).
+
+    Not re-proved: (D1 H D2)(D1 H D2)t = D1 H Ht D1 = n D1 D1 = nI.
+    """
+    arr = rows[:, None] * h._a * cols[None, :]
+    arr.setflags(write=False)
+    out = object.__new__(HadamardMatrix)
+    out._a = arr
+    return out
+
+
 def normalize(h: HadamardMatrix) -> HadamardMatrix:
     """Flip row and column signs so the first row and column are all-ones."""
-    a = h._a.copy()
-    a = a * a[0, :]  # column flips
-    a = a * a[:, [0]]  # row flips
-    return HadamardMatrix(a)
+    a = h._a
+    return _resigned(h, a[:, 0] * a[0, 0], a[0])
 
 
 class SkewCore:

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
 Small dense matrices only. Elements must support +, -, *, /, bool, ==.
-Fraction and GaussianRational both qualify.
+Fraction and GaussianRational both qualify; an all-int matrix is reduced
+on Python ints and only its result is built from Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -103,9 +105,47 @@ def _clone(m: Sequence[Sequence]) -> Matrix:
     return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in m]
 
 
+def _rref_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
+    """rref of an integer matrix, eliminating fraction-free.
+
+    Each elimination is pv * row - f * pivot_row, divided by the gcd of its
+    entries. Every row stays a nonzero multiple of the row that the Fraction
+    elimination holds at the same step, so the zero pattern, the pivots and
+    the ratios row[c] / row[pivot] are those of rref; dividing each pivot row
+    by its pivot entry at the end gives rref itself.
+    """
+    a = [list(row) for row in m]
+    nrows, ncols = len(a), len(a[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        prow = a[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = a[i][c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(a[i], prow)]
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = Fraction(0)
+    out = [[Fraction(x, row[p]) if x else zero for x in row] for row, p in zip(a, pivots)]
+    out += [[zero] * ncols for _ in range(nrows - r)]
+    return out, pivots
+
+
 def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (all rows, nonzero rows first, and
     the pivot column indices)."""
+    if m and all(isinstance(v, int) for row in m for v in row):
+        return _rref_int(m)
     a = _clone(m)
     if not a:
         return a, []

@@ -8,20 +8,22 @@ by an exhaustive eigenvector search, or open.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .constructions import witness_for
-from .core import HadsplitError, IntMatrix, isqrt_exact
+from .core import HadsplitError, IntMatrix, exact_matmul, isqrt_exact
 from .exactla import rref
 from .search import max_clique
 from .splitting import (
     NonIntegral,
     SplitParams,
     SrgParams,
-    _case_a_b,
+    _case_a_srg,
     derive_seidel,
-    general_srg_from_b,
 )
 
 __all__ = [
@@ -289,20 +291,11 @@ def enumerate_case_a(max_n: int) -> list[FeasibleRow]:
     for n in range(8, max_n + 1, 4):
         for ell in range(2, n):
             for a in range(1, ell + 1):
-                bfrac = _case_a_b(n, ell, a)
-                if bfrac.denominator != 1:
+                found = _case_a_srg(n, ell, a)
+                if found is None:
                     continue
-                b = int(bfrac)
-                if b == -a or b < -ell:
-                    continue
-                try:
-                    k, lam, mu = general_srg_from_b(n, ell, a, b)
-                except NonIntegral:
-                    continue
-                if k.denominator != 1 or lam.denominator != 1 or mu.denominator != 1:
-                    continue
-                srg = SrgParams(n, int(k), int(lam), int(mu))
-                if not srg_primitive_feasible(srg):
+                b, srg = found
+                if b < -ell or not srg_primitive_feasible(srg):
                     continue
                 witness = witness_for(n, ell, a, b)
                 if witness:
@@ -332,6 +325,10 @@ class EigvecSearchResult:
     certifies_nonexistence: bool
 
 
+# Survivor Gram entries computed per block in eigvec_search.
+_GRAM_ENTRIES = 2**20
+
+
 def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearchResult:
     """Exhaust the sign vectors in the top eigenspace of a candidate Gram.
 
@@ -340,80 +337,69 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     else MultiplicityMismatch), enumerates all +-1 vectors inside it up to
     global sign, and reports a maximum pairwise orthogonal subset. A maximum
     below ell certifies that no split with this Gram exists.
+
+    The search runs on integers. B - nI is an integer matrix, so rref
+    reduces it on Python ints, and with scale = lcm of the denominators of
+    the reduced free columns each pivot entry of an eigenvector is (sum of
+    coeff * sign over the free entries) / scale for integer coeff; the search
+    bounds scale * entry instead of the entry.
     """
     v = adjacency.nrows
     if not adjacency.is_square or not adjacency.is_symmetric():
         raise ValueError("adjacency must be square and symmetric")
-    system = [
-        [
-            Fraction(
-                (ell - v if i == j else 0)
-                + (a - b) * adjacency[i, j]
-                + (b if i != j else 0)
-            )
-            for j in range(v)
-        ]
-        for i in range(v)
-    ]
+    # B - vI = (a-b) A + b J + (ell - v - b) I, on Python ints
+    system = [[(a - b) * x + b for x in row] for row in adjacency.tolist()]
+    for i in range(v):
+        system[i][i] += ell - v - b
     reduced, pivots = rref(system)
     free = [c for c in range(v) if c not in pivots]
     dim = len(free)
     if dim != ell:
         raise MultiplicityMismatch(f"eigenspace dimension {dim}, expected {ell}")
 
-    # value at pivot row i is sum_f coeff[i][f] * sign[f]
-    coeff = [[-reduced[i][f] for f in free] for i in range(len(pivots))]
-    npiv = len(pivots)
-    rem = [[Fraction(0)] * (dim + 1) for _ in range(npiv)]
-    for i in range(npiv):
-        for t in range(dim - 1, -1, -1):
-            rem[i][t] = rem[i][t + 1] + abs(coeff[i][t])
+    # scale * (value at pivot row i) = sum_t column[t][i] * sign[t], and the
+    # terms from t on sum to at most rem[t][i] in magnitude
+    scale = math.lcm(*(reduced[i][f].denominator for i in range(len(pivots)) for f in free))
+    coeff = [
+        [-x.numerator * (scale // x.denominator) for x in (reduced[i][f] for f in free)]
+        for i in range(len(pivots))
+    ]
+    column = [[row[t] for row in coeff] for t in range(dim)]
+    rem = [[sum(abs(c) for c in row[t:]) for row in coeff] for t in range(dim + 1)]
 
     survivors: list[tuple[int, ...]] = []
     signs = [0] * dim
-    partial = [Fraction(0)] * npiv
 
-    def admissible(t: int) -> bool:
-        for i in range(npiv):
-            lo = partial[i] - rem[i][t]
-            hi = partial[i] + rem[i][t]
-            if not (lo <= 1 <= hi or lo <= -1 <= hi):
-                return False
-        return True
-
-    def record() -> None:
-        if any(abs(partial[i]) != 1 for i in range(npiv)):
-            return
-        vec = [0] * v
-        for t, f in enumerate(free):
-            vec[f] = signs[t]
-        for i, p in enumerate(pivots):
-            vec[p] = int(partial[i])
-        survivors.append(tuple(vec))
-
-    def dfs(t: int) -> None:
+    def dfs(t: int, partial: list[int]) -> None:
         if t == dim:
-            record()
+            if all(abs(x) == scale for x in partial):
+                vec = [0] * v
+                for f, s in zip(free, signs):
+                    vec[f] = s
+                for p, x in zip(pivots, partial):
+                    vec[p] = x // scale
+                survivors.append(tuple(vec))
             return
-        options = (1,) if t == 0 else (1, -1)
-        for s in options:
+        for s in (1,) if t == 0 else (1, -1):
             signs[t] = s
-            for i in range(npiv):
-                partial[i] += s * coeff[i][t]
-            if admissible(t + 1):
-                dfs(t + 1)
-            for i in range(npiv):
-                partial[i] -= s * coeff[i][t]
+            nxt = [x + s * c for x, c in zip(partial, column[t])]
+            # keep going while +scale or -scale lies in [x - rem, x + rem] on every row
+            if all(abs(abs(x) - scale) <= r for x, r in zip(nxt, rem[t + 1])):
+                dfs(t + 1, nxt)
 
-    dfs(0)
+    dfs(0, [0] * len(pivots))
 
+    # survivors are +-1 vectors of length v: their Gram is bounded by v, and
+    # bit j of neighbors[i] marks survivor j orthogonal to survivor i; the
+    # Gram is built a block of rows at a time, so only the packed bits of
+    # all N^2 entries are held at once
+    vecs = np.array(survivors, dtype=np.int64).reshape(-1, v)
+    step = max(1, _GRAM_ENTRIES // max(1, len(vecs)))
     neighbors = []
-    for i, vi in enumerate(survivors):
-        mask = 0
-        for j, vj in enumerate(survivors):
-            if i != j and sum(x * y for x, y in zip(vi, vj)) == 0:
-                mask |= 1 << j
-        neighbors.append(mask)
+    for start in range(0, len(vecs), step):
+        zero = exact_matmul(vecs[start : start + step], vecs.T) == 0
+        packed = np.packbits(zero, axis=1, bitorder="little")
+        neighbors += [int.from_bytes(row.tobytes(), "little") for row in packed]
     best_size, best_set = max_clique(neighbors)
     return EigvecSearchResult(
         eigenspace_dim=dim,

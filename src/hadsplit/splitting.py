@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable
 
 import numpy as np
 
-from .core import HadamardMatrix, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
+from .core import HadamardMatrix, HadsplitError, IntMatrix, _resigned, exact_matmul, isqrt_exact
 from .search import max_clique
 
 __all__ = [
@@ -219,8 +219,9 @@ def direct_srg_params(a: IntMatrix) -> SrgParams | None:
     return SrgParams(v, k, lam, mu)
 
 
-def _case_a_b(n: int, ell: int, a: int) -> Fraction:
-    return Fraction(ell * (ell - a - n), a * (n - 1) + ell)
+def _case_a_b(n: int, ell: int, a: int) -> tuple[int, int]:
+    """Numerator and denominator of b on the zero-row-sum branch."""
+    return ell * (ell - a - n), a * (n - 1) + ell
 
 
 def _case_b_b(n: int, ell: int, a: int) -> Fraction | None:
@@ -284,7 +285,8 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     matches = []
     if b == -a:
         matches.append("seidel")
-    if Fraction(b) == _case_a_b(n, ell, a):
+    num, den = _case_a_b(n, ell, a)
+    if b * den == num:
         matches.append("case-a")
     bb = _case_b_b(n, ell, a)
     if bb is not None and Fraction(b) == bb:
@@ -345,6 +347,21 @@ def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
     )
 
 
+def _srg_terms(n: int, ell: int, a: int, b: int | Fraction) -> tuple[tuple, tuple, tuple]:
+    """(numerator, denominator) of k, lam and mu for a two-value split with
+    off-diagonal values a and b; integers when b is one. Needs a^2 != b^2."""
+    den = (a - b) ** 2 * (a + b)
+    return (
+        (n * ell - ell * ell - b * b * (n - 1), a * a - b * b),
+        (
+            n * (a * a - a * (b - 1) * b + b**3 - 2 * b * ell)
+            + 2 * (b - ell) * (a * a + a * b - b * (b + ell)),
+            den,
+        ),
+        (b * n * (-a * b + a + b * b + b - 2 * ell) + 2 * b * (a - ell) * (b - ell), den),
+    )
+
+
 def general_srg_from_b(n: int, ell: int, a: int, b: int | Fraction) -> tuple[Fraction, ...]:
     """Exact (k, lam, mu) for a two-value split with the given b.
 
@@ -353,14 +370,7 @@ def general_srg_from_b(n: int, ell: int, a: int, b: int | Fraction) -> tuple[Fra
     b = Fraction(b)
     if a * a == b * b:
         raise NonIntegral("a^2 = b^2 has no two-value derivation here")
-    k = (n * ell - ell * ell - b * b * (n - 1)) / (a * a - b * b)
-    den = (a - b) ** 2 * (a + b)
-    lam = (
-        n * (a * a - a * (b - 1) * b + b**3 - 2 * b * ell)
-        + 2 * (b - ell) * (a * a + a * b - b * (b + ell))
-    ) / den
-    mu = (b * n * (-a * b + a + b * b + b - 2 * ell) + 2 * b * (a - ell) * (b - ell)) / den
-    return (k, lam, mu)
+    return tuple(num / den for num, den in _srg_terms(n, ell, a, b))
 
 
 def _integral_srg(n: int, kfrac: Fraction, lamfrac: Fraction, mufrac: Fraction) -> SrgParams:
@@ -370,12 +380,30 @@ def _integral_srg(n: int, kfrac: Fraction, lamfrac: Fraction, mufrac: Fraction) 
     return SrgParams(n, int(kfrac), int(lamfrac), int(mufrac))
 
 
+def _case_a_srg(n: int, ell: int, a: int) -> tuple[int, SrgParams] | None:
+    """b and the a-marked graph parameters on the zero-row-sum branch, in
+    integer arithmetic; None when b, k, lam or mu is not an integer or when
+    a^2 = b^2."""
+    num, den = _case_a_b(n, ell, a)
+    if num % den:
+        return None
+    b = num // den
+    if a * a == b * b:
+        return None
+    vals = []
+    for num, den in _srg_terms(n, ell, a, b):
+        if num % den:
+            return None
+        vals.append(num // den)
+    return b, SrgParams(n, *vals)
+
+
 def derive_srg_case_a(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
     """b and the a-marked graph parameters on the zero-row-sum branch."""
-    bfrac = _case_a_b(n, ell, a)
-    if bfrac.denominator != 1:
-        raise NonIntegral(f"b = {bfrac} is not an integer")
-    b = int(bfrac)
+    num, den = _case_a_b(n, ell, a)
+    if num % den:
+        raise NonIntegral(f"b = {Fraction(num, den)} is not an integer")
+    b = num // den
     k, lam, mu = general_srg_from_b(n, ell, a, b)
     return b, _integral_srg(n, k, lam, mu)
 
@@ -485,24 +513,20 @@ def regular_hadamard_normalize(h: HadamardMatrix, report: SplitReport) -> Hadama
     """Sign-normalize a (4m^2, 2m^2 - m, m, -m) split to constant sums 2m.
 
     Rows outside the split are negated, then columns are flipped to make
-    every column sum +2m; row sums become +2m automatically.
+    every column sum +2m. Sign flips keep H Hadamard, so the result is not
+    re-proved, and its row sums are 2m too: 1t H = 2m 1t and H Ht = nI give
+    n 1t = 2m 1t Ht, so H 1 = (n / 2m) 1 = 2m 1.
     """
     p = report.params
     m = p.a
     if p.b != -m or p.n != 4 * m * m or p.ell != 2 * m * m - m:
         raise WrongParameters(f"{p} is not of the form (4m^2, 2m^2 - m, m, -m)")
-    arr = h.array.copy()
-    inside = np.zeros(p.n, dtype=bool)
-    inside[list(report.rows)] = True
-    arr[~inside] *= -1
-    sums = arr.sum(axis=0)
+    rows = np.full(p.n, -1, dtype=np.int64)
+    rows[list(report.rows)] = 1
+    sums = (rows[:, None] * h.array).sum(axis=0)
     if not np.all(np.abs(sums) == 2 * m):
         raise HadsplitError("column sums are not +-2m after row flips")
-    arr[:, sums < 0] *= -1
-    out = HadamardMatrix(arr)
-    assert all(s == 2 * m for s in out.col_sums())
-    assert all(s == 2 * m for s in out.row_sums())
-    return out
+    return _resigned(h, rows, np.where(sums < 0, -1, 1))
 
 
 def diagonalize_by_hadamard(a: IntMatrix, h: HadamardMatrix) -> SpectrumLayout:
@@ -545,12 +569,23 @@ def split_from_diagonalizable_srg(a: IntMatrix, h: HadamardMatrix) -> SplitRepor
     return check_split(h, rows)
 
 
+# Gram entries screened per batch in search_splits: 128 subsets at n = 16.
+_SCREEN_ENTRIES = 2**15
+
+
 def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[SplitReport]:
     """All balanced ell-row splits, deduplicated by parameter tuple.
 
     Subsets are scanned in lexicographic order and the first representative
     of each parameter tuple is kept, so output is deterministic. Raises
     BudgetExceeded when C(n, ell) exceeds the budget.
+
+    Subsets are screened in batches of Grams. A subset whose off-diagonal
+    Gram entries take only the values max and min has the parameter tuple
+    (n, ell, max, min) in check_split's report, so check_split runs once per
+    tuple, on its first subset. Whether check_split raises depends on the
+    tuple alone (InvalidSingleValue, which G^2 = nG rules out on a Hadamard
+    matrix), so it raises on the same subset as a check of every subset.
     """
     n = h.order
     if not 1 <= ell <= n:
@@ -559,21 +594,29 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     if count > budget:
         raise BudgetExceeded(f"C({n}, {ell}) = {count} exceeds budget {budget}")
     arr = h.array
+    # flat positions of the off-diagonal entries p < q of an n x n Gram
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    chunk = max(1, _SCREEN_ENTRIES // (n * n))
+    subsets = combinations(range(n), ell)
     seen: set[tuple[int, int, int, int]] = set()
     out: list[SplitReport] = []
-    eye = np.eye(n, dtype=bool)
-    for rows in combinations(range(n), ell):
-        sub = arr[list(rows), :]
-        gram = sub.T @ sub
-        vals = np.unique(gram[~eye])
-        if len(vals) > 2:
-            continue
-        report = check_split(h, rows)
-        key = report.params.astuple()
-        if key not in seen:
-            seen.add(key)
-            out.append(report)
-    return out
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(subsets, chunk)), dtype=np.intp)
+        if not flat.size:
+            return out
+        idx = flat.reshape(-1, ell)
+        sub = arr[idx]
+        gram = exact_matmul(sub.transpose(0, 2, 1), sub)
+        # take on the flattened rows keeps off row-major, so the per-subset
+        # reductions below run along contiguous memory
+        off = gram.reshape(len(idx), n * n).take(upper, axis=1)
+        hi, lo = off.max(axis=1), off.min(axis=1)
+        two = ((off == hi[:, None]) | (off == lo[:, None])).all(axis=1)
+        for pos in np.flatnonzero(two).tolist():
+            key = (n, ell, int(hi[pos]), int(lo[pos]))
+            if key not in seen:
+                seen.add(key)
+                out.append(check_split(h, idx[pos].tolist()))
 
 
 def classify_srg16(a: IntMatrix) -> str:

@@ -241,6 +241,15 @@ def test_nonexist_certifies(capsys):
     assert "no split with these parameters embeds this graph" in out
 
 
+def test_nonexist_multiplicity_mismatch_exits_1(capsys):
+    code, out, err = run(
+        capsys, "nonexist", "--graph", "lattice-4x4", "--ell", "5", "--a", "2", "--b=-2", "--json"
+    )
+    assert code == 1
+    assert out == ""
+    assert "eigenspace dimension 0, expected 5" in err
+
+
 def test_nonexist_inconclusive(capsys):
     code, out, _ = run(
         capsys, "nonexist", "--graph", "lattice-4x4", "--ell", "6", "--a", "2", "--b=-2"

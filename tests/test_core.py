@@ -118,6 +118,17 @@ def test_row_and_col_sums():
     assert list(a.col_sums()) == [2, 0, 2]
 
 
+def test_row_and_col_sums_past_int64_safe_range_raise():
+    # three entries below 2**62 whose sum wraps int64
+    wide = IntMatrix([[2**62 - 1] * 3])
+    with pytest.raises(OverflowError):
+        wide.row_sums()
+    with pytest.raises(OverflowError):
+        wide.T.col_sums()
+    assert wide.col_sums() == (2**62 - 1,) * 3
+    assert wide.T.row_sums() == (2**62 - 1,) * 3
+
+
 def test_take_rows_and_offdiag():
     a = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert a.take_rows([0, 2]).tolist() == [[1, 2, 3], [7, 8, 9]]
@@ -169,6 +180,10 @@ def test_normalize_gives_all_ones_first_row_and_column():
     got = hn.tolist()
     assert all(v == 1 for v in got[0])
     assert all(row[0] == 1 for row in got)
+    # normalize does not re-prove HHt = nI; this is the reference
+    assert isinstance(hn, HadamardMatrix)
+    assert hn @ hn.T == 8 * IntMatrix.identity(8)
+    assert np.array_equal(np.abs(hn.array), np.abs(arr))
 
 
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27])

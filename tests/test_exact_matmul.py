@@ -126,3 +126,16 @@ def test_small_object_inputs_take_a_fixed_width_route():
 def test_inner_dimension_mismatch():
     with pytest.raises(ValueError):
         exact_matmul(np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64))
+
+
+def test_stacks_multiply_slice_by_slice():
+    rng = np.random.default_rng(0)
+    a = rng.integers(-3, 4, (5, 2, 6))
+    b = rng.integers(-3, 4, (5, 6, 3))
+    got = exact_matmul(a, b)
+    assert got.dtype == np.int64
+    assert [g.tolist() for g in got] == [_reference(x, y) for x, y in zip(a, b)]
+    with pytest.raises(ValueError):
+        exact_matmul(a, a)
+    with pytest.raises(OverflowError):
+        exact_matmul(a.astype(object) * 2**40, b.astype(object) * 2**40)

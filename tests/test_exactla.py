@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hadsplit.exactla import (
@@ -76,3 +77,14 @@ def test_nullspace_over_gaussian_field():
 
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [F(1), F(1)]) == [F(3), F(7)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_rref_equals_the_fraction_rref(seed):
+    # rank-deficient and full-rank integer matrices, wide and tall
+    rng = np.random.default_rng(seed)
+    rows, cols, rank = 3 + seed % 4, 2 + seed % 5, 1 + seed % 3
+    m = (rng.integers(-4, 5, (rows, rank)) @ rng.integers(-4, 5, (rank, cols))).tolist()
+    got = rref(m)
+    assert got == rref([[F(v) for v in row] for row in m])
+    assert all(type(v) is F for row in got[0] for v in row)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hadsplit.cli import bundled_data
@@ -11,6 +12,7 @@ from hadsplit.feasibility import (
     STATUS_MOD4_DIFF,
     STATUS_MOD4_SUM,
     STATUS_OPEN,
+    EigvecSearchResult,
     MultiplicityMismatch,
     eigvec_search,
     enumerate_case_a,
@@ -25,7 +27,10 @@ from hadsplit.feasibility import (
     srg_multiplicities,
     srg_primitive_feasible,
 )
-from hadsplit.splitting import SrgParams, derive_seidel
+from hadsplit.core import IntMatrix, exact_matmul
+from hadsplit.exactla import rref
+from hadsplit.search import max_clique
+from hadsplit.splitting import NonIntegral, SrgParams, derive_seidel, general_srg_from_b
 
 # (n, ell, a) -> status for every surviving b = -a parameter set up to 1024
 SEIDEL_TABLE = [
@@ -112,6 +117,33 @@ def test_case_a_enumeration_matches_frozen_table():
         assert r.status == status
         assert r.witness == witness
         assert r.srg.identity_ok()
+
+
+def _enumerate_case_a_reference(max_n):
+    """(n, ell, a, b, srg) of every zero-row-sum row, derived with Fractions."""
+    rows = []
+    for n in range(8, max_n + 1, 4):
+        for ell in range(2, n):
+            for a in range(1, ell + 1):
+                b = Fraction(ell * (ell - a - n), a * (n - 1) + ell)
+                if b.denominator != 1 or b == -a or b < -ell:
+                    continue
+                try:
+                    k, lam, mu = general_srg_from_b(n, ell, a, b)
+                except NonIntegral:
+                    continue
+                if any(x.denominator != 1 for x in (k, lam, mu)):
+                    continue
+                srg = SrgParams(n, int(k), int(lam), int(mu))
+                if srg_primitive_feasible(srg):
+                    rows.append((n, ell, a, int(b), srg))
+    return rows
+
+
+def test_case_a_enumeration_matches_the_fraction_reference():
+    got = [(*r.params.astuple(), r.srg) for r in enumerate_case_a(128)]
+    assert got == _enumerate_case_a_reference(128)
+    assert len(got) == 38
 
 
 def test_case_a_eigsearch_rows_are_the_curated_ones():
@@ -228,8 +260,98 @@ def test_eigvec_search_multiplicity_mismatch():
 
 
 def test_eigvec_search_rejects_asymmetric():
-    from hadsplit.core import IntMatrix
+    from hadsplit.core import IntMatrix, exact_matmul
 
     bad = IntMatrix([[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         eigvec_search(bad, 1, 1, -1)
+
+
+def _eigvec_search_reference(adjacency, ell, a, b):
+    """eigvec_search over Fraction: exactla.rref, a Fraction DFS and pairwise
+    dot products for the orthogonality graph."""
+    v = adjacency.nrows
+    system = [
+        [
+            Fraction((ell - v if i == j else 0) + (a - b) * adjacency[i, j] + (b if i != j else 0))
+            for j in range(v)
+        ]
+        for i in range(v)
+    ]
+    reduced, pivots = rref(system)
+    free = [c for c in range(v) if c not in pivots]
+    if len(free) != ell:
+        raise MultiplicityMismatch(f"eigenspace dimension {len(free)}, expected {ell}")
+    coeff = [[-reduced[i][f] for f in free] for i in range(len(pivots))]
+    survivors = []
+
+    def dfs(signs, partial):
+        t = len(signs)
+        rem = [sum(abs(c) for c in row[t:]) for row in coeff]
+        if not all(p - r <= 1 <= p + r or p - r <= -1 <= p + r for p, r in zip(partial, rem)):
+            return
+        if t == ell:
+            if all(abs(p) == 1 for p in partial):
+                vec = [0] * v
+                for f, s in zip(free, signs):
+                    vec[f] = s
+                for p, val in zip(pivots, partial):
+                    vec[p] = int(val)
+                survivors.append(tuple(vec))
+            return
+        for s in (1,) if t == 0 else (1, -1):
+            dfs(signs + [s], [p + s * row[t] for p, row in zip(partial, coeff)])
+
+    dfs([], [Fraction(0)] * len(pivots))
+    neighbors = [
+        sum(1 << j for j, y in enumerate(survivors) if sum(p * q for p, q in zip(x, y)) == 0)
+        for x in survivors
+    ]
+    best_size, best_set = max_clique(neighbors)
+    return EigvecSearchResult(
+        eigenspace_dim=ell,
+        survivors=tuple(survivors),
+        best_size=best_size,
+        best_set=tuple(best_set),
+        certifies_nonexistence=best_size < ell,
+    )
+
+
+def test_eigvec_search_builds_the_survivor_gram_in_row_blocks(monkeypatch):
+    import hadsplit.feasibility as feas
+
+    adjacency = bundled_data("srg-36-10-4-2")
+    whole = eigvec_search(adjacency, 11, 5, -1)
+    n = len(whole.survivors)
+    shapes = []
+
+    def recording(a, b):
+        shapes.append(a.shape[0] * b.shape[1])
+        return exact_matmul(a, b)
+
+    monkeypatch.setattr(feas, "exact_matmul", recording)
+    monkeypatch.setattr(feas, "_GRAM_ENTRIES", 2 * n)
+    assert eigvec_search(adjacency, 11, 5, -1) == whole
+    assert n > 2 and shapes == [2 * n] * (n // 2) + [n] * (n % 2)
+
+
+def _outcome(search, adjacency, params):
+    try:
+        return search(adjacency, *params)
+    except MultiplicityMismatch as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("params", [(6, 2, -2), (10, 4, -2), (11, 5, -1)])
+@pytest.mark.parametrize("graph", ["lattice-4x4", "shrikhande", "srg-36-10-4-2"])
+def test_eigvec_search_matches_the_fraction_reference(graph, params):
+    adjacency = bundled_data(graph)
+    got = _outcome(eigvec_search, adjacency, params)
+    assert got == _outcome(_eigvec_search_reference, adjacency, params)
+    if graph != "srg-36-10-4-2":
+        # a relabelled copy changes the pivots and the DFS order
+        p = np.random.default_rng(len(graph)).permutation(adjacency.nrows)
+        relabelled = IntMatrix(adjacency.array[np.ix_(p, p)])
+        assert _outcome(eigvec_search, relabelled, params) == _outcome(
+            _eigvec_search_reference, relabelled, params
+        )

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from hadsplit.constructions import (
     twin_sylvester,
     two_row_split,
 )
-from hadsplit.core import HadamardMatrix, IntMatrix, paley_skew_core, sylvester
+from hadsplit.core import (
+    HadamardMatrix,
+    IntMatrix,
+    conference_from_core,
+    paley_skew_core,
+    sylvester,
+)
 from hadsplit.splitting import (
     BoundInapplicable,
     BudgetExceeded,
@@ -307,6 +314,9 @@ def test_regular_normal_form(twin16):
     reg = regular_hadamard_normalize(twin16.h, twin16.reports[1])
     assert set(reg.row_sums()) == {4}
     assert set(reg.col_sums()) == {4}
+    # the result is not re-proved Hadamard; this is the reference
+    assert isinstance(reg, HadamardMatrix)
+    assert reg @ reg.T == 16 * IntMatrix.identity(16)
     with pytest.raises(WrongParameters):
         regular_hadamard_normalize(twin16.h, twin16.reports[0])
 
@@ -351,6 +361,45 @@ def test_search_splits(twin16):
     assert all(r.params.astuple() == (16, 6, 2, -2) for r in found)
     with pytest.raises(BudgetExceeded):
         search_splits(twin16.h, 6, budget=10)
+
+
+def _search_splits_reference(h, ell):
+    """check_split on every subset in lexicographic order whose Gram has at
+    most two off-diagonal values, keeping the first report of each tuple."""
+    arr = h.array
+    off = ~np.eye(h.order, dtype=bool)
+    seen, out = set(), []
+    for rows in combinations(range(h.order), ell):
+        sub = arr[list(rows)]
+        if len(np.unique((sub.T @ sub)[off])) > 2:
+            continue
+        report = check_split(h, rows)
+        if report.params not in seen:
+            seen.add(report.params)
+            out.append(report)
+    return out
+
+
+def _signed_sylvester16():
+    # signed row and plain column permutations keep every split's parameters
+    rng = np.random.default_rng(2018)
+    arr = sylvester(4).array * rng.choice([-1, 1], size=16)[:, None]
+    return HadamardMatrix(arr[rng.permutation(16)][:, rng.permutation(16)])
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_search_splits_matches_a_per_subset_scan(ell):
+    h = _signed_sylvester16()
+    assert search_splits(h, ell) == _search_splits_reference(h, ell)
+
+
+def test_search_splits_matches_a_per_subset_scan_on_a_paley_matrix():
+    # I + C for the skew conference matrix C of order 12: not a Sylvester matrix
+    c = conference_from_core(paley_skew_core(11))
+    h = HadamardMatrix((c + IntMatrix.identity(12)).array)
+    for ell in range(1, 13):
+        assert search_splits(h, ell) == _search_splits_reference(h, ell)
+    assert [r.params.astuple() for r in search_splits(h, 12)] == [(12, 12, 0, 0)]
 
 
 def test_classify_srg16():
