@@ -61,6 +61,7 @@ from .schemes import (
     verify_scheme,
 )
 from .splitting import (
+    BudgetExceeded,
     NotSplittable,
     SplitParams,
     check_split,
@@ -387,7 +388,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_nonexist(args: argparse.Namespace) -> int:
     em = _Emitter(args)
-    res = eigvec_search(_load_matrix(args.graph), args.ell, args.a, args.b)
+    try:
+        res = eigvec_search(_load_matrix(args.graph), args.ell, args.a, args.b)
+    except BudgetExceeded as exc:
+        em.data["budget_exceeded"] = str(exc)
+        em.negative("inconclusive", f"search stopped: {exc}")
+        return em.finish()
     em.data.update(
         {
             "eigenspace_dim": res.eigenspace_dim,

@@ -19,6 +19,7 @@ routes from bound = max|A| * max|B| * inner dimension:
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -380,12 +381,34 @@ def conference_from_core(core: SkewCore) -> IntMatrix:
     return IntMatrix(top + body)
 
 
+# Entries parsed per block in parse_matrix: 128 rows at n = 256.
+_PARSE_TOKENS = 2**15
+# Byte classes for parse_matrix: what str.split() splits on, digits, signs,
+# and the rest (every non-ASCII byte among them).
+_BLANK, _DIGIT, _SIGN, _OTHER = range(4)
+_CLASS = bytes(
+    _BLANK if chr(c).isspace() else _DIGIT if chr(c).isdigit() else _SIGN if c in b"+-" else _OTHER
+    for c in range(128)
+) + bytes([_OTHER] * 128)
+# every whitespace character but the newline, for text that is not ASCII
+_NON_NEWLINE_SPACE = re.compile(r"[^\S\n]")
+# the byte path reads at most 18 digits: 10**18 - 1 < 2**62
+_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+
+
 def parse_matrix(text: str) -> IntMatrix:
     """Parse the plain text matrix format.
 
     First non-comment line holds "nrows ncols"; each following line holds one
     row, entries separated by whitespace. For sign matrices the tokens "+"
     and "-" are accepted as 1 and -1. Lines starting with "#" are ignored.
+
+    Entries are read as bytes with numpy, a block of rows at a time. Tokens
+    [+-]?[0-9]{1,18} and lone signs are converted by one dot product of
+    their right-aligned digits with powers of ten; every other token is
+    passed to int(), which accepts or rejects it as a per-token int() would.
+    Of several faults the first line's is reported, and on that line a
+    wrong entry count before the leftmost bad entry.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -401,35 +424,101 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ParseError("dimensions must be positive")
     if len(lines) - 1 != nrows:
         raise ParseError(f"expected {nrows} rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        # dense sign strings like "+--+" are also accepted
-        if len(toks) == 1 and ncols > 1 and set(toks[0]) <= {"+", "-"}:
-            toks = list(toks[0])
-        if len(toks) != ncols:
-            raise ParseError(f"expected {ncols} entries, got {len(toks)}: {ln!r}")
-        row = []
-        for t in toks:
-            if t == "+":
-                row.append(1)
-            elif t == "-":
-                row.append(-1)
-            else:
-                try:
-                    row.append(int(t))
-                except ValueError as exc:
-                    raise ParseError(f"bad entry {t!r}") from exc
-        rows.append(row)
-    return IntMatrix(rows)
+    out = np.empty((nrows, ncols), dtype=np.int64)
+    step = max(1, _PARSE_TOKENS // ncols)
+    # entries of 2**62 and above are reported only once every line has parsed
+    largest = max(
+        _parse_rows(lines[1 + start : 1 + start + step], out[start : start + step])
+        for start in range(0, nrows, step)
+    )
+    _check_bound(largest)
+    return IntMatrix._wrap(out)
+
+
+def _parse_rows(lines: list[str], out: np.ndarray) -> int:
+    """Fill out with the entries of lines, one row each; return the largest
+    magnitude that int() produced (0 if none), or raise ParseError."""
+    ncols = out.shape[1]
+    text = "\n" + "\n".join(lines) + "\n"
+    if not text.isascii():
+        # re's \s is str.isspace, the set str.split() splits on
+        text = _NON_NEWLINE_SPACE.sub(" ", text)
+    raw = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    kind = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
+    word = kind != _BLANK
+    # text starts and ends with a newline: edges alternate token start, end
+    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    length = ends - starts
+    # first[i] is the index of line i's first token; first[-1] counts them all
+    first = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
+    count = np.diff(first)
+    lead = kind[starts] == _SIGN
+    ndig = length - lead
+
+    # tokens holding a byte other than a digit or one leading sign
+    odd = np.flatnonzero((kind[1:] == _OTHER) | ((kind[1:] == _SIGN) & word[:-1])) + 1
+    regular = np.ones(len(starts), dtype=bool)
+    regular[np.searchsorted(starts, odd, side="right") - 1] = False
+    regular &= ndig <= 18
+
+    # a row given as one token of ncols > 1 signs, like "+--+"
+    packed = (count == 1) & (ncols > 1)
+    if packed.any():
+        signs = np.cumsum(kind == _SIGN)
+        tok = first[:-1][packed]
+        packed[packed] = signs[ends[tok] - 1] - signs[starts[tok] - 1] == length[tok]
+    packed_tokens = first[:-1][packed]
+    entries = count.copy()
+    entries[packed] = length[packed_tokens]
+    wrong = np.flatnonzero(entries != ncols)
+    faulty = int(wrong[0]) if wrong.size else len(lines)
+
+    width = int(ndig.max(initial=0, where=regular))
+    place = np.arange(width)
+    gathered = buf[ends[:, None] - width + place] - ord("0")
+    digit = np.where(place >= width - ndig[:, None], gathered, 0)
+    # a lone sign has no digits and stands for 1
+    values = digit @ _POW10[18 - width :] + (ndig == 0)
+    values = np.where(buf[starts] == ord("-"), -values, values)
+
+    largest = 0
+    # int() on the other tokens in reading order, up to the first wrong count
+    regular[packed_tokens] = True
+    for t in np.flatnonzero(~regular[: first[faulty]]).tolist():
+        token = raw[starts[t] : ends[t]].decode("utf-8", "surrogatepass")
+        try:
+            v = int(token)
+        except ValueError as exc:
+            raise ParseError(f"bad entry {token!r}") from exc
+        if abs(v) >= _INT64_SAFE:
+            largest = max(largest, abs(v))
+        else:
+            values[t] = v
+    if wrong.size:
+        raise ParseError(f"expected {ncols} entries, got {entries[faulty]}: {lines[faulty]!r}")
+
+    out[~packed] = np.delete(values, packed_tokens).reshape(-1, ncols)
+    out[packed] = np.where(buf[starts[packed_tokens, None] + np.arange(ncols)] == ord("+"), 1, -1)
+    return largest
 
 
 def serialize_matrix(m: IntMatrix) -> str:
-    """Inverse of parse_matrix; always emits decimal entries."""
-    out = [f"{m.nrows} {m.ncols}"]
-    for i in range(m.nrows):
-        out.append(" ".join(str(v) for v in m.row(i)))
-    return "\n".join(out) + "\n"
+    """Inverse of parse_matrix; always emits decimal entries.
+
+    str() runs once per distinct value, and each row is joined from the
+    gathered strings. The distinct values come from a sort and the index of
+    each entry among them from searchsorted: on a sign matrix of order 256
+    that takes about 0.5 ms, against about 4 ms for np.unique with
+    return_inverse (numpy 2.4, one Xeon core). On all-distinct entries it is
+    the slower of the two, but every matrix the CLI writes is +-1 or 0/1.
+    """
+    ordered = np.sort(m.array, axis=None)
+    values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    words = np.array([str(v) for v in values.tolist()], dtype=object)
+    rows = words[np.searchsorted(values, m.array)].tolist()
+    return "\n".join([f"{m.nrows} {m.ncols}", *map(" ".join, rows)]) + "\n"
 
 
 def isqrt_exact(n: int) -> int | None:

@@ -19,6 +19,7 @@ from .core import HadsplitError, IntMatrix, exact_matmul, isqrt_exact
 from .exactla import rref
 from .search import max_clique
 from .splitting import (
+    BudgetExceeded,
     NonIntegral,
     SplitParams,
     SrgParams,
@@ -327,6 +328,9 @@ class EigvecSearchResult:
 
 # Survivor Gram entries computed per block in eigvec_search.
 _GRAM_ENTRIES = 2**20
+# Most survivors eigvec_search keeps: their orthogonality bitmasks then take
+# at most _SURVIVOR_CAP**2 / 8 bytes = 32 MB.
+_SURVIVOR_CAP = 2**14
 
 
 def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearchResult:
@@ -336,7 +340,9 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     eigenvalue-n eigenspace over the rationals (its dimension must equal ell,
     else MultiplicityMismatch), enumerates all +-1 vectors inside it up to
     global sign, and reports a maximum pairwise orthogonal subset. A maximum
-    below ell certifies that no split with this Gram exists.
+    below ell certifies that no split with this Gram exists. Raises
+    BudgetExceeded, before any Gram or bitmask is built, when the search
+    finds more than _SURVIVOR_CAP sign vectors.
 
     The search runs on integers. B - nI is an integer matrix, so rref
     reduces it on Python ints, and with scale = lcm of the denominators of
@@ -379,6 +385,10 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
                 for p, x in zip(pivots, partial):
                     vec[p] = x // scale
                 survivors.append(tuple(vec))
+                if len(survivors) > _SURVIVOR_CAP:
+                    raise BudgetExceeded(
+                        f"{len(survivors)} survivors exceed the budget of {_SURVIVOR_CAP}"
+                    )
             return
         for s in (1,) if t == 0 else (1, -1):
             signs[t] = s

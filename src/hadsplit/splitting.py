@@ -103,7 +103,8 @@ class NotDiagonalized(HadsplitError):
 
 
 class BudgetExceeded(HadsplitError):
-    """Subset count above the search budget."""
+    """Search work above its budget: subsets in search_splits, survivors in
+    eigvec_search."""
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,13 @@ def _case_b_b(n: int, ell: int, a: int) -> Fraction | None:
     return Fraction((ell - a) * (ell - n), den)
 
 
+def _require_order_above_1(n: int) -> None:
+    if n == 1:
+        raise ValueError(
+            "a Hadamard matrix of order 1 has no split: its Gram has no off-diagonal entries"
+        )
+
+
 def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     """Validate a row subset as a balanced split and classify its branch.
 
@@ -245,6 +253,7 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     square of A inside direct_srg_params.
     """
     n = h.order
+    _require_order_above_1(n)
     requested = [int(i) for i in row_subset]
     rows = tuple(sorted(set(requested)))
     if not rows:
@@ -588,6 +597,7 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     matrix), so it raises on the same subset as a check of every subset.
     """
     n = h.order
+    _require_order_above_1(n)
     if not 1 <= ell <= n:
         raise ValueError("ell out of range")
     count = math.comb(n, ell)

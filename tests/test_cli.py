@@ -1,10 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hadsplit
+
 from hadsplit.cli import UnknownDataset, bundled_data, main
-from hadsplit.core import parse_matrix
+from hadsplit.core import IntMatrix, parse_matrix, serialize_matrix
 from hadsplit.latin import parse_latin
 from hadsplit.splitting import direct_srg_params
 
@@ -80,6 +87,35 @@ def test_check_row_ranges(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error: reversed row range '6-5'" in err
+
+
+def test_check_order_1_exits_two(capsys, tmp_path):
+    f = tmp_path / "one.txt"
+    f.write_text("1 1\n1\n")
+    code, out, err = run(capsys, "check", "--input", str(f), "--rows", "0")
+    assert (code, out) == (2, "")
+    assert "order 1 has no split" in err
+
+
+def test_python_m_hadsplit_runs_the_cli(tmp_path, twin16):
+    f = tmp_path / "twin.txt"
+    f.write_text(serialize_matrix(twin16.h))
+    src = str(Path(hadsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["check", "--input", str(f), "--rows", "1,4,5,6,9,15", "--json"]
+    done = subprocess.run(
+        [sys.executable, "-m", "hadsplit", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)
+    assert payload["outcome"] == "ok"
+    data = payload["data"]
+    assert (data["n"], data["ell"], data["a"], data["b"]) == (16, 6, 2, -2)
+    assert data["branch"] == "seidel"
 
 
 def test_check_not_splittable_exits_one(capsys, tmp_path):
@@ -256,6 +292,21 @@ def test_nonexist_inconclusive(capsys):
     )
     assert code == 1
     assert "does not rule the parameters out" in out
+
+
+def test_nonexist_survivor_budget_is_inconclusive(capsys, tmp_path):
+    rook = bundled_data("srg-36-10-4-2").array
+    f = tmp_path / "rook-complement.txt"
+    f.write_text(serialize_matrix(IntMatrix(1 - np.eye(36, dtype=np.int64) - rook)))
+    argv = ("nonexist", "--graph", str(f), "--ell", "25", "--a", "1", "--b=-5")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["outcome"] == "inconclusive"
+    assert payload["data"] == {"budget_exceeded": "16385 survivors exceed the budget of 16384"}
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == "search stopped: 16385 survivors exceed the budget of 16384\n"
 
 
 # -------------------------------------------------------------------- latin

@@ -28,6 +28,7 @@ from hadsplit.feasibility import (
     srg_primitive_feasible,
 )
 from hadsplit.core import IntMatrix, exact_matmul
+from hadsplit.splitting import BudgetExceeded
 from hadsplit.exactla import rref
 from hadsplit.search import max_clique
 from hadsplit.splitting import NonIntegral, SrgParams, derive_seidel, general_srg_from_b
@@ -333,6 +334,34 @@ def test_eigvec_search_builds_the_survivor_gram_in_row_blocks(monkeypatch):
     monkeypatch.setattr(feas, "_GRAM_ENTRIES", 2 * n)
     assert eigvec_search(adjacency, 11, 5, -1) == whole
     assert n > 2 and shapes == [2 * n] * (n // 2) + [n] * (n % 2)
+
+
+def _rook_complement():
+    return IntMatrix(1 - np.eye(36, dtype=np.int64) - bundled_data("srg-36-10-4-2").array)
+
+
+def test_eigvec_search_stops_past_the_survivor_cap(monkeypatch):
+    import hadsplit.feasibility as feas
+
+    grams = []
+
+    def recording(a, b):
+        grams.append(a.shape)
+        return exact_matmul(a, b)
+
+    monkeypatch.setattr(feas, "exact_matmul", recording)
+    # (36, 25, 1, -5) on the rook complement: its DFS finds 148600 sign vectors
+    with pytest.raises(BudgetExceeded, match="16385 survivors exceed the budget of 16384"):
+        eigvec_search(_rook_complement(), 25, 1, -5)
+    assert grams == []
+    # the bundled certificates stay far below the cap
+    rook = bundled_data("srg-36-10-4-2")
+    assert [len(eigvec_search(rook, *p).survivors) for p in ((10, 4, -2), (11, 5, -1))] == [20, 63]
+    monkeypatch.setattr(feas, "_SURVIVOR_CAP", 20)
+    assert eigvec_search(rook, 10, 4, -2).best_size == 2
+    monkeypatch.setattr(feas, "_SURVIVOR_CAP", 19)
+    with pytest.raises(BudgetExceeded, match="20 survivors"):
+        eigvec_search(rook, 10, 4, -2)
 
 
 def _outcome(search, adjacency, params):

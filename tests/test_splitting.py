@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadsplit.constructions import (
     core_tensor,
@@ -113,6 +115,71 @@ def test_check_split_input_validation():
         check_split(h, [0, 0])
     with pytest.raises(ValueError):
         check_split(h, [])
+
+
+def test_order_1_has_no_split():
+    # an order-1 Gram has no off-diagonal entry to read a or b from
+    for call in (lambda: check_split(sylvester(0), [0]), lambda: search_splits(sylvester(0), 1)):
+        with pytest.raises(ValueError, match="order 1"):
+            call()
+
+
+# One split per parameter tuple of sylvester(4) (the first representative
+# search_splits finds for each ell) and the three splits of the order-16 twin.
+_SYLVESTER16_SPLITS = [
+    (0,), (1,), (0, 1), (1, 2, 3), (0, 1, 2, 3), (1, 2, 4, 8, 15), (0, 1, 2, 4, 8, 15),
+    (0, 1, 2, 3, 4, 8, 12), (1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7),
+    (1, 2, 4, 7, 8, 11, 13, 14), (0, 1, 2, 4, 7, 8, 11, 13, 14), (1, 2, 3, 4, 5, 8, 10, 12, 15),
+    (0, 1, 2, 3, 4, 5, 8, 10, 12, 15), (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12),
+    (1, 2, 3, 4, 5, 6, 8, 9, 10, 13, 14, 15), (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 13, 14, 15),
+    (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), tuple(range(15)), tuple(range(1, 16)),
+    tuple(range(16)),
+]
+_TWIN16_SPLITS = [(0, 2, 8, 10), (1, 4, 5, 6, 9, 15), (3, 7, 11, 12, 13, 14)]
+_SPLITS_16 = [(sylvester(4), rows) for rows in _SYLVESTER16_SPLITS] + [
+    (twin_sylvester(2).h, rows) for rows in _TWIN16_SPLITS
+]
+
+
+def _params(h, rows):
+    try:
+        return check_split(h, rows).params
+    except NotSplittable:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SPLITS_16),
+    st.permutations(range(16)),
+    st.permutations(range(16)),
+    st.lists(st.sampled_from([1, -1]), min_size=16, max_size=16),
+    st.lists(st.sampled_from([1, -1]), min_size=16, max_size=16),
+    st.integers(0, 15),
+)
+def test_signed_permutations_keep_split_parameters(split, rperm, cperm, rsign, csign, col):
+    h, rows = split
+    report = check_split(h, rows)
+    p = report.params
+    # row i of the image is row rperm[i] of h, signed, with permuted columns
+    image = HadamardMatrix(np.array(rsign)[:, None] * h.array[rperm][:, cperm])
+    mapped = [rperm.index(r) for r in rows]
+    moved = check_split(image, mapped)
+    assert moved.params == p
+    assert (moved.branch, moved.alt_branch, moved.srg, moved.checks) == (
+        report.branch,
+        report.alt_branch,
+        report.srg,
+        report.checks,
+    )
+    # column sign flips negate Gram entries g_pq with csign[p] != csign[q], so
+    # they keep the parameters on the b = -a branch; flipping one column
+    # changes them on every other split here
+    if p.b == -p.a:
+        assert _params(HadamardMatrix(h.array * np.array(csign)), rows) == p
+    flipped = h.array.copy()
+    flipped[:, col] *= -1
+    assert (_params(HadamardMatrix(flipped), rows) == p) == (p.b == -p.a)
 
 
 def test_gram_square_identity_always_checked(twin16):
