@@ -350,7 +350,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     if mode == "search":
         _require(args, "input", "ell")
-        found = search_splits(_load_hadamard(args.input), args.ell, budget=args.budget)
+        h = _load_hadamard(args.input)
+        try:
+            found = search_splits(h, args.ell, budget=args.budget)
+        except BudgetExceeded as exc:
+            em.data["budget_exceeded"] = str(exc)
+            em.negative("inconclusive", f"search stopped: {exc}")
+            return em.finish()
         em.data["splits"] = [r.as_dict() for r in found]
         if not found:
             em.negative("none-found", f"no balanced split on {args.ell} rows")

@@ -294,4 +294,9 @@ def witness_for(n: int, ell: int, a: int, b: int, _depth: int = 0) -> str | None
 
 
 def _hadamard_order_ok(m: int) -> bool:
-    return m == 1 or m == 2 or m % 4 == 0
+    """Whether a Hadamard matrix of order m is known to exist: orders 1 and
+    2, every multiple of 4 below 668, and every power of two (Sylvester).
+    The last order below 668 to be settled was 428 (Kharaghani and
+    Tayfeh-Rezaie, "A Hadamard matrix of order 428", J. Combin. Des. 13,
+    2005); none is known of order 668."""
+    return m in (1, 2) or (m % 4 == 0 and m < 668) or (m > 0 and m & (m - 1) == 0)

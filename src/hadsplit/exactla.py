@@ -1,8 +1,10 @@
-"""Exact linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the rationals, and the Gaussian rationals that
+eigenmatrix entries live in.
 
-Small dense matrices only. Elements must support +, -, *, /, bool, ==.
-Fraction and GaussianRational both qualify; an all-int matrix is reduced
-on Python ints and only its result is built from Fractions.
+Small dense matrices only. rref and nullspace take int and Fraction entries
+and eliminate on Python ints; only their results are built from Fractions.
+mat_mul and mat_vec take any elements supporting + and *, GaussianRational
+included.
 """
 
 from __future__ import annotations
@@ -100,16 +102,11 @@ class GaussianRational:
 Matrix = list[list]
 
 
-def _clone(m: Sequence[Sequence]) -> Matrix:
-    # plain ints are promoted so pivot division stays exact
-    return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in m]
-
-
 def _rref_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
     """rref of an integer matrix, eliminating fraction-free.
 
     Each elimination is pv * row - f * pivot_row, divided by the gcd of its
-    entries. Every row stays a nonzero multiple of the row that the Fraction
+    entries. Every row stays a nonzero multiple of the row that a Fraction
     elimination holds at the same step, so the zero pattern, the pivots and
     the ratios row[c] / row[pivot] are those of rref; dividing each pivot row
     by its pivot entry at the end gives rref itself.
@@ -141,60 +138,48 @@ def _rref_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
     return out, pivots
 
 
-def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (all rows, nonzero rows first, and
-    the pivot column indices)."""
-    if m and all(isinstance(v, int) for row in m for v in row):
-        return _rref_int(m)
-    a = _clone(m)
-    if not a:
-        return a, []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+def rref(m: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of a rational matrix; returns (all rows,
+    nonzero rows first, as Fractions, and the pivot column indices).
 
-
-def nullspace(m: Sequence[Sequence], one=Fraction(1)) -> list[list]:
-    """Basis of the right kernel, one vector per free column.
-
-    Vectors are normalized so the entry at their free column equals `one`
-    (pass GaussianRational(1) to work over Q(i)).
+    Each row is scaled by the lcm d of its entries' denominators, to
+    v.numerator * (d // v.denominator) per entry, and the integer matrix is
+    reduced by _rref_int. Scaling a row by d != 0 keeps the row space, so
+    the rref is the same. Entries other than int and Fraction raise
+    TypeError.
     """
+    scaled = []
+    for row in m:
+        for v in row:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"rref needs int or Fraction entries, got {type(v).__name__}")
+        d = math.lcm(*(v.denominator for v in row))
+        scaled.append([v.numerator * (d // v.denominator) for v in row])
+    return _rref_int(scaled) if scaled else ([], [])
+
+
+def nullspace(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix, one vector per free
+    column, each carrying 1 at its own free column."""
     if not m:
         return []
     red, pivots = rref(m)
     ncols = len(m[0])
-    zero = one - one
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc] * one
+            v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError(f"inner dimensions differ: {len(a[0])} columns against {k} rows")
     out = []
     for i in range(n):
         row = []
@@ -208,6 +193,8 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
+    if a and len(a[0]) != len(v):
+        raise ValueError(f"inner dimensions differ: {len(a[0])} columns against {len(v)} entries")
     out = []
     for row in a:
         s = row[0] * v[0]

@@ -17,7 +17,7 @@ import numpy as np
 from .constructions import witness_for
 from .core import HadsplitError, IntMatrix, exact_matmul, isqrt_exact
 from .exactla import rref
-from .search import max_clique
+from .search import _bitmasks, max_clique
 from .splitting import (
     BudgetExceeded,
     NonIntegral,
@@ -407,9 +407,7 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     step = max(1, _GRAM_ENTRIES // max(1, len(vecs)))
     neighbors = []
     for start in range(0, len(vecs), step):
-        zero = exact_matmul(vecs[start : start + step], vecs.T) == 0
-        packed = np.packbits(zero, axis=1, bitorder="little")
-        neighbors += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        neighbors += _bitmasks(exact_matmul(vecs[start : start + step], vecs.T) == 0)
     best_size, best_set = max_clique(neighbors)
     return EigvecSearchResult(
         eigenspace_dim=dim,

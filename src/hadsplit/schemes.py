@@ -509,7 +509,14 @@ def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], roots: li
 
 
 def _split_complex_pair(basis: list[list], bmat: list[list]):
-    """Split a 2-dimensional invariant subspace over the Gaussian rationals."""
+    """Split a 2-dimensional invariant subspace over the Gaussian rationals.
+
+    With disc != 0 the restriction T has two distinct eigenvalues, and T -
+    lam I is singular but not zero (T = lam I would give disc = 0). So its
+    kernel is a line, and a nonzero row (r0, r1) of T - lam I has the
+    kernel vector (-r1, r0); eigenmatrices divides each line by its
+    coordinate 0, so the vector's scale does not matter.
+    """
     t = _restricted_matrix(bmat, basis)
     tr = t[0][0] + t[1][1]
     det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
@@ -521,7 +528,6 @@ def _split_complex_pair(basis: list[list], bmat: list[list]):
         if root is None:
             raise IrrationalEigenvalue(f"discriminant {disc} is not a square")
         eigs = [Fraction(tr + root, 2), Fraction(tr - root, 2)]
-        one = Fraction(1)
     else:
         root = _sqrt_fraction(Fraction(-disc))
         if root is None:
@@ -531,15 +537,10 @@ def _split_complex_pair(basis: list[list], bmat: list[list]):
             GaussianRational(half_tr, root / 2),
             GaussianRational(half_tr, -root / 2),
         ]
-        one = GaussianRational(1)
     pieces = []
     for lam in eigs:
-        m = [[t[r][c] * one - (lam if r == c else 0 * one) for c in range(2)] for r in range(2)]
-        ker = nullspace(m, one=one)
-        if len(ker) != 1:
-            raise HadsplitError("complex eigenspace has unexpected dimension")
-        gen_basis = [[one * x for x in vec] for vec in basis]
-        pieces.append([_combine(gen_basis, ker[0])])
+        r0, r1 = next(r for r in ([t[0][0] - lam, t[0][1]], [t[1][0], t[1][1] - lam]) if any(r))
+        pieces.append([_combine(basis, [-r1, r0])])
     return pieces
 
 

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["max_clique"]
+
+
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Per-vertex neighbor bitmasks for max_clique from a boolean matrix:
+    bit j of mask i is set where rows[i, j] holds."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def max_clique(neighbors: list[int]) -> tuple[int, list[int]]:

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import HadamardMatrix, HadsplitError, IntMatrix, _resigned, exact_matmul, isqrt_exact
-from .search import max_clique
+from .search import _bitmasks, max_clique
 
 __all__ = [
     "NotSplittable",
@@ -225,11 +225,16 @@ def _case_a_b(n: int, ell: int, a: int) -> tuple[int, int]:
     return ell * (ell - a - n), a * (n - 1) + ell
 
 
-def _case_b_b(n: int, ell: int, a: int) -> Fraction | None:
-    den = a * (n - 1) + ell - n
-    if den == 0:
-        return None
-    return Fraction((ell - a) * (ell - n), den)
+def _case_b_b(n: int, ell: int, a: int) -> tuple[int, int]:
+    """Numerator and denominator of b on the case-b branch."""
+    return (ell - a) * (ell - n), a * (n - 1) + ell - n
+
+
+def _exact(name: str, num: int, den: int) -> int:
+    """num / den, which must be an integer; den must be nonzero."""
+    if num % den:
+        raise NonIntegral(f"{name} = {Fraction(num, den)} is not an integer")
+    return num // den
 
 
 def _require_order_above_1(n: int) -> None:
@@ -297,8 +302,8 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     num, den = _case_a_b(n, ell, a)
     if b * den == num:
         matches.append("case-a")
-    bb = _case_b_b(n, ell, a)
-    if bb is not None and Fraction(b) == bb:
+    num, den = _case_b_b(n, ell, a)
+    if den and b * den == num:
         matches.append("case-b")
     if matches:
         branch = matches[0]
@@ -334,25 +339,20 @@ def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
             raise NonIntegral("odd order in the degenerate branch")
         k = (n - 2) // 2
         srg = SrgParams(n, k, k - 1, 0)
-        s_pos = Fraction(n - ell, a)
-        s_neg = Fraction(-ell, a)
     else:
         den = 2 * a * (ell - a * a)
-        k = Fraction((a - 1) * ell * (a + ell), den)
-        lam = Fraction((a + ell) * (3 * a * a + a * ell - a - 3 * ell), 2 * den)
-        mu = Fraction((a - 1) * (ell * ell - a * a), 2 * den)
-        for name, val in (("k", k), ("lambda", lam), ("mu", mu)):
-            if val.denominator != 1:
-                raise NonIntegral(f"{name} = {val} is not an integer")
-        srg = SrgParams(n, int(k), int(lam), int(mu))
-        s_pos = Fraction(n - ell, a)
-        s_neg = Fraction(-ell, a)
-    if s_pos.denominator != 1 or s_neg.denominator != 1:
-        raise NonIntegral(f"Seidel spectrum {s_pos}, {s_neg} not integral")
+        k = _exact("k", (a - 1) * ell * (a + ell), den)
+        lam = _exact("lambda", (a + ell) * (3 * a * a + a * ell - a - 3 * ell), 2 * den)
+        mu = _exact("mu", (a - 1) * (ell * ell - a * a), 2 * den)
+        srg = SrgParams(n, k, lam, mu)
+    if (n - ell) % a or ell % a:
+        raise NonIntegral(
+            f"Seidel spectrum {Fraction(n - ell, a)}, {Fraction(-ell, a)} not integral"
+        )
     return SeidelDerivation(
         params=SplitParams(n, ell, a, -a),
         srg=srg,
-        s_spectrum=((int(s_pos), ell), (int(s_neg), n - ell)),
+        s_spectrum=(((n - ell) // a, ell), (-ell // a, n - ell)),
     )
 
 
@@ -382,11 +382,13 @@ def general_srg_from_b(n: int, ell: int, a: int, b: int | Fraction) -> tuple[Fra
     return tuple(num / den for num, den in _srg_terms(n, ell, a, b))
 
 
-def _integral_srg(n: int, kfrac: Fraction, lamfrac: Fraction, mufrac: Fraction) -> SrgParams:
-    for name, val in (("k", kfrac), ("lambda", lamfrac), ("mu", mufrac)):
-        if val.denominator != 1:
-            raise NonIntegral(f"{name} = {val} is not an integer")
-    return SrgParams(n, int(kfrac), int(lamfrac), int(mufrac))
+def _srg_from_b(n: int, ell: int, a: int, b: int) -> SrgParams:
+    """general_srg_from_b for an integer b, raising NonIntegral on the first
+    of k, lam, mu that is not an integer."""
+    if a * a == b * b:
+        raise NonIntegral("a^2 = b^2 has no two-value derivation here")
+    terms = zip(("k", "lambda", "mu"), _srg_terms(n, ell, a, b))
+    return SrgParams(n, *(_exact(name, num, den) for name, (num, den) in terms))
 
 
 def _case_a_srg(n: int, ell: int, a: int) -> tuple[int, SrgParams] | None:
@@ -409,24 +411,17 @@ def _case_a_srg(n: int, ell: int, a: int) -> tuple[int, SrgParams] | None:
 
 def derive_srg_case_a(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
     """b and the a-marked graph parameters on the zero-row-sum branch."""
-    num, den = _case_a_b(n, ell, a)
-    if num % den:
-        raise NonIntegral(f"b = {Fraction(num, den)} is not an integer")
-    b = num // den
-    k, lam, mu = general_srg_from_b(n, ell, a, b)
-    return b, _integral_srg(n, k, lam, mu)
+    b = _exact("b", *_case_a_b(n, ell, a))
+    return b, _srg_from_b(n, ell, a, b)
 
 
 def derive_srg_case_b(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
     """b and the a-marked graph parameters on the other non-seidel branch."""
-    bfrac = _case_b_b(n, ell, a)
-    if bfrac is None:
+    num, den = _case_b_b(n, ell, a)
+    if den == 0:
         raise NonIntegral("branch denominator a(n-1) + ell - n vanishes")
-    if bfrac.denominator != 1:
-        raise NonIntegral(f"b = {bfrac} is not an integer")
-    b = int(bfrac)
-    k, lam, mu = general_srg_from_b(n, ell, a, b)
-    return b, _integral_srg(n, k, lam, mu)
+    b = _exact("b", num, den)
+    return b, _srg_from_b(n, ell, a, b)
 
 
 def verify_seidel_matrix(report: SplitReport) -> bool:
@@ -634,14 +629,7 @@ def classify_srg16(a: IntMatrix) -> str:
     srg = direct_srg_params(a)
     if srg is None or srg.astuple() != (16, 6, 2, 2):
         raise ValueError("input is not an SRG(16, 6, 2, 2)")
-    masks = []
-    for i in range(16):
-        m = 0
-        for j in range(16):
-            if a[i, j]:
-                m |= 1 << j
-        masks.append(m)
-    size, _ = max_clique(masks)
+    size, _ = max_clique(_bitmasks(a.array != 0))
     if size == 4:
         return "lattice"
     if size == 3:

@@ -241,6 +241,20 @@ def test_analyze_search_none_found(capsys, tmp_path):
     assert "no balanced split on 2 rows" in out
 
 
+def test_analyze_search_budget_is_inconclusive(capsys, tmp_path):
+    f = tmp_path / "twin.txt"
+    run(capsys, "construct", "twin", "--m", "2", "--out", str(f))
+    argv = ("analyze", "search", "--input", str(f), "--ell", "6", "--budget", "10")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["outcome"] == "inconclusive"
+    assert payload["data"] == {"budget_exceeded": "C(16, 6) = 8008 exceeds budget 10"}
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == "search stopped: C(16, 6) = 8008 exceeds budget 10\n"
+
+
 # ---------------------------------------------------------------- enumerate
 
 

@@ -187,3 +187,14 @@ def test_witness_none_for_unknown():
                 (36, 14, 2, -4), (36, 20, 2, -4), (36, 25, 1, -5)]:
         assert witness_for(*row) is None
     assert witness_for(16, 0, 1, 1) is None
+
+
+def test_witness_needs_a_known_hadamard_order():
+    # no Hadamard matrix of order 668 is known; 664 and 1024 are
+    assert witness_for(668, 666, 0, -2) is None
+    assert witness_for(2672, 2004, 0, -668) is None
+    assert witness_for(668**2, 667**2, 1, -667) is None
+    assert witness_for(664, 662, 0, -2) == "two-row"
+    assert witness_for(1024, 1022, 0, -2) == "two-row"
+    assert witness_for(2656, 1992, 0, -664) == "core-tensor k=664"
+    assert witness_for(1024**2, 1023**2, 1, -1023) == "kron-square large m=1024"

@@ -66,25 +66,75 @@ def test_nullspace_normalization():
     assert vecs[1][1] == 0 and vecs[1][2] == 1
 
 
-def test_nullspace_over_gaussian_field():
-    i = G(0, 1)
-    m = [[G(1), i], [-i, G(1)]]
-    vecs = nullspace(m, one=G(1))
-    assert len(vecs) == 1
-    v = vecs[0]
-    assert m[0][0] * v[0] + m[0][1] * v[1] == G(0)
-
-
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [F(1), F(1)]) == [F(3), F(7)]
 
 
+def test_mat_mul_and_mat_vec_reject_mismatched_shapes():
+    assert mat_mul([[1, 2, 3]], [[1], [1], [1]]) == [[6]]
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        mat_mul([[1, 2, 3]], [[1], [1]])
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        mat_vec([[1, 2, 3]], [1, 1])
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        mat_vec([[1, 2]], [1, 1, 1])
+
+
+def fraction_rref(m):
+    """Reference rref: Gauss-Jordan elimination over Fraction, dividing each
+    pivot row by its pivot."""
+    a = [[F(v) for v in row] for row in m]
+    if not a:
+        return a, []
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [v / pv for v in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_integer_rref_equals_the_fraction_rref(seed):
-    # rank-deficient and full-rank integer matrices, wide and tall
+    # rank-deficient and full-rank matrices, wide and tall: integer entries,
+    # the same as Fractions, and entries over mixed denominators 1..6
     rng = np.random.default_rng(seed)
     rows, cols, rank = 3 + seed % 4, 2 + seed % 5, 1 + seed % 3
     m = (rng.integers(-4, 5, (rows, rank)) @ rng.integers(-4, 5, (rank, cols))).tolist()
-    got = rref(m)
-    assert got == rref([[F(v) for v in row] for row in m])
-    assert all(type(v) is F for row in got[0] for v in row)
+    dens = rng.integers(1, 7, (rows, cols)).tolist()
+    mixed = [[F(v, d) for v, d in zip(row, drow)] for row, drow in zip(m, dens)]
+    nums, qs = rng.choice([-3, -1, 2, 5], rows).tolist(), rng.integers(1, 7, rows).tolist()
+    scaled_rows = [[v * F(p, q) for v in row] for row, p, q in zip(m, nums, qs)]
+    for case in (m, [[F(v) for v in row] for row in m], mixed, scaled_rows):
+        got = rref(case)
+        assert got == fraction_rref(case)
+        assert all(type(v) is F for row in got[0] for v in row)
+    # a row scaled by a nonzero rational keeps the row space, hence the rref
+    assert rref(scaled_rows) == rref(m)
+
+
+def test_rref_of_an_empty_matrix():
+    assert rref([]) == ([], [])
+    assert rref([[], []]) == fraction_rref([[], []])
+
+
+def test_rref_rejects_non_rationals():
+    with pytest.raises(TypeError, match="GaussianRational"):
+        rref([[F(1), G(0, 1)], [1, 2]])
+    with pytest.raises(TypeError, match="float"):
+        rref([[1, 0.5]])
+    with pytest.raises(TypeError):
+        nullspace([[G(1), G(0, 1)], [G(0, -1), G(1)]])

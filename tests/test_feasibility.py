@@ -29,9 +29,9 @@ from hadsplit.feasibility import (
 )
 from hadsplit.core import IntMatrix, exact_matmul
 from hadsplit.splitting import BudgetExceeded
-from hadsplit.exactla import rref
 from hadsplit.search import max_clique
 from hadsplit.splitting import NonIntegral, SrgParams, derive_seidel, general_srg_from_b
+from test_exactla import fraction_rref
 
 # (n, ell, a) -> status for every surviving b = -a parameter set up to 1024
 SEIDEL_TABLE = [
@@ -269,8 +269,8 @@ def test_eigvec_search_rejects_asymmetric():
 
 
 def _eigvec_search_reference(adjacency, ell, a, b):
-    """eigvec_search over Fraction: exactla.rref, a Fraction DFS and pairwise
-    dot products for the orthogonality graph."""
+    """eigvec_search over Fraction: a Gauss-Jordan rref over Fraction, a
+    Fraction DFS and pairwise dot products for the orthogonality graph."""
     v = adjacency.nrows
     system = [
         [
@@ -279,7 +279,7 @@ def _eigvec_search_reference(adjacency, ell, a, b):
         ]
         for i in range(v)
     ]
-    reduced, pivots = rref(system)
+    reduced, pivots = fraction_rref(system)
     free = [c for c in range(v) if c not in pivots]
     if len(free) != ell:
         raise MultiplicityMismatch(f"eigenspace dimension {len(free)}, expected {ell}")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -633,6 +635,30 @@ def test_eigenmatrices_need_no_floating_point(case, built_schemes, monkeypatch):
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, no_float)
     assert repr(eigenmatrices(sch)) == want
+
+
+# sha256 of repr(eigenmatrices(...)) per built scheme, recorded when the
+# non-real plane of the 4-class non-symmetric scheme was still split by an
+# elimination over Q(i); reading the kernel off a row must give the same
+# tables, entries, order and multiplicities.
+_EIGENMATRIX_REPR_SHA256 = {
+    "4class-sym": "24278be43eda61f8b3bfe947da3569e29aa200645a6a504fa0a01ff3a338d9db",
+    "4class-nonsym": "68257a86831e43b79645cdab55f10fe196633bca46a32f5143667b3bddda4ada",
+    "5class-f2": "75e52fbd11f0bc03f6e106623eaa3750a816b3a32b94e6fc7f7856623179b19a",
+    "6class-f2": "cbed51d3ab7b5a119ae78fe979ac378c807b88d5e14a2a516b9eef57ecf3ff2f",
+    "hamming3": "94fe4a1cfda2ab94187598d69254da93bf7dd61d859d1b27121f01ed4708d759",
+    "hamming4": "bf01d0cdd1ceff7dd01fce67a363ee344f394e6aaee67b72982f51319a1db4d4",
+    "hamming5": "fb1058ceff239419a0daa91b74cbe1b508f2d8bc44555d10c82ae6efc8a2f081",
+    "hamming6": "7cf045111c52d30e21b3df04a4296195c7b39d7793bc839e13fcedfca22a42d6",
+    "fusion01": "8a6fa28d6f48563548745be65e8eb0d6d887af55a868dc977e2df30e65f69766",
+    "fusion03": "341c3cc4343a68803b1b77eed73246a04bf11abe5b0fcafbc010cf7f39b7f9c9",
+}
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+def test_eigenmatrices_repr_is_unchanged(case, built_schemes):
+    got = repr(eigenmatrices(built_schemes[case]))
+    assert hashlib.sha256(got.encode()).hexdigest() == _EIGENMATRIX_REPR_SHA256[case]
 
 
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))

@@ -30,6 +30,7 @@ from hadsplit.splitting import (
     NotDiagonalized,
     NotSplittable,
     NotUnbiasedCase,
+    SeidelDerivation,
     SplitParams,
     SrgParams,
     WrongParameters,
@@ -306,6 +307,101 @@ def test_general_srg_from_b_is_exact():
     assert (k, lam, mu) == (Fraction(9), Fraction(4), Fraction(6))
     k, lam, mu = general_srg_from_b(64, 21, 5, -3)
     assert (k, lam, mu) == (Fraction(21), Fraction(8), Fraction(6))
+
+
+def _ref_integer(name, val):
+    if val.denominator != 1:
+        raise NonIntegral(f"{name} = {val} is not an integer")
+    return int(val)
+
+
+def _ref_srg(n, ell, a, b):
+    """(k, lam, mu) of the a-marked graph over Fraction, for an integer b."""
+    if a * a == b * b:
+        raise NonIntegral("a^2 = b^2 has no two-value derivation here")
+    den = Fraction((a - b) ** 2 * (a + b))
+    k = Fraction(n * ell - ell * ell - b * b * (n - 1), a * a - b * b)
+    lam = (
+        n * (a * a - a * (b - 1) * b + b**3 - 2 * b * ell)
+        + 2 * (b - ell) * (a * a + a * b - b * (b + ell))
+    ) / den
+    mu = (b * n * (-a * b + a + b * b + b - 2 * ell) + 2 * b * (a - ell) * (b - ell)) / den
+    vals = [_ref_integer(name, v) for name, v in (("k", k), ("lambda", lam), ("mu", mu))]
+    return SrgParams(n, *vals)
+
+
+def _ref_seidel(n, ell, a):
+    if a < 1:
+        raise InfeasibleSeidel("a must be positive when b = -a")
+    if ell * ell + a * a * (n - 1) != n * ell:
+        raise InfeasibleSeidel(f"ell^2 + a^2(n-1) != n ell for {(n, ell, a)}")
+    if ell == a * a:
+        if n % 2:
+            raise NonIntegral("odd order in the degenerate branch")
+        srg = SrgParams(n, (n - 2) // 2, (n - 2) // 2 - 1, 0)
+    else:
+        den = 2 * a * (ell - a * a)
+        k = _ref_integer("k", Fraction((a - 1) * ell * (a + ell), den))
+        lam = _ref_integer("lambda", Fraction((a + ell) * (3 * a * a + a * ell - a - 3 * ell), 2 * den))
+        mu = _ref_integer("mu", Fraction((a - 1) * (ell * ell - a * a), 2 * den))
+        srg = SrgParams(n, k, lam, mu)
+    s_pos, s_neg = Fraction(n - ell, a), Fraction(-ell, a)
+    if s_pos.denominator != 1 or s_neg.denominator != 1:
+        raise NonIntegral(f"Seidel spectrum {s_pos}, {s_neg} not integral")
+    return SeidelDerivation(
+        params=SplitParams(n, ell, a, -a),
+        srg=srg,
+        s_spectrum=((int(s_pos), ell), (int(s_neg), n - ell)),
+    )
+
+
+def _ref_case_a(n, ell, a):
+    b = _ref_integer("b", Fraction(ell * (ell - a - n), a * (n - 1) + ell))
+    return b, _ref_srg(n, ell, a, b)
+
+
+def _ref_case_b(n, ell, a):
+    den = a * (n - 1) + ell - n
+    if den == 0:
+        raise NonIntegral("branch denominator a(n-1) + ell - n vanishes")
+    b = _ref_integer("b", Fraction((ell - a) * (ell - n), den))
+    return b, _ref_srg(n, ell, a, b)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        # case a with a(n-1) + ell = 0: the message names the operation
+        return ZeroDivisionError
+    except (NonIntegral, InfeasibleSeidel) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_derivations_match_the_fraction_formulas(seed):
+    """derive_* on a seeded sample of 2 <= n < 90, 1 <= ell <= n,
+    -3 <= a <= ell + 1, plus every cell with n <= 12: the same values, or
+    the same error type and message, as the formulas over Fraction."""
+    rng = np.random.default_rng(seed)
+    cells = [
+        (n, ell, a) for n in range(2 + 3 * seed, 5 + 3 * seed)
+        for ell in range(1, n + 1) for a in range(-3, ell + 2)
+    ]
+    for _ in range(1500):
+        n = int(rng.integers(2, 90))
+        ell = int(rng.integers(1, n + 1))
+        cells.append((n, ell, int(rng.integers(-3, ell + 2))))
+    # cells where a derivation succeeds, and where it stops at k (15, 7, 2),
+    # at mu (45, 12, 3), (27, 16, 4), (27, 17, 5), at a vanishing denominator
+    # (2, 1, 1), (2, 1, -1) or in the degenerate branch (3, 1, 1)
+    cells += [(16, 6, 2), (16, 1, 1), (36, 15, 3), (16, 9, 1), (36, 10, 4), (64, 14, 6),
+              (16, 4, 4), (64, 8, 8), (15, 7, 2), (45, 12, 3), (27, 16, 4), (27, 17, 5),
+              (2, 1, 1), (2, 1, -1), (3, 1, 1)]
+    for derive, ref in ((derive_seidel, _ref_seidel), (derive_srg_case_a, _ref_case_a),
+                        (derive_srg_case_b, _ref_case_b)):
+        for cell in cells:
+            assert _outcome(derive, *cell) == _outcome(ref, *cell), (derive.__name__, cell)
 
 
 def test_verify_seidel_matrix(twin16):
