@@ -1,9 +1,25 @@
 """Feasibility screens and parameter enumeration for balanced splits.
 
-All arithmetic is exact (int and Fraction). Each enumeration lists the
-parameter sets surviving every implemented screen and annotates them with a
-status: realized by a construction, excluded by a mod-4 sign count, excluded
-by an exhaustive eigenvector search, or open.
+Each enumeration lists the parameter sets surviving every implemented screen
+and annotates them with a status: realized by a construction, excluded by a
+mod-4 sign count, excluded by an exhaustive eigenvector search, or open.
+
+The two tables screen each order's whole (ell, a) grid at once in int64
+numpy; only the cells that survive reach the exact screens below, as Python
+ints. The grids are exact for orders n <= _MAX_GRID_ORDER = 2^15, and both
+tables raise OverflowError past it before building anything:
+
+  Seidel (b = -a): the grid holds n^2 - 4 a^2 (n-1), which lies in
+  [0, n^2] with n^2 <= 2^30 where it is used. float64 holds such integers
+  exactly, and its correctly rounded sqrt of a perfect square is the root
+  itself, so rint(sqrt(x))^2 == x is an exact squareness test.
+
+  Zero row sums: b's numerator ell (ell - a - n) and denominator
+  a (n-1) + ell are below n^2 in magnitude. k, lam and mu are formed only
+  on cells with b an integer in [-ell, 0) and 1 <= a <= ell < n, where each
+  factor (b - 1 included) is at most n in magnitude, or 2n for a sum of two.
+  Adding up the monomials bounds every partial sum and product by
+  2n^4 + 19n^3 (lam's numerator, the largest), below 2^62 for n <= 2^15.
 """
 
 from __future__ import annotations
@@ -23,7 +39,8 @@ from .splitting import (
     NonIntegral,
     SplitParams,
     SrgParams,
-    _case_a_srg,
+    _case_a_b,
+    _srg_terms,
     derive_seidel,
 )
 
@@ -63,8 +80,12 @@ STATUS_OPEN = "open"
 # dropped by default so the default output matches that listing.
 CURATED_TABLE1_EXCLUSIONS: frozenset[tuple[int, int, int]] = frozenset({(96, 20, 4)})
 
-# Ruled out by exhaustive eigenvector searches over graph catalogs; recorded
-# as a lookup because rerunning those searches is far beyond this module.
+# Ruled out by exhaustive eigenvector searches over graph catalogs. A repo
+# search reaches two of them on the bundled rook graph SRG(36, 10, 4, 2), the
+# unique L2(6): eigvec_search(rook, 10, 4, -2) certifies (36, 10, 4, -2) in
+# about 10 ms, and eigvec_search(rook, 11, 5, -1) certifies (36, 11, 5, -1),
+# the complementary split of (36, 25, 1, -5). The other two need catalogs of
+# SRG(36, 14, 4, 6) and SRG(36, 15, 6, 6), which the repo lacks.
 CURATED_EIGSEARCH: frozenset[tuple[int, int, int, int]] = frozenset(
     {
         (36, 10, 4, -2),
@@ -234,87 +255,140 @@ def filter_mod4_diff(ell: int, a: int) -> bool:
     return a > 1 and (ell - a) % 4 != 0
 
 
+# Largest max_n whose grids stay exact in int64 (see the module docstring).
+_MAX_GRID_ORDER = 2**15
+
+
+def _check_grid_order(max_n: int) -> None:
+    if max_n > _MAX_GRID_ORDER:
+        raise OverflowError(
+            f"max_n = {max_n} exceeds {_MAX_GRID_ORDER}, the largest order whose "
+            "feasibility grid is exact in int64"
+        )
+
+
 def enumerate_seidel(max_n: int, curated: bool = True) -> list[FeasibleRow]:
     """All b = -a parameter sets with n <= max_n surviving every screen.
 
     Emits the smaller of the two complementary block sizes. With curated=True
     the rows in CURATED_TABLE1_EXCLUSIONS are dropped, matching the bundled
-    reference table.
+    reference table. Raises OverflowError when max_n > 2^15.
     """
+    _check_grid_order(max_n)
     rows: list[FeasibleRow] = []
-    for n in range(4, max_n + 1, 4):
-        a = 1
-        while 4 * a * a * (n - 1) <= n * n:
-            row = _seidel_candidate(n, a, curated)
-            if row is not None:
-                rows.append(row)
-            a += 1
+    for n, ell, a in _seidel_cells(max_n):
+        try:
+            der = derive_seidel(n, ell, a)
+        except NonIntegral:
+            continue
+        if not srg_primitive_feasible(der.srg):
+            continue
+        if curated and (n, ell, a) in CURATED_TABLE1_EXCLUSIONS:
+            continue
+        witness = witness_for(n, ell, a, -a)
+        if witness:
+            status = STATUS_EXISTS
+        elif filter_mod4_sum(ell, a):
+            status = STATUS_MOD4_SUM
+        elif filter_mod4_diff(ell, a):
+            status = STATUS_MOD4_DIFF
+        else:
+            status = STATUS_OPEN
+        rows.append(FeasibleRow(params=der.params, srg=der.srg, status=status, witness=witness))
     rows.sort(key=lambda r: r.params.astuple())
     return rows
 
 
-def _seidel_candidate(n: int, a: int, curated: bool) -> FeasibleRow | None:
-    d = isqrt_exact(n * n - 4 * a * a * (n - 1))
-    if d is None or (n - d) % 2:
-        return None
+def _seidel_cells(max_n: int) -> list[tuple[int, int, int]]:
+    """(n, ell, a) for n = 4, 8, ..., max_n and a >= 1 where
+    n^2 - 4a^2(n-1) = d^2 is a perfect square with n - d even, ell = (n-d)/2
+    exceeds a^2, and a divides ell and n - ell with odd quotients (both
+    sign-matrix eigenvalues are odd for even order)."""
+    n = np.arange(4, max_n + 1, 4, dtype=np.int64)[:, None]
+    # 4a^2(n-1) <= n^2 forces a^2 <= n^2 / (4(n-1)) <= n/3 for n >= 4
+    a = np.arange(1, math.isqrt(max(max_n, 0) // 3) + 1, dtype=np.int64)
+    disc = n * n - 4 * a * a * (n - 1)
+    d = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+    i, j = np.nonzero((disc >= 0) & (d * d == disc))
+    n, a, d = n[i, 0], a[j], d[i, j]
     ell = (n - d) // 2
-    if ell <= a * a:
-        return None
-    if ell % a or (n - ell) % a:
-        return None
-    # both sign-matrix eigenvalues must be odd for even order
-    if (ell // a) % 2 == 0 or ((n - ell) // a) % 2 == 0:
-        return None
-    try:
-        der = derive_seidel(n, ell, a)
-    except NonIntegral:
-        return None
-    if not srg_primitive_feasible(der.srg):
-        return None
-    if curated and (n, ell, a) in CURATED_TABLE1_EXCLUSIONS:
-        return None
-    witness = witness_for(n, ell, a, -a)
-    if witness:
-        status = STATUS_EXISTS
-    elif filter_mod4_sum(ell, a):
-        status = STATUS_MOD4_SUM
-    elif filter_mod4_diff(ell, a):
-        status = STATUS_MOD4_DIFF
-    else:
-        status = STATUS_OPEN
-    return FeasibleRow(params=der.params, srg=der.srg, status=status, witness=witness)
+    ok = ((n - d) % 2 == 0) & (ell > a * a) & (ell % a == 0) & ((n - ell) % a == 0)
+    ok &= ((ell // a) % 2 == 1) & (((n - ell) // a) % 2 == 1)
+    return list(zip(n[ok].tolist(), ell[ok].tolist(), a[ok].tolist()))
 
 
 def enumerate_case_a(max_n: int) -> list[FeasibleRow]:
     """All zero-row-sum branch parameter sets with n <= max_n surviving
-    every screen, sorted by (n, ell, a)."""
+    every screen, sorted by (n, ell, a). Raises OverflowError when
+    max_n > 2^15."""
+    _check_grid_order(max_n)
     rows: list[FeasibleRow] = []
-    for n in range(8, max_n + 1, 4):
-        for ell in range(2, n):
-            for a in range(1, ell + 1):
-                found = _case_a_srg(n, ell, a)
-                if found is None:
-                    continue
-                b, srg = found
-                if b < -ell or not srg_primitive_feasible(srg):
-                    continue
-                witness = witness_for(n, ell, a, b)
-                if witness:
-                    status = STATUS_EXISTS
-                elif (n, ell, a, b) in CURATED_EIGSEARCH:
-                    status = STATUS_EIGSEARCH
-                else:
-                    status = STATUS_OPEN
-                rows.append(
-                    FeasibleRow(
-                        params=SplitParams(n, ell, a, b),
-                        srg=srg,
-                        status=status,
-                        witness=witness,
-                    )
-                )
+    for n, ell, a, b, k, lam, mu in _case_a_cells(max_n):
+        srg = SrgParams(n, k, lam, mu)
+        if not srg_primitive_feasible(srg):
+            continue
+        witness = witness_for(n, ell, a, b)
+        if witness:
+            status = STATUS_EXISTS
+        elif (n, ell, a, b) in CURATED_EIGSEARCH:
+            status = STATUS_EIGSEARCH
+        else:
+            status = STATUS_OPEN
+        rows.append(
+            FeasibleRow(params=SplitParams(n, ell, a, b), srg=srg, status=status, witness=witness)
+        )
     rows.sort(key=lambda r: r.params.astuple())
     return rows
+
+
+# Most (ell, a) cells, and most integral-b hits, that _case_a_cells holds at
+# once: peak memory stays flat in max_n, and arrays of at most 512 KB are
+# reused from the heap rather than mapped and faulted in afresh per order.
+_GRID_CELLS = 2**16
+
+
+def _case_a_cells(max_n: int) -> list[tuple[int, ...]]:
+    """(n, ell, a, b, k, lam, mu) for n = 8, 12, ..., max_n, 2 <= ell < n and
+    1 <= a <= ell where the zero-row-sum b is an integer, b >= -ell,
+    a^2 != b^2, and k, lam and mu are integers; in no particular order."""
+    # The grid is built in blocks of whole ell rows, in (ell, a) order; the
+    # cells of a block that order n screens, those with ell < n, are a prefix.
+    # The hits, never more than the cells screened, are finished in batches.
+    step = max(1, _GRID_CELLS // max(max_n, 1))
+    cells: list[tuple[int, ...]] = []
+    hits: list[tuple[np.ndarray, ...]] = []
+    screened = 0
+    for e0 in range(2, max_n, step):
+        e1 = min(e0 + step, max_n)
+        block_ell, block_a = np.nonzero(np.arange(1, e1) <= np.arange(e0, e1)[:, None])
+        block_ell += e0
+        block_a += 1
+        for n in range(max(8, e0 // 4 * 4 + 4), max_n + 1, 4):
+            m = min(n, e1)
+            size = (m * (m - 1) - e0 * (e0 - 1)) // 2
+            ell, a = block_ell[:size], block_a[:size]
+            num, den = _case_a_b(n, ell, a)
+            i = np.flatnonzero(num % den == 0)
+            hits.append((np.full(len(i), n), ell[i], a[i], num[i] // den[i]))
+            screened += size
+            if screened >= _GRID_CELLS:
+                cells += _integral_srg_cells(hits)
+                hits, screened = [], 0
+    return cells + _integral_srg_cells(hits)
+
+
+def _integral_srg_cells(hits: list[tuple[np.ndarray, ...]]) -> list[tuple[int, ...]]:
+    """The (n, ell, a, b, k, lam, mu) of the hit columns (n, ell, a, b) with
+    b >= -ell, a^2 != b^2 and integral k, lam and mu."""
+    if not hits:
+        return []
+    n, ell, a, b = map(np.concatenate, zip(*hits))
+    keep = (b >= -ell) & (a * a != b * b)
+    n, ell, a, b = n[keep], ell[keep], a[keep], b[keep]
+    terms = _srg_terms(n, ell, a, b)
+    keep = np.logical_and.reduce([num % den == 0 for num, den in terms])
+    found = [n, ell, a, b] + [num // den for num, den in terms]
+    return list(zip(*(c[keep].tolist() for c in found)))
 
 
 @dataclass(frozen=True)

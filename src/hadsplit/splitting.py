@@ -221,7 +221,8 @@ def direct_srg_params(a: IntMatrix) -> SrgParams | None:
 
 
 def _case_a_b(n: int, ell: int, a: int) -> tuple[int, int]:
-    """Numerator and denominator of b on the zero-row-sum branch."""
+    """Numerator and denominator of b on the zero-row-sum branch; also
+    elementwise on integer arrays."""
     return ell * (ell - a - n), a * (n - 1) + ell
 
 
@@ -358,7 +359,8 @@ def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
 
 def _srg_terms(n: int, ell: int, a: int, b: int | Fraction) -> tuple[tuple, tuple, tuple]:
     """(numerator, denominator) of k, lam and mu for a two-value split with
-    off-diagonal values a and b; integers when b is one. Needs a^2 != b^2."""
+    off-diagonal values a and b; integers when b is one, and elementwise on
+    integer arrays. Needs a^2 != b^2."""
     den = (a - b) ** 2 * (a + b)
     return (
         (n * ell - ell * ell - b * b * (n - 1), a * a - b * b),
@@ -391,27 +393,12 @@ def _srg_from_b(n: int, ell: int, a: int, b: int) -> SrgParams:
     return SrgParams(n, *(_exact(name, num, den) for name, (num, den) in terms))
 
 
-def _case_a_srg(n: int, ell: int, a: int) -> tuple[int, SrgParams] | None:
-    """b and the a-marked graph parameters on the zero-row-sum branch, in
-    integer arithmetic; None when b, k, lam or mu is not an integer or when
-    a^2 = b^2."""
-    num, den = _case_a_b(n, ell, a)
-    if num % den:
-        return None
-    b = num // den
-    if a * a == b * b:
-        return None
-    vals = []
-    for num, den in _srg_terms(n, ell, a, b):
-        if num % den:
-            return None
-        vals.append(num // den)
-    return b, SrgParams(n, *vals)
-
-
 def derive_srg_case_a(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
     """b and the a-marked graph parameters on the zero-row-sum branch."""
-    b = _exact("b", *_case_a_b(n, ell, a))
+    num, den = _case_a_b(n, ell, a)
+    if den == 0:
+        raise NonIntegral("branch denominator a(n-1) + ell vanishes")
+    b = _exact("b", num, den)
     return b, _srg_from_b(n, ell, a, b)
 
 

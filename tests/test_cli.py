@@ -188,6 +188,15 @@ def test_analyze_srg_both_cases(capsys):
     assert "b = 0" in out
 
 
+@pytest.mark.parametrize("cell", [("16", "15", "-1"), ("0", "1", "1"), ("16", "0", "0")])
+def test_analyze_srg_vanishing_denominator_exits_one(capsys, cell):
+    n, ell, a = cell
+    code, out, err = run(capsys, "analyze", "srg", "--n", n, "--ell", ell, "--a", a)
+    assert code == 1
+    assert out == ""
+    assert err == "error: branch denominator a(n-1) + ell vanishes\n"
+
+
 def test_analyze_equiangular(capsys):
     code, out, _ = run(
         capsys, "analyze", "equiangular", "--n", "16", "--ell", "6", "--a", "2", "--b=-2"
@@ -265,6 +274,13 @@ def test_enumerate_table1_counts(capsys):
     assert "[twin-sylvester m=2]" in out
     code, out, _ = run(capsys, "enumerate", "table1", "--max-n", "1024", "--all")
     assert "29 parameter sets" in out
+
+
+def test_enumerate_past_the_int64_grid_bound_exits_two(capsys):
+    code, out, err = run(capsys, "enumerate", "table2", "--max-n", "32769")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_n = 32769 exceeds 32768")
 
 
 def test_enumerate_table2_json_digest_is_stable(capsys):

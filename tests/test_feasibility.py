@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hadsplit.feasibility as feas
 from hadsplit.cli import bundled_data
+from hadsplit.constructions import witness_for
 from hadsplit.feasibility import (
     CURATED_EIGSEARCH,
     CURATED_TABLE1_EXCLUSIONS,
@@ -13,6 +16,7 @@ from hadsplit.feasibility import (
     STATUS_MOD4_SUM,
     STATUS_OPEN,
     EigvecSearchResult,
+    FeasibleRow,
     MultiplicityMismatch,
     eigvec_search,
     enumerate_case_a,
@@ -27,10 +31,18 @@ from hadsplit.feasibility import (
     srg_multiplicities,
     srg_primitive_feasible,
 )
-from hadsplit.core import IntMatrix, exact_matmul
+from hadsplit.core import IntMatrix, exact_matmul, isqrt_exact
 from hadsplit.splitting import BudgetExceeded
 from hadsplit.search import max_clique
-from hadsplit.splitting import NonIntegral, SrgParams, derive_seidel, general_srg_from_b
+from hadsplit.splitting import (
+    NonIntegral,
+    SplitParams,
+    SrgParams,
+    _case_a_b,
+    _srg_terms,
+    derive_seidel,
+    general_srg_from_b,
+)
 from test_exactla import fraction_rref
 
 # (n, ell, a) -> status for every surviving b = -a parameter set up to 1024
@@ -109,6 +121,60 @@ def test_seidel_enumeration_uncurated_extra_row():
     assert row.status == STATUS_OPEN
 
 
+def _seidel_candidate(n, a, curated):
+    """One (n, a) cell of table 1, screened with Python ints."""
+    d = isqrt_exact(n * n - 4 * a * a * (n - 1))
+    if d is None or (n - d) % 2:
+        return None
+    ell = (n - d) // 2
+    if ell <= a * a:
+        return None
+    if ell % a or (n - ell) % a:
+        return None
+    # both sign-matrix eigenvalues must be odd for even order
+    if (ell // a) % 2 == 0 or ((n - ell) // a) % 2 == 0:
+        return None
+    try:
+        der = derive_seidel(n, ell, a)
+    except NonIntegral:
+        return None
+    if not srg_primitive_feasible(der.srg):
+        return None
+    if curated and (n, ell, a) in CURATED_TABLE1_EXCLUSIONS:
+        return None
+    witness = witness_for(n, ell, a, -a)
+    if witness:
+        status = STATUS_EXISTS
+    elif filter_mod4_sum(ell, a):
+        status = STATUS_MOD4_SUM
+    elif filter_mod4_diff(ell, a):
+        status = STATUS_MOD4_DIFF
+    else:
+        status = STATUS_OPEN
+    return FeasibleRow(params=der.params, srg=der.srg, status=status, witness=witness)
+
+
+def _enumerate_seidel_reference(max_n, curated):
+    """enumerate_seidel one (n, a) cell at a time."""
+    rows = []
+    for n in range(4, max_n + 1, 4):
+        a = 1
+        while 4 * a * a * (n - 1) <= n * n:
+            row = _seidel_candidate(n, a, curated)
+            if row is not None:
+                rows.append(row)
+            a += 1
+    rows.sort(key=lambda r: r.params.astuple())
+    return rows
+
+
+@pytest.mark.parametrize("curated", [True, False])
+def test_seidel_enumeration_matches_the_per_cell_reference(curated):
+    rows = enumerate_seidel(4096, curated=curated)
+    assert rows == _enumerate_seidel_reference(4096, curated)
+    assert len(rows) == 74 + (not curated)
+
+
 def test_case_a_enumeration_matches_frozen_table():
     rows = enumerate_case_a(64)
     assert len(rows) == 14
@@ -142,9 +208,92 @@ def _enumerate_case_a_reference(max_n):
 
 
 def test_case_a_enumeration_matches_the_fraction_reference():
-    got = [(*r.params.astuple(), r.srg) for r in enumerate_case_a(128)]
-    assert got == _enumerate_case_a_reference(128)
-    assert len(got) == 38
+    got = [(*r.params.astuple(), r.srg) for r in enumerate_case_a(256)]
+    assert got == _enumerate_case_a_reference(256)
+    assert len(got) == 100
+
+
+def _case_a_srg(n, ell, a):
+    """b and the a-marked graph parameters of one zero-row-sum cell, in
+    integer arithmetic; None when b, k, lam or mu is not an integer or when
+    a^2 = b^2."""
+    num, den = _case_a_b(n, ell, a)
+    if num % den:
+        return None
+    b = num // den
+    if a * a == b * b:
+        return None
+    vals = []
+    for num, den in _srg_terms(n, ell, a, b):
+        if num % den:
+            return None
+        vals.append(num // den)
+    return b, SrgParams(n, *vals)
+
+
+def _enumerate_case_a_reference_rows(orders):
+    """enumerate_case_a's rows at the given orders, one (ell, a) cell at a time."""
+    rows = []
+    for n in orders:
+        for ell in range(2, n):
+            for a in range(1, ell + 1):
+                found = _case_a_srg(n, ell, a)
+                if found is None:
+                    continue
+                b, srg = found
+                if b < -ell or not srg_primitive_feasible(srg):
+                    continue
+                witness = witness_for(n, ell, a, b)
+                if witness:
+                    status = STATUS_EXISTS
+                elif (n, ell, a, b) in CURATED_EIGSEARCH:
+                    status = STATUS_EIGSEARCH
+                else:
+                    status = STATUS_OPEN
+                rows.append(FeasibleRow(SplitParams(n, ell, a, b), srg, status, witness))
+    return rows
+
+
+def test_case_a_enumeration_to_1024():
+    rows = enumerate_case_a(1024)
+    assert len(rows) == 586
+    assert Counter(r.status for r in rows) == {
+        STATUS_EXISTS: 22, STATUS_EIGSEARCH: 4, STATUS_OPEN: 560
+    }
+    top = [r for r in rows if r.params.n in (1020, 1024)]
+    assert top == _enumerate_case_a_reference_rows((1020, 1024))
+    assert len(top) == 50
+
+
+def test_case_a_enumeration_in_bounded_blocks(monkeypatch):
+    whole = enumerate_case_a(256)
+    screened = []
+
+    def recording(n, ell, a):
+        screened.append(len(ell))
+        return _case_a_b(n, ell, a)
+
+    monkeypatch.setattr(feas, "_case_a_b", recording)
+    monkeypatch.setattr(feas, "_GRID_CELLS", 1000)
+    # blocks of 3 ell rows, the hits finished once per 1000 cells screened;
+    # each order still screens each of its cells once
+    assert enumerate_case_a(256) == whole
+    assert max(screened) <= 1000
+    assert sum(screened) == sum(n * (n - 1) // 2 - 1 for n in range(8, 257, 4))
+
+
+def test_enumerations_refuse_orders_past_the_int64_bound(monkeypatch):
+    # the bound is checked before numpy builds anything
+    monkeypatch.setattr(feas, "np", None)
+    for enumerate_table in (enumerate_case_a, enumerate_seidel):
+        with pytest.raises(OverflowError, match="max_n = 32769 exceeds 32768"):
+            enumerate_table(2**15 + 1)
+
+
+def test_seidel_enumeration_at_the_int64_bound():
+    rows = enumerate_seidel(2**15)
+    assert rows[:28] == enumerate_seidel(1024)
+    assert all(r.srg == derive_seidel(*r.params.astuple()[:3]).srg for r in rows)
 
 
 def test_case_a_eigsearch_rows_are_the_curated_ones():

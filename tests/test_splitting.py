@@ -294,6 +294,23 @@ def test_derive_case_a_rejects_seidel_overlap():
         derive_srg_case_a(16, 6, 2)
 
 
+def test_derive_case_a_reports_a_vanishing_denominator():
+    """Every cell of 2 <= n < 90, 1 <= ell <= n, -3 <= a <= ell + 1 gives a
+    result or NonIntegral; a(n-1) + ell = 0 says so."""
+    vanishing = 0
+    for n in range(2, 90):
+        for ell in range(1, n + 1):
+            for a in range(-3, ell + 2):
+                try:
+                    derive_srg_case_a(n, ell, a)
+                except NonIntegral as exc:
+                    vanishing += str(exc) == "branch denominator a(n-1) + ell vanishes"
+    assert vanishing == 89
+    for cell in ((16, 15, -1), (0, 1, 1), (16, 0, 0)):
+        with pytest.raises(NonIntegral, match="denominator a\\(n-1\\) \\+ ell vanishes"):
+            derive_srg_case_a(*cell)
+
+
 def test_derive_case_b():
     # four disjoint 4-cliques: the imprimitive block split
     b, srg = derive_srg_case_b(16, 4, 4)
@@ -356,7 +373,10 @@ def _ref_seidel(n, ell, a):
 
 
 def _ref_case_a(n, ell, a):
-    b = _ref_integer("b", Fraction(ell * (ell - a - n), a * (n - 1) + ell))
+    den = a * (n - 1) + ell
+    if den == 0:
+        raise NonIntegral("branch denominator a(n-1) + ell vanishes")
+    b = _ref_integer("b", Fraction(ell * (ell - a - n), den))
     return b, _ref_srg(n, ell, a, b)
 
 
@@ -371,9 +391,6 @@ def _ref_case_b(n, ell, a):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except ZeroDivisionError:
-        # case a with a(n-1) + ell = 0: the message names the operation
-        return ZeroDivisionError
     except (NonIntegral, InfeasibleSeidel) as exc:
         return type(exc), str(exc)
 
