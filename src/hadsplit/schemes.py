@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HadamardMatrix, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
+from .core import (
+    _FLOAT32_EXACT,
+    HadamardMatrix,
+    HadsplitError,
+    IntMatrix,
+    exact_matmul,
+    isqrt_exact,
+)
 from .exactla import GaussianRational, mat_mul, mat_vec, nullspace, rref
 from .latin import LatinSquare, NotUfs, circle_symmetric, compose_ufs, is_mutually_ufs
 from .splitting import SplitReport
@@ -173,6 +180,16 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     the intersection numbers of both pairs, a product leaves the algebra
     exactly when its partner does, and the commutativity comparison reads
     the whole table.
+
+    The products of one A_i are packed, several to a kernel call. Regularity
+    is checked first, so every entry of A_i A_j lies in [0, k_i]. Give the
+    classes j_0, ..., j_(c-1) of a chunk the weights base^t, base = k_i + 1,
+    and let W = sum_t base^t A_(j_t). Each entry of A_i W is then a base
+    k_i + 1 number whose digit t is exactly that entry of A_i A_(j_t), so
+    A_i W is constant on every class exactly when each A_i A_(j_t) is, and
+    its digits at the class representatives are the p_(i j_t)^k. A chunk
+    holds as many classes as keep the kernel's bound v base^(c-1) below
+    2**24, so each call takes the exact float32 route.
     """
     if not matrices:
         raise AxiomFailure("no class matrices")
@@ -210,7 +227,7 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     for k in range(d1):
         if not sizes[k]:
             raise AxiomFailure(f"class {k} is empty")
-    reps = [divmod(f, v) for f in first]
+    reps = np.divmod(first, v)
 
     valencies = []
     for k, a in enumerate(arrs):
@@ -225,15 +242,27 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     for j in range(d1):
         p[j][0] = unit[j]
     for i in range(1, d1):
-        for j in range(1, d1):
-            if p[i][j] is not None:
-                continue
-            prod = exact_matmul(arrs[i], arrs[j])
-            pk = tuple(int(prod[x, y]) for x, y in reps)
-            if not np.array_equal(prod, np.array(pk, dtype=np.int64)[color]):
-                raise AxiomFailure(f"product of classes {i}, {j} leaves the algebra")
-            p[i][j] = pk
-            p[tr[j]][tr[i]] = tuple(pk[tr[m]] for m in range(d1))
+        base = valencies[i] + 1
+        width = 1
+        while v * base**width < _FLOAT32_EXACT:
+            width += 1
+        # (i, j) and its partner (j', i') share a row only when they coincide
+        todo = [j for j in range(1, d1) if p[i][j] is None]
+        for start in range(0, len(todo), width):
+            chunk = todo[start : start + width]
+            scale = base ** np.arange(len(chunk), dtype=np.int64)
+            weights = np.zeros(d1, dtype=np.int64)
+            weights[chunk] = scale
+            prod = exact_matmul(arrs[i], weights[color])
+            packed = prod[reps]
+            constant = np.array_equal(prod, packed[color])
+            for t, j in enumerate(chunk):
+                digits = packed // scale[t] % base
+                if not constant and not np.array_equal(prod // scale[t] % base, digits[color]):
+                    raise AxiomFailure(f"product of classes {i}, {j} leaves the algebra")
+                pk = tuple(digits.tolist())
+                p[i][j] = pk
+                p[tr[j]][tr[i]] = tuple(pk[tr[m]] for m in range(d1))
     for i in range(d1):
         for j in range(d1):
             if p[i][j] != p[j][i]:
@@ -632,27 +661,24 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     )
 
 
+def _hamming_distances(n: int) -> np.ndarray:
+    """Hamming distances between the binary words of length n, word x being
+    the bits of the index x: the popcount of x XOR y as a sum of n bit planes."""
+    words = np.arange(1 << n)
+    xor = words[:, None] ^ words[None, :]
+    dist = np.zeros_like(xor)
+    for bit in range(n):
+        dist += (xor >> bit) & 1
+    return dist
+
+
 def hamming_scheme(n: int) -> Scheme:
     """Distance scheme on binary words of length n, classes by Hamming
-    distance, built by the tensor recursion on word length."""
+    distance."""
     if n < 1:
         raise ValueError("length must be positive")
-    base = [np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]], dtype=np.int64)]
-    mats = list(base)
-    for _ in range(n - 1):
-        prev = mats
-        top = len(prev)
-        nxt = []
-        for i in range(top + 1):
-            order = prev[0].shape[0] * 2
-            acc = np.zeros((order, order), dtype=np.int64)
-            if i < top:
-                acc += np.kron(prev[i], base[0])
-            if 0 <= i - 1 < top:
-                acc += np.kron(prev[i - 1], base[1])
-            nxt.append(acc)
-        mats = nxt
-    return verify_scheme([IntMatrix(a) for a in mats])
+    dist = _hamming_distances(n)
+    return verify_scheme([IntMatrix(dist == k) for k in range(n + 1)])
 
 
 def muzychuk_fusion(n: int, variant: str) -> Scheme:
@@ -667,15 +693,11 @@ def muzychuk_fusion(n: int, variant: str) -> Scheme:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 2:
         raise ValueError("need length at least 2")
-    ham = hamming_scheme(n)
-    arrs = [m.array for m in ham.matrices]
     inside = [k for k in range(1, n + 1) if k % 4 in keep]
     outside = [k for k in range(1, n + 1) if k % 4 not in keep]
     if not inside or not outside:
         raise ValueError("fusion would leave an empty class")
-    a1 = sum(arrs[k] for k in inside)
-    a2 = sum(arrs[k] for k in outside)
-    v = arrs[0].shape[0]
+    dist = _hamming_distances(n)
     return verify_scheme(
-        [IntMatrix.identity(v), IntMatrix(a1), IntMatrix(a2)]
+        [IntMatrix(dist == 0), IntMatrix(np.isin(dist, inside)), IntMatrix(np.isin(dist, outside))]
     )

@@ -442,28 +442,53 @@ def test_verify_names_the_first_class_with_an_open_transpose(scheme4non):
             verify_scheme([IntMatrix(arrs[k]) for k in order])
 
 
-def test_verify_forms_one_product_per_transpose_orbit(kernel_calls, monkeypatch, twin16, split_16_9):
-    ham = hamming_scheme(8)
-    operands = []
-    counting = hadsplit.schemes.exact_matmul
+def _packed_calls(scheme, monkeypatch):
+    """Verify scheme's classes again and return, for each kernel call, its
+    operands, the class i whose A_i is the left operand and the classes j_t
+    packed into the right one, in digit order t."""
+    arrs = [m.array for m in scheme.matrices]
+    calls = []
+    kernel = hadsplit.schemes.exact_matmul
 
     def recording(a, b):
-        operands.append((a, b))
-        return counting(a, b)
+        calls.append((a, b))
+        return kernel(a, b)
 
     monkeypatch.setattr(hadsplit.schemes, "exact_matmul", recording)
-    kernel_calls.clear()
-    verify_scheme(ham.matrices)
-    assert len(kernel_calls) == 36  # pairs i <= j of the 8 symmetric classes
-    eye = np.eye(256)
-    assert not any(np.array_equal(x, eye) or np.array_equal(y, eye) for x, y in operands)
+    verify_scheme(scheme.matrices)
+    monkeypatch.undo()
+    reps = [np.unravel_index(int(np.argmax(a)), a.shape) for a in arrs]
+    out = []
+    for a, b in calls:
+        (i,) = [k for k, x in enumerate(arrs) if np.array_equal(a, x)]
+        base = scheme.valencies[i] + 1
+        weights = {int(b[r]): k for k, r in enumerate(reps) if b[r]}
+        packed = [weights[base**t] for t in range(len(weights))]
+        assert np.array_equal(b, sum(base**t * arrs[j] for t, j in enumerate(packed)))
+        out.append((a, b, i, packed))
+    return out
 
-    kernel_calls.clear()
-    sch = build_4class_nonsymmetric(twin16.h, split_16_9)
-    t = sch.transpose_map
-    orbits = {min((i, j), (t[j], t[i])) for i in range(1, 5) for j in range(1, 5)}
-    assert len(orbits) == 10
-    assert kernel_calls.count(((160, 160), (160, 160))) == len(orbits)
+
+def test_verify_forms_one_product_per_transpose_orbit(monkeypatch, twin16, split_16_9):
+    """The packed products cover each orbit {(i, j), (j', i')} of i, j >= 1
+    exactly once, never use A_0, and each stays on the kernel's float32
+    route: v * base^(c-1) < 2**24 for base = k_i + 1 and c packed classes."""
+    for scheme, want_calls in (
+        (hamming_scheme(8), 13),  # 36 pairs i <= j of the 8 symmetric classes
+        (build_4class_nonsymmetric(twin16.h, split_16_9), 4),  # 10 orbits
+    ):
+        calls = _packed_calls(scheme, monkeypatch)
+        assert len(calls) == want_calls
+        v, d1, t = scheme.size, scheme.classes + 1, scheme.transpose_map
+        eye = np.eye(v)
+        covered = []
+        for a, b, i, packed in calls:
+            assert not np.array_equal(a, eye) and not np.array_equal(b, eye)
+            assert 0 not in packed
+            assert int(a.max()) * int(b.max()) * v < 2**24
+            covered += [min((i, j), (t[j], t[i])) for j in packed]
+        orbits = {min((i, j), (t[j], t[i])) for i in range(1, d1) for j in range(1, d1)}
+        assert sorted(covered) == sorted(orbits)
 
 
 def test_verify_rejects_irregular_class():
@@ -471,6 +496,99 @@ def test_verify_rejects_irregular_class():
     rest = IntMatrix.ones(3) - IntMatrix.identity(3) - path
     with pytest.raises(AxiomFailure):
         verify_scheme([IntMatrix.identity(3), path, rest])
+
+
+def _verify_scheme_per_pair(matrices):
+    """verify_scheme as it was before the products were packed: the same
+    checks, then one kernel call per transpose orbit {(i, j), (j', i')}.
+    Kept as the reference the packed products must agree with."""
+    if not matrices:
+        raise AxiomFailure("no class matrices")
+    arrs = [m.array for m in matrices]
+    v = arrs[0].shape[0]
+    for idx, a in enumerate(arrs):
+        if a.shape != (v, v):
+            raise AxiomFailure(f"class {idx} is not {v} x {v}")
+        if not np.all((a == 0) | (a == 1)):
+            raise AxiomFailure(f"class {idx} has entries outside 0/1")
+    arrs = [a.astype(np.uint8) for a in arrs]
+    if not np.array_equal(arrs[0], np.eye(v, dtype=np.uint8)):
+        raise AxiomFailure("first class is not the identity")
+    total = np.zeros((v, v), dtype=np.int64)
+    color = np.zeros((v, v), dtype=np.int64)
+    for idx, a in enumerate(arrs):
+        total += a
+        color += idx * a
+    if not np.all(total == 1):
+        raise AxiomFailure("classes do not partition the cells")
+
+    d1 = len(arrs)
+    first = [int(np.argmax(a)) for a in arrs]
+    sizes = np.bincount(color.ravel(), minlength=d1)
+    tmap = np.where(sizes > 0, color.T.ravel()[first], np.arange(d1))
+    wrong = set(np.unique(color[color.T != tmap[color]]).tolist())
+    wrong.update(np.flatnonzero(sizes != sizes[tmap]).tolist())
+    if wrong:
+        raise AxiomFailure(f"transpose of class {min(wrong)} is not a class")
+    tr = tuple(int(t) for t in tmap)
+
+    for k in range(d1):
+        if not sizes[k]:
+            raise AxiomFailure(f"class {k} is empty")
+    reps = [divmod(f, v) for f in first]
+
+    valencies = []
+    for k, a in enumerate(arrs):
+        s = a.sum(axis=1)
+        if not np.all(s == s[0]):
+            raise AxiomFailure(f"class {k} is not regular")
+        valencies.append(int(s[0]))
+
+    unit = [tuple(int(j == k) for k in range(d1)) for j in range(d1)]
+    p = [[None] * d1 for _ in range(d1)]
+    p[0] = list(unit)
+    for j in range(d1):
+        p[j][0] = unit[j]
+    for i in range(1, d1):
+        for j in range(1, d1):
+            if p[i][j] is not None:
+                continue
+            # float64 BLAS: entries at most v, far below 2**53
+            prod = (arrs[i].astype(np.float64) @ arrs[j].astype(np.float64)).astype(np.int64)
+            pk = tuple(int(prod[x, y]) for x, y in reps)
+            if not np.array_equal(prod, np.array(pk, dtype=np.int64)[color]):
+                raise AxiomFailure(f"product of classes {i}, {j} leaves the algebra")
+            p[i][j] = pk
+            p[tr[j]][tr[i]] = tuple(pk[tr[m]] for m in range(d1))
+    for i in range(d1):
+        for j in range(d1):
+            if p[i][j] != p[j][i]:
+                raise AxiomFailure(f"classes {i}, {j} do not commute")
+    return tuple(tuple(row) for row in p), tuple(valencies), tr
+
+
+def _assert_same_verdict(matrices):
+    """verify_scheme and the per-pair reference accept the classes with the
+    same tables, or reject them with the same message."""
+    try:
+        want = _verify_scheme_per_pair(matrices)
+    except AxiomFailure as exc:
+        with pytest.raises(AxiomFailure) as got:
+            verify_scheme(matrices)
+        assert str(got.value) == str(exc)
+        return
+    sch = verify_scheme(matrices)
+    assert (sch.p, sch.valencies, sch.transpose_map) == want
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
+def test_packed_verify_matches_the_per_pair_reference(case, built_schemes):
+    _assert_same_verdict(built_schemes[case].matrices)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_packed_verify_matches_the_per_pair_reference_on_hamming(n):
+    _assert_same_verdict(hamming_scheme(n).matrices)
 
 
 # Every built scheme, perturbed: verify_scheme must reject what is no longer
@@ -511,8 +629,10 @@ def test_verify_rejects_a_flipped_cell(case, built_schemes, data):
     x, y = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, v - 1))
     arrs = [m.array.copy() for m in sch.matrices]
     arrs[k][x, y] ^= 1
+    mats = [IntMatrix(a) for a in arrs]
     with pytest.raises(AxiomFailure):
-        verify_scheme([IntMatrix(a) for a in arrs])
+        verify_scheme(mats)
+    _assert_same_verdict(mats)
 
 
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
@@ -533,8 +653,10 @@ def test_verify_rejects_swapped_cells(case, built_schemes, data):
     assume(c1 != c2)
     color[x1, y1], color[y1, x1] = c2, tmap[c2]
     color[x2, y2], color[y2, x2] = c1, tmap[c1]
+    mats = _classes_from(color, sch.classes + 1)
     with pytest.raises(AxiomFailure):
-        verify_scheme(_classes_from(color, sch.classes + 1))
+        verify_scheme(mats)
+    _assert_same_verdict(mats)
 
 
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
@@ -561,11 +683,13 @@ def test_verify_judges_a_switched_square_like_the_definition(case, built_schemes
     x2 = partners[data.draw(st.integers(0, len(partners) - 1))]
     for (r, c), k in {(x, y): c2, (x, y2): c1, (x2, y): c1, (x2, y2): c2}.items():
         color[r, c], color[c, r] = k, tmap[k]
+    mats = _classes_from(color, d1)
     if _reference_is_scheme(color, d1):
-        verify_scheme(_classes_from(color, d1))
+        verify_scheme(mats)
     else:
         with pytest.raises(AxiomFailure):
-            verify_scheme(_classes_from(color, d1))
+            verify_scheme(mats)
+    _assert_same_verdict(mats)
 
 
 # ------------------------------------------------------------ eigenmatrices
@@ -753,6 +877,36 @@ def test_hamming_distance_one_diagonalized_by_sylvester():
     sch = hamming_scheme(4)
     layout = diagonalize_by_hadamard(sch.matrices[1], sylvester(4))
     assert layout.multiplicities == {4: 1, 2: 4, 0: 6, -2: 4, -4: 1}
+
+
+def _hamming_classes_by_kron(n):
+    """Distance classes by the tensor recursion on word length:
+    A_k(n) = A_k(n-1) (x) I_2 + A_(k-1)(n-1) (x) (J_2 - I_2)."""
+    base = [np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]], dtype=np.int64)]
+    mats = list(base)
+    for _ in range(n - 1):
+        prev = mats
+        top = len(prev)
+        nxt = []
+        for i in range(top + 1):
+            order = prev[0].shape[0] * 2
+            acc = np.zeros((order, order), dtype=np.int64)
+            if i < top:
+                acc += np.kron(prev[i], base[0])
+            if 0 <= i - 1 < top:
+                acc += np.kron(prev[i - 1], base[1])
+            nxt.append(acc)
+        mats = nxt
+    return mats
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_hamming_classes_match_the_kron_recursion(n):
+    got = [m.array for m in hamming_scheme(n).matrices]
+    want = _hamming_classes_by_kron(n)
+    assert len(got) == len(want) == n + 1
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), k
 
 
 def test_hamming_rejects_zero():
