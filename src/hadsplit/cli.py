@@ -564,13 +564,13 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
         scheme = builder(h, rep, square)
     elif mode == "build5":
         h, rep = _scheme_split(args)
-        fam = [with_min_symbol(sq, 1) for sq in affine_ufs_family(rep.params.ell)]
+        fam = [with_min_symbol(sq, 1) for sq in _parameter(affine_ufs_family, rep.params.ell)]
         scheme = build_5class(h, rep, _first_squares(fam, args.f))
     elif mode == "build6":
         h, rep = _scheme_split(args)
         fam = [
             force_constant_diagonal(sq, 0)
-            for sq in affine_ufs_family(rep.params.ell + 1)
+            for sq in _parameter(affine_ufs_family, rep.params.ell + 1)
         ]
         scheme = build_6class(h, rep, _first_squares(fam, args.f))
     elif mode == "hamming":

@@ -1,16 +1,21 @@
 """Exact linear algebra over the rationals, and the Gaussian rationals that
 eigenmatrix entries live in.
 
-Small dense matrices only. rref and nullspace take int and Fraction entries
-and eliminate on Python ints; only their results are built from Fractions.
-mat_mul and mat_vec take any elements supporting + and *, GaussianRational
-included.
+Small dense matrices only, and every elimination is fraction-free on Python
+ints. _echelon_int reduces an integer matrix and _kernel_int gives its
+kernel as primitive integer vectors; schemes.eigenmatrices splits its
+subspaces with these two, and rref and nullspace are built on them: they
+take int and Fraction entries, scale each row to integers, and build only
+their results from Fractions. mat_mul and mat_vec take any elements
+supporting + and *; schemes applies integer matrices with mat_vec, and the
+tests multiply GaussianRational tables with mat_mul.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 __all__ = ["GaussianRational", "rref", "nullspace", "mat_mul", "mat_vec"]
@@ -102,14 +107,21 @@ class GaussianRational:
 Matrix = list[list]
 
 
-def _rref_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
-    """rref of an integer matrix, eliminating fraction-free.
+def _primitive(row: list[int]) -> list[int]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelon_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
+    """Fraction-free Gauss-Jordan on an integer matrix: the nonzero rows,
+    each primitive, and the pivot column indices.
 
     Each elimination is pv * row - f * pivot_row, divided by the gcd of its
     entries. Every row stays a nonzero multiple of the row that a Fraction
     elimination holds at the same step, so the zero pattern, the pivots and
-    the ratios row[c] / row[pivot] are those of rref; dividing each pivot row
-    by its pivot entry at the end gives rref itself.
+    the ratios row[c] / row[pivot] are those of rref; dividing each row by
+    its pivot entry gives rref itself.
     """
     a = [list(row) for row in m]
     nrows, ncols = len(a), len(a[0])
@@ -125,29 +137,41 @@ def _rref_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
         for i in range(nrows):
             f = a[i][c]
             if i != r and f:
-                row = [pv * x - f * y for x, y in zip(a[i], prow)]
-                g = math.gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
+                a[i] = _primitive([pv * x - f * y for x, y in zip(a[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    zero = Fraction(0)
-    out = [[Fraction(x, row[p]) if x else zero for x in row] for row, p in zip(a, pivots)]
-    out += [[zero] * ncols for _ in range(nrows - r)]
-    return out, pivots
+    return [_primitive(row) for row in a[:r]], pivots
 
 
-def rref(m: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form of a rational matrix; returns (all rows,
-    nonzero rows first, as Fractions, and the pivot column indices).
+def _kernel_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Right kernel of an integer matrix as primitive integer vectors: the
+    nullspace basis, one vector per free column, each scaled by a positive
+    integer to gcd 1.
 
-    Each row is scaled by the lcm d of its entries' denominators, to
-    v.numerator * (d // v.denominator) per entry, and the integer matrix is
-    reduced by _rref_int. Scaling a row by d != 0 keeps the row space, so
-    the rref is the same. Entries other than int and Fraction raise
-    TypeError.
+    With L the lcm of the pivot entries, the vector for free column fc is
+    L at fc and -row[fc] * (L // row[pivot]) at each pivot, L times the
+    nullspace vector, so every entry is an integer.
     """
+    rows, pivots = _echelon_int(m)
+    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    basis = []
+    for fc in range(len(m[0])):
+        if fc in pivots:
+            continue
+        v = [0] * len(m[0])
+        v[fc] = scale
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append(_primitive(v))
+    return basis
+
+
+def _scaled_int(m: Sequence[Sequence[int | Fraction]]) -> Matrix:
+    """m with each row scaled by the lcm d of its entries' denominators,
+    which keeps its row space; entries other than int and Fraction raise
+    TypeError."""
     scaled = []
     for row in m:
         for v in row:
@@ -155,24 +179,35 @@ def rref(m: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
                 raise TypeError(f"rref needs int or Fraction entries, got {type(v).__name__}")
         d = math.lcm(*(v.denominator for v in row))
         scaled.append([v.numerator * (d // v.denominator) for v in row])
-    return _rref_int(scaled) if scaled else ([], [])
+    return scaled
+
+
+def rref(m: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of a rational matrix; returns (all rows,
+    nonzero rows first, as Fractions, and the pivot column indices), from
+    _echelon_int on the integer rows of _scaled_int."""
+    scaled = _scaled_int(m)
+    if not scaled:
+        return [], []
+    rows, pivots = _echelon_int(scaled)
+    zero = Fraction(0)
+    out = [[Fraction(x, row[p]) if x else zero for x in row] for row, p in zip(rows, pivots)]
+    out += [[zero] * len(scaled[0]) for _ in range(len(scaled) - len(rows))]
+    return out, pivots
 
 
 def nullspace(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
     """Basis of the right kernel of a rational matrix, one vector per free
-    column, each carrying 1 at its own free column."""
+    column, each carrying 1 at its own free column: the _kernel_int vector
+    of the scaled matrix divided by its entry there, which is positive. A
+    pivot row is zero left of its pivot, so the free column is the last
+    nonzero entry."""
     if not m:
         return []
-    red, pivots = rref(m)
-    ncols = len(m[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    for v in _kernel_int(_scaled_int(m)):
+        last = next(x for x in reversed(v) if x)
+        basis.append([Fraction(x, last) for x in v])
     return basis
 
 
@@ -195,10 +230,4 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     if a and len(a[0]) != len(v):
         raise ValueError(f"inner dimensions differ: {len(a[0])} columns against {len(v)} entries")
-    out = []
-    for row in a:
-        s = row[0] * v[0]
-        for t in range(1, len(v)):
-            s = s + row[t] * v[t]
-        out.append(s)
-    return out
+    return [sum(map(mul, row, v)) for row in a]

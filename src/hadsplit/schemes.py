@@ -3,14 +3,16 @@
 Builders construct candidate class matrices and hand them to verify_scheme,
 which checks every axiom outright, so any returned Scheme is genuine and
 carries an exact intersection table. Eigenmatrices are computed over the
-rationals (extended by i for the non-symmetric scheme) with no floating
-point anywhere in the algebra: eigenvalues are the integer roots of the
-intersection matrices' characteristic polynomials, and Q follows from P by
-the orthogonality relations.
+rationals (extended by i for the non-symmetric scheme) on integers alone:
+invariant subspaces are held as primitive integer vectors, eigenvalues are
+the integer roots of the intersection matrices' characteristic
+polynomials, each eigenspace is an integer kernel, and Q follows from P by
+the orthogonality relations; only the final table entries are fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +27,7 @@ from .core import (
     exact_matmul,
     isqrt_exact,
 )
-from .exactla import GaussianRational, mat_mul, mat_vec, nullspace, rref
+from .exactla import GaussianRational, _echelon_int, _kernel_int, _primitive, mat_vec
 from .latin import LatinSquare, NotUfs, circle_symmetric, compose_ufs, is_mutually_ufs
 from .splitting import SplitReport
 
@@ -436,56 +438,13 @@ def table_as_ints(rows: Sequence[Sequence[GaussianRational]]) -> tuple[tuple[int
     return tuple(out)
 
 
-def _sqrt_fraction(fr: Fraction) -> Fraction | None:
-    if fr < 0:
-        return None
-    num = isqrt_exact(fr.numerator)
-    den = isqrt_exact(fr.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _coords_in_basis(basis: list[list], vecs: list[list]):
-    """Coordinates of each vector in the given independent basis."""
-    s = len(basis)
-    dim = len(basis[0])
-    rows = [
-        [basis[t][r] for t in range(s)] + [vec[r] for vec in vecs] for r in range(dim)
-    ]
-    red, piv = rref(rows)
-    if list(piv) != list(range(s)):
-        raise HadsplitError("vectors leave the subspace")
-    coords = []
-    for idx in range(len(vecs)):
-        coords.append([red[t][s + idx] for t in range(s)])
-    return coords
-
-
-def _restricted_matrix(bmat: list[list], basis: list[list]):
-    images = [mat_vec(bmat, v) for v in basis]
-    cols = _coords_in_basis(basis, images)
-    s = len(basis)
-    return [[cols[c][r] for c in range(s)] for r in range(s)]
-
-
-def _combine(basis: list[list], coeffs: list) -> list:
-    dim = len(basis[0])
-    out = []
-    for r in range(dim):
-        acc = coeffs[0] * basis[0][r]
-        for t in range(1, len(basis)):
-            acc = acc + coeffs[t] * basis[t][r]
-        out.append(acc)
-    return out
-
-
 def _integer_roots(m: Sequence[Sequence[int]], bound: int) -> list[int]:
     """Integers in [-bound, bound], increasing, that are roots of det(xI - m).
 
     Faddeev-LeVerrier gives the coefficients of the integer matrix m
     (M_1 = I, c_(n-k) = -tr(m M_k) / k, M_(k+1) = m M_k + c_(n-k) I); they
     are integers, so each division is exact. Horner's rule evaluates them.
+    M_k is held by columns, so m M_k is m applied to each column.
     """
     n = len(m)
     coeffs = [1]
@@ -493,7 +452,7 @@ def _integer_roots(m: Sequence[Sequence[int]], bound: int) -> list[int]:
     for k in range(1, n + 1):
         for r in range(n):
             prod[r][r] += coeffs[-1]
-        prod = mat_mul(m, prod)
+        prod = [mat_vec(m, col) for col in prod]
         coeffs.append(-sum(prod[r][r] for r in range(n)) // k)
     roots = []
     for theta in range(-bound, bound + 1):
@@ -505,72 +464,89 @@ def _integer_roots(m: Sequence[Sequence[int]], bound: int) -> list[int]:
     return roots
 
 
-def _split_by_integer_eigenvalues(basis: list[list], bmat: list[list], roots: list[int]):
+def _combine(basis: list[list[int]], coeffs: Sequence[int]) -> list[int]:
+    """sum_t coeffs[t] basis[t], made primitive."""
+    return _primitive([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)])
+
+
+def _split_by_integer_eigenvalues(basis: list[list[int]], bmat, roots: list[int]):
     """Split a bmat-invariant subspace into integer eigenspaces plus a leftover.
 
-    roots holds every integer eigenvalue of bmat. The restriction T has only
+    basis holds independent primitive integer vectors X; every piece comes
+    back the same way. With the images Y = bmat X, bmat X c = theta X c
+    exactly when (Y - theta X) c = 0, so X c over an integer kernel basis of
+    Y - theta X spans the theta-eigenspace inside span(X). roots holds every
+    integer eigenvalue of bmat. The restriction T (bmat X = X T) has only
     eigenvalues of bmat, and its rational ones are rational roots of a monic
-    integer polynomial, hence integers: the leftover has none.
+    integer polynomial, hence integers. The leftover is the image of the
+    product of (T - theta I) over the eigenvalues found, which kills every
+    found eigenspace; X times it is the product of (bmat - theta I) applied
+    to X, whose column space an integer echelon form spans.
     """
     s = len(basis)
-    t = _restricted_matrix(bmat, basis)
-    found = []  # (T - theta I, exact kernel basis) per eigenvalue theta of T
+    rows = list(zip(zip(*basis), zip(*(mat_vec(bmat, v) for v in basis))))
+    found = []
+    pieces = []
     used = 0
     for theta in roots:
         if used == s:
             break
-        m = [[t[r][c] - (theta if r == c else 0) for c in range(s)] for r in range(s)]
-        ker = nullspace(m)
+        ker = _kernel_int([[y - theta * x for x, y in zip(xs, ys)] for xs, ys in rows])
         if ker:
-            found.append((m, ker))
+            found.append(theta)
+            pieces.append([_combine(basis, c) for c in ker])
             used += len(ker)
-    pieces = [[_combine(basis, c) for c in ker] for _, ker in found]
     if used < s:
-        # leftover = column space of the product of (T - theta I) over the
-        # eigenvalues found; the product kills every found eigenspace
-        prod = [[Fraction(1) if r == c else Fraction(0) for c in range(s)] for r in range(s)]
-        for m, _ in found:
-            prod = mat_mul(prod, m)
-        red, piv = rref([list(col) for col in zip(*prod)])
-        left = [list(red[i]) for i in range(len(piv))]
-        pieces.append([_combine(basis, c) for c in left])
+        left = basis
+        for theta in found:
+            left = [[y - theta * x for x, y in zip(v, mat_vec(bmat, v))] for v in left]
+        pieces.append(_echelon_int(left)[0])
     return pieces
 
 
-def _split_complex_pair(basis: list[list], bmat: list[list]):
+def _split_complex_pair(basis: list[list[int]], bmat):
     """Split a 2-dimensional invariant subspace over the Gaussian rationals.
 
-    With disc != 0 the restriction T has two distinct eigenvalues, and T -
-    lam I is singular but not zero (T = lam I would give disc = 0). So its
-    kernel is a line, and a nonzero row (r0, r1) of T - lam I has the
-    kernel vector (-r1, r0); eigenmatrices divides each line by its
-    coordinate 0, so the vector's scale does not matter.
+    With Y = bmat X and M a nonsingular 2 x 2 minor of X on rows r, q, the
+    restriction is T = M^(-1) Y[r, q]. U = adj(M) Y[r, q] = det(M) T is an
+    integer matrix with T's eigenvectors and det(M)^2 times its
+    discriminant. Two rational eigenvalues cannot occur: they would be
+    integers, and every class either acts on a pending plane as one integer
+    scalar (disc = 0) or has no integer eigenvalue on it, since the plane
+    lies in that class's leftover. With disc < 0 each eigenvalue mu of U
+    leaves U - mu I singular but not zero, row 0 is nonzero, and its kernel
+    vector 2 (-u01, u00 - mu) = (-2 u01, 2 u00 - tr -+ i root). Each line
+    comes back as its integer real and imaginary parts.
     """
-    t = _restricted_matrix(bmat, basis)
-    tr = t[0][0] + t[1][1]
-    det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
-    disc = tr * tr - 4 * det
+    x1, x2 = basis
+    y1, y2 = mat_vec(bmat, x1), mat_vec(bmat, x2)
+    r, q, det = next(
+        (r, q, x1[r] * x2[q] - x1[q] * x2[r])
+        for r in range(len(x1))
+        for q in range(r + 1, len(x1))
+        if x1[r] * x2[q] != x1[q] * x2[r]
+    )
+    u00, u01 = x2[q] * y1[r] - x2[r] * y1[q], x2[q] * y2[r] - x2[r] * y2[q]
+    u10, u11 = x1[r] * y1[q] - x1[q] * y1[r], x1[r] * y2[q] - x1[q] * y2[r]
+    tr = u00 + u11
+    disc = tr * tr - 4 * (u00 * u11 - u01 * u10)
     if disc == 0:
         return None
+    root = isqrt_exact(abs(disc))
+    if root is None:
+        shape = "a square" if disc > 0 else "minus a square"
+        raise IrrationalEigenvalue(f"discriminant {Fraction(disc, det * det)} is not {shape}")
     if disc > 0:
-        root = _sqrt_fraction(Fraction(disc))
-        if root is None:
-            raise IrrationalEigenvalue(f"discriminant {disc} is not a square")
-        eigs = [Fraction(tr + root, 2), Fraction(tr - root, 2)]
-    else:
-        root = _sqrt_fraction(Fraction(-disc))
-        if root is None:
-            raise IrrationalEigenvalue(f"discriminant {disc} is not minus a square")
-        half_tr = Fraction(tr, 2)
-        eigs = [
-            GaussianRational(half_tr, root / 2),
-            GaussianRational(half_tr, -root / 2),
-        ]
-    pieces = []
-    for lam in eigs:
-        r0, r1 = next(r for r in ([t[0][0] - lam, t[0][1]], [t[1][0], t[1][1] - lam]) if any(r))
-        pieces.append([_combine(basis, [-r1, r0])])
-    return pieces
+        raise HadsplitError("a pending plane has two rational eigenvalues")
+    re = [(2 * u00 - tr) * b - 2 * u01 * a for a, b in zip(x1, x2)]
+    return [(re, [-root * b for b in x2]), (re, [root * b for b in x2])]
+
+
+def _entry(num_re: int, num_im: int, den: int) -> GaussianRational:
+    """(num_re + i num_im) / den, with integer parts passed as ints."""
+    re = Fraction(num_re, den) if num_re % den else num_re // den
+    im = Fraction(num_im, den) if num_im % den else num_im // den
+    return GaussianRational(re, im)
 
 
 def eigenmatrices(scheme: Scheme) -> EigenTables:
@@ -578,7 +554,8 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
 
     Simultaneously diagonalizes the intersection matrices over Q, splitting
     any leftover plane over Q(i); raises IrrationalEigenvalue when the
-    algebra needs a larger field.
+    algebra needs a larger field. Every subspace is held as independent
+    primitive integer vectors, and every split is integer arithmetic.
 
     B_i, multiplication by A_i in the basis A_0..A_d of the algebra
     verify_scheme proved closed and commutative, is an integer matrix with
@@ -597,12 +574,15 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     conj(P_ji) / k_i with PQ = |X| I, so E_j = sum_i Q_ij A_i / |X| are the
     primitive idempotents: E_j E_k = [j = k] E_j and sum_j E_j = I, none of
     it re-checked (Bannai and Ito, Algebraic Combinatorics I, 1984, sec. II.3).
+    A line x = re + i im gives P_ji = N_i / D with the Gaussian integers
+    N_i = x_i conj(x_0) and D = |x_0|^2, so with L = lcm(k_i) both
+    m_j = |X| L D^2 / sum_i |N_i|^2 (L / k_i) and Q_ij = m_j conj(N_i) /
+    (D k_i) are quotients of integers.
     """
     d1 = scheme.classes + 1
     val = scheme.valencies
 
-    unit = [[Fraction(1) if r == c else Fraction(0) for r in range(d1)] for c in range(d1)]
-    subspaces = [unit]
+    subspaces = [[[int(r == c) for r in range(d1)] for c in range(d1)]]
     for i in range(1, d1):
         if len(subspaces) == d1:
             break
@@ -615,7 +595,8 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
                 nxt.extend(_split_by_integer_eigenvalues(basis, scheme.p[i], roots))
         subspaces = nxt
 
-    settled = [b for b in subspaces if len(b) == 1]
+    zero = [0] * d1
+    settled = [(b[0], zero) for b in subspaces if len(b) == 1]
     pending = [b for b in subspaces if len(b) > 1]
     while pending:
         basis = pending.pop()
@@ -631,33 +612,39 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     if len(settled) != d1:
         raise HadsplitError("eigenspace count mismatch")
 
-    rows = [tuple(GaussianRational._coerce(x / vec[0]) for x in vec) for (vec,) in settled]
-
-    val_row = tuple(GaussianRational(v) for v in val)
-    try:
-        lead = rows.index(val_row)
-    except ValueError:
-        raise HadsplitError("no eigenspace carries the valencies") from None
-    first = rows.pop(lead)
-    rows.sort(key=lambda row: tuple(e.sort_key() for e in row))
-    p_rows = [first] + rows
+    lines = []
+    for re, im in settled:
+        den = re[0] * re[0] + im[0] * im[0]
+        nums = [(a * re[0] + b * im[0], b * re[0] - a * im[0]) for a, b in zip(re, im)]
+        lines.append((tuple(_entry(nr, ni, den) for nr, ni in nums), nums, den))
+    lead = [j for j, (_, nums, den) in enumerate(lines) if nums == [(v * den, 0) for v in val]]
+    if not lead:
+        raise HadsplitError("no eigenspace carries the valencies")
+    first = lines.pop(lead[0])
+    lines.sort(key=lambda line: tuple(e.sort_key() for e in line[0]))
+    lines.insert(0, first)
 
     size = scheme.size
+    lcm = math.lcm(*val)
     mults = []
-    for row in p_rows:
-        m = size / sum(((e * e.conjugate()).re / k for e, k in zip(row, val)), Fraction(0))
-        if m.denominator != 1 or m <= 0:
-            raise HadsplitError(f"multiplicity {m} is not a positive integer")
-        mults.append(int(m))
+    for _, nums, den in lines:
+        num = size * lcm * den * den
+        norm = sum((nr * nr + ni * ni) * (lcm // k) for (nr, ni), k in zip(nums, val))
+        if num % norm:
+            raise HadsplitError(f"multiplicity {Fraction(num, norm)} is not a positive integer")
+        mults.append(num // norm)
     if sum(mults) != size:
         raise HadsplitError("multiplicities do not sum to the point count")
 
     q_rows = tuple(
-        tuple(mults[j] * p_rows[j][i].conjugate() / val[i] for j in range(d1))
+        tuple(
+            _entry(m * nums[i][0], -m * nums[i][1], den * val[i])
+            for m, (_, nums, den) in zip(mults, lines)
+        )
         for i in range(d1)
     )
     return EigenTables(
-        p=tuple(p_rows), q=q_rows, multiplicities=tuple(mults), size=size
+        p=tuple(row for row, _, _ in lines), q=q_rows, multiplicities=tuple(mults), size=size
     )
 
 

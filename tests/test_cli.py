@@ -457,6 +457,34 @@ def test_scheme_build6(capsys):
         assert f"error: --f must be in 2..6, got {f}" in err
 
 
+def test_scheme_build5_and_build6_non_prime_power_exit_two(capsys):
+    """A split whose square order is not a prime power has no affine UFS
+    family: bad input, like `latin affine --q 6`."""
+    code, out, err = run(capsys, "scheme", "build5", "--twin", "2")
+    assert (code, out) == (2, "")
+    assert "error: 6 is not a prime power" in err
+    code, out, err = run(capsys, "scheme", "build6", "--twin-delete", "2")
+    assert (code, out) == (2, "")
+    assert "error: 10 is not a prime power" in err
+
+
+# sha256 of the stdout of `scheme ... --eig --json`, recorded while the
+# eigenmatrices were still split on Fraction bases.
+_SCHEME_EIG_JSON_SHA256 = {
+    ("build4n", "--twin-delete", "2"): (
+        "732bfb378944e855e3c72c5b4b17cc5418cfae48563b195e6fe44001a6b992a9"
+    ),
+    ("hamming", "--n", "4"): "a58bab8f247f94b11e578c16c2b394fe63ff1d2a610d982d1019bd043b0d0889",
+}
+
+
+@pytest.mark.parametrize("argv", list(_SCHEME_EIG_JSON_SHA256))
+def test_scheme_eig_json_is_unchanged(capsys, argv):
+    code, out, _ = run(capsys, "scheme", *argv, "--eig", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SCHEME_EIG_JSON_SHA256[argv]
+
+
 def test_scheme_hamming_and_fusion(capsys):
     code, out, _ = run(capsys, "scheme", "hamming", "--n", "4", "--eig")
     assert code == 0

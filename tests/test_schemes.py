@@ -1,4 +1,8 @@
+import cProfile
 import hashlib
+import math
+import pstats
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +11,8 @@ from hypothesis import strategies as st
 
 import hadsplit.schemes
 from hadsplit.constructions import twin_sylvester
-from hadsplit.core import HadsplitError, IntMatrix, sylvester
-from hadsplit.exactla import GaussianRational, mat_mul, nullspace
+from hadsplit.core import HadsplitError, IntMatrix, isqrt_exact, sylvester
+from hadsplit.exactla import GaussianRational, mat_mul, mat_vec, nullspace, rref
 from hadsplit.latin import (
     LatinSquare,
     affine_ufs_family,
@@ -19,6 +23,7 @@ from hadsplit.latin import (
 from hadsplit.schemes import (
     AuxiliarySet,
     AxiomFailure,
+    EigenTables,
     IrrationalEigenvalue,
     OddityViolation,
     _integer_roots,
@@ -67,6 +72,27 @@ _BUILT_SCHEMES = {
     **{f"hamming{n}": (lambda tw, s9, fam9, n=n: hamming_scheme(n)) for n in range(3, 7)},
     "fusion01": lambda tw, s9, fam9: muzychuk_fusion(6, "01"),
     "fusion03": lambda tw, s9, fam9: muzychuk_fusion(6, "03"),
+}
+
+
+def _cyclic_scheme(n, classes):
+    """Scheme of the group Z_n whose classes are the given sets of
+    differences y - x mod n."""
+    return verify_scheme(
+        [IntMatrix([[int((y - x) % n in c) for y in range(n)] for x in range(n)]) for c in classes]
+    )
+
+
+# Group schemes of Z_n: rational, Gaussian (+-i entries) and irrational ones.
+_CYCLIC_SCHEMES = {
+    "z4": lambda: _cyclic_scheme(4, [{0}, {1}, {2}, {3}]),
+    "z8": lambda: _cyclic_scheme(8, [{0}, {2}, {4}, {6}, {1, 3, 5, 7}]),
+    "z4-sym": lambda: _cyclic_scheme(4, [{0}, {2}, {1, 3}]),
+    "k3": lambda: _cyclic_scheme(3, [{0}, {1, 2}]),
+    "one-point": lambda: _cyclic_scheme(1, [{0}]),
+    "pentagon": lambda: _cyclic_scheme(5, [{0}, {1, 4}, {2, 3}]),
+    "z3-directed": lambda: _cyclic_scheme(3, [{0}, {1}, {2}]),
+    "z12": lambda: _cyclic_scheme(12, [{0}] + [{k, 12 - k} for k in range(1, 7)]),
 }
 
 
@@ -785,15 +811,260 @@ def test_eigenmatrices_repr_is_unchanged(case, built_schemes):
     assert hashlib.sha256(got.encode()).hexdigest() == _EIGENMATRIX_REPR_SHA256[case]
 
 
+def _sqrt_fraction(fr):
+    if fr < 0:
+        return None
+    num = isqrt_exact(fr.numerator)
+    den = isqrt_exact(fr.denominator)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)
+
+
+def _coords_in_basis(basis, vecs):
+    s = len(basis)
+    rows = [
+        [basis[t][r] for t in range(s)] + [vec[r] for vec in vecs] for r in range(len(basis[0]))
+    ]
+    red, piv = rref(rows)
+    if list(piv) != list(range(s)):
+        raise HadsplitError("vectors leave the subspace")
+    return [[red[t][s + idx] for t in range(s)] for idx in range(len(vecs))]
+
+
+def _restricted_matrix(bmat, basis):
+    cols = _coords_in_basis(basis, [mat_vec(bmat, v) for v in basis])
+    s = len(basis)
+    return [[cols[c][r] for c in range(s)] for r in range(s)]
+
+
+def _combine(basis, coeffs):
+    out = []
+    for r in range(len(basis[0])):
+        acc = coeffs[0] * basis[0][r]
+        for t in range(1, len(basis)):
+            acc = acc + coeffs[t] * basis[t][r]
+        out.append(acc)
+    return out
+
+
+def _split_fraction(basis, bmat, roots):
+    s = len(basis)
+    t = _restricted_matrix(bmat, basis)
+    found = []
+    used = 0
+    for theta in roots:
+        if used == s:
+            break
+        m = [[t[r][c] - (theta if r == c else 0) for c in range(s)] for r in range(s)]
+        ker = nullspace(m)
+        if ker:
+            found.append((m, ker))
+            used += len(ker)
+    pieces = [[_combine(basis, c) for c in ker] for _, ker in found]
+    if used < s:
+        prod = [[Fraction(int(r == c)) for c in range(s)] for r in range(s)]
+        for m, _ in found:
+            prod = mat_mul(prod, m)
+        red, piv = rref([list(col) for col in zip(*prod)])
+        pieces.append([_combine(basis, list(red[i])) for i in range(len(piv))])
+    return pieces
+
+
+def _split_complex_pair_fraction(basis, bmat):
+    t = _restricted_matrix(bmat, basis)
+    tr = t[0][0] + t[1][1]
+    disc = tr * tr - 4 * (t[0][0] * t[1][1] - t[0][1] * t[1][0])
+    if disc == 0:
+        return None
+    if disc > 0:
+        root = _sqrt_fraction(Fraction(disc))
+        if root is None:
+            raise IrrationalEigenvalue(f"discriminant {disc} is not a square")
+        eigs = [Fraction(tr + root, 2), Fraction(tr - root, 2)]
+    else:
+        root = _sqrt_fraction(Fraction(-disc))
+        if root is None:
+            raise IrrationalEigenvalue(f"discriminant {disc} is not minus a square")
+        eigs = [GaussianRational(Fraction(tr, 2), s * root / 2) for s in (1, -1)]
+    pieces = []
+    for lam in eigs:
+        r0, r1 = next(r for r in ([t[0][0] - lam, t[0][1]], [t[1][0], t[1][1] - lam]) if any(r))
+        pieces.append([_combine(basis, [-r1, r0])])
+    return pieces
+
+
+def _eigenmatrices_fraction_reference(scheme):
+    """eigenmatrices as it was with Fraction bases: coordinates of the
+    images in each basis by rref, the restricted matrix, and Fraction
+    combinations of the basis vectors."""
+    d1 = scheme.classes + 1
+    val = scheme.valencies
+    subspaces = [[[Fraction(int(r == c)) for r in range(d1)] for c in range(d1)]]
+    for i in range(1, d1):
+        if len(subspaces) == d1:
+            break
+        roots = _integer_roots(scheme.p[i], val[i])
+        nxt = []
+        for basis in subspaces:
+            if len(basis) == 1:
+                nxt.append(basis)
+            else:
+                nxt.extend(_split_fraction(basis, scheme.p[i], roots))
+        subspaces = nxt
+    settled = [b for b in subspaces if len(b) == 1]
+    pending = [b for b in subspaces if len(b) > 1]
+    while pending:
+        basis = pending.pop()
+        if len(basis) != 2:
+            raise IrrationalEigenvalue("cannot separate a subspace of dimension > 2")
+        for i in range(1, d1):
+            pieces = _split_complex_pair_fraction(basis, scheme.p[i])
+            if pieces is not None:
+                settled.extend(pieces)
+                break
+        else:
+            raise HadsplitError("eigenspaces are not separated by the classes")
+    if len(settled) != d1:
+        raise HadsplitError("eigenspace count mismatch")
+    rows = [tuple(GaussianRational._coerce(x / vec[0]) for x in vec) for (vec,) in settled]
+    val_row = tuple(GaussianRational(v) for v in val)
+    try:
+        lead = rows.index(val_row)
+    except ValueError:
+        raise HadsplitError("no eigenspace carries the valencies") from None
+    first = rows.pop(lead)
+    rows.sort(key=lambda row: tuple(e.sort_key() for e in row))
+    p_rows = [first] + rows
+    size = scheme.size
+    mults = []
+    for row in p_rows:
+        m = size / sum(((e * e.conjugate()).re / k for e, k in zip(row, val)), Fraction(0))
+        if m.denominator != 1 or m <= 0:
+            raise HadsplitError(f"multiplicity {m} is not a positive integer")
+        mults.append(int(m))
+    if sum(mults) != size:
+        raise HadsplitError("multiplicities do not sum to the point count")
+    q_rows = tuple(
+        tuple(mults[j] * p_rows[j][i].conjugate() / val[i] for j in range(d1)) for i in range(d1)
+    )
+    return EigenTables(p=tuple(p_rows), q=q_rows, multiplicities=tuple(mults), size=size)
+
+
+def _outcome(compute, scheme):
+    try:
+        return repr(compute(scheme))
+    except HadsplitError as exc:
+        return (type(exc), str(exc))
+
+
+def _petersen_scheme():
+    """Petersen graph: 2-subsets of 5 points, adjacent when disjoint; its Q
+    has non-integral entries such as 5/3."""
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    meet = np.array([[len(set(x) & set(y)) for y in pairs] for x in pairs])
+    return verify_scheme([IntMatrix(meet == t) for t in (2, 0, 1)])
+
+
+# Schemes beyond the built ones, for the comparison with the reference.
+_MORE_SCHEMES = {
+    "petersen": _petersen_scheme,
+    **{f"hamming{n}": (lambda n=n: hamming_scheme(n)) for n in (1, 2, 7, 8)},
+    **{f"fusion4-{v}": (lambda v=v: muzychuk_fusion(4, v)) for v in ("01", "03")},
+    **_CYCLIC_SCHEMES,
+}
+
+
+def _scheme_for(case, built_schemes):
+    return built_schemes[case] if case in built_schemes else _MORE_SCHEMES[case]()
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES) + list(_MORE_SCHEMES))
+def test_eigenmatrices_match_the_fraction_reference(case, built_schemes):
+    """The integer-basis splits give the tables of the Fraction-basis
+    splits, to the repr, and the same exception type and message where
+    the algebra needs more than Q(i)."""
+    sch = _scheme_for(case, built_schemes)
+    want = _outcome(_eigenmatrices_fraction_reference, sch)
+    assert _outcome(eigenmatrices, sch) == want
+
+
+def test_split_returns_primitive_pieces_from_any_basis():
+    """X c is made primitive: on the invariant plane span(e0 + e1, e0 - e1)
+    of diag(1, 2, 3), the 1-eigenspace is X (1, 1) = (2, 0, 0), returned as
+    e0."""
+    bmat = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    split = hadsplit.schemes._split_by_integer_eigenvalues
+    first, second = split([[1, 1, 0], [1, -1, 0]], bmat, [1, 2, 3])
+    assert first == [[1, 0, 0]]
+    assert second in ([[0, 1, 0]], [[0, -1, 0]])
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("pentagon", "discriminant 5 is not a square"),
+        ("z3-directed", "discriminant -3 is not minus a square"),
+        ("z12", "discriminant 12 is not a square"),
+    ],
+)
+def test_irrational_plane_message_does_not_depend_on_its_basis(case, message, monkeypatch):
+    """The discriminant is read off det(M) T for a 2 x 2 minor M of the
+    basis and divided by det(M)^2; with the basis (u + v, u - v) every minor
+    doubles, and the message must not change."""
+    seen = []
+    pair = hadsplit.schemes._split_complex_pair
+
+    def recording(basis, bmat):
+        seen.append((basis, bmat))
+        return pair(basis, bmat)
+
+    monkeypatch.setattr(hadsplit.schemes, "_split_complex_pair", recording)
+    with pytest.raises(IrrationalEigenvalue) as info:
+        eigenmatrices(_CYCLIC_SCHEMES[case]())
+    assert str(info.value) == message
+    (u, v), bmat = seen[-1]
+    with pytest.raises(IrrationalEigenvalue) as again:
+        pair([[a + b for a, b in zip(u, v)], [a - b for a, b in zip(u, v)]], bmat)
+    assert str(again.value) == message
+
+
+def test_plane_with_two_rational_eigenvalues_is_an_internal_error():
+    """eigenmatrices never hands over such a plane: both eigenvalues would
+    be integers, and the integer splits have already separated them."""
+    with pytest.raises(HadsplitError, match="two rational eigenvalues"):
+        hadsplit.schemes._split_complex_pair([[1, 0], [0, 1]], [[1, 0], [0, 2]])
+    assert len(hadsplit.schemes._split_complex_pair([[1, 0], [0, 1]], [[0, -1], [1, 0]])) == 2
+
+
+def test_eigenmatrices_petersen_tables():
+    et = eigenmatrices(_petersen_scheme())
+    assert et.multiplicities == (1, 4, 5)
+    assert table_as_ints(et.p) == ((1, 3, 6), (1, -2, 1), (1, 1, -2))
+    assert repr(et.q) == "((1, 4, 5), (1, -8/3, 5/3), (1, 2/3, -5/3))"
+
+
+def test_eigenmatrices_gaussian_cyclic_tables():
+    z4 = eigenmatrices(_CYCLIC_SCHEMES["z4"]())
+    assert z4.multiplicities == (1, 1, 1, 1)
+    assert {row[1] for row in z4.p} == {GaussianRational(1), GaussianRational(-1), _i(1), _i(-1)}
+    # the characters j and j + 4 of Z_8 agree on every class unless j = 0, 4
+    z8 = eigenmatrices(_CYCLIC_SCHEMES["z8"]())
+    assert sorted(z8.multiplicities) == [1, 1, 2, 2, 2]
+    assert sorted(map(repr, (row[1] for row in z8.p))) == ["-1", "-1i", "1", "1", "1i"]
+    assert eigenmatrices(_CYCLIC_SCHEMES["one-point"]()).p == ((GaussianRational(1),),)
+
+
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
 def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypatch):
-    """Each subspace split takes at most one exact kernel per integer
-    eigenvalue of the splitting class, also where a leftover plane has
-    the non-real eigenvalues of the 4-class non-symmetric scheme."""
+    """Each subspace split takes at most one exact kernel (an integer
+    `_kernel_int` call) per integer eigenvalue of the splitting class, also
+    where a leftover plane has the non-real eigenvalues of the 4-class
+    non-symmetric scheme."""
     sch = built_schemes[case]
     calls = []
     splits = []
-    kernel = hadsplit.schemes.nullspace
+    kernel = hadsplit.schemes._kernel_int
     split = hadsplit.schemes._split_by_integer_eigenvalues
 
     def counting(*args, **kwargs):
@@ -806,12 +1077,76 @@ def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypa
         splits.append((bmat, len(calls) - before))
         return pieces
 
-    monkeypatch.setattr(hadsplit.schemes, "nullspace", counting)
+    monkeypatch.setattr(hadsplit.schemes, "_kernel_int", counting)
     monkeypatch.setattr(hadsplit.schemes, "_split_by_integer_eigenvalues", recording)
     eigenmatrices(sch)
     assert splits
     for bmat, taken in splits:
         assert taken <= len(_kernel_roots(bmat, _row_sum_bound(bmat)))
+
+
+def _assert_primitive_int_basis(basis):
+    assert basis
+    for vec in basis:
+        assert all(type(x) is int for x in vec), vec
+        assert math.gcd(*vec) == 1, vec
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES) + ["z4", "z8", "pentagon", "z12"])
+def test_eigenmatrices_split_primitive_integer_bases(case, built_schemes, monkeypatch):
+    """Every basis that reaches a split, and every piece a split returns
+    (the non-real lines as integer real and imaginary parts), is made of
+    primitive Python-int vectors."""
+    sch = _scheme_for(case, built_schemes)
+    seen = []
+    split = hadsplit.schemes._split_by_integer_eigenvalues
+    pair = hadsplit.schemes._split_complex_pair
+
+    def recording(basis, bmat, roots):
+        _assert_primitive_int_basis(basis)
+        pieces = split(basis, bmat, roots)
+        for piece in pieces:
+            _assert_primitive_int_basis(piece)
+        seen.append(len(basis))
+        return pieces
+
+    def recording_pair(basis, bmat):
+        _assert_primitive_int_basis(basis)
+        pieces = pair(basis, bmat)
+        for re, im in pieces or ():
+            assert all(type(x) is int for x in re + im)
+        seen.append(len(basis))
+        return pieces
+
+    monkeypatch.setattr(hadsplit.schemes, "_split_by_integer_eigenvalues", recording)
+    monkeypatch.setattr(hadsplit.schemes, "_split_complex_pair", recording_pair)
+    try:
+        eigenmatrices(sch)
+    except IrrationalEigenvalue:
+        pass
+    assert seen
+
+
+@pytest.mark.parametrize("case", ["4class-nonsym", "6class-f2", "hamming6", "petersen"])
+def test_eigenmatrices_build_fractions_only_for_table_entries(case, built_schemes):
+    """Under cProfile, every Fraction that eigenmatrices builds comes from
+    a final P or Q entry: Fraction.__new__ is called only by `_entry` and by
+    the GaussianRational it builds, and nothing else builds one."""
+    sch = _scheme_for(case, built_schemes)
+    prof = cProfile.Profile()
+    prof.runcall(eigenmatrices, sch)
+    stats = pstats.Stats(prof).stats
+
+    def callers(name, filename):
+        return {
+            caller[2]
+            for func, (*_, by) in stats.items()
+            if func[2] == name and func[0].endswith(filename)
+            for caller in by
+        }
+
+    assert callers("__new__", "fractions.py") <= {"__init__", "_entry"}
+    assert callers("__init__", "exactla.py") <= {"_entry"}
 
 
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
