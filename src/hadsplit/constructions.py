@@ -1,7 +1,12 @@
 """Families of Hadamard matrices with verified balanced splits.
 
 Every builder returns a BshInstance whose split has been re-checked from
-scratch, so a construction bug cannot produce a silently wrong instance.
+scratch by check_split, so a construction bug cannot produce a silently
+wrong instance. HHt = nI is re-proved only where no identity proves it:
+gram_construction and skew_core_bsh run the full check, as does any matrix
+a user passes in. kron_square, core_tensor and two_row_split build from
+validated matrices by a Kronecker product or a column permutation, and
+twin_sylvester from sylvester; each states the one-line proof instead.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .core import (
     HadsplitError,
     IntMatrix,
     SkewCore,
+    _proved_hadamard,
     isqrt_exact,
     kronecker,
     normalize,
@@ -62,10 +68,13 @@ def kron_square(h: HadamardMatrix, variant: str) -> BshInstance:
     variant "large": split on rows (i, j) with i, j >= 1, giving
     (m^2, (m-1)^2, 1, 1-m). variant "small": split on the rows sharing
     exactly one index with the all-ones row, giving (m^2, 2m-2, m-2, -2).
+
+    Not re-proved: (A kron B)(A kron B)t = AAt kron BBt = m^2 I, as the
+    normalized factor is Hadamard.
     """
     m = h.order
     hn = normalize(h)
-    big = HadamardMatrix.from_matrix(kronecker(hn, hn))
+    big = _proved_hadamard(kronecker(hn, hn).array)
     if variant == "large":
         rows = [i * m + j for i in range(1, m) for j in range(1, m)]
         expect = SplitParams(m * m, (m - 1) * (m - 1), 1, 1 - m)
@@ -94,10 +103,13 @@ def core_tensor(h: HadamardMatrix, k2: HadamardMatrix) -> BshInstance:
 
     Split rows are (i, j) with j >= 1 after normalizing the second factor;
     parameters (km, k(m-1), 0, -k).
+
+    Not re-proved: (A kron B)(A kron B)t = AAt kron BBt = km I, as both
+    factors are Hadamard.
     """
     k = h.order
     m = k2.order
-    big = HadamardMatrix.from_matrix(kronecker(h, normalize(k2)))
+    big = _proved_hadamard(kronecker(h, normalize(k2)).array)
     rows = [i * m + j for i in range(k) for j in range(1, m)]
     return _instance(big, rows, SplitParams(k * m, k * (m - 1), 0, -k))
 
@@ -107,12 +119,14 @@ def two_row_split(h: HadamardMatrix) -> BshInstance:
 
     Columns are permuted so the second row reads +...+-...-;
     parameters (n, n-2, 0, -2).
+
+    Not re-proved: for a permutation matrix P, (HP)(HP)t = HHt = nI.
     """
     n = h.order
     if n < 4:
         raise ValueError("order must be at least 4")
     arr = normalize(h).array
-    big = HadamardMatrix(arr[:, np.argsort(-arr[1], kind="stable")])
+    big = _proved_hadamard(arr[:, np.argsort(-arr[1], kind="stable")])
     return _instance(big, list(range(2, n)), SplitParams(n, n - 2, 0, -2))
 
 
@@ -148,7 +162,10 @@ def _twin_partition(m_exponent: int) -> tuple[list[int], list[int], list[int]]:
 
 def twin_sylvester(m_exponent: int) -> TwinSplit:
     """Partition the order 4^m Sylvester matrix into one imprimitive split
-    and two splits sharing the same b = -a parameters."""
+    and two splits sharing the same b = -a parameters.
+
+    sylvester proves HHt = nI by its Kronecker identity, so the three Grams
+    inside check_split are the only products."""
     if m_exponent < 1:
         raise ValueError("exponent must be at least 1")
     m = m_exponent

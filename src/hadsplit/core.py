@@ -298,20 +298,37 @@ def _check_hadamard(m: IntMatrix) -> None:
     if not bool(np.all(np.abs(m._a) == 1)):
         raise ValueError("entries must be +-1")
     n = m.nrows
-    g = m @ m.T
-    if g != n * IntMatrix.identity(n):
+    g = exact_matmul(m._a, m._a.T)
+    # n nonzero entries, all of them n on the diagonal, is g = nI
+    if not (np.all(np.diagonal(g) == n) and np.count_nonzero(g) == n):
         raise ValueError("rows are not orthogonal")
 
 
+def _proved_hadamard(arr: np.ndarray) -> HadamardMatrix:
+    """Wrap arr as a HadamardMatrix without re-proving HHt = nI.
+
+    Only for a +-1 int64 array whose orthogonality an identity already
+    proves; each caller states that identity in its docstring.
+    """
+    arr.setflags(write=False)
+    out = object.__new__(HadamardMatrix)
+    out._a = arr
+    return out
+
+
 def sylvester(m_exponent: int) -> HadamardMatrix:
-    """Kronecker power of [[1,1],[1,-1]], order 2**m_exponent."""
+    """Kronecker power of [[1,1],[1,-1]], order 2**m_exponent.
+
+    Not re-proved: the base B has BBt = 2I, and (A kron B)(A kron B)t =
+    AAt kron BBt, so the m-th power has Gram 2^m I.
+    """
     if m_exponent < 0:
         raise ValueError("exponent must be nonnegative")
     h = np.array([[1]], dtype=np.int64)
     base = np.array([[1, 1], [1, -1]], dtype=np.int64)
     for _ in range(m_exponent):
         h = np.kron(h, base)
-    return HadamardMatrix(h)
+    return _proved_hadamard(h)
 
 
 def _resigned(h: HadamardMatrix, rows: np.ndarray, cols: np.ndarray) -> HadamardMatrix:
@@ -319,11 +336,7 @@ def _resigned(h: HadamardMatrix, rows: np.ndarray, cols: np.ndarray) -> Hadamard
 
     Not re-proved: (D1 H D2)(D1 H D2)t = D1 H Ht D1 = n D1 D1 = nI.
     """
-    arr = rows[:, None] * h._a * cols[None, :]
-    arr.setflags(write=False)
-    out = object.__new__(HadamardMatrix)
-    out._a = arr
-    return out
+    return _proved_hadamard(rows[:, None] * h._a * cols[None, :])
 
 
 def normalize(h: HadamardMatrix) -> HadamardMatrix:

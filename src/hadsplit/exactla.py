@@ -86,7 +86,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals its Fraction, and so the int it may be
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     @property
     def is_rational(self) -> bool:

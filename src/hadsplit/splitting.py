@@ -23,7 +23,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import HadamardMatrix, HadsplitError, IntMatrix, _resigned, exact_matmul, isqrt_exact
+from .core import (
+    HadamardMatrix,
+    HadsplitError,
+    IntMatrix,
+    _proved_hadamard,
+    _resigned,
+    exact_matmul,
+    isqrt_exact,
+)
 from .search import _bitmasks, max_clique
 
 __all__ = [
@@ -252,11 +260,17 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     sum to zero), "gram_ok" (G = ell I + a A + b (J - I - A) and G^2 = nG),
     and on the seidel branch "seidel_ok" (the identity checked by
     verify_seidel_matrix). The last two are proved, not recomputed: h is a
-    HadamardMatrix, whose constructor proved HHt = nI. Its principal block
-    H1 H1t = nI gives G^2 = H1t (H1 H1t) H1 = nG; G has ell on its diagonal
-    and only a, b off it by construction; and with G = aS + ell I the Seidel
-    identity is G^2 = nG rewritten. The only products computed are G and the
-    square of A inside direct_srg_params.
+    HadamardMatrix, so HHt = nI holds. Its principal block H1 H1t = nI gives
+    G^2 = H1t (H1 H1t) H1 = nG; G has ell on its diagonal and only a, b off
+    it by construction; and with G = aS + ell I the Seidel identity is
+    G^2 = nG rewritten.
+
+    The only product computed is G. Its off-diagonal values are counted,
+    not hashed: every |G_ij| is at most ell and the diagonal is ell, so
+    bincount(G + ell) with the n diagonal entries taken off the top bin
+    holds them all. The report's srg is None when A is not regular, as it
+    can be on the b = -a branch; otherwise G^2 = nG gives it from the
+    degree of A (see _regular_srg), and it equals direct_srg_params(A).
     """
     n = h.order
     _require_order_above_1(n)
@@ -269,15 +283,18 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     if rows[0] < 0 or rows[-1] >= n:
         raise ValueError("row index out of range")
     ell = len(rows)
-    h1 = h.take_rows(rows)
-    gram = h1.T @ h1
-    values = sorted(gram.offdiag_values())
+    h1 = h.array[list(rows)]
+    shifted = exact_matmul(h1.T, h1)
+    shifted += ell  # G + ell, in place: entries 0 .. 2 ell
+    counts = np.bincount(shifted.ravel(), minlength=2 * ell + 1)
+    counts[2 * ell] -= n
+    values = (np.flatnonzero(counts) - ell).tolist()
 
     if len(values) > 2:
         raise NotSplittable(f"off-diagonal Gram values {values}")
 
     # gram_ok and seidel_ok hold because h is a HadamardMatrix (see above)
-    checks = {"rowsum_zero": all(s == 0 for s in h1.row_sums()), "gram_ok": True}
+    checks = {"rowsum_zero": not h1.sum(axis=1).any(), "gram_ok": True}
 
     if len(values) == 1:
         a = values[0]
@@ -293,7 +310,9 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         )
 
     a, b = values[1], values[0]
-    adjacency = IntMatrix((gram.array == a) & ~np.eye(n, dtype=bool))
+    adj = (shifted == a + ell).astype(np.int64)
+    np.fill_diagonal(adj, 0)
+    degrees = adj.sum(axis=1)
 
     branch = "unclassified"
     alt = None
@@ -313,15 +332,35 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     if branch == "seidel":
         checks["seidel_ok"] = True
 
+    regular = degrees.min() == degrees.max()
     return SplitReport(
         params=SplitParams(n, ell, a, b),
         rows=rows,
-        adjacency=adjacency,
+        adjacency=IntMatrix._wrap(adj),
         branch=branch,
-        srg=direct_srg_params(adjacency),
+        srg=_regular_srg(n, ell, a, b, int(degrees[0])) if regular else None,
         checks=checks,
         alt_branch=alt,
     )
+
+
+def _regular_srg(n: int, ell: int, a: int, b: int, k: int) -> SrgParams:
+    """Parameters of the k-regular a-graph A of a split, read off G^2 = nG.
+
+    With c = a - b and d = ell - b, G = dI + cA + bJ, and AJ = JA = kJ turns
+    G^2 = nG into
+
+      c^2 A^2 = d(n - d) I + c(n - 2d) A + (nb - nb^2 - 2db - 2cbk) J.
+
+    Both values occur off the diagonal, so A has edges and non-edges; I, A
+    and J - I - A are then independent, and matching the above with
+    A^2 = (k - mu) I + (lam - mu) A + mu J gives mu and lam as exact
+    quotients. With both classes present, direct_srg_params' conventions
+    for a missing class never apply.
+    """
+    c, d = a - b, ell - b
+    mu = _exact("mu", n * b - n * b * b - 2 * d * b - 2 * c * b * k, c * c)
+    return SrgParams(n, k, mu + _exact("lambda - mu", n - 2 * d, c), mu)
 
 
 def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
@@ -484,20 +523,25 @@ def equiangular_report(params: SplitParams) -> EquiangularReport:
 def unbiased_partner(h: HadamardMatrix, report: SplitReport) -> HadamardMatrix:
     """Hadamard matrix K with H Kt entries all +-sqrt(n).
 
-    Exists for b = -a splits with n = 4a^2 and ell = (n +- sqrt n)/2;
-    K = (2G - nI) / (2a). K is symmetric and HHt = nI gives H H1t H1 = nDH,
+    Exists for b = -a splits with n = 4a^2 and ell = (n +- sqrt n)/2, where
+    report is check_split's report of rows of h. K = (2G - nI) / (2a) is
+    read off the report's adjacency A with no product: there
+    G = (ell + a) I + 2aA - aJ, so K = 2A - J + cI with
+    c = (2 ell + 2a - n) / (2a), which is 0 or 2.
+
+    Nothing is re-proved. K is symmetric, so G^2 = nG and n = 4a^2 give
+    KKt = (4G^2 - 4nG + n^2 I) / (4a^2) = nI. HHt = nI gives H H1t H1 = nDH,
     with D marking the split rows, so H Kt = (n / 2a)(2D - I) H has every
-    entry +-n/(2a) = +-sqrt(n): only K being Hadamard is checked.
+    entry +-n/(2a) = +-sqrt(n).
     """
     p = report.params
     n, ell, a = p.n, p.ell, p.a
     root = isqrt_exact(n)
     if p.b != -a or root is None or root != 2 * a or 2 * ell not in (n - root, n + root):
         raise NotUnbiasedCase(f"{p} is not an unbiased-partner case")
-    h1 = h.take_rows(report.rows)
-    gram = h1.T @ h1
-    k = (2 * gram - n * IntMatrix.identity(n)).scaled_exact(1, 2 * a)
-    return HadamardMatrix.from_matrix(k)
+    k = 2 * report.adjacency.array - 1
+    np.fill_diagonal(k, (2 * ell + 2 * a - n) // (2 * a) - 1)
+    return _proved_hadamard(k)
 
 
 def regular_hadamard_normalize(h: HadamardMatrix, report: SplitReport) -> HadamardMatrix:

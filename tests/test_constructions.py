@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
-from hadsplit.core import IntMatrix, paley_skew_core, sylvester
+from hadsplit.core import (
+    HadamardMatrix,
+    IntMatrix,
+    conference_from_core,
+    normalize,
+    paley_skew_core,
+    sylvester,
+)
 from hadsplit.constructions import (
     core_tensor,
     gram_construction,
@@ -70,6 +78,71 @@ def test_two_row_split(exp):
 def test_two_row_needs_order_four():
     with pytest.raises(ValueError):
         two_row_split(sylvester(1))
+
+
+def _paley12():
+    c = conference_from_core(paley_skew_core(11))
+    return HadamardMatrix((c + IntMatrix.identity(12)).array)
+
+
+def _signed12():
+    rng = np.random.default_rng(12)
+    signs = rng.choice([-1, 1], size=(2, 12))
+    arr = signs[0][:, None] * _paley12().array * signs[1]
+    return HadamardMatrix(arr[rng.permutation(12)][:, rng.permutation(12)])
+
+
+# Every matrix a builder returns, including those it does not re-prove.
+_BUILT = {
+    "sylvester": lambda: [sylvester(e) for e in range(7)],
+    "normalize": lambda: [normalize(_signed12())],
+    "kron-large": lambda: [kron_square(h, "large").h for h in (sylvester(2), _signed12())],
+    "kron-small": lambda: [kron_square(h, "small").h for h in (sylvester(3), _signed12())],
+    "core-tensor": lambda: [
+        core_tensor(sylvester(2), sylvester(3)).h,
+        core_tensor(_signed12(), _paley12()).h,
+        core_tensor(sylvester(1), _signed12()).h,
+    ],
+    "two-row": lambda: [two_row_split(h).h for h in (sylvester(5), _paley12(), _signed12())],
+    "twin": lambda: [twin_sylvester(m).h for m in (1, 2, 3, 4)],
+    "gram": lambda: [gram_construction(h).h for h in (sylvester(2), _signed12())],
+    "skew-core": lambda: [skew_core_bsh(paley_skew_core(q)).h for q in (3, 7)],
+}
+
+
+@pytest.mark.parametrize("family", _BUILT)
+def test_every_built_matrix_is_hadamard(family):
+    # the reference for the builders that state a proof instead of checking
+    for h in _BUILT[family]():
+        n = h.order
+        assert isinstance(h, HadamardMatrix)
+        assert set(np.unique(h.array).tolist()) <= {-1, 1}
+        assert np.array_equal(h.array @ h.array.T, n * np.eye(n, dtype=np.int64))
+
+
+def test_twin_sylvester_computes_only_three_grams(kernel_calls):
+    twin_sylvester(2)
+    assert kernel_calls == [((16, 4), (4, 16)), ((16, 6), (6, 16)), ((16, 6), (6, 16))]
+
+
+def test_proved_builders_compute_only_the_split_gram(kernel_calls):
+    h4, h8, h2 = sylvester(2), _paley12(), sylvester(1)
+    for build, gram in (
+        (lambda: kron_square(h4, "large"), ((16, 9), (9, 16))),
+        (lambda: kron_square(h4, "small"), ((16, 6), (6, 16))),
+        (lambda: two_row_split(h8), ((12, 10), (10, 12))),
+        (lambda: core_tensor(h2, h4), ((8, 6), (6, 8))),
+    ):
+        kernel_calls.clear()
+        build()
+        assert kernel_calls == [gram]
+
+
+def test_checked_builders_also_prove_the_matrix(kernel_calls):
+    h4 = sylvester(2)
+    kernel_calls.clear()
+    gram_construction(h4)
+    assert kernel_calls == [((16, 16), (16, 16)), ((16, 4), (4, 16))]
 
 
 # ------------------------------------------------------------ twins

@@ -27,6 +27,13 @@ def test_gaussian_arithmetic():
     assert -G(1, -2) == G(-1, 2)
 
 
+def test_gaussian_hash_agrees_with_eq():
+    for value in (0, 1, -1, 7, F(1, 2), F(-5, 3)):
+        assert G(value) == value and hash(G(value)) == hash(value)
+    assert hash(G(1, 2)) == hash(G(F(2, 2), 2))
+    assert {G(2), G(0, 1), F(3, 4)} == {2, G(0, 1), G(F(3, 4))}
+
+
 def test_gaussian_predicates_and_keys():
     assert G(3).is_rational
     assert not G(0, 1).is_rational

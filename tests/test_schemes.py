@@ -1055,6 +1055,14 @@ def test_eigenmatrices_gaussian_cyclic_tables():
     assert eigenmatrices(_CYCLIC_SCHEMES["one-point"]()).p == ((GaussianRational(1),),)
 
 
+def test_real_table_entries_hash_as_their_numbers():
+    # a set of entries finds the int keys its members equal
+    entries = {row[1] for row in eigenmatrices(_CYCLIC_SCHEMES["z4"]()).p}
+    assert 1 in entries and -1 in entries
+    assert entries == {1, -1, _i(1), _i(-1)}
+    assert {1: "one"}[GaussianRational(1)] == "one"
+
+
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
 def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypatch):
     """Each subspace split takes at most one exact kernel (an integer

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -142,6 +143,79 @@ _SPLITS_16 = [(sylvester(4), rows) for rows in _SYLVESTER16_SPLITS] + [
 ]
 
 
+@functools.cache
+def _paley_hadamard(q):
+    """I + C for the skew conference matrix C of order q + 1."""
+    c = conference_from_core(paley_skew_core(q))
+    return HadamardMatrix((c + IntMatrix.identity(q + 1)).array)
+
+
+def _span(vectors):
+    """Rows of a Sylvester matrix closed under XOR of their indices."""
+    out = {0}
+    for v in vectors:
+        out |= {u ^ v for u in out}
+    return out
+
+
+@st.composite
+def _signed_subsets(draw):
+    """A signed, row- and column-permuted Sylvester or Paley-core matrix of
+    order 8 to 32, with or without column sign flips, and a row subset."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 5))
+        base, n = sylvester(m).array, 2**m
+        # a subgroup S of F_2^m splits with values {|S|, 0}; S - {0}, the
+        # complement and the complement of S - {0} split as well
+        group = _span(draw(st.lists(st.integers(1, n - 1), max_size=m)))
+        family = [group, group - {0}, set(range(n)) - group, set(range(n)) - (group - {0})]
+    else:
+        base = _paley_hadamard(draw(st.sampled_from([7, 11, 19, 23, 27, 31]))).array
+        n = len(base)
+        family = [{0}, set(range(1, n)), set(range(2, n)), {0, 1}]
+    arbitrary = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    rows = draw(st.sampled_from([r for r in family if r] + [arbitrary]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    signs = rng.choice([-1, 1], size=(2, n))
+    if draw(st.booleans()):
+        signs[1] = 1
+    image = HadamardMatrix(signs[0][:, None] * base[perm][:, rng.permutation(n)] * signs[1])
+    # row i of the image is row perm[i] of base
+    return image, sorted(np.argsort(perm)[list(rows)].tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_subsets())
+def test_check_split_matches_direct_srg_params_and_unique(case):
+    h, rows = case
+    n = h.order
+    h1 = h.array[rows]
+    g = h1.T @ h1
+    values = np.unique(g[~np.eye(n, dtype=bool)]).tolist()
+    try:
+        rep = check_split(h, rows)
+    except NotSplittable:
+        assert len(values) > 2
+        return
+    assert sorted({rep.params.a, rep.params.b}) == values
+    if rep.adjacency is None:
+        assert (len(values), rep.srg) == (1, None)
+    else:
+        assert rep.srg == direct_srg_params(rep.adjacency)
+
+
+def test_unbalanced_single_row_has_an_irregular_graph():
+    # one row with three +1s in eight: cliques of sizes 3 and 5
+    arr = sylvester(3).array.copy()
+    arr[:, 0] *= -1
+    rep = check_split(HadamardMatrix(arr), [1])
+    assert rep.params.astuple() == (8, 1, 1, -1)
+    assert rep.branch == "seidel"
+    assert sorted(rep.adjacency.array.sum(axis=1).tolist()) == [2, 2, 2, 4, 4, 4, 4, 4]
+    assert rep.srg is None and direct_srg_params(rep.adjacency) is None
+
+
 def _params(h, rows):
     try:
         return check_split(h, rows).params
@@ -234,12 +308,12 @@ def test_derived_checks_match_the_explicit_products(family):
             assert rep.checks["seidel_ok"] == verify_seidel_matrix(rep)
 
 
-def test_check_split_computes_only_the_gram_and_the_adjacency_square(kernel_calls, twin16):
+def test_check_split_computes_only_the_gram(kernel_calls, twin16):
     for rep in twin16.reports:
         kernel_calls.clear()
         check_split(twin16.h, rep.rows)
         ell = rep.params.ell
-        assert kernel_calls == [((16, ell), (ell, 16)), ((16, 16), (16, 16))]
+        assert kernel_calls == [((16, ell), (ell, 16))]
     kernel_calls.clear()
     check_split(twin16.h, [0])
     assert kernel_calls == [((16, 1), (1, 16))]
@@ -480,9 +554,29 @@ def test_unbiased_partner(twin16):
     assert set(np.abs(prod).ravel().tolist()) == {4}
 
 
-def test_unbiased_partner_forms_only_the_gram_and_the_hadamard_check(kernel_calls, twin16):
+def test_unbiased_partner_forms_no_product(kernel_calls, twin16):
     unbiased_partner(twin16.h, twin16.reports[1])
-    assert kernel_calls == [((16, 6), (6, 16)), ((16, 16), (16, 16))]
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_unbiased_partner_is_hadamard_and_unbiased(m):
+    # the partner is not re-proved; this is the reference, on both sizes
+    # ell = (n -+ sqrt n)/2, with and without column sign flips
+    tw = twin_sylvester(m)
+    n, root = 4**m, 2**m
+    rng = np.random.default_rng(m)
+    flipped = HadamardMatrix(tw.h.array * rng.choice([-1, 1], size=n))
+    eye = np.eye(n, dtype=np.int64)
+    for h in (tw.h, flipped):
+        for rows in (tw.h2_rows, sorted(set(range(n)) - set(tw.h3_rows))):
+            rep = check_split(h, rows)
+            k = unbiased_partner(h, rep).array
+            assert np.array_equal(k @ k.T, n * eye)
+            assert np.array_equal(np.abs(h.array @ k.T), root * np.ones((n, n), dtype=np.int64))
+            # the formula K = (2G - nI) / (2a) it replaced
+            h1 = h.array[list(rows)]
+            assert np.array_equal(k * 2 * rep.params.a, 2 * h1.T @ h1 - n * eye)
 
 
 def test_unbiased_rejects_other_branches(twin16, split_16_9):
