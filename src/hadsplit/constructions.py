@@ -2,11 +2,10 @@
 
 Every builder returns a BshInstance whose split has been re-checked from
 scratch by check_split, so a construction bug cannot produce a silently
-wrong instance. HHt = nI is re-proved only where no identity proves it:
-gram_construction and skew_core_bsh run the full check, as does any matrix
-a user passes in. kron_square, core_tensor and two_row_split build from
-validated matrices by a Kronecker product or a column permutation, and
-twin_sylvester from sylvester; each states the one-line proof instead.
+wrong instance. No builder re-proves HHt = nI: each builds from validated
+matrices (a HadamardMatrix, or a SkewCore) by an identity that proves it,
+and states that identity instead. A matrix a user passes in is checked in
+full when it becomes a HadamardMatrix.
 """
 
 from __future__ import annotations
@@ -91,10 +90,15 @@ def gram_construction(h: HadamardMatrix) -> BshInstance:
 
     The first m rows have column Gram I_m kron (m J_m), the imprimitive
     (m^2, m, m, 0) split.
+
+    Not re-proved: the entries are products of +-1 entries of R = normalize(h),
+    and rows (i, s) and (i', s') have inner product
+    sum_j r_j[s] r_j[s'] * sum_t r_i[t] r_i'[t] = (RtR)_ss' (RRt)_ii' = m^2 if
+    (i, s) = (i', s') and 0 otherwise, as RRt = RtR = mI.
     """
     m = h.order
     r = normalize(h).array
-    big = HadamardMatrix(np.einsum("js,it->isjt", r, r).reshape(m * m, m * m))
+    big = _proved_hadamard(np.einsum("js,it->isjt", r, r).reshape(m * m, m * m))
     return _instance(big, list(range(m)), SplitParams(m * m, m, m, 0))
 
 
@@ -218,7 +222,17 @@ class JaPair:
 
 
 def ja_recursion(core: SkewCore, m: int) -> JaPair:
-    """The j/a matrix pair of order q^m, with its quadratic identities checked."""
+    """The j/a matrix pair of order q^m, with jjt + q aat = q^m (q+1) I and
+    jat = ajt.
+
+    Not re-checked: both hold for j = a = [1], and one step keeps them. With
+    Q the core (QQt = qI - J, QJ = JQ = 0, Qt = -Q) and j', a' the previous
+    pair, jjt = qJ kron a'a't and aat = I kron j'j't + (qI - J) kron a'a't,
+    as the cross terms Qt kron j'a't + Q kron a'j't cancel by j'a't = a'j't.
+    So jjt + q aat = qI kron (j'j't + q a'a't). Likewise
+    jat = J kron a'j't + JQt kron a'a't and ajt = J kron j'a't + QJ kron a'a't,
+    which agree, as JQt = QJ = 0.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
     q = core.q
@@ -228,11 +242,6 @@ def ja_recursion(core: SkewCore, m: int) -> JaPair:
     am = IntMatrix.ones(1)
     for _ in range(m):
         jm, am = kronecker(jq, am), kronecker(iq, jm) + kronecker(core.matrix, am)
-    order = q**m
-    if jm @ jm.T + q * (am @ am.T) != (order * (q + 1)) * IntMatrix.identity(order):
-        raise HadsplitError("j/a norm identity failed")
-    if jm @ am.T != am @ jm.T:
-        raise HadsplitError("j/a symmetry identity failed")
     return JaPair(q=q, m=m, j=jm, a=am)
 
 
@@ -241,6 +250,11 @@ def skew_core_bsh(core: SkewCore) -> BshInstance:
 
     Built as -I kron j + C kron a from the level-1 recursion pair and the
     skew conference matrix C; the split is the first q rows.
+
+    Not re-proved: j = J and a = I + Q, so the diagonal blocks are -J and the
+    others +-(I + Q), all +-1 as Q is zero on its diagonal and +-1 off it.
+    With Ct = -C and CCt = qI, HHt = I kron (jjt + q aat) + C kron (jat - ajt),
+    which ja_recursion's identities make q(q+1) I.
     """
     from .core import conference_from_core
 
@@ -248,7 +262,7 @@ def skew_core_bsh(core: SkewCore) -> BshInstance:
     pair = ja_recursion(core, 1)
     c = conference_from_core(core)
     big = -1 * kronecker(IntMatrix.identity(q + 1), pair.j) + kronecker(c, pair.a)
-    h = HadamardMatrix.from_matrix(big)
+    h = _proved_hadamard(big.array)
     return _instance(h, list(range(q)), SplitParams(q * (q + 1), q, q, -1))
 
 

@@ -346,7 +346,11 @@ def normalize(h: HadamardMatrix) -> HadamardMatrix:
 
 
 class SkewCore:
-    """Core matrix Q of order q with QQt = qI - J, QJ = JQ = O, Qt = -Q."""
+    """Core matrix Q of order q with QQt = qI - J, QJ = JQ = O, Qt = -Q,
+    zero on the diagonal and +-1 off it.
+
+    QQt is the one product; QJ and JQ are the row and column sums.
+    """
 
     __slots__ = ("q", "matrix")
 
@@ -354,10 +358,11 @@ class SkewCore:
         q = matrix.nrows
         if not matrix.is_square:
             raise ValueError("core must be square")
-        j = IntMatrix.ones(q)
-        if matrix @ matrix.T != q * IntMatrix.identity(q) - j:
+        if not np.array_equal(np.abs(matrix._a), 1 - np.eye(q, dtype=np.int64)):
+            raise ValueError("core entries must be 0 on the diagonal and +-1 off it")
+        if matrix @ matrix.T != q * IntMatrix.identity(q) - IntMatrix.ones(q):
             raise ValueError("core Gram condition failed")
-        if matrix @ j != IntMatrix.zeros(q) or j @ matrix != IntMatrix.zeros(q):
+        if any(matrix.row_sums()) or any(matrix.col_sums()):
             raise ValueError("core row and column sums must vanish")
         if matrix.T != -matrix:
             raise ValueError("core must be skew symmetric")

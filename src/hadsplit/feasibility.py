@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import witness_for
-from .core import HadsplitError, IntMatrix, exact_matmul, isqrt_exact
-from .exactla import rref
+from .core import _INT64_SAFE, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
+from .exactla import _echelon_int
 from .search import _bitmasks, max_clique
 from .splitting import (
     BudgetExceeded,
@@ -405,6 +405,8 @@ _GRAM_ENTRIES = 2**20
 # Most survivors eigvec_search keeps: their orthogonality bitmasks then take
 # at most _SURVIVOR_CAP**2 / 8 bytes = 32 MB.
 _SURVIVOR_CAP = 2**14
+# Partial sign vectors per block of the eigvec_search frontier.
+_FRONTIER_ROWS = 2**12
 
 
 def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearchResult:
@@ -415,69 +417,86 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     else MultiplicityMismatch), enumerates all +-1 vectors inside it up to
     global sign, and reports a maximum pairwise orthogonal subset. A maximum
     below ell certifies that no split with this Gram exists. Raises
-    BudgetExceeded, before any Gram or bitmask is built, when the search
-    finds more than _SURVIVOR_CAP sign vectors.
+    ValueError unless the adjacency matrix is a graph's (symmetric, 0/1,
+    zero diagonal), and BudgetExceeded, before any Gram or bitmask is built,
+    when the search finds more than _SURVIVOR_CAP sign vectors.
 
-    The search runs on integers. B - nI is an integer matrix, so rref
-    reduces it on Python ints, and with scale = lcm of the denominators of
-    the reduced free columns each pivot entry of an eigenvector is (sum of
-    coeff * sign over the free entries) / scale for integer coeff; the search
-    bounds scale * entry instead of the entry.
+    The search runs on integers. _echelon_int reduces the integer matrix
+    B - nI to rows r with r[p] x_p + sum_f r[f] x_f = 0 on the eigenspace,
+    p the row's pivot and f the free columns. With scale the lcm of the pivot
+    entries, scale * x_p = sum_t coeff[t] sign[t] for the integers
+    coeff[t] = -r[f_t] scale / r[p]; the search bounds scale * x_p instead of
+    x_p. Its frontier holds these partial sums for every partial sign vector
+    that can still be completed, one int64 row each: a level extends each row
+    by +coeff[t] and -coeff[t], interleaved, and keeps the rows within rem of
+    +-scale on every pivot, rem bounding the terms still to come. Blocks of
+    at most _FRONTIER_ROWS rows are extended depth-first, so survivors come
+    in the order of a depth-first search that tries +1 first. Every sum and
+    test lies within scale + max(rem) of 0; at 2^62 and above the same loop
+    runs on Python ints in object arrays.
     """
     v = adjacency.nrows
     if not adjacency.is_square or not adjacency.is_symmetric():
         raise ValueError("adjacency must be square and symmetric")
+    arr = adjacency.array
+    if not np.all((arr == 0) | (arr == 1)) or np.any(np.diagonal(arr)):
+        raise ValueError("adjacency must have 0/1 entries and a zero diagonal")
     # B - vI = (a-b) A + b J + (ell - v - b) I, on Python ints
     system = [[(a - b) * x + b for x in row] for row in adjacency.tolist()]
     for i in range(v):
         system[i][i] += ell - v - b
-    reduced, pivots = rref(system)
+    rows, pivots = _echelon_int(system)
     free = [c for c in range(v) if c not in pivots]
     dim = len(free)
     if dim != ell:
         raise MultiplicityMismatch(f"eigenspace dimension {dim}, expected {ell}")
 
-    # scale * (value at pivot row i) = sum_t column[t][i] * sign[t], and the
-    # terms from t on sum to at most rem[t][i] in magnitude
-    scale = math.lcm(*(reduced[i][f].denominator for i in range(len(pivots)) for f in free))
-    coeff = [
-        [-x.numerator * (scale // x.denominator) for x in (reduced[i][f] for f in free)]
-        for i in range(len(pivots))
-    ]
-    column = [[row[t] for row in coeff] for t in range(dim)]
-    rem = [[sum(abs(c) for c in row[t:]) for row in coeff] for t in range(dim + 1)]
+    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    coeff = [[-row[f] * (scale // row[p]) for f in free] for row, p in zip(rows, pivots)]
+    total = max((sum(map(abs, row)) for row in coeff), default=0)
+    dtype = np.int64 if scale + total < _INT64_SAFE else object
+    column = np.array(coeff, dtype=dtype).T.reshape(dim, len(pivots))
+    # rem[t, i]: the terms from t on sum to at most this on pivot row i
+    rem = np.zeros((dim + 1, len(pivots)), dtype=dtype)
+    rem[:dim] = np.cumsum(np.abs(column[::-1]), axis=0)[::-1]
 
-    survivors: list[tuple[int, ...]] = []
-    signs = [0] * dim
-
-    def dfs(t: int, partial: list[int]) -> None:
+    found: list[np.ndarray] = []
+    count = 0
+    # (level, partial sums, signs so far), the next block to extend on top
+    stack = [(0, np.zeros((1, len(pivots)), dtype=dtype), np.zeros((1, 0), dtype=np.int8))]
+    while stack:
+        t, partial, signs = stack.pop()
         if t == dim:
-            if all(abs(x) == scale for x in partial):
-                vec = [0] * v
-                for f, s in zip(free, signs):
-                    vec[f] = s
-                for p, x in zip(pivots, partial):
-                    vec[p] = x // scale
-                survivors.append(tuple(vec))
-                if len(survivors) > _SURVIVOR_CAP:
-                    raise BudgetExceeded(
-                        f"{len(survivors)} survivors exceed the budget of {_SURVIVOR_CAP}"
-                    )
-            return
-        for s in (1,) if t == 0 else (1, -1):
-            signs[t] = s
-            nxt = [x + s * c for x, c in zip(partial, column[t])]
-            # keep going while +scale or -scale lies in [x - rem, x + rem] on every row
-            if all(abs(abs(x) - scale) <= r for x, r in zip(nxt, rem[t + 1])):
-                dfs(t + 1, nxt)
-
-    dfs(0, [0] * len(pivots))
+            # the last level kept only |x| = scale, unless there was none
+            hit = np.all(np.abs(partial) == scale, axis=1)
+            vecs = np.zeros((int(hit.sum()), v), dtype=np.int64)
+            vecs[:, free] = signs[hit]
+            vecs[:, pivots] = partial[hit] // scale
+            found.append(vecs)
+            count += len(vecs)
+            if count > _SURVIVOR_CAP:
+                raise BudgetExceeded(
+                    f"{_SURVIVOR_CAP + 1} survivors exceed the budget of {_SURVIVOR_CAP}"
+                )
+            continue
+        step = (1,) if t == 0 else (1, -1)
+        partial = np.stack([partial + s * column[t] for s in step], axis=1).reshape(
+            -1, len(pivots)
+        )
+        chosen = np.tile(np.array(step, dtype=np.int8), len(signs))
+        signs = np.hstack([np.repeat(signs, len(step), axis=0), chosen[:, None]])
+        # keep a row while +scale or -scale lies in [x - rem, x + rem] on every pivot
+        keep = np.all(np.abs(np.abs(partial) - scale) <= rem[t + 1], axis=1)
+        partial, signs = partial[keep], signs[keep]
+        for start in reversed(range(0, len(partial), _FRONTIER_ROWS)):
+            block = slice(start, start + _FRONTIER_ROWS)
+            stack.append((t + 1, partial[block], signs[block]))
 
     # survivors are +-1 vectors of length v: their Gram is bounded by v, and
     # bit j of neighbors[i] marks survivor j orthogonal to survivor i; the
     # Gram is built a block of rows at a time, so only the packed bits of
     # all N^2 entries are held at once
-    vecs = np.array(survivors, dtype=np.int64).reshape(-1, v)
+    vecs = np.concatenate(found) if found else np.zeros((0, v), dtype=np.int64)
     step = max(1, _GRAM_ENTRIES // max(1, len(vecs)))
     neighbors = []
     for start in range(0, len(vecs), step):
@@ -485,7 +504,7 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     best_size, best_set = max_clique(neighbors)
     return EigvecSearchResult(
         eigenspace_dim=dim,
-        survivors=tuple(survivors),
+        survivors=tuple(map(tuple, vecs.tolist())),
         best_size=best_size,
         best_set=tuple(best_set),
         certifies_nonexistence=best_size < ell,

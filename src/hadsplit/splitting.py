@@ -604,8 +604,9 @@ def split_from_diagonalizable_srg(a: IntMatrix, h: HadamardMatrix) -> SplitRepor
     return check_split(h, rows)
 
 
-# Gram entries screened per batch in search_splits: 128 subsets at n = 16.
-_SCREEN_ENTRIES = 2**15
+# Off-diagonal Gram entries screened per chunk in search_splits: 1092
+# subsets at n = 16, under 1 MB of int8 sums and masks.
+_SCREEN_ENTRIES = 2**17
 
 
 def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[SplitReport]:
@@ -615,12 +616,21 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     of each parameter tuple is kept, so output is deterministic. Raises
     BudgetExceeded when C(n, ell) exceeds the budget.
 
-    Subsets are screened in batches of Grams. A subset whose off-diagonal
-    Gram entries take only the values max and min has the parameter tuple
+    Subsets are screened in chunks. A subset whose off-diagonal Gram entries
+    take only the values max and min has the parameter tuple
     (n, ell, max, min) in check_split's report, so check_split runs once per
     tuple, on its first subset. Whether check_split raises depends on the
     tuple alone (InvalidSingleValue, which G^2 = nG rules out on a Hadamard
     matrix), so it raises on the same subset as a check of every subset.
+
+    The screen forms no Gram product. prods[r, e] = h[r, p] h[r, q] for
+    the e-th column pair p < q, so a subset's off-diagonal Gram entries are
+    the sum of its ell rows of prods. A partial sum of t terms of +-1 lies
+    in [-t, t], so int8 holds every one exactly while ell <= 127; past that
+    the narrowest signed type holding ell is used. Memory: prods holds
+    n^2 (n - 1) / 2 entries of that type (8 MB of int8 at n = 256, twice
+    that while it is built), and a chunk at most _SCREEN_ENTRIES sums, one
+    gathered row block of the same size and the screen's boolean masks.
     """
     n = h.order
     _require_order_above_1(n)
@@ -629,10 +639,14 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     count = math.comb(n, ell)
     if count > budget:
         raise BudgetExceeded(f"C({n}, {ell}) = {count} exceeds budget {budget}")
-    arr = h.array
-    # flat positions of the off-diagonal entries p < q of an n x n Gram
-    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
-    chunk = max(1, _SCREEN_ENTRIES // (n * n))
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if ell <= np.iinfo(t).max)
+    arr = h.array.astype(dtype)
+    p, q = np.triu_indices(n, 1)
+    # row-major: each subset gathers whole rows (arr[:, p] would be
+    # column-major)
+    prods = arr.take(p, axis=1)
+    prods *= arr.take(q, axis=1)
+    chunk = max(1, _SCREEN_ENTRIES // len(p))
     subsets = combinations(range(n), ell)
     seen: set[tuple[int, int, int, int]] = set()
     out: list[SplitReport] = []
@@ -641,11 +655,11 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
         if not flat.size:
             return out
         idx = flat.reshape(-1, ell)
-        sub = arr[idx]
-        gram = exact_matmul(sub.transpose(0, 2, 1), sub)
-        # take on the flattened rows keeps off row-major, so the per-subset
-        # reductions below run along contiguous memory
-        off = gram.reshape(len(idx), n * n).take(upper, axis=1)
+        cols = idx.T.copy()
+        off = prods.take(cols[0], axis=0)
+        gathered = np.empty_like(off)
+        for col in cols[1:]:
+            off += prods.take(col, axis=0, out=gathered)
         hi, lo = off.max(axis=1), off.min(axis=1)
         two = ((off == hi[:, None]) | (off == lo[:, None])).all(axis=1)
         for pos in np.flatnonzero(two).tolist():

@@ -339,6 +339,18 @@ def test_nonexist_survivor_budget_is_inconclusive(capsys, tmp_path):
     assert out == "search stopped: 16385 survivors exceed the budget of 16384\n"
 
 
+@pytest.mark.parametrize("change", ["loops", "weights"])
+def test_nonexist_rejects_a_matrix_that_is_not_a_graph(capsys, tmp_path, change):
+    # A + I and 2A used to report a multiplicity mismatch (exit 1)
+    lattice = bundled_data("lattice-4x4").array
+    bad = lattice + np.eye(16, dtype=np.int64) if change == "loops" else 2 * lattice
+    f = tmp_path / "bad.txt"
+    f.write_text(serialize_matrix(IntMatrix(bad)))
+    code, out, err = run(capsys, "nonexist", "--graph", str(f), "--ell", "6", "--a", "2", "--b=-2")
+    assert (code, out) == (2, "")
+    assert "0/1 entries and a zero diagonal" in err
+
+
 # -------------------------------------------------------------------- latin
 
 

@@ -106,7 +106,7 @@ _BUILT = {
     "two-row": lambda: [two_row_split(h).h for h in (sylvester(5), _paley12(), _signed12())],
     "twin": lambda: [twin_sylvester(m).h for m in (1, 2, 3, 4)],
     "gram": lambda: [gram_construction(h).h for h in (sylvester(2), _signed12())],
-    "skew-core": lambda: [skew_core_bsh(paley_skew_core(q)).h for q in (3, 7)],
+    "skew-core": lambda: [skew_core_bsh(paley_skew_core(q)).h for q in (3, 7, 11, 19)],
 }
 
 
@@ -132,17 +132,16 @@ def test_proved_builders_compute_only_the_split_gram(kernel_calls):
         (lambda: kron_square(h4, "small"), ((16, 6), (6, 16))),
         (lambda: two_row_split(h8), ((12, 10), (10, 12))),
         (lambda: core_tensor(h2, h4), ((8, 6), (6, 8))),
+        (lambda: gram_construction(h4), ((16, 4), (4, 16))),
     ):
         kernel_calls.clear()
         build()
         assert kernel_calls == [gram]
-
-
-def test_checked_builders_also_prove_the_matrix(kernel_calls):
-    h4 = sylvester(2)
+    # the core's QQt and the split Gram: ja_recursion and the order-380
+    # matrix are proved by their identities
     kernel_calls.clear()
-    gram_construction(h4)
-    assert kernel_calls == [((16, 16), (16, 16)), ((16, 4), (4, 16))]
+    skew_core_bsh(paley_skew_core(19))
+    assert kernel_calls == [((19, 19), (19, 19)), ((380, 19), (19, 380))]
 
 
 # ------------------------------------------------------------ twins

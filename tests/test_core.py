@@ -223,6 +223,11 @@ def test_conference_from_core_is_skew_and_orthogonal(q):
 def test_skew_core_validation():
     with pytest.raises(ValueError):
         SkewCore(IntMatrix([[0, 1], [1, 0]]))
+    # the Gram, sum and skew conditions would not see entries off +-1
+    with pytest.raises(ValueError, match="core entries"):
+        SkewCore(IntMatrix([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]))
+    with pytest.raises(ValueError, match="core entries"):
+        SkewCore(IntMatrix([[1, 1, -1], [-1, 1, 1], [1, -1, 1]]))
 
 
 def test_parse_serialize_round_trip_is_byte_exact():

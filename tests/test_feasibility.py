@@ -417,6 +417,13 @@ def test_eigvec_search_rejects_asymmetric():
         eigvec_search(bad, 1, 1, -1)
 
 
+def test_eigvec_search_rejects_a_matrix_that_is_not_a_graph():
+    lattice = bundled_data("lattice-4x4").array
+    for bad in (lattice + np.eye(16, dtype=np.int64), 2 * lattice, -lattice):
+        with pytest.raises(ValueError, match="0/1 entries and a zero diagonal"):
+            eigvec_search(IntMatrix(bad), 6, 2, -2)
+
+
 def _eigvec_search_reference(adjacency, ell, a, b):
     """eigvec_search over Fraction: a Gauss-Jordan rref over Fraction, a
     Fraction DFS and pairwise dot products for the orthogonality graph."""
@@ -518,6 +525,39 @@ def _outcome(search, adjacency, params):
         return search(adjacency, *params)
     except MultiplicityMismatch as exc:
         return str(exc)
+
+
+def _graphs_and_relabellings():
+    for graph in ("lattice-4x4", "shrikhande", "srg-36-10-4-2"):
+        adjacency = bundled_data(graph)
+        p = np.random.default_rng(len(graph)).permutation(adjacency.nrows)
+        yield adjacency
+        yield IntMatrix(adjacency.array[np.ix_(p, p)])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_eigvec_search_frontier_blocks_keep_the_survivor_order(monkeypatch, rows):
+    params = [(6, 2, -2), (10, 4, -2), (11, 5, -1)]
+    cases = list(_graphs_and_relabellings())
+    whole = [_outcome(eigvec_search, adjacency, p) for adjacency in cases for p in params]
+    assert sum(isinstance(r, EigvecSearchResult) for r in whole) == 8
+    monkeypatch.setattr(feas, "_FRONTIER_ROWS", rows)
+    assert [_outcome(eigvec_search, adjacency, p) for adjacency in cases for p in params] == whole
+    # the cap counts survivors the same way in blocks of any size
+    rook = bundled_data("srg-36-10-4-2")
+    monkeypatch.setattr(feas, "_SURVIVOR_CAP", 19)
+    with pytest.raises(BudgetExceeded, match="^20 survivors exceed the budget of 19$"):
+        eigvec_search(rook, 10, 4, -2)
+
+
+def test_eigvec_search_runs_on_python_ints_past_the_int64_bound(monkeypatch):
+    params = [(6, 2, -2), (10, 4, -2), (11, 5, -1)]
+    cases = list(_graphs_and_relabellings())
+    want = [_outcome(eigvec_search, adjacency, p) for adjacency in cases for p in params]
+    # scale + max(rem) is at least 1, so a bound of 1 sends every search to
+    # the object arrays
+    monkeypatch.setattr(feas, "_INT64_SAFE", 1)
+    assert [_outcome(eigvec_search, adjacency, p) for adjacency in cases for p in params] == want
 
 
 @pytest.mark.parametrize("params", [(6, 2, -2), (10, 4, -2), (11, 5, -1)])

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hadsplit.splitting as splitting
 from hadsplit.constructions import (
     core_tensor,
     gram_construction,
@@ -654,26 +656,66 @@ def _search_splits_reference(h, ell):
     return out
 
 
-def _signed_sylvester16():
+def _signed_sylvester(m=4):
     # signed row and plain column permutations keep every split's parameters
+    n = 2**m
     rng = np.random.default_rng(2018)
-    arr = sylvester(4).array * rng.choice([-1, 1], size=16)[:, None]
-    return HadamardMatrix(arr[rng.permutation(16)][:, rng.permutation(16)])
+    arr = sylvester(m).array * rng.choice([-1, 1], size=n)[:, None]
+    return HadamardMatrix(arr[rng.permutation(n)][:, rng.permutation(n)])
+
+
+def _assert_matches_reference(monkeypatch, h, ell):
+    # also in chunks of one subset (4 entries) and of a few subsets that do
+    # not divide C(n, ell): every first representative must stay
+    want = _search_splits_reference(h, ell)
+    assert search_splits(h, ell) == want
+    for entries in (4, 64):
+        monkeypatch.setattr(splitting, "_SCREEN_ENTRIES", entries)
+        assert search_splits(h, ell) == want
+    monkeypatch.undo()
 
 
 @pytest.mark.parametrize("ell", range(1, 9))
-def test_search_splits_matches_a_per_subset_scan(ell):
-    h = _signed_sylvester16()
-    assert search_splits(h, ell) == _search_splits_reference(h, ell)
+def test_search_splits_matches_a_per_subset_scan(monkeypatch, ell):
+    _assert_matches_reference(monkeypatch, _signed_sylvester(), ell)
 
 
-def test_search_splits_matches_a_per_subset_scan_on_a_paley_matrix():
-    # I + C for the skew conference matrix C of order 12: not a Sylvester matrix
-    c = conference_from_core(paley_skew_core(11))
-    h = HadamardMatrix((c + IntMatrix.identity(12)).array)
+def test_search_splits_matches_a_per_subset_scan_on_a_paley_matrix(monkeypatch):
+    # not a Sylvester matrix
+    h = _paley_hadamard(11)
     for ell in range(1, 13):
-        assert search_splits(h, ell) == _search_splits_reference(h, ell)
+        _assert_matches_reference(monkeypatch, h, ell)
     assert [r.params.astuple() for r in search_splits(h, 12)] == [(12, 12, 0, 0)]
+
+
+@pytest.mark.parametrize("m, ells", [(3, range(1, 9)), (5, range(1, 5))])
+def test_search_splits_matches_a_per_subset_scan_on_orders_8_and_32(monkeypatch, m, ells):
+    h = _signed_sylvester(m)
+    for ell in ells:
+        _assert_matches_reference(monkeypatch, h, ell)
+
+
+def test_search_splits_at_ell_128_matches_the_reference():
+    # ell = 128 sums in int16
+    h = sylvester(7)
+    assert search_splits(h, 128) == _search_splits_reference(h, 128)
+    assert [r.params.astuple() for r in search_splits(h, 128)] == [(128, 128, 0, 0)]
+
+
+def test_search_splits_screens_in_int8_within_a_memory_bound():
+    # n = 64: prods holds 64 * 2016 int8 entries (129 KB) and each chunk of
+    # 2**17 sums takes five arrays of 2**17 bytes at most; int64 pair
+    # products alone would take 1 MB
+    h = sylvester(6)
+    search_splits(h, 2)
+    tracemalloc.start()
+    try:
+        found = search_splits(h, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.params.astuple() for r in found] == [(64, 2, 2, 0)]
+    assert peak < 2**20
 
 
 def test_classify_srg16():
