@@ -132,7 +132,6 @@ def test_proved_builders_compute_only_the_split_gram(kernel_calls):
         (lambda: kron_square(h4, "small"), ((16, 6), (6, 16))),
         (lambda: two_row_split(h8), ((12, 10), (10, 12))),
         (lambda: core_tensor(h2, h4), ((8, 6), (6, 8))),
-        (lambda: gram_construction(h4), ((16, 4), (4, 16))),
     ):
         kernel_calls.clear()
         build()
@@ -142,6 +141,17 @@ def test_proved_builders_compute_only_the_split_gram(kernel_calls):
     kernel_calls.clear()
     skew_core_bsh(paley_skew_core(19))
     assert kernel_calls == [((19, 19), (19, 19)), ((380, 19), (19, 380))]
+
+
+def test_checked_builders_also_prove_the_matrix(kernel_calls):
+    # gram_construction proves HHt = 16 I by (RtR)(RRt) = m^2 I, so its one
+    # kernel call is the split Gram; the product is checked here instead
+    h4 = sylvester(2)
+    kernel_calls.clear()
+    inst = gram_construction(h4)
+    assert kernel_calls == [((16, 4), (4, 16))]
+    a = inst.h.array.astype(np.int64)
+    assert np.array_equal(a @ a.T, 16 * np.eye(16, dtype=np.int64))
 
 
 # ------------------------------------------------------------ twins
