@@ -4,8 +4,7 @@ eigenmatrix entries live in.
 Small dense matrices only, and every elimination is fraction-free on Python
 ints. _echelon_int reduces an integer matrix and _kernel_int gives its
 kernel as primitive integer vectors; schemes.eigenmatrices splits its
-subspaces with these two, feasibility.eigvec_search reads its eigenspace
-off _echelon_int's rows, and rref and nullspace are built on them: they
+subspaces with these two, and rref and nullspace are built on them: they
 take int and Fraction entries, scale each row to integers, and build only
 their results from Fractions. mat_mul and mat_vec take any elements
 supporting + and *; schemes applies integer matrices with mat_vec, and the

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constructions import witness_for
 from .core import _INT64_SAFE, HadsplitError, IntMatrix, exact_matmul, isqrt_exact
-from .exactla import _echelon_int
+from .exactla import rref
 from .search import _bitmasks, max_clique
 from .splitting import (
     BudgetExceeded,
@@ -421,17 +421,17 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     zero diagonal), and BudgetExceeded, before any Gram or bitmask is built,
     when the search finds more than _SURVIVOR_CAP sign vectors.
 
-    The search runs on integers. _echelon_int reduces the integer matrix
-    B - nI to rows r with r[p] x_p + sum_f r[f] x_f = 0 on the eigenspace,
-    p the row's pivot and f the free columns. With scale the lcm of the pivot
-    entries, scale * x_p = sum_t coeff[t] sign[t] for the integers
-    coeff[t] = -r[f_t] scale / r[p]; the search bounds scale * x_p instead of
-    x_p. Its frontier holds these partial sums for every partial sign vector
-    that can still be completed, one int64 row each: a level extends each row
-    by +coeff[t] and -coeff[t], interleaved, and keeps the rows within rem of
-    +-scale on every pivot, rem bounding the terms still to come. Blocks of
-    at most _FRONTIER_ROWS rows are extended depth-first, so survivors come
-    in the order of a depth-first search that tries +1 first. Every sum and
+    The search runs on integers. B - nI is an integer matrix, so rref
+    reduces it on Python ints, and with scale = lcm of the denominators of
+    the reduced free columns each pivot entry of an eigenvector is (sum of
+    coeff[t] * sign[t] over the free entries) / scale for integer coeff; the
+    search bounds scale * entry instead of the entry. Its frontier holds
+    these partial sums for every partial sign vector that can still be
+    completed, one int64 row each: a level extends each row by +coeff[t] and
+    -coeff[t], interleaved, and keeps the rows within rem of +-scale on every
+    pivot, rem bounding the terms still to come. Blocks of at most
+    _FRONTIER_ROWS rows are extended depth-first, so survivors come in the
+    order of a depth-first search that tries +1 first. Every sum and
     test lies within scale + max(rem) of 0; at 2^62 and above the same loop
     runs on Python ints in object arrays.
     """
@@ -445,14 +445,17 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     system = [[(a - b) * x + b for x in row] for row in adjacency.tolist()]
     for i in range(v):
         system[i][i] += ell - v - b
-    rows, pivots = _echelon_int(system)
+    reduced, pivots = rref(system)
     free = [c for c in range(v) if c not in pivots]
     dim = len(free)
     if dim != ell:
         raise MultiplicityMismatch(f"eigenspace dimension {dim}, expected {ell}")
 
-    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
-    coeff = [[-row[f] * (scale // row[p]) for f in free] for row, p in zip(rows, pivots)]
+    scale = math.lcm(*(reduced[i][f].denominator for i in range(len(pivots)) for f in free))
+    coeff = [
+        [-x.numerator * (scale // x.denominator) for x in (reduced[i][f] for f in free)]
+        for i in range(len(pivots))
+    ]
     total = max((sum(map(abs, row)) for row in coeff), default=0)
     dtype = np.int64 if scale + total < _INT64_SAFE else object
     column = np.array(coeff, dtype=dtype).T.reshape(dim, len(pivots))
@@ -480,10 +483,8 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
                 )
             continue
         step = (1,) if t == 0 else (1, -1)
-        partial = np.stack([partial + s * column[t] for s in step], axis=1).reshape(
-            -1, len(pivots)
-        )
         chosen = np.tile(np.array(step, dtype=np.int8), len(signs))
+        partial = np.repeat(partial, len(step), axis=0) + chosen[:, None] * column[t]
         signs = np.hstack([np.repeat(signs, len(step), axis=0), chosen[:, None]])
         # keep a row while +scale or -scale lies in [x - rem, x + rem] on every pivot
         keep = np.all(np.abs(np.abs(partial) - scale) <= rem[t + 1], axis=1)

@@ -607,6 +607,16 @@ def split_from_diagonalizable_srg(a: IntMatrix, h: HadamardMatrix) -> SplitRepor
 # Off-diagonal Gram entries screened per chunk in search_splits: 1092
 # subsets at n = 16, under 1 MB of int8 sums and masks.
 _SCREEN_ENTRIES = 2**17
+# Largest pair-product table search_splits keeps, in entries: every order up
+# to 256 (8,355,840 entries at n = 256).
+_PAIR_TABLE_ENTRIES = 2**23
+
+
+def _pair_products(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """out[r, e] = rows[r, p[e]] * rows[r, q[e]], in the type of rows."""
+    out = rows.take(p, axis=1)
+    out *= rows.take(q, axis=1)
+    return out
 
 
 def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[SplitReport]:
@@ -626,11 +636,15 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     The screen forms no Gram product. prods[r, e] = h[r, p] h[r, q] for
     the e-th column pair p < q, so a subset's off-diagonal Gram entries are
     the sum of its ell rows of prods. A partial sum of t terms of +-1 lies
-    in [-t, t], so int8 holds every one exactly while ell <= 127; past that
-    the narrowest signed type holding ell is used. Memory: prods holds
-    n^2 (n - 1) / 2 entries of that type (8 MB of int8 at n = 256, twice
-    that while it is built), and a chunk at most _SCREEN_ENTRIES sums, one
-    gathered row block of the same size and the screen's boolean masks.
+    in [-t, t], so int8 holds every one exactly while ell <= 127, and int16
+    past that (ell <= n, and h alone would take 8 GB at n = 2^15).
+
+    Memory: while prods has at most _PAIR_TABLE_ENTRIES entries, every order
+    up to 256, it is built once (8 MB of int8 at n = 256, twice that while it
+    is built). Past that no table is kept, since it grows like n^3: each
+    chunk forms the prods rows of its subsets from h's rows. A chunk holds
+    at most max(_SCREEN_ENTRIES, n (n - 1) / 2) sums, as many for each row
+    it adds (two more without the table) and the screen's boolean masks.
     """
     n = h.order
     _require_order_above_1(n)
@@ -639,13 +653,20 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     count = math.comb(n, ell)
     if count > budget:
         raise BudgetExceeded(f"C({n}, {ell}) = {count} exceeds budget {budget}")
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if ell <= np.iinfo(t).max)
-    arr = h.array.astype(dtype)
+    arr = h.array.astype(np.int8 if ell <= 127 else np.int16)
     p, q = np.triu_indices(n, 1)
-    # row-major: each subset gathers whole rows (arr[:, p] would be
-    # column-major)
-    prods = arr.take(p, axis=1)
-    prods *= arr.take(q, axis=1)
+    if n * len(p) <= _PAIR_TABLE_ENTRIES:
+        # row-major: a subset gathers whole rows of prods
+        prods = _pair_products(arr, p, q)
+
+        def pair_rows(col: np.ndarray) -> np.ndarray:
+            return prods.take(col, axis=0)
+
+    else:
+
+        def pair_rows(col: np.ndarray) -> np.ndarray:
+            return _pair_products(arr.take(col, axis=0), p, q)
+
     chunk = max(1, _SCREEN_ENTRIES // len(p))
     subsets = combinations(range(n), ell)
     seen: set[tuple[int, int, int, int]] = set()
@@ -656,10 +677,9 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
             return out
         idx = flat.reshape(-1, ell)
         cols = idx.T.copy()
-        off = prods.take(cols[0], axis=0)
-        gathered = np.empty_like(off)
+        off = pair_rows(cols[0])
         for col in cols[1:]:
-            off += prods.take(col, axis=0, out=gathered)
+            off += pair_rows(col)
         hi, lo = off.max(axis=1), off.min(axis=1)
         two = ((off == hi[:, None]) | (off == lo[:, None])).all(axis=1)
         for pos in np.flatnonzero(two).tolist():

@@ -560,6 +560,25 @@ def test_eigvec_search_runs_on_python_ints_past_the_int64_bound(monkeypatch):
     assert [_outcome(eigvec_search, adjacency, p) for adjacency in cases for p in params] == want
 
 
+@pytest.mark.parametrize(
+    "adjacency, params",
+    [
+        ([[0]], (1, 0, 0)),
+        ([[0]], (1, 3, -2)),
+        ([[0, 1], [1, 0]], (2, 0, 1)),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (3, 0, 0)),
+        ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], (3, 0, 0)),
+    ],
+)
+def test_eigvec_search_with_no_pivots_keeps_every_sign_vector(adjacency, params):
+    # B - nI = 0: the eigenspace is everything, the frontier has no pivot
+    # columns and every sign vector up to global sign survives
+    adjacency = IntMatrix(adjacency)
+    got = eigvec_search(adjacency, *params)
+    assert got == _eigvec_search_reference(adjacency, *params)
+    assert len(got.survivors) == 2 ** (params[0] - 1)
+
+
 @pytest.mark.parametrize("params", [(6, 2, -2), (10, 4, -2), (11, 5, -1)])
 @pytest.mark.parametrize("graph", ["lattice-4x4", "shrikhande", "srg-36-10-4-2"])
 def test_eigvec_search_matches_the_fraction_reference(graph, params):

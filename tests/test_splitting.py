@@ -666,13 +666,17 @@ def _signed_sylvester(m=4):
 
 def _assert_matches_reference(monkeypatch, h, ell):
     # also in chunks of one subset (4 entries) and of a few subsets that do
-    # not divide C(n, ell): every first representative must stay
+    # not divide C(n, ell), and with every chunk forming its own pair
+    # products instead of reading the table: every first representative
+    # must stay
     want = _search_splits_reference(h, ell)
-    assert search_splits(h, ell) == want
-    for entries in (4, 64):
-        monkeypatch.setattr(splitting, "_SCREEN_ENTRIES", entries)
+    for table in (splitting._PAIR_TABLE_ENTRIES, 0):
+        monkeypatch.setattr(splitting, "_PAIR_TABLE_ENTRIES", table)
         assert search_splits(h, ell) == want
-    monkeypatch.undo()
+        for entries in (4, 64):
+            monkeypatch.setattr(splitting, "_SCREEN_ENTRIES", entries)
+            assert search_splits(h, ell) == want
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("ell", range(1, 9))
@@ -716,6 +720,21 @@ def test_search_splits_screens_in_int8_within_a_memory_bound():
         tracemalloc.stop()
     assert [r.params.astuple() for r in found] == [(64, 2, 2, 0)]
     assert peak < 2**20
+
+
+def test_search_splits_past_the_table_bound_holds_no_table():
+    # n = 512: a pair-product table would hold 512 * 130816 int8 entries
+    # (64 MB); each one-subset chunk forms its 130816 products instead
+    h = sylvester(9)
+    assert 512 * 130816 > splitting._PAIR_TABLE_ENTRIES
+    tracemalloc.start()
+    try:
+        found = search_splits(h, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [check_split(h, [0]), check_split(h, [1])]
+    assert peak < 2**24
 
 
 def test_classify_srg16():
