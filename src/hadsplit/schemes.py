@@ -12,6 +12,7 @@ the orthogonality relations; only the final table entries are fractions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,6 +171,40 @@ class Scheme:
         return all(t == i for i, t in enumerate(self.transpose_map))
 
 
+def _reduce(rows: list[tuple[int, list[int]]], x: list[int]) -> list[int]:
+    """x with the pivots of the echelon rows (pivot, row), in increasing
+    pivot order, eliminated fraction-free; zero exactly when x lies in their
+    span."""
+    for c, row in rows:
+        if x[c]:
+            x = _primitive([row[c] * a - x[c] * b for a, b in zip(x, row)])
+    return x
+
+
+def _open_product(a: np.ndarray, color: np.ndarray, reps, base: int, todo: list[int]) -> int | None:
+    """The first j in todo for which A A_j, A_j the cells of color j, is not
+    constant on every class, or None; every entry of each A A_j lies below
+    base. The products are packed several to a kernel call, as described
+    in verify_scheme."""
+    v, d1 = a.shape[0], len(reps[0])
+    width = 1
+    while v * base**width < _FLOAT32_EXACT:
+        width += 1
+    for start in range(0, len(todo), width):
+        chunk = todo[start : start + width]
+        scale = base ** np.arange(len(chunk), dtype=np.int64)
+        weights = np.zeros(d1, dtype=np.int64)
+        weights[chunk] = scale
+        prod = exact_matmul(a, weights[color])
+        packed = prod[reps]
+        if np.array_equal(prod, packed[color]):
+            continue
+        for t, j in enumerate(chunk):
+            if not np.array_equal(prod // scale[t] % base, (packed // scale[t] % base)[color]):
+                return j
+    return None
+
+
 def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     """Check every axiom on a candidate list of 0/1 class matrices.
 
@@ -177,21 +212,44 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     outright, so p_0j^k = p_j0^k = [j = k] needs no product. For i, j >= 1,
     (A_i A_j)^T = A_j' A_i', where ' is the transpose map, an involution on
     nonempty classes that partition the cells. Once A_i A_j = sum_k p_ij^k
-    A_k is proved, transposing gives A_j' A_i' = sum_k p_ij^k A_k', that is
-    p_j'i'^m = p_ij^m'. So one product per orbit {(i, j), (j', i')} proves
-    the intersection numbers of both pairs, a product leaves the algebra
-    exactly when its partner does, and the commutativity comparison reads
-    the whole table.
+    A_k is proved, transposing gives A_j' A_i' = sum_k p_ij^k A_k'. So one
+    product per orbit {(i, j), (j', i')} proves both, and a product leaves
+    the algebra exactly when its partner does.
+
+    Products are formed only for a few generator classes. The classes are
+    disjoint and nonempty, hence a basis of their span V. Once every
+    A_g A_j lies in V, multiplication by A_g maps V into V with the integer
+    matrix B_g, B_g[k][j] = p_gj^k. The generators start with class 1; while
+    the span W of their words applied to A_0 = I, read through the B_g by
+    exact integer elimination, misses a class, the first class it misses, g,
+    joins them. W holds I and is closed under each generator, so it is the
+    algebra they generate, and each of its elements maps V into V. So when
+    A_j' lies in W, A_j' A_g' lies in V and so does its transpose A_g A_j:
+    only the products of g with A_j' outside W are formed. No orbit is
+    formed twice, since a partner (j', g') formed before belongs to a
+    generator j' already in W; at worst every class is a generator and every
+    orbit is formed once. Once W holds every class, W = V and V is closed
+    under products.
+
+    Each A_i A_j then lies in V, so its coordinates are its entries at the
+    class representatives: with c(x, y) the class of cell (x, y), p_ij^k is
+    the triangle count #{z : c(x_k, z) = i, c(z, y_k) = j} at the
+    representative (x_k, y_k) of class k, and the classes commute exactly
+    when p_ij = p_ji in that table.
+
+    When a product of g leaves V, every class i < g lies in W, so its
+    products stay in V, as do the products of g left unformed. The first
+    product of g that leaves V is therefore also the first pair, in (i, j)
+    order with one product per orbit, that leaves V, and it is the one named.
 
     The products of one A_i are packed, several to a kernel call. Regularity
     is checked first, so every entry of A_i A_j lies in [0, k_i]. Give the
     classes j_0, ..., j_(c-1) of a chunk the weights base^t, base = k_i + 1,
-    and let W = sum_t base^t A_(j_t). Each entry of A_i W is then a base
+    and let M = sum_t base^t A_(j_t). Each entry of A_i M is then a base
     k_i + 1 number whose digit t is exactly that entry of A_i A_(j_t), so
-    A_i W is constant on every class exactly when each A_i A_(j_t) is, and
-    its digits at the class representatives are the p_(i j_t)^k. A chunk
-    holds as many classes as keep the kernel's bound v base^(c-1) below
-    2**24, so each call takes the exact float32 route.
+    A_i M is constant on every class exactly when each A_i A_(j_t) is. A
+    chunk holds as many classes as keep the kernel's bound v base^(c-1)
+    below 2**24, so each call takes the exact float32 route.
     """
     if not matrices:
         raise AxiomFailure("no class matrices")
@@ -200,23 +258,27 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     for idx, a in enumerate(arrs):
         if a.shape != (v, v):
             raise AxiomFailure(f"class {idx} is not {v} x {v}")
-        if not np.all((a == 0) | (a == 1)):
+        # IntMatrix holds int64, and a negative entry reads as >= 2**63 here
+        if not np.all(a.view(np.uint64) <= 1):
             raise AxiomFailure(f"class {idx} has entries outside 0/1")
     # 0/1 entries: uint8 holds them exactly and is the kernel's cheapest cast
     arrs = [a.astype(np.uint8) for a in arrs]
     if not np.array_equal(arrs[0], np.eye(v, dtype=np.uint8)):
         raise AxiomFailure("first class is not the identity")
-    total = np.zeros((v, v), dtype=np.int64)
-    color = np.zeros((v, v), dtype=np.int64)
+    d1 = len(arrs)
+    # sums in the narrowest type that holds d1; the colors index as int64
+    acc = np.uint8 if d1 <= np.iinfo(np.uint8).max else np.int64
+    total = np.zeros((v, v), dtype=acc)
+    color = np.zeros((v, v), dtype=acc)
     for idx, a in enumerate(arrs):
         total += a
-        color += idx * a
+        color += acc(idx) * a
     if not np.all(total == 1):
         raise AxiomFailure("classes do not partition the cells")
+    color = color.astype(np.int64)
 
-    d1 = len(arrs)
     first = [int(np.argmax(a)) for a in arrs]
-    sizes = np.bincount(color.ravel(), minlength=d1)
+    sizes = np.array([np.count_nonzero(a) for a in arrs])
     # A_i^T = A_j exactly when every cell of class i has its transpose in
     # class j, the class of the first one's transpose, and |A_i| = |A_j|
     tmap = np.where(sizes > 0, color.T.ravel()[first], np.arange(d1))
@@ -233,46 +295,55 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
 
     valencies = []
     for k, a in enumerate(arrs):
-        s = a.sum(axis=1)
+        s = a.sum(axis=1, dtype=np.int32)
         if not np.all(s == s[0]):
             raise AxiomFailure(f"class {k} is not regular")
         valencies.append(int(s[0]))
 
-    unit = [tuple(int(j == k) for k in range(d1)) for j in range(d1)]
-    p = [[None] * d1 for _ in range(d1)]
-    p[0] = list(unit)
-    for j in range(d1):
-        p[j][0] = unit[j]
-    for i in range(1, d1):
-        base = valencies[i] + 1
-        width = 1
-        while v * base**width < _FLOAT32_EXACT:
-            width += 1
-        # (i, j) and its partner (j', i') share a row only when they coincide
-        todo = [j for j in range(1, d1) if p[i][j] is None]
-        for start in range(0, len(todo), width):
-            chunk = todo[start : start + width]
-            scale = base ** np.arange(len(chunk), dtype=np.int64)
-            weights = np.zeros(d1, dtype=np.int64)
-            weights[chunk] = scale
-            prod = exact_matmul(arrs[i], weights[color])
-            packed = prod[reps]
-            constant = np.array_equal(prod, packed[color])
-            for t, j in enumerate(chunk):
-                digits = packed // scale[t] % base
-                if not constant and not np.array_equal(prod // scale[t] % base, digits[color]):
-                    raise AxiomFailure(f"product of classes {i}, {j} leaves the algebra")
-                pk = tuple(digits.tolist())
-                p[i][j] = pk
-                p[tr[j]][tr[i]] = tuple(pk[tr[m]] for m in range(d1))
-    for i in range(d1):
-        for j in range(d1):
-            if p[i][j] != p[j][i]:
-                raise AxiomFailure(f"classes {i}, {j} do not commute")
+    # p[i, j, k] = #{z : c(x_k, z) = i, c(z, y_k) = j}, each count at most v
+    p = np.empty((d1, d1, d1), dtype=np.min_scalar_type(v))
+    for k, (x, y) in enumerate(zip(*reps)):
+        p[:, :, k] = np.bincount(color[x] * d1 + color[:, y], minlength=d1 * d1).reshape(d1, d1)
 
+    # span: W as echelon rows (pivot, row) in class coordinates; pending: the
+    # vectors of W not reduced into it yet; gens: the B_g. Each new echelon
+    # row meets each B_g once: re-eliminating the whole span per step takes
+    # minutes on a 256-class thin scheme, where W grows one row at a time
+    unit = [[int(j == k) for k in range(d1)] for j in range(d1)]
+    span: list[tuple[int, list[int]]] = []
+    pending = [unit[0]]
+    gens: list[list[list[int]]] = []
+    while True:
+        while pending:
+            x = _reduce(span, pending.pop())
+            pivot = next((c for c, e in enumerate(x) if e), None)
+            if pivot is not None:
+                bisect.insort(span, (pivot, x))
+                pending += [mat_vec(b, x) for b in gens]
+        outside = [k for k in range(1, d1) if any(_reduce(span, unit[k]))]
+        if not outside:
+            break
+        g = outside[0]
+        todo = [j for j in range(1, d1) if tr[j] in outside]
+        j = _open_product(arrs[g], color, reps, valencies[g] + 1, todo)
+        if j is not None:
+            raise AxiomFailure(f"product of classes {g}, {j} leaves the algebra")
+        gens.append(p[g].T.tolist())
+        pending = [mat_vec(gens[-1], x) for _, x in span]
+
+    uneven = np.argwhere((p != p.transpose(1, 0, 2)).any(axis=2))
+    if len(uneven):
+        i, j = uneven[0].tolist()
+        raise AxiomFailure(f"classes {i}, {j} do not commute")
+
+    # p_ij = p_ji now, so both entries hold one tuple
+    table = [[()] * d1 for _ in range(d1)]
+    for i in range(d1):
+        for j in range(i, d1):
+            table[i][j] = table[j][i] = tuple(p[i, j].tolist())
     return Scheme(
         matrices=tuple(matrices),
-        p=tuple(tuple(row) for row in p),
+        p=tuple(map(tuple, table)),
         valencies=tuple(valencies),
         transpose_map=tr,
     )
@@ -648,15 +719,17 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     )
 
 
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def _hamming_distances(n: int) -> np.ndarray:
     """Hamming distances between the binary words of length n, word x being
-    the bits of the index x: the popcount of x XOR y as a sum of n bit planes."""
-    words = np.arange(1 << n)
+    the bits of the index x: the popcount of x XOR y, summed over its bytes
+    from a 256-entry table. The words are held in the smallest unsigned type
+    that holds 2**n - 1, the distances in uint8."""
+    words = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     xor = words[:, None] ^ words[None, :]
-    dist = np.zeros_like(xor)
-    for bit in range(n):
-        dist += (xor >> bit) & 1
-    return dist
+    return _POPCOUNT[xor.view(np.uint8)].reshape(*xor.shape, -1).sum(axis=-1, dtype=np.uint8)
 
 
 def hamming_scheme(n: int) -> Scheme:

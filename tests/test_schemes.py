@@ -495,13 +495,35 @@ def _packed_calls(scheme, monkeypatch):
     return out
 
 
+def _classes_in_words(scheme, gens):
+    """The classes in the span of the generators' words applied to A_0, each
+    word an int64 product of class matrices read at the class
+    representatives; every word is checked to lie in the classes' span."""
+    arrs = [m.array for m in scheme.matrices]
+    d1, color = len(arrs), _colors(scheme)
+    reps = [np.unravel_index(int(np.argmax(a)), a.shape) for a in arrs]
+    rows, frontier = [], [arrs[0]]
+    while frontier:
+        word = frontier.pop()
+        coords = [int(word[r]) for r in reps]
+        assert np.array_equal(word, np.array(coords)[color])
+        if len(rref(rows + [coords])[1]) > len(rows):
+            rows.append(coords)
+            frontier += [arrs[g] @ word for g in gens]
+    unit = [[int(j == k) for j in range(d1)] for k in range(d1)]
+    return {k for k in range(d1) if len(rref(rows + [unit[k]])[1]) == len(rows)}
+
+
 def test_verify_forms_one_product_per_transpose_orbit(monkeypatch, twin16, split_16_9):
-    """The packed products cover each orbit {(i, j), (j', i')} of i, j >= 1
-    exactly once, never use A_0, and each stays on the kernel's float32
-    route: v * base^(c-1) < 2**24 for base = k_i + 1 and c packed classes."""
-    for scheme, want_calls in (
-        (hamming_scheme(8), 13),  # 36 pairs i <= j of the 8 symmetric classes
-        (build_4class_nonsymmetric(twin16.h, split_16_9), 4),  # 10 orbits
+    """Each generator g is the first class outside the algebra W of the
+    generators before it, and the packed products cover the orbits
+    {(g, j), (j', g')} with A_j' outside W, each exactly once: the others
+    lie in the algebra already. No call uses A_0, and each stays on the
+    kernel's float32 route: v * base^(c-1) < 2**24 for base = k_g + 1 and c
+    packed classes. The generators' words span every class."""
+    for scheme, want_gens, want_calls in (
+        (hamming_scheme(8), [1], 2),  # A_1 alone: its 8 products, 6 to a call
+        (build_4class_nonsymmetric(twin16.h, split_16_9), [1, 3], 2),  # 4 + 2 orbits
     ):
         calls = _packed_calls(scheme, monkeypatch)
         assert len(calls) == want_calls
@@ -513,8 +535,16 @@ def test_verify_forms_one_product_per_transpose_orbit(monkeypatch, twin16, split
             assert 0 not in packed
             assert int(a.max()) * int(b.max()) * v < 2**24
             covered += [min((i, j), (t[j], t[i])) for j in packed]
-        orbits = {min((i, j), (t[j], t[i])) for i in range(1, d1) for j in range(1, d1)}
+        gens = list(dict.fromkeys(i for _, _, i, _ in calls))
+        assert gens == want_gens
+        orbits = []
+        for n, g in enumerate(gens):
+            inside = _classes_in_words(scheme, gens[:n])
+            assert g == min(set(range(d1)) - inside)
+            orbits += [min((g, j), (t[j], t[g])) for j in range(1, d1) if t[j] not in inside]
+        assert len(set(covered)) == len(covered)
         assert sorted(covered) == sorted(orbits)
+        assert _classes_in_words(scheme, gens) == set(range(d1))
 
 
 def test_verify_rejects_irregular_class():
@@ -522,6 +552,18 @@ def test_verify_rejects_irregular_class():
     rest = IntMatrix.ones(3) - IntMatrix.identity(3) - path
     with pytest.raises(AxiomFailure):
         verify_scheme([IntMatrix.identity(3), path, rest])
+
+
+def test_verify_takes_more_classes_than_a_byte_counts():
+    # 273 classes: the identity and each off-diagonal cell of 17 points
+    v = 17
+    mats = [IntMatrix.identity(v)]
+    for x, y in zip(*np.nonzero(1 - np.eye(v, dtype=np.int64))):
+        cell = np.zeros((v, v), dtype=np.int64)
+        cell[x, y] = 1
+        mats.append(IntMatrix(cell))
+    with pytest.raises(AxiomFailure, match="class 1 is not regular"):
+        verify_scheme(mats)
 
 
 def _verify_scheme_per_pair(matrices):
@@ -615,6 +657,65 @@ def test_packed_verify_matches_the_per_pair_reference(case, built_schemes):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_packed_verify_matches_the_per_pair_reference_on_hamming(n):
     _assert_same_verdict(hamming_scheme(n).matrices)
+
+
+# The generators verify_scheme forms products for on each cyclic scheme.
+_CYCLIC_GENERATORS = {
+    "z4": [1],
+    "z8": [1, 4],  # {2} reaches only the even differences
+    "z4-sym": [1, 2],
+    "k3": [1],
+    "one-point": [],
+    "pentagon": [1],
+    "z3-directed": [1],
+    "z12": [1],
+}
+
+
+@pytest.mark.parametrize("case", list(_CYCLIC_SCHEMES))
+def test_packed_verify_matches_the_per_pair_reference_on_cyclic_schemes(case, monkeypatch):
+    scheme = _CYCLIC_SCHEMES[case]()
+    _assert_same_verdict(scheme.matrices)
+    calls = _packed_calls(scheme, monkeypatch)
+    assert list(dict.fromkeys(i for _, _, i, _ in calls)) == _CYCLIC_GENERATORS[case]
+    assert scheme.is_symmetric == (case not in ("z4", "z8", "z3-directed"))
+
+
+def test_thin_scheme_of_s3_is_closed_but_not_commutative():
+    """The regular action of S_3: class g holds the cells (x, x g). Classes
+    1 and 2 are the transpositions (0 1) and (1 2), which do not commute;
+    every product stays in the algebra."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    index = {g: k for k, g in enumerate(perms)}
+    mats = [
+        IntMatrix([[int(index[tuple(x[i] for i in g)] == y) for y in range(6)] for x in perms])
+        for g in perms
+    ]
+    _assert_same_verdict(mats)
+    with pytest.raises(AxiomFailure, match="classes 1, 2 do not commute"):
+        verify_scheme(mats)
+
+
+def test_a_later_generator_whose_product_leaves_the_algebra_is_named():
+    """Six blocks of four points. Class 1 is a 4-cycle inside each block and
+    class 2 the opposite points, so A_1^2 = 2 A_0 + 2 A_2, and every product
+    of A_1 stays in the algebra. Classes 3 and 4 join blocks adjacent and
+    not adjacent in a 6-cycle, which is no scheme: A_3^2 = C_6^2 (x) 4J
+    takes 8 on blocks at distance 2 and 0 at distance 3, both in class 4."""
+    eye6, j4 = np.eye(6, dtype=np.int64), np.ones((4, 4), dtype=np.int64)
+    c4, c6 = (np.roll(np.eye(n, dtype=np.int64), 1, axis=1) for n in (4, 6))
+    c4, c6 = c4 + c4.T, c6 + c6.T
+    opposite = j4 - np.eye(4, dtype=np.int64) - c4
+    mats = [
+        IntMatrix.identity(24),
+        IntMatrix(np.kron(eye6, c4)),
+        IntMatrix(np.kron(eye6, opposite)),
+        IntMatrix(np.kron(c6, j4)),
+        IntMatrix(np.kron(1 - eye6 - c6, j4)),
+    ]
+    _assert_same_verdict(mats)
+    with pytest.raises(AxiomFailure, match="product of classes 3, 3 leaves the algebra"):
+        verify_scheme(mats)
 
 
 # Every built scheme, perturbed: verify_scheme must reject what is no longer
