@@ -9,6 +9,7 @@ determination (invalid split, infeasible parameters, inconclusive search),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -694,9 +695,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call. Parsing leaves a
+    parser as it was, so one serves every call in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, UnknownDataset, ValueError, OverflowError, OSError) as exc:

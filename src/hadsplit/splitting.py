@@ -16,6 +16,7 @@ Reports carry the branch, the derived graph, and verification flags.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
@@ -253,6 +254,13 @@ def _require_order_above_1(n: int) -> None:
         )
 
 
+def _row_index(i) -> int:
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"row index {i!r} is not an integer") from None
+
+
 def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     """Validate a row subset as a balanced split and classify its branch.
 
@@ -265,16 +273,24 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     it by construction; and with G = aS + ell I the Seidel identity is
     G^2 = nG rewritten.
 
-    The only product computed is G. Its off-diagonal values are counted,
-    not hashed: every |G_ij| is at most ell and the diagonal is ell, so
-    bincount(G + ell) with the n diagonal entries taken off the top bin
-    holds them all. The report's srg is None when A is not regular, as it
-    can be on the b = -a branch; otherwise G^2 = nG gives it from the
-    degree of A (see _regular_srg), and it equals direct_srg_params(A).
+    One product gives G, from the smaller side. HtH = nI as well, so with
+    H2 the other n - ell rows, G = H1t H1 = nI - H2t H2; when 2 ell > n, G
+    is formed that way. The product then costs n^2 min(ell, n - ell)
+    multiply-adds, and at ell = n, H2 is empty and G = nI. The off-diagonal
+    values of G are counted, not hashed: every |G_ij| is at most ell and the
+    diagonal is ell, so bincount(G + ell) with the n diagonal entries taken
+    off the top bin holds them all. Its sum 1t G 1 = |H1 1|^2 is zero
+    exactly when every split row sums to zero. The report's srg is None
+    when A is not regular, as it can be on the b = -a branch; otherwise
+    G^2 = nG gives it from the degree of A (see _regular_srg), and it
+    equals direct_srg_params(A).
+
+    Row indices are read with operator.index, so a float index raises
+    ValueError rather than being truncated.
     """
     n = h.order
     _require_order_above_1(n)
-    requested = [int(i) for i in row_subset]
+    requested = [_row_index(i) for i in row_subset]
     rows = tuple(sorted(set(requested)))
     if not rows:
         raise ValueError("empty row subset")
@@ -283,9 +299,17 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     if rows[0] < 0 or rows[-1] >= n:
         raise ValueError("row index out of range")
     ell = len(rows)
-    h1 = h.array[list(rows)]
-    shifted = exact_matmul(h1.T, h1)
-    shifted += ell  # G + ell, in place: entries 0 .. 2 ell
+    picked = np.zeros(n, dtype=bool)
+    picked[list(rows)] = True
+    if 2 * ell > n:
+        h2 = h.array[~picked]
+        shifted = exact_matmul(h2.T, h2)
+        np.subtract(ell, shifted, out=shifted)
+        shifted.flat[:: n + 1] += n  # G + ell = ell + nI - H2t H2, in place
+    else:
+        h1 = h.array[picked]
+        shifted = exact_matmul(h1.T, h1)
+        shifted += ell  # G + ell, in place: entries 0 .. 2 ell
     counts = np.bincount(shifted.ravel(), minlength=2 * ell + 1)
     counts[2 * ell] -= n
     values = (np.flatnonzero(counts) - ell).tolist()
@@ -294,7 +318,8 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         raise NotSplittable(f"off-diagonal Gram values {values}")
 
     # gram_ok and seidel_ok hold because h is a HadamardMatrix (see above)
-    checks = {"rowsum_zero": not h1.sum(axis=1).any(), "gram_ok": True}
+    gram_sum = n * ell + int(counts @ np.arange(-ell, ell + 1))
+    checks = {"rowsum_zero": gram_sum == 0, "gram_ok": True}
 
     if len(values) == 1:
         a = values[0]

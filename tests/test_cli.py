@@ -10,7 +10,7 @@ import pytest
 
 import hadsplit
 
-from hadsplit.cli import UnknownDataset, bundled_data, main
+from hadsplit.cli import UnknownDataset, build_parser, bundled_data, main
 from hadsplit.core import IntMatrix, parse_matrix, serialize_matrix
 from hadsplit.latin import parse_latin
 from hadsplit.splitting import direct_srg_params
@@ -527,6 +527,21 @@ def test_bad_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, twin16):
+    # main keeps one parser for the process; a usage error leaves it as it was
+    f = tmp_path / "twin.txt"
+    f.write_text(serialize_matrix(twin16.h))
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    argv = ("check", "--input", str(f), "--rows", "1,4,5,6,9,15", "--json")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and json.loads(first[1])["data"]["ell"] == 6
+    assert run(capsys, *argv) == first
+    assert build_parser() is not build_parser()
 
 
 def test_json_payload_shape(capsys, tmp_path):

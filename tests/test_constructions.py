@@ -126,16 +126,19 @@ def test_twin_sylvester_computes_only_three_grams(kernel_calls):
 
 
 def test_proved_builders_compute_only_the_split_gram(kernel_calls):
+    # the one product has inner dimension min(ell, n - ell): past n / 2,
+    # check_split forms G as nI - H2t H2 over the rows outside the split
     h4, h8, h2 = sylvester(2), _paley12(), sylvester(1)
     for build, gram in (
-        (lambda: kron_square(h4, "large"), ((16, 9), (9, 16))),
+        (lambda: kron_square(h4, "large"), ((16, 7), (7, 16))),
         (lambda: kron_square(h4, "small"), ((16, 6), (6, 16))),
-        (lambda: two_row_split(h8), ((12, 10), (10, 12))),
-        (lambda: core_tensor(h2, h4), ((8, 6), (6, 8))),
+        (lambda: two_row_split(h8), ((12, 2), (2, 12))),
+        (lambda: core_tensor(h2, h4), ((8, 2), (2, 8))),
     ):
         kernel_calls.clear()
-        build()
+        n, ell, _, _ = build().params.astuple()
         assert kernel_calls == [gram]
+        assert gram == ((n, min(ell, n - ell)), (min(ell, n - ell), n))
     # the core's QQt and the split Gram: ja_recursion and the order-380
     # matrix are proved by their identities
     kernel_calls.clear()

@@ -5,7 +5,9 @@ or just above each route threshold (2**24 for float32, 2**53 for float64,
 2**62 for int64), with entries biased toward the extremes and of both signs
 so that partial sums come close to the bound, on operands of random shape.
 Every route must agree with the product of Python ints, and a bound at or
-past 2**62 must raise OverflowError.
+past 2**62 must raise OverflowError. A Gram, a @ a.T or a.T @ a with the
+transpose a view of a, must agree with the general product of two separately
+cast operands on every layout and route.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadsplit.core import exact_matmul
+from hadsplit.core import _is_transpose, exact_matmul
 
 F32, F64, I64 = 2**24, 2**53, 2**62
 
@@ -139,3 +141,69 @@ def test_stacks_multiply_slice_by_slice():
         exact_matmul(a, a)
     with pytest.raises(OverflowError):
         exact_matmul(a.astype(object) * 2**40, b.astype(object) * 2**40)
+
+
+@st.composite
+def gram_operands(draw, target, side):
+    """a @ a.T or a.T @ a, with bound max|a|**2 * inner just below target or
+    at or past it, for a in C or F order, whole or sliced, possibly with 0
+    rows."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    transposed = draw(st.booleans())
+    inner = max(rows if transposed else cols, 1)
+    below = math.isqrt((target - 1) // inner)
+    peak = below if side == "below" else below + 1
+    assert (peak * peak * inner < target) == (side == "below")
+    a = _entries(draw, max(rows, 1), cols, peak)[:rows]
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    if draw(st.booleans()):
+        a = np.repeat(a, 2, axis=0)[::2]  # a strided view holding a
+    return (a.T, a) if transposed else (a, a.T)
+
+
+@pytest.mark.parametrize("target", [F32, F64, I64])
+@pytest.mark.parametrize("side", ["below", "above"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gram_route_matches_the_two_cast_product(target, side, data):
+    left, right = data.draw(gram_operands(target, side))
+    general = right.copy(order=data.draw(st.sampled_from("CF")))
+    assert _is_transpose(left, right) and not _is_transpose(left, general)
+    # an empty operand has bound 1 whatever its dtype could hold
+    if target == I64 and side == "above" and left.size:
+        for b in (right, general):
+            with pytest.raises(OverflowError):
+                exact_matmul(left, b)
+        return
+    got = exact_matmul(left, right)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, exact_matmul(left, general))
+    assert got.tolist() == _reference(left, right)
+
+
+def test_gram_route_keeps_the_float32_bound():
+    # max|a|**2 * inner = 2**24 - 2**13 + 1 stays in float32; 2**25 leaves it,
+    # and 2**24 + 1, which float32 would round, comes out exact
+    a = np.array([[2**12 - 1]], dtype=np.int64)
+    assert exact_matmul(a, a.T).tolist() == [[(2**12 - 1) ** 2]]
+    a = np.array([[2**12, 1]], dtype=np.int64)
+    assert exact_matmul(a, a.T).tolist() == [[2**24 + 1]]
+    assert exact_matmul(a.T, a).tolist() == [[2**24, 2**12], [2**12, 1]]
+
+
+def test_gram_route_on_int64_entries_near_2_30():
+    a = np.array([[2**30 - 1, -(2**30)], [2**30, 3]], dtype=np.int64)
+    for left, right in ((a, a.T), (a.T, a)):
+        assert exact_matmul(left, right).tolist() == _reference(left, right)
+    with pytest.raises(OverflowError):
+        exact_matmul(a * 2, (a * 2).T)
+
+
+def test_only_a_transpose_view_is_a_gram():
+    a = np.arange(6, dtype=np.int64).reshape(2, 3)
+    assert _is_transpose(a, a.T) and _is_transpose(a.T, a)
+    assert not _is_transpose(a, a.T.copy())
+    assert not _is_transpose(a[:, :2], a[:, :2])
+    assert not _is_transpose(a, a.T.astype(np.int32))
+    assert not _is_transpose(a[None], a[None].T)

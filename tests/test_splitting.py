@@ -28,6 +28,7 @@ from hadsplit.splitting import (
     BoundInapplicable,
     BudgetExceeded,
     InfeasibleSeidel,
+    InvalidSingleValue,
     MissingAllOnesRow,
     NonIntegral,
     NotDiagonalized,
@@ -35,6 +36,7 @@ from hadsplit.splitting import (
     NotUnbiasedCase,
     SeidelDerivation,
     SplitParams,
+    SplitReport,
     SrgParams,
     WrongParameters,
     check_split,
@@ -119,6 +121,16 @@ def test_check_split_input_validation():
         check_split(h, [0, 0])
     with pytest.raises(ValueError):
         check_split(h, [])
+
+
+def test_check_split_rejects_non_integral_row_indices(twin16):
+    rows = (1, 4, 5, 6, 9, 15)
+    with pytest.raises(ValueError, match="row index 1.5 is not an integer"):
+        check_split(twin16.h, [1.5, 4, 5, 6, 9, 15])
+    with pytest.raises(ValueError, match="not an integer"):
+        check_split(twin16.h, ["1", 4, 5, 6, 9, 15])
+    # numpy integers are indices
+    assert check_split(twin16.h, np.array(rows)).rows == rows
 
 
 def test_order_1_has_no_split():
@@ -316,9 +328,108 @@ def test_check_split_computes_only_the_gram(kernel_calls, twin16):
         check_split(twin16.h, rep.rows)
         ell = rep.params.ell
         assert kernel_calls == [((16, ell), (ell, 16))]
+        # the complement's Gram is formed over the same ell rows
+        kernel_calls.clear()
+        check_split(twin16.h, sorted(set(range(16)) - set(rep.rows)))
+        assert kernel_calls == [((16, ell), (ell, 16))]
     kernel_calls.clear()
     check_split(twin16.h, [0])
     assert kernel_calls == [((16, 1), (1, 16))]
+    kernel_calls.clear()
+    check_split(twin16.h, range(16))
+    assert kernel_calls == [((16, 0), (0, 16))]
+
+
+def _direct_report(h, rows):
+    """check_split's report, or its exception, built from the direct Gram
+    H1t H1 with each check computed."""
+    n, ell = h.order, len(rows)
+    h1 = h.array[rows]
+    g = h1.T @ h1
+    eye = np.eye(n, dtype=bool)
+    values = np.unique(g[~eye]).tolist()
+    if len(values) > 2:
+        raise NotSplittable(f"off-diagonal Gram values {values}")
+    # at most two values off the diagonal: G = ell I + a A + b (J - I - A)
+    # holds once the diagonal is ell
+    two_value = np.all(np.diagonal(g) == ell)
+    checks = {
+        "rowsum_zero": not h1.sum(axis=1).any(),
+        "gram_ok": bool(two_value and np.array_equal(g @ g, n * g)),
+    }
+    if len(values) == 1:
+        (a,) = values
+        if (ell, a) not in {(1, 1), (n - 1, -1), (n, 0)}:
+            raise InvalidSingleValue(f"single value {a} with ell={ell} not allowed")
+        return SplitReport(SplitParams(n, ell, a, a), tuple(rows), None, "single-value", None, checks)
+    b, a = values
+    adj = IntMatrix(((g == a) & ~eye).astype(np.int64))
+    den_a, den_b = a * (n - 1) + ell, a * (n - 1) + ell - n
+    matches = [
+        name
+        for name, holds in (
+            ("seidel", b == -a),
+            ("case-a", b * den_a == ell * (ell - a - n)),
+            ("case-b", den_b != 0 and b * den_b == (ell - a) * (ell - n)),
+        )
+        if holds
+    ]
+    report = SplitReport(
+        params=SplitParams(n, ell, a, b),
+        rows=tuple(rows),
+        adjacency=adj,
+        branch=matches[0] if matches else "unclassified",
+        srg=direct_srg_params(adj),
+        checks=checks,
+        alt_branch=matches[1] if len(matches) > 1 else None,
+    )
+    if report.branch == "seidel":
+        checks["seidel_ok"] = verify_seidel_matrix(report)
+    return report
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except (NotSplittable, InvalidSingleValue) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _both_sides_of_half(draw):
+    """A signed, permuted sylvester(4), sylvester(5) or order-16 or order-64
+    twin matrix, and a row subset: a known split or its complement, or a
+    random subset whose size is often n/2, n/2 + 1, n - 1 or n."""
+    kind = draw(st.sampled_from(["sylvester4", "sylvester5", "twin2", "twin3"]))
+    if kind.startswith("sylvester"):
+        m = int(kind[-1])
+        base, n = sylvester(m), 2**m
+        group = _span(draw(st.lists(st.integers(1, n - 1), max_size=m)))
+        known = [group, group - {0}]
+    else:
+        tw = twin_sylvester(int(kind[-1]))
+        base, n = tw.h, tw.h.order
+        known = [set(tw.h1_rows), set(tw.h2_rows), set(tw.h3_rows)]
+    known += [set(range(n)) - r for r in known]
+    ell = draw(st.one_of(st.sampled_from([n // 2, n // 2 + 1, n - 1, n]), st.integers(1, n)))
+    picked = draw(st.permutations(range(n)))[:ell]
+    rows = draw(st.sampled_from([r for r in known if r] + [set(picked)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    signs = rng.choice([-1, 1], size=(2, n))
+    image = HadamardMatrix(signs[0][:, None] * base.array[perm][:, rng.permutation(n)] * signs[1])
+    # row i of the image is row perm[i] of base
+    return image, sorted(np.argsort(perm)[sorted(rows)].tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_both_sides_of_half())
+def test_check_split_matches_the_direct_gram_on_both_sides_of_half(case):
+    h, rows = case
+    got, want = _outcome_of(check_split, h, rows), _outcome_of(_direct_report, h, rows)
+    assert got == want
+    if isinstance(want, SplitReport):
+        assert list(got.checks) == list(want.checks)
 
 
 # ------------------------------------------------------------- derivations
