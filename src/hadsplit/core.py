@@ -17,14 +17,8 @@ routes from bound = max|A| * max|B| * inner dimension:
 
 A Gram, where one operand is a transpose view of the other (same data,
 reversed shape and strides, as in a @ a.T or h1.T @ h1), takes the route of
-bound = max|A|**2 * inner, found in one max/min pass. When its inner
-dimension is at least half its order, the operand is cast once and
-multiplied by its own transpose, which BLAS runs as a symmetric rank-k
-update. numpy then copies that update's triangle into the other entry by
-entry, and below that depth the strided copy costs more than the half
-product it saves (at order 512, one BLAS thread: 0.68 against 0.10 ms at
-inner 4, 3.0 against 4.2 ms at inner 512), so a shallower Gram casts both
-operands like any other product.
+bound = max|A|**2 * inner, found in one max/min pass instead of two; both
+operands are then cast and multiplied like any other product.
 """
 
 from __future__ import annotations
@@ -131,28 +125,20 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Returns int64, computed in float32 BLAS when bound = max|A| * max|B| *
     inner is below 2**24, in float64 BLAS when it is below 2**53, and in
     int64 when it is below 2**62; a larger bound raises OverflowError.
-    When b is a.T and the inner dimension is at least half the order, a is
-    cast once and multiplied by its own transpose.
+    When b is a.T, one max/min pass over a bounds both operands.
     """
     if a.shape[-1] != b.shape[-2]:
         raise ValueError("inner dimension mismatch")
-    gram = _is_transpose(a, b)
-    if gram:
+    if _is_transpose(a, b):
         peak = _bound(a)
         bound = _bound(peak, peak, a.shape[-1])
     else:
         bound = _bound(a, b, a.shape[-1])
     if bound < _FLOAT64_EXACT:
-        kind = np.float32 if bound < _FLOAT32_EXACT else np.float64
-    else:
-        _check_bound(bound)
-        kind = np.int64
-    if gram and 2 * a.shape[1] >= a.shape[0]:
-        x = a.astype(kind, copy=False)
-        out = x @ x.T
-    else:
-        out = a.astype(kind, copy=False) @ b.astype(kind, copy=False)
-    return out.astype(np.int64, copy=False)
+        real = np.float32 if bound < _FLOAT32_EXACT else np.float64
+        return (a.astype(real) @ b.astype(real)).astype(np.int64)
+    _check_bound(bound)
+    return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
 
 
 def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:

@@ -6,8 +6,8 @@ or just above each route threshold (2**24 for float32, 2**53 for float64,
 so that partial sums come close to the bound, on operands of random shape.
 Every route must agree with the product of Python ints, and a bound at or
 past 2**62 must raise OverflowError. A Gram, a @ a.T or a.T @ a with the
-transpose a view of a, must agree with the general product of two separately
-cast operands on every layout and route.
+transpose a view of a, is bounded from one pass over a and must agree with
+the general product on every layout and route.
 """
 
 import math
