@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -67,9 +67,11 @@ def _as_array(rows: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
             guess = np.array(rows)
         except (TypeError, ValueError):  # ragged or odd rows: the loop below reports them
             guess = None
-        if guess is not None and guess.dtype.kind in "biu":
+        if guess is not None and (guess.dtype.kind in "biu" or guess.ndim != 2):
             rows = guess
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size and rows.dtype.kind in "biu":
+    if isinstance(rows, np.ndarray) and rows.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {rows.shape}")
+    if isinstance(rows, np.ndarray) and rows.size and rows.dtype.kind in "biu":
         _check_bound(_max_abs(rows))
         arr = rows.astype(np.int64)  # a copy: the caller keeps its array
     else:
@@ -264,28 +266,6 @@ class IntMatrix:
     def col_sums(self) -> tuple[int, ...]:
         _check_bound(_bound(self._a, self.nrows))
         return tuple(int(v) for v in self._a.sum(axis=0))
-
-    def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix._wrap(self._a[list(indices), :].copy())
-
-    def offdiag_values(self) -> set[int]:
-        """Distinct values outside the main diagonal (square matrices)."""
-        if not self.is_square:
-            raise ValueError("square matrix required")
-        mask = ~np.eye(self.nrows, dtype=bool)
-        return {int(v) for v in np.unique(self._a[mask])}
-
-    def scaled_exact(self, num: int, den: int) -> "IntMatrix":
-        """Multiply by num/den, requiring exact divisibility of every entry."""
-        if den == 0:
-            raise ZeroDivisionError("scaled_exact by num/0")
-        _check_bound(_bound(num, self._a, den))
-        t = self._a * num
-        rem = t % den
-        bad = np.flatnonzero(rem)
-        if bad.size:
-            raise ValueError(f"entry {int(self._a.flat[bad[0]])} not divisible by {den}")
-        return IntMatrix._wrap(t // den)
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:

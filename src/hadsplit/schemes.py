@@ -1,7 +1,7 @@
 """Association schemes assembled from balanced splits and Latin squares.
 
-Builders construct candidate class matrices and hand them to verify_scheme,
-which checks every axiom outright, so any returned Scheme is genuine and
+Builders write the class of every cell into one index array, on which
+every axiom is checked outright, so any returned Scheme is genuine and
 carries an exact intersection table. Eigenmatrices are computed over the
 rationals (extended by i for the non-symmetric scheme) on integers alone:
 invariant subspaces are held as primitive integer vectors, eigenvalues are
@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -148,27 +149,40 @@ def lift_latin(square: LatinSquare, aux: AuxiliarySet) -> IntMatrix:
     return IntMatrix(lifted.reshape(m * n, m * n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scheme:
-    """Verified association scheme: class matrices plus the exact
-    intersection table p[i][j][k]."""
+    """Verified association scheme: colors[x, y] is the class of cell
+    (x, y) and p[i][j][k] the intersection table; matrices are formed on first read."""
 
-    matrices: tuple[IntMatrix, ...]
+    colors: np.ndarray
     p: tuple[tuple[tuple[int, ...], ...], ...]
     valencies: tuple[int, ...]
     transpose_map: tuple[int, ...]
 
+    @cached_property
+    def matrices(self) -> tuple[IntMatrix, ...]:
+        return tuple(IntMatrix(self.colors == k) for k in range(len(self.valencies)))
+
     @property
     def size(self) -> int:
-        return self.matrices[0].nrows
+        return self.colors.shape[0]
 
     @property
     def classes(self) -> int:
-        return len(self.matrices) - 1
+        return len(self.valencies) - 1
 
     @property
     def is_symmetric(self) -> bool:
         return all(t == i for i, t in enumerate(self.transpose_map))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scheme):
+            return NotImplemented
+        tables = [(s.p, s.valencies, s.transpose_map) for s in (self, other)]
+        return tables[0] == tables[1] and bool(np.array_equal(self.colors, other.colors))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.valencies, self.transpose_map))
 
 
 def _reduce(rows: list[tuple[int, list[int]]], x: list[int]) -> list[int]:
@@ -206,7 +220,27 @@ def _open_product(a: np.ndarray, color: np.ndarray, reps, base: int, todo: list[
 
 
 def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
-    """Check every axiom on a candidate list of 0/1 class matrices.
+    """Check every axiom on a candidate list of 0/1 class matrices: shapes,
+    entries, identity and partition here, the rest in _verify_colors."""
+    if not matrices:
+        raise AxiomFailure("no class matrices")
+    arrs = [m.array for m in matrices]
+    v, d1 = arrs[0].shape[0], len(arrs)
+    for idx, a in enumerate(arrs):
+        if a.shape != (v, v):
+            raise AxiomFailure(f"class {idx} is not {v} x {v}")
+        # IntMatrix holds int64, and a negative entry reads as >= 2**63 here
+        if not np.all(a.view(np.uint64) <= 1):
+            raise AxiomFailure(f"class {idx} has entries outside 0/1")
+    if not np.array_equal(arrs[0], np.eye(v, dtype=np.int64)):
+        raise AxiomFailure("first class is not the identity")
+    # class k adds k + d1 on its cells, so a cell not in exactly one class reads < 0 or >= d1
+    return _verify_colors(sum((k + d1) * a for k, a in enumerate(arrs)) - d1, d1)
+
+
+def _verify_colors(colors: np.ndarray, d1: int) -> Scheme:
+    """Check every axiom on the classes 0..d1-1 of the cells, cell (x, y)
+    in class colors[x, y]; an index outside 0..d1-1 breaks the partition.
 
     Products are formed only up to transposition. A_0 = I is checked
     outright, so p_0j^k = p_j0^k = [j = k] needs no product. For i, j >= 1,
@@ -251,59 +285,40 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     chunk holds as many classes as keep the kernel's bound v base^(c-1)
     below 2**24, so each call takes the exact float32 route.
     """
-    if not matrices:
-        raise AxiomFailure("no class matrices")
-    arrs = [m.array for m in matrices]
-    v = arrs[0].shape[0]
-    for idx, a in enumerate(arrs):
-        if a.shape != (v, v):
-            raise AxiomFailure(f"class {idx} is not {v} x {v}")
-        # IntMatrix holds int64, and a negative entry reads as >= 2**63 here
-        if not np.all(a.view(np.uint64) <= 1):
-            raise AxiomFailure(f"class {idx} has entries outside 0/1")
-    # 0/1 entries: uint8 holds them exactly and is the kernel's cheapest cast
-    arrs = [a.astype(np.uint8) for a in arrs]
-    if not np.array_equal(arrs[0], np.eye(v, dtype=np.uint8)):
-        raise AxiomFailure("first class is not the identity")
-    d1 = len(arrs)
-    # sums in the narrowest type that holds d1; the colors index as int64
-    acc = np.uint8 if d1 <= np.iinfo(np.uint8).max else np.int64
-    total = np.zeros((v, v), dtype=acc)
-    color = np.zeros((v, v), dtype=acc)
-    for idx, a in enumerate(arrs):
-        total += a
-        color += acc(idx) * a
-    if not np.all(total == 1):
+    v = colors.shape[0]
+    if colors.min() < 0 or colors.max() >= d1:
         raise AxiomFailure("classes do not partition the cells")
-    color = color.astype(np.int64)
+    if not np.array_equal(colors == 0, np.eye(v, dtype=bool)):
+        raise AxiomFailure("first class is not the identity")
+    colors.setflags(write=False)
 
-    first = [int(np.argmax(a)) for a in arrs]
-    sizes = np.array([np.count_nonzero(a) for a in arrs])
-    # A_i^T = A_j exactly when every cell of class i has its transpose in
-    # class j, the class of the first one's transpose, and |A_i| = |A_j|
-    tmap = np.where(sizes > 0, color.T.ravel()[first], np.arange(d1))
-    wrong = set(np.unique(color[color.T != tmap[color]]).tolist())
-    wrong.update(np.flatnonzero(sizes != sizes[tmap]).tolist())
-    if wrong:
-        raise AxiomFailure(f"transpose of class {min(wrong)} is not a class")
-    tr = tuple(int(t) for t in tmap)
+    # pairs[i, j] counts the cells of class i whose transpose lies in class
+    # j; A_i^T = A_j exactly when row i is nonzero at j alone and |A_i| = |A_j|
+    pairs = np.bincount((colors.astype(np.int64) * d1 + colors.T).ravel(), minlength=d1 * d1)
+    pairs = pairs.reshape(d1, d1)
+    sizes = pairs.sum(axis=1)
+    tmap = np.where(sizes > 0, pairs.argmax(axis=1), np.arange(d1))
+    wrong = np.flatnonzero((np.count_nonzero(pairs, axis=1) > 1) | (sizes != sizes[tmap]))
+    if len(wrong):
+        raise AxiomFailure(f"transpose of class {wrong[0]} is not a class")
+    if not sizes.all():
+        raise AxiomFailure(f"class {sizes.argmin()} is empty")
 
-    for k in range(d1):
-        if not sizes[k]:
-            raise AxiomFailure(f"class {k} is empty")
-    reps = np.divmod(first, v)
-
-    valencies = []
-    for k, a in enumerate(arrs):
-        s = a.sum(axis=1, dtype=np.int32)
-        if not np.all(s == s[0]):
-            raise AxiomFailure(f"class {k} is not regular")
-        valencies.append(int(s[0]))
+    # counts[x, k] is the number of cells of class k in row x
+    counts = np.bincount((colors + d1 * np.arange(v)[:, None]).ravel(), minlength=v * d1)
+    counts = counts.reshape(v, d1)
+    irregular = np.flatnonzero((counts != counts[0]).any(axis=0))
+    if len(irregular):
+        raise AxiomFailure(f"class {irregular[0]} is not regular")
+    valencies = tuple(counts[0].tolist())
+    # every class meets row 0, so its first cell there is its first cell
+    reps = (np.zeros(d1, dtype=np.intp), (colors[0] == np.arange(d1)[:, None]).argmax(axis=1))
 
     # p[i, j, k] = #{z : c(x_k, z) = i, c(z, y_k) = j}, each count at most v
+    row = colors[0].astype(np.int64) * d1
     p = np.empty((d1, d1, d1), dtype=np.min_scalar_type(v))
-    for k, (x, y) in enumerate(zip(*reps)):
-        p[:, :, k] = np.bincount(color[x] * d1 + color[:, y], minlength=d1 * d1).reshape(d1, d1)
+    for k, y in enumerate(reps[1]):
+        p[:, :, k] = np.bincount(row + colors[:, y], minlength=d1 * d1).reshape(d1, d1)
 
     # span: W as echelon rows (pivot, row) in class coordinates; pending: the
     # vectors of W not reduced into it yet; gens: the B_g. Each new echelon
@@ -324,8 +339,8 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
         if not outside:
             break
         g = outside[0]
-        todo = [j for j in range(1, d1) if tr[j] in outside]
-        j = _open_product(arrs[g], color, reps, valencies[g] + 1, todo)
+        todo = [j for j in range(1, d1) if tmap[j] in outside]
+        j = _open_product(colors == g, colors, reps, valencies[g] + 1, todo)
         if j is not None:
             raise AxiomFailure(f"product of classes {g}, {j} leaves the algebra")
         gens.append(p[g].T.tolist())
@@ -341,12 +356,8 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
     for i in range(d1):
         for j in range(i, d1):
             table[i][j] = table[j][i] = tuple(p[i, j].tolist())
-    return Scheme(
-        matrices=tuple(matrices),
-        p=tuple(map(tuple, table)),
-        valencies=tuple(valencies),
-        transpose_map=tr,
-    )
+    tr = tuple(tmap.tolist())
+    return Scheme(colors=colors, p=tuple(map(tuple, table)), valencies=valencies, transpose_map=tr)
 
 
 def _require_zero_row_sums(report: SplitReport) -> None:
@@ -360,20 +371,17 @@ def _assemble(
     report: SplitReport, copies: int, lifted: np.ndarray, patterns: Sequence[np.ndarray] = ()
 ) -> Scheme:
     """Verify the classes I, I_c (x) A, I_c (x) (J - I - A), the positive and
-    the negative cells of the lift, and each block pattern (x) J_n."""
-    n = report.params.n
-    adj = report.adjacency.array
-    eye_c = np.eye(copies, dtype=np.int64)
-    jn = np.ones((n, n), dtype=np.int64)
-    mats = [
-        IntMatrix.identity(copies * n),
-        IntMatrix(np.kron(eye_c, adj)),
-        IntMatrix(np.kron(eye_c, jn - adj - np.eye(n, dtype=np.int64))),
-        IntMatrix(lifted > 0),
-        IntMatrix(lifted < 0),
-    ]
-    mats += [IntMatrix(np.kron(pattern, jn)) for pattern in patterns]
-    return verify_scheme(mats)
+    the negative cells of the lift, and each block pattern (x) J_n, each
+    class k adding k + d1 on its cells and d1 coming off, as in verify_scheme."""
+    n, d1 = report.params.n, 5 + len(patterns)
+    adj, eye_n = report.adjacency.array, np.eye(n, dtype=np.int64)
+    within = d1 * eye_n + (1 + d1) * adj + (2 + d1) * (1 - eye_n - adj)
+    colors = np.kron(np.eye(copies, dtype=np.int16), within.astype(np.int16))
+    np.add(colors, 3 + d1, out=colors, where=lifted > 0)
+    np.add(colors, 4 + d1, out=colors, where=lifted < 0)
+    for t, pattern in enumerate(patterns):
+        colors += np.kron((5 + t + d1) * pattern.astype(np.int16), np.ones((n, n), np.int16))
+    return _verify_colors(colors - d1, d1)
 
 
 def _check_scheme_square(square: LatinSquare, ell: int) -> None:
@@ -446,7 +454,7 @@ def _ufs_cross_lift(
     aux = AuxiliarySet(h, report)
     f = len(squares)
     s = order * n
-    big = np.zeros((f * s, f * s), dtype=np.int64)
+    big = np.zeros((f * s, f * s), dtype=np.int8)
     for u in range(f):
         for w in range(f):
             if u != w:
@@ -737,27 +745,19 @@ def hamming_scheme(n: int) -> Scheme:
     distance."""
     if n < 1:
         raise ValueError("length must be positive")
-    dist = _hamming_distances(n)
-    return verify_scheme([IntMatrix(dist == k) for k in range(n + 1)])
+    return _verify_colors(_hamming_distances(n), n + 1)
 
 
 def muzychuk_fusion(n: int, variant: str) -> Scheme:
     """Fuse the distance classes of the length-n binary scheme into two,
     grouping distances by residue mod 4: variant "01" keeps 0 and 1,
     variant "03" keeps 0 and 3 (distance zero always stays separate)."""
-    if variant == "01":
-        keep = {0, 1}
-    elif variant == "03":
-        keep = {0, 3}
-    else:
+    keep = {"01": {0, 1}, "03": {0, 3}}.get(variant)
+    if keep is None:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 2:
         raise ValueError("need length at least 2")
-    inside = [k for k in range(1, n + 1) if k % 4 in keep]
-    outside = [k for k in range(1, n + 1) if k % 4 not in keep]
-    if not inside or not outside:
+    group = [0] + [1 if k % 4 in keep else 2 for k in range(1, n + 1)]
+    if set(group[1:]) != {1, 2}:
         raise ValueError("fusion would leave an empty class")
-    dist = _hamming_distances(n)
-    return verify_scheme(
-        [IntMatrix(dist == 0), IntMatrix(np.isin(dist, inside)), IntMatrix(np.isin(dist, outside))]
-    )
+    return _verify_colors(np.array(group, dtype=np.uint8)[_hamming_distances(n)], 3)

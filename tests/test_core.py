@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,15 +80,23 @@ def test_intmatrix_rejects_non_integer_entries():
     assert IntMatrix(np.array([[2.0], [-1.0]])).array.dtype == np.int64
 
 
+def test_intmatrix_rejects_input_that_is_not_2d():
+    for rows, shape in (
+        ([1, 2, 3], (3,)),
+        (np.zeros(3, dtype=int), (3,)),
+        (np.zeros((2, 2, 2), dtype=int), (2, 2, 2)),
+        ([1.0, 2.0], (2,)),
+        ([[[1]]], (1, 1, 1)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"matrix must be 2-D, got shape {shape}")):
+            IntMatrix(rows)
+
+
 def test_zero_factor_keeps_huge_scalars_out_of_int64():
     # a zero factor counts as 1 in the bound, so a huge scalar still raises
     zero = IntMatrix.zeros(2)
     with pytest.raises(OverflowError):
         (2**100) * zero
-    with pytest.raises(OverflowError):
-        zero.scaled_exact(2**100, 1)
-    with pytest.raises(OverflowError):
-        IntMatrix([[4]]).scaled_exact(1, 2**70)
 
 
 def test_sum_past_int64_safe_range_raises():
@@ -97,19 +107,6 @@ def test_sum_past_int64_safe_range_raises():
         IntMatrix([[x]]) - IntMatrix([[-x]])
     half = 2**61
     assert (IntMatrix([[half - 1]]) + IntMatrix([[half]])).tolist() == [[2**62 - 1]]
-
-
-def test_scaled_exact():
-    a = IntMatrix([[2, -4], [6, 0]])
-    assert a.scaled_exact(3, 2).tolist() == [[3, -6], [9, 0]]
-    assert a.scaled_exact(1, -2).tolist() == [[-1, 2], [-3, 0]]
-    with pytest.raises(ValueError, match="entry 3 not divisible by 2"):
-        IntMatrix([[2, 4], [3, 5]]).scaled_exact(1, 2)
-    with pytest.raises(OverflowError):
-        IntMatrix([[2**70, -(2**71)]]).scaled_exact(3, 2**70)
-    big = IntMatrix([[2**40, -(2**41)]]).scaled_exact(3, 2**10)
-    assert big.tolist() == [[3 * 2**30, -6 * 2**30]]
-    assert big.array.dtype == np.int64
 
 
 def test_row_and_col_sums():
@@ -127,12 +124,6 @@ def test_row_and_col_sums_past_int64_safe_range_raise():
         wide.T.col_sums()
     assert wide.col_sums() == (2**62 - 1,) * 3
     assert wide.T.row_sums() == (2**62 - 1,) * 3
-
-
-def test_take_rows_and_offdiag():
-    a = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert a.take_rows([0, 2]).tolist() == [[1, 2, 3], [7, 8, 9]]
-    assert IntMatrix([[5, 1], [2, 5]]).offdiag_values() == {1, 2}
 
 
 def test_kronecker_block_structure():

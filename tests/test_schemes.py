@@ -2,6 +2,7 @@ import cProfile
 import hashlib
 import math
 import pstats
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from hadsplit.latin import (
     LatinSquare,
     affine_ufs_family,
     circle_symmetric,
+    compose_ufs,
     force_constant_diagonal,
     with_min_symbol,
 )
@@ -26,7 +28,9 @@ from hadsplit.schemes import (
     EigenTables,
     IrrationalEigenvalue,
     OddityViolation,
+    _assemble,
     _integer_roots,
+    _verify_colors,
     build_4class_nonsymmetric,
     build_4class_symmetric,
     build_5class,
@@ -38,7 +42,11 @@ from hadsplit.schemes import (
     table_as_ints,
     verify_scheme,
 )
-from hadsplit.splitting import diagonalize_by_hadamard, direct_srg_params
+from hadsplit.splitting import (
+    delete_allones_transform,
+    diagonalize_by_hadamard,
+    direct_srg_params,
+)
 
 
 @pytest.fixture(scope="module")
@@ -817,6 +825,138 @@ def test_verify_judges_a_switched_square_like_the_definition(case, built_schemes
         with pytest.raises(AxiomFailure):
             verify_scheme(mats)
     _assert_same_verdict(mats)
+
+
+# ----------------------------------------------------- class-index array
+
+# Every builder: both 4-class builders on both deleted order-16 twin splits,
+# the 5-class f = 2, 3 and 6-class f = 2 builds, hamming(1..8) and both
+# fusions at n = 4 and 6.
+_EVERY_BUILD = {
+    **{
+        f"4class-{kind}-twin{k}": (
+            lambda tw, k=k, b=b: b(tw.h, delete_allones_transform(tw.h, tw.reports[k]))
+        )
+        for k in (1, 2)
+        for kind, b in (("sym", build_4class_symmetric), ("nonsym", build_4class_nonsymmetric))
+    },
+    **{
+        f"5class-f{f}": (
+            lambda tw, f=f: build_5class(
+                tw.h,
+                delete_allones_transform(tw.h, tw.reports[1]),
+                [with_min_symbol(sq, 1) for sq in affine_ufs_family(9)][:f],
+            )
+        )
+        for f in (2, 3)
+    },
+    "6class-f2": lambda tw: build_6class(
+        tw.h, tw.reports[1], [force_constant_diagonal(sq, 0) for sq in affine_ufs_family(7)][:2]
+    ),
+    **{f"hamming{n}": (lambda tw, n=n: hamming_scheme(n)) for n in range(1, 9)},
+    **{
+        f"fusion{variant}-n{n}": (lambda tw, n=n, variant=variant: muzychuk_fusion(n, variant))
+        for variant in ("01", "03")
+        for n in (4, 6)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_EVERY_BUILD))
+def test_built_scheme_equals_the_verified_scheme_of_its_matrices(case, twin16):
+    scheme = _EVERY_BUILD[case](twin16)
+    assert "matrices" not in vars(scheme)
+    again = verify_scheme(scheme.matrices)
+    assert "matrices" in vars(scheme) and scheme.matrices is scheme.matrices
+    assert np.array_equal(again.colors, scheme.colors)
+    assert (again.p, again.valencies, again.transpose_map) == (
+        scheme.p,
+        scheme.valencies,
+        scheme.transpose_map,
+    )
+    assert again == scheme and hash(again) == hash(scheme)
+    assert not scheme.colors.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        scheme.matrices = ()
+
+
+def test_scheme_equality_compares_the_classes(twin16):
+    """The two deleted twin splits give 4-class schemes with one table on
+    different cells: equal tables, unequal schemes."""
+    a, b = (_EVERY_BUILD[f"4class-sym-twin{k}"](twin16) for k in (1, 2))
+    assert (a.p, a.valencies, a.transpose_map) == (b.p, b.valencies, b.transpose_map)
+    assert not np.array_equal(a.colors, b.colors)
+    assert a != b and a == _EVERY_BUILD["4class-sym-twin1"](twin16)
+    assert a != hamming_scheme(2) and a != "scheme"
+
+
+def _cross_lift(h, rep, squares):
+    aux = AuxiliarySet(h, rep)
+    zero = np.zeros((squares[0].order * rep.params.n,) * 2, dtype=np.int64)
+    return np.block(
+        [
+            [zero if a is b else lift_latin(compose_ufs(a, b), aux).array for b in squares]
+            for a in squares
+        ]
+    )
+
+
+def _listed_classes(rep, copies, lifted, patterns=()):
+    """The class list the builders once formed: I, I_c (x) A,
+    I_c (x) (J - I - A), the positive and negative cells of the lift, and
+    each block pattern (x) J_n."""
+    n, adj = rep.params.n, rep.adjacency.array
+    eye_c, eye_n, jn = np.eye(copies, dtype=np.int64), np.eye(n, dtype=np.int64), np.ones((n, n))
+    mats = [np.kron(eye_c, eye_n), np.kron(eye_c, adj), np.kron(eye_c, jn - eye_n - adj)]
+    mats += [lifted > 0, lifted < 0] + [np.kron(p, jn) for p in patterns]
+    return tuple(IntMatrix(m.astype(np.int64)) for m in mats)
+
+
+def test_matrices_are_the_classes_the_builders_listed(twin16, split_16_9, fam9):
+    h = twin16.h
+    lift = lift_latin(circle_symmetric(10), AuxiliarySet(h, split_16_9)).array
+    below = np.kron(np.tri(10, k=-1, dtype=np.int64), np.ones((16, 16), dtype=np.int64))
+    assert build_4class_symmetric(h, split_16_9).matrices == _listed_classes(split_16_9, 10, lift)
+    signed = lift * (1 - 2 * below)
+    assert build_4class_nonsymmetric(h, split_16_9).matrices == _listed_classes(
+        split_16_9, 10, signed
+    )
+    off9 = np.kron(np.eye(2), np.ones((9, 9)) - np.eye(9))
+    assert build_5class(h, split_16_9, fam9[:2]).matrices == _listed_classes(
+        split_16_9, 18, _cross_lift(h, split_16_9, fam9[:2]), [off9]
+    )
+    rep6 = twin16.reports[1]
+    sq7 = [force_constant_diagonal(sq, 0) for sq in affine_ufs_family(7)][:2]
+    eye2, eye7 = np.eye(2), np.eye(7)
+    patterns = [np.kron(eye2, np.ones((7, 7)) - eye7), np.kron(np.ones((2, 2)) - eye2, eye7)]
+    assert build_6class(h, rep6, sq7).matrices == _listed_classes(
+        rep6, 14, _cross_lift(h, rep6, sq7), patterns
+    )
+
+
+def test_verify_colors_refuses_an_index_outside_the_classes():
+    colors = hamming_scheme(3).colors.astype(np.int64)
+    for bad in (4, 200, -1):
+        c = colors.copy()
+        c[0, 5] = bad
+        with pytest.raises(AxiomFailure, match="classes do not partition the cells"):
+            _verify_colors(c, 4)
+    c = colors.copy()
+    c[0, 5] = 0
+    with pytest.raises(AxiomFailure, match="first class is not the identity"):
+        _verify_colors(c, 4)
+    assert _verify_colors(colors.copy(), 4) == hamming_scheme(3)
+
+
+def test_an_overlap_or_a_gap_in_an_assembly_is_refused(twin16, split_16_9, fam9):
+    """Every cell of a pattern that covers whole rows of blocks overlaps
+    another class; a 5-class cross lift assembled with no block pattern
+    leaves the zero blocks of its squares' diagonal cells uncovered."""
+    lifted = _cross_lift(twin16.h, split_16_9, fam9[:2])
+    overlap = np.kron(np.eye(2), np.ones((9, 9)))
+    for patterns in ([overlap], []):
+        with pytest.raises(AxiomFailure, match="classes do not partition the cells"):
+            _assemble(split_16_9, 18, lifted, patterns)
 
 
 # ------------------------------------------------------------ eigenmatrices
