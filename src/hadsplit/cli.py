@@ -229,19 +229,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if kind == "skew-core":
         inst = skew_core_bsh(_parameter(paley_skew_core, args.q))
     elif kind == "kron":
-        inst = kron_square(_source_hadamard(args), args.variant)
+        inst = kron_square(_source_hadamard(args.input, args.sylvester), args.variant)
     elif kind == "gram":
-        inst = gram_construction(_source_hadamard(args))
+        inst = gram_construction(_source_hadamard(args.input, args.sylvester))
     elif kind == "core-tensor":
-        h = _source_hadamard(args)
-        k2 = (
-            _load_hadamard(args.input2)
-            if args.input2
-            else sylvester(args.sylvester2 if args.sylvester2 is not None else 1)
-        )
-        inst = core_tensor(h, k2)
+        h = _source_hadamard(args.input, args.sylvester)
+        inst = core_tensor(h, _source_hadamard(args.input2, args.sylvester2))
     elif kind == "two-row":
-        inst = two_row_split(_source_hadamard(args))
+        inst = two_row_split(_source_hadamard(args.input, args.sylvester))
     else:
         raise ValueError(f"unknown construction {kind!r}")
     _describe_split(em, inst.report)
@@ -249,10 +244,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return em.finish()
 
 
-def _source_hadamard(args: argparse.Namespace) -> HadamardMatrix:
-    if getattr(args, "input", None):
-        return _load_hadamard(args.input)
-    return sylvester(args.sylvester if args.sylvester is not None else 1)
+def _source_hadamard(path: str | None, exponent: int) -> HadamardMatrix:
+    return _load_hadamard(path) if path else sylvester(exponent)
 
 
 # -------------------------------------------------------------------- check
@@ -375,7 +368,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     em = _Emitter(args)
     if args.table == "table1":
-        rows = enumerate_seidel(args.max_n, curated=not args.all)
+        rows = enumerate_seidel(args.max_n)
     else:
         rows = enumerate_case_a(args.max_n)
     em.data["rows"] = [r.as_dict() for r in rows]
@@ -612,10 +605,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", type=int, default=1, help="exponent for sylvester/twin")
     c.add_argument("--variant", choices=["large", "small"], default="large")
     c.add_argument("--q", type=int, default=3, help="core order for skew-core")
-    c.add_argument("--input", help="matrix file for kron/gram/core-tensor/two-row")
-    c.add_argument("--input2", help="second factor file for core-tensor")
-    c.add_argument("--sylvester", type=int, help="use this Sylvester exponent as the source")
-    c.add_argument("--sylvester2", type=int, help="Sylvester exponent of the second factor")
+    one = c.add_mutually_exclusive_group()
+    one.add_argument("--input", help="matrix file for kron/gram/core-tensor/two-row")
+    one.add_argument("--sylvester", type=int, default=1, help="Sylvester exponent of the source")
+    two = c.add_mutually_exclusive_group()
+    two.add_argument("--input2", help="second factor file for core-tensor")
+    two.add_argument(
+        "--sylvester2", type=int, default=1, help="Sylvester exponent of the second factor"
+    )
     c.add_argument("--out", help="write the matrix here")
     _add_common(c)
     c.set_defaults(func=_cmd_construct)
@@ -647,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sp.add_parser("enumerate", help="feasible parameter tables")
     e.add_argument("table", choices=["table1", "table2"])
     e.add_argument("--max-n", type=int, required=True)
-    e.add_argument("--all", action="store_true", help="drop the curated exclusions")
     _add_common(e)
     e.set_defaults(func=_cmd_enumerate)
 
@@ -678,9 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
         "mode",
         choices=["build4", "build4n", "build5", "build6", "hamming", "fusion", "verify"],
     )
-    s.add_argument("--twin-delete", type=int, help="use the deleted twin split at this exponent")
-    s.add_argument("--twin", type=int, help="use the twin split at this exponent")
-    s.add_argument("--input", help="Hadamard matrix file")
+    src = s.add_mutually_exclusive_group()
+    src.add_argument("--twin-delete", type=int, help="use the deleted twin split at this exponent")
+    src.add_argument("--twin", type=int, help="use the twin split at this exponent")
+    src.add_argument("--input", help="Hadamard matrix file")
     s.add_argument("--rows")
     s.add_argument("--square", help="latin square file for the 4-class builders")
     s.add_argument("--f", type=int, default=2, help="number of squares for build5/build6")

@@ -266,33 +266,17 @@ def skew_core_bsh(core: SkewCore) -> BshInstance:
     return _instance(h, list(range(q)), SplitParams(q * (q + 1), q, q, -1))
 
 
-def _twin_family_match(n: int, ell: int, a: int, b: int) -> str | None:
-    root = isqrt_exact(n)
-    # n must be 4^m, so sqrt(n) must be a power of two
-    if root is None or root < 2 or root & (root - 1):
-        return None
-    m = root.bit_length() - 1
-    if b == -a and a == root // 2 and ell == (n - root) // 2:
-        return f"twin-sylvester m={m}"
-    if b == 0 and a == root and ell == root:
-        return f"twin-sylvester m={m} (imprimitive block)"
-    return None
-
-
-def witness_for(n: int, ell: int, a: int, b: int, _depth: int = 0) -> str | None:
-    """Name a construction realizing the parameters, or None.
-
-    Matching is by parameter lookup against the families in this module,
-    their complements, and one all-ones-delete step.
-    """
-    if n < 1 or not 1 <= ell <= n:
-        return None
-    hit = _twin_family_match(n, ell, a, b)
-    if hit:
-        return hit
-    root = isqrt_exact(n)
-    if root is not None and root >= 2:
-        m = root
+def _family(n: int, ell: int, a: int, b: int) -> str | None:
+    """Name a family in this module with a member of these parameters, or None."""
+    m = isqrt_exact(n)
+    if m is not None and m >= 2:
+        # the twin partition needs n = 4^e, so sqrt(n) must be a power of two
+        if not m & (m - 1):
+            e = m.bit_length() - 1
+            if b == -a and a == m // 2 and ell == (n - m) // 2:
+                return f"twin-sylvester m={e}"
+            if b == 0 and a == m and ell == m:
+                return f"twin-sylvester m={e} (imprimitive block)"
         if (ell, a, b) == ((m - 1) ** 2, 1, 1 - m) and _hadamard_order_ok(m):
             return f"kron-square large m={m}"
         if (ell, a, b) == (2 * m - 2, m - 2, -2) and _hadamard_order_ok(m):
@@ -311,16 +295,28 @@ def witness_for(n: int, ell: int, a: int, b: int, _depth: int = 0) -> str | None
 
         if is_prime_power(a):
             return f"skew-core q={a}"
-    if _depth == 0:
-        # one all-ones-delete step back: (n, L, c, -c) with L = n - ell - 1, c = a + 1
-        c = a + 1
-        if b == -a - 2 and c >= 1:
-            parent = witness_for(n, n - ell - 1, c, -c, _depth=1)
-            if parent:
-                return f"delete from {parent}"
-            comp = witness_for(n, ell + 1, c, -c, _depth=1)
-            if comp:
-                return f"delete from complement of {comp}"
+    return None
+
+
+def witness_for(n: int, ell: int, a: int, b: int) -> str | None:
+    """Name a construction realizing the parameters, or None.
+
+    Matching is by parameter lookup against the families in this module,
+    and one all-ones-delete step back from a family member or from the
+    complementary split of one.
+    """
+    if n < 1 or not 1 <= ell <= n:
+        return None
+    hit = _family(n, ell, a, b)
+    if hit or b != -a - 2 or a < 0:
+        return hit
+    # one all-ones-delete step back: (n, L, c, -c) with L = n - ell - 1, c = a + 1
+    parent = _family(n, n - ell - 1, a + 1, -a - 1)
+    if parent:
+        return f"delete from {parent}"
+    comp = _family(n, ell + 1, a + 1, -a - 1)
+    if comp:
+        return f"delete from complement of {comp}"
     return None
 
 

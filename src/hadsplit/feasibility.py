@@ -66,8 +66,6 @@ __all__ = [
     "enumerate_seidel",
     "enumerate_case_a",
     "eigvec_search",
-    "CURATED_TABLE1_EXCLUSIONS",
-    "CURATED_EIGSEARCH",
 ]
 
 STATUS_EXISTS = "exists-by-construction"
@@ -76,24 +74,25 @@ STATUS_MOD4_DIFF = "excluded-mod4-diff"
 STATUS_EIGSEARCH = "excluded-eigsearch"
 STATUS_OPEN = "open"
 
-# Passes every screen here but is absent from the bundled reference listing;
-# dropped by default so the default output matches that listing.
-CURATED_TABLE1_EXCLUSIONS: frozenset[tuple[int, int, int]] = frozenset({(96, 20, 4)})
-
-# Ruled out by exhaustive eigenvector searches over graph catalogs. A repo
-# search reaches two of them on the bundled rook graph SRG(36, 10, 4, 2), the
-# unique L2(6): eigvec_search(rook, 10, 4, -2) certifies (36, 10, 4, -2) in
-# about 10 ms, and eigvec_search(rook, 11, 5, -1) certifies (36, 11, 5, -1),
-# the complementary split of (36, 25, 1, -5). The other two need catalogs of
-# SRG(36, 14, 4, 6) and SRG(36, 15, 6, 6), which the repo lacks.
-CURATED_EIGSEARCH: frozenset[tuple[int, int, int, int]] = frozenset(
-    {
-        (36, 10, 4, -2),
-        (36, 14, 2, -4),
-        (36, 20, 2, -4),
-        (36, 25, 1, -5),
-    }
-)
+# The status of each row that neither a construction nor a mod-4 count
+# settles, keyed by (n, ell, a, b); None drops the row from its table.
+_RECORDS: dict[tuple[int, int, int, int], str | None] = {
+    # derive_seidel gives Seidel eigenvalues 19 and -5, so the split would be
+    # a regular two-graph on 96 points with an SRG(95, 40, 12, 20) as its
+    # descendant, and no such graph exists (Azarija and Marc, "There is no
+    # (95, 40, 12, 20) strongly regular graph", J. Combin. Des. 28, 2020;
+    # arXiv:1603.02032).
+    (96, 20, 4, -4): None,
+    # eigvec_search on the bundled rook graph SRG(36, 10, 4, 2), the unique
+    # L2(6), certifies (36, 10, 4, -2) in about 10 ms, and (36, 25, 1, -5)
+    # through its complementary split (36, 11, 5, -1).
+    (36, 10, 4, -2): STATUS_EIGSEARCH,
+    (36, 25, 1, -5): STATUS_EIGSEARCH,
+    # These rest on the source paper's searches; the repo lacks the catalogs
+    # of SRG(36, 14, 4, 6) and SRG(36, 15, 6, 6) that a search here needs.
+    (36, 14, 2, -4): STATUS_EIGSEARCH,
+    (36, 20, 2, -4): STATUS_EIGSEARCH,
+}
 
 
 class MultiplicityMismatch(HadsplitError):
@@ -267,12 +266,31 @@ def _check_grid_order(max_n: int) -> None:
         )
 
 
-def enumerate_seidel(max_n: int, curated: bool = True) -> list[FeasibleRow]:
+def _status(params: SplitParams) -> tuple[str | None, str | None]:
+    """(status, witness) of a table row; a status of None drops the row.
+
+    A construction settles the row first, then a record, then on b = -a
+    rows the mod-4 sign counts; a row none of them settles is open.
+    """
+    n, ell, a, b = key = params.astuple()
+    witness = witness_for(n, ell, a, b)
+    if witness:
+        return STATUS_EXISTS, witness
+    if key in _RECORDS:
+        return _RECORDS[key], None
+    if b == -a and filter_mod4_sum(ell, a):
+        return STATUS_MOD4_SUM, None
+    if b == -a and filter_mod4_diff(ell, a):
+        return STATUS_MOD4_DIFF, None
+    return STATUS_OPEN, None
+
+
+def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
     """All b = -a parameter sets with n <= max_n surviving every screen.
 
-    Emits the smaller of the two complementary block sizes. With curated=True
-    the rows in CURATED_TABLE1_EXCLUSIONS are dropped, matching the bundled
-    reference table. Raises OverflowError when max_n > 2^15.
+    Emits the smaller of the two complementary block sizes, and drops the
+    rows a record rules out by a cited nonexistence result. Raises
+    OverflowError when max_n > 2^15.
     """
     _check_grid_order(max_n)
     rows: list[FeasibleRow] = []
@@ -283,18 +301,9 @@ def enumerate_seidel(max_n: int, curated: bool = True) -> list[FeasibleRow]:
             continue
         if not srg_primitive_feasible(der.srg):
             continue
-        if curated and (n, ell, a) in CURATED_TABLE1_EXCLUSIONS:
-            continue
-        witness = witness_for(n, ell, a, -a)
-        if witness:
-            status = STATUS_EXISTS
-        elif filter_mod4_sum(ell, a):
-            status = STATUS_MOD4_SUM
-        elif filter_mod4_diff(ell, a):
-            status = STATUS_MOD4_DIFF
-        else:
-            status = STATUS_OPEN
-        rows.append(FeasibleRow(params=der.params, srg=der.srg, status=status, witness=witness))
+        status, witness = _status(der.params)
+        if status is not None:
+            rows.append(FeasibleRow(der.params, der.srg, status, witness))
     rows.sort(key=lambda r: r.params.astuple())
     return rows
 
@@ -327,16 +336,10 @@ def enumerate_case_a(max_n: int) -> list[FeasibleRow]:
         srg = SrgParams(n, k, lam, mu)
         if not srg_primitive_feasible(srg):
             continue
-        witness = witness_for(n, ell, a, b)
-        if witness:
-            status = STATUS_EXISTS
-        elif (n, ell, a, b) in CURATED_EIGSEARCH:
-            status = STATUS_EIGSEARCH
-        else:
-            status = STATUS_OPEN
-        rows.append(
-            FeasibleRow(params=SplitParams(n, ell, a, b), srg=srg, status=status, witness=witness)
-        )
+        params = SplitParams(n, ell, a, b)
+        status, witness = _status(params)
+        if status is not None:
+            rows.append(FeasibleRow(params, srg, status, witness))
     rows.sort(key=lambda r: r.params.astuple())
     return rows
 

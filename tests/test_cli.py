@@ -272,8 +272,12 @@ def test_enumerate_table1_counts(capsys):
     assert code == 0
     assert "28 parameter sets" in out
     assert "[twin-sylvester m=2]" in out
-    code, out, _ = run(capsys, "enumerate", "table1", "--max-n", "1024", "--all")
-    assert "29 parameter sets" in out
+    # the row table 1 drops rests on a cited nonexistence result, and no flag
+    # brings it back
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "table1", "--max-n", "1024", "--all"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --all" in capsys.readouterr().err
 
 
 def test_enumerate_past_the_int64_grid_bound_exits_two(capsys):
@@ -294,6 +298,22 @@ def test_enumerate_table2_json_digest_is_stable(capsys):
     assert digest == "4e35ce3e820668ca1d9a12030ffbac08aab38fa464891e7229c85739bc194ec3"
     again = hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
     assert digest == again
+
+
+# sha256 digests of `enumerate ... --json`, recorded before the table
+# statuses moved to one status function
+@pytest.mark.parametrize(
+    "table, max_n, digest",
+    [
+        ("table1", 1024, "763120eefe7b68227355df07d47a0440cdcd996f5f86eff8c190ddda55436724"),
+        ("table1", 4096, "3517ab1d797e2b5e4699b27a89a89b9700be5f99cd3de1d5e399d2fe238e5da1"),
+        ("table2", 256, "b348bb910e761014baf351a438ebd65f3b79bb616ba3496b70f7a7a1878333c1"),
+    ],
+)
+def test_enumerate_json_digests_are_frozen(capsys, table, max_n, digest):
+    code, out, _ = run(capsys, "enumerate", table, "--max-n", str(max_n), "--json")
+    assert code == 0
+    assert json.loads(out)["digest"] == digest
 
 
 # ----------------------------------------------------------------- nonexist
@@ -510,6 +530,24 @@ def test_scheme_split_requires_source(capsys):
     code, _, err = run(capsys, "scheme", "build4")
     assert code == 2
     assert "--input" in err or "--twin" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scheme", "build4", "--twin-delete", "2", "--twin", "3"],
+        ["scheme", "build4", "--twin", "2", "--input", "h.txt", "--rows", "1"],
+        ["scheme", "build5", "--input", "h.txt", "--twin-delete", "2"],
+        ["construct", "two-row", "--input", "h.txt", "--sylvester", "5"],
+        ["construct", "core-tensor", "--input2", "h.txt", "--sylvester2", "2"],
+    ],
+)
+def test_conflicting_sources_exit_two(capsys, argv):
+    # each pair names two sources for one matrix; neither silently wins
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- misc

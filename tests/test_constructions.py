@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,13 @@ from hadsplit.core import (
     HadamardMatrix,
     IntMatrix,
     conference_from_core,
+    isqrt_exact,
     normalize,
     paley_skew_core,
     sylvester,
 )
 from hadsplit.constructions import (
+    _hadamard_order_ok,
     core_tensor,
     gram_construction,
     ja_recursion,
@@ -20,6 +25,8 @@ from hadsplit.constructions import (
     two_row_split,
     witness_for,
 )
+from hadsplit.feasibility import enumerate_case_a, enumerate_seidel
+from hadsplit.gf import is_prime_power
 from hadsplit.splitting import check_split
 
 
@@ -283,3 +290,82 @@ def test_witness_needs_a_known_hadamard_order():
     assert witness_for(1024, 1022, 0, -2) == "two-row"
     assert witness_for(2656, 1992, 0, -664) == "core-tensor k=664"
     assert witness_for(1024**2, 1023**2, 1, -1023) == "kron-square large m=1024"
+
+
+def _witness_chain(n, ell, a, b, _depth=0):
+    """witness_for as one chain that recurses once into itself for the
+    all-ones-delete step, the form it had before the family matcher was
+    split out."""
+    if n < 1 or not 1 <= ell <= n:
+        return None
+    root = isqrt_exact(n)
+    if root is not None and root >= 2 and not root & (root - 1):
+        e = root.bit_length() - 1
+        if b == -a and a == root // 2 and ell == (n - root) // 2:
+            return f"twin-sylvester m={e}"
+        if b == 0 and a == root and ell == root:
+            return f"twin-sylvester m={e} (imprimitive block)"
+    if root is not None and root >= 2:
+        m = root
+        if (ell, a, b) == ((m - 1) ** 2, 1, 1 - m) and _hadamard_order_ok(m):
+            return f"kron-square large m={m}"
+        if (ell, a, b) == (2 * m - 2, m - 2, -2) and _hadamard_order_ok(m):
+            return f"kron-square small m={m}"
+        if (ell, a, b) == (m, m, 0) and _hadamard_order_ok(m):
+            return f"gram m={m}"
+    if (ell, a, b) == (n - 2, 0, -2) and _hadamard_order_ok(n):
+        return "two-row"
+    if a == 0 and b < 0:
+        k = -b
+        if n % k == 0 and ell == n - k and n // k >= 2:
+            if _hadamard_order_ok(k) and _hadamard_order_ok(n // k):
+                return f"core-tensor k={k}"
+    if a == ell and b == -1 and n == a * (a + 1) and a % 4 == 3 and is_prime_power(a):
+        return f"skew-core q={a}"
+    if _depth == 0:
+        c = a + 1
+        if b == -a - 2 and c >= 1:
+            parent = _witness_chain(n, n - ell - 1, c, -c, _depth=1)
+            if parent:
+                return f"delete from {parent}"
+            comp = _witness_chain(n, ell + 1, c, -c, _depth=1)
+            if comp:
+                return f"delete from complement of {comp}"
+    return None
+
+
+def _family_members(max_n):
+    """Parameters of each family member of order at most max_n, whether or
+    not a Hadamard matrix of the orders it needs is known."""
+    for e in range(1, max_n.bit_length() // 2 + 1):
+        root = 2**e
+        yield (root * root, root * (root - 1) // 2, root // 2, -root // 2)
+        yield (root * root, root, root, 0)
+    for m in range(2, math.isqrt(max_n) + 1):
+        yield (m * m, (m - 1) ** 2, 1, 1 - m)
+        yield (m * m, 2 * m - 2, m - 2, -2)
+        yield (m * m, m, m, 0)
+    for n in range(1, max_n + 1):
+        yield (n, n - 2, 0, -2)
+        for k in range(1, n // 2 + 1):
+            if n % k == 0:
+                yield (n, n - k, 0, -k)
+    for q in range(1, math.isqrt(max_n) + 1):
+        if q * (q + 1) <= max_n:
+            yield (q * (q + 1), q, q, -1)
+
+
+def test_witness_matches_the_single_chain_reference():
+    cases = {r.params.astuple() for r in enumerate_seidel(4096) + enumerate_case_a(256)}
+    cases.add((96, 20, 4, -4))
+    for n, ell, a, b in _family_members(4096):
+        # the member, its complementary split, and the delete-step image of each
+        for split in ((n, ell, a, b), (n, n - ell, -b, -a)):
+            _, e, c, _ = split
+            cases |= {split, (n, n - e - 1, c - 1, -c - 1)}
+    cases |= {(n, ell, a, b) for n, _, a, b in list(cases) for ell in (0, n + 1)}
+    # and every (n, ell, a, b) of small order
+    cases |= set(itertools.product(range(1, 13), range(-1, 14), range(-12, 13), range(-12, 13)))
+    assert len(cases) > 200_000
+    for case in cases:
+        assert witness_for(*case) == _witness_chain(*case), case

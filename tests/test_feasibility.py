@@ -1,3 +1,5 @@
+import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,8 +10,6 @@ import hadsplit.feasibility as feas
 from hadsplit.cli import bundled_data
 from hadsplit.constructions import witness_for
 from hadsplit.feasibility import (
-    CURATED_EIGSEARCH,
-    CURATED_TABLE1_EXCLUSIONS,
     STATUS_EIGSEARCH,
     STATUS_EXISTS,
     STATUS_MOD4_DIFF,
@@ -31,7 +31,16 @@ from hadsplit.feasibility import (
     srg_multiplicities,
     srg_primitive_feasible,
 )
-from hadsplit.core import IntMatrix, exact_matmul, isqrt_exact
+from hadsplit.constructions import kron_square, twin_sylvester
+from hadsplit.core import (
+    HadamardMatrix,
+    IntMatrix,
+    conference_from_core,
+    exact_matmul,
+    isqrt_exact,
+    paley_skew_core,
+    sylvester,
+)
 from hadsplit.splitting import BudgetExceeded
 from hadsplit.search import max_clique
 from hadsplit.splitting import (
@@ -40,6 +49,8 @@ from hadsplit.splitting import (
     SrgParams,
     _case_a_b,
     _srg_terms,
+    check_split,
+    delete_allones_transform,
     derive_seidel,
     general_srg_from_b,
 )
@@ -95,6 +106,12 @@ CASE_A_TABLE = [
     (64, 49, 1, -7, (49, 36, 42), STATUS_EXISTS, "kron-square large m=8"),
 ]
 
+EIGSEARCH_ROWS = {(n, e, a, b) for n, e, a, b, _, s, _ in CASE_A_TABLE if s == STATUS_EIGSEARCH}
+
+# Passes every screen but is dropped from table 1: the descendant of its
+# two-graph would be an SRG(95, 40, 12, 20), which does not exist.
+DROPPED_SEIDEL_ROW = (96, 20, 4, -4)
+
 
 def test_seidel_enumeration_matches_frozen_table():
     rows = enumerate_seidel(1024)
@@ -107,21 +124,33 @@ def test_seidel_enumeration_matches_frozen_table():
 
 
 def test_seidel_enumeration_uncurated_extra_row():
-    curated = enumerate_seidel(1024)
-    full = enumerate_seidel(1024, curated=False)
-    assert len(curated) == 28
+    rows = enumerate_seidel(1024)
+    full = _enumerate_seidel_reference(1024, drop=False)
+    assert len(rows) == 28
     assert len(full) == 29
-    extra = [r for r in full if (r.params.n, r.params.ell, r.params.a) not in
-             {(n, e, a) for n, e, a, _ in SEIDEL_TABLE}]
-    assert len(extra) == 1
-    row = extra[0]
-    assert (row.params.n, row.params.ell, row.params.a) in CURATED_TABLE1_EXCLUSIONS
-    assert row.params.astuple() == (96, 20, 4, -4)
+    (row,) = [r for r in full if r not in rows]
+    assert row.params.astuple() == DROPPED_SEIDEL_ROW
     assert row.srg.astuple() == (96, 45, 24, 18)
     assert row.status == STATUS_OPEN
+    # The split's Seidel matrix has eigenvalues rho1 > rho2, so the split is a
+    # regular two-graph on 96 points. Its descendant on the other 95 has
+    # valency k = -(1 + rho1)(1 + rho2)/2, eigenvalues r, s = -(1 + rho)/2,
+    # mu = k/2 and lam = mu + r + s.
+    der = derive_seidel(*DROPPED_SEIDEL_ROW[:3])
+    assert der.s_spectrum == ((19, 20), (-5, 76))
+    (rho1, _), (rho2, _) = der.s_spectrum
+    k = -(1 + rho1) * (1 + rho2) // 2
+    r, s = -(1 + rho2) // 2, -(1 + rho1) // 2
+    assert (k, r, s) == (40, 2, -10)
+    descendant = SrgParams(95, k, k // 2 + r + s, k // 2)
+    # Azarija and Marc (J. Combin. Des. 2020, arXiv:1603.02032) show that
+    # no SRG(95, 40, 12, 20) exists
+    assert descendant.astuple() == (95, 40, 12, 20)
+    assert srg_primitive_feasible(descendant)
+    assert feas._RECORDS[DROPPED_SEIDEL_ROW] is None
 
 
-def _seidel_candidate(n, a, curated):
+def _seidel_candidate(n, a, drop):
     """One (n, a) cell of table 1, screened with Python ints."""
     d = isqrt_exact(n * n - 4 * a * a * (n - 1))
     if d is None or (n - d) % 2:
@@ -140,7 +169,7 @@ def _seidel_candidate(n, a, curated):
         return None
     if not srg_primitive_feasible(der.srg):
         return None
-    if curated and (n, ell, a) in CURATED_TABLE1_EXCLUSIONS:
+    if drop and (n, ell, a, -a) == DROPPED_SEIDEL_ROW:
         return None
     witness = witness_for(n, ell, a, -a)
     if witness:
@@ -154,13 +183,14 @@ def _seidel_candidate(n, a, curated):
     return FeasibleRow(params=der.params, srg=der.srg, status=status, witness=witness)
 
 
-def _enumerate_seidel_reference(max_n, curated):
-    """enumerate_seidel one (n, a) cell at a time."""
+def _enumerate_seidel_reference(max_n, drop):
+    """enumerate_seidel one (n, a) cell at a time; drop=False keeps the
+    dropped row."""
     rows = []
     for n in range(4, max_n + 1, 4):
         a = 1
         while 4 * a * a * (n - 1) <= n * n:
-            row = _seidel_candidate(n, a, curated)
+            row = _seidel_candidate(n, a, drop)
             if row is not None:
                 rows.append(row)
             a += 1
@@ -168,11 +198,13 @@ def _enumerate_seidel_reference(max_n, curated):
     return rows
 
 
-@pytest.mark.parametrize("curated", [True, False])
-def test_seidel_enumeration_matches_the_per_cell_reference(curated):
-    rows = enumerate_seidel(4096, curated=curated)
-    assert rows == _enumerate_seidel_reference(4096, curated)
-    assert len(rows) == 74 + (not curated)
+@pytest.mark.parametrize("drop", [True, False])
+def test_seidel_enumeration_matches_the_per_cell_reference(drop):
+    rows = enumerate_seidel(4096)
+    reference = _enumerate_seidel_reference(4096, drop)
+    assert len(rows) == 74
+    assert len(reference) == 74 + (not drop)
+    assert [r for r in reference if r.params.astuple() != DROPPED_SEIDEL_ROW] == rows
 
 
 def test_case_a_enumeration_matches_frozen_table():
@@ -246,7 +278,7 @@ def _enumerate_case_a_reference_rows(orders):
                 witness = witness_for(n, ell, a, b)
                 if witness:
                     status = STATUS_EXISTS
-                elif (n, ell, a, b) in CURATED_EIGSEARCH:
+                elif (n, ell, a, b) in EIGSEARCH_ROWS:
                     status = STATUS_EIGSEARCH
                 else:
                     status = STATUS_OPEN
@@ -297,8 +329,58 @@ def test_seidel_enumeration_at_the_int64_bound():
 
 
 def test_case_a_eigsearch_rows_are_the_curated_ones():
-    assert {(n, e, a, b) for n, e, a, b, _, s, _ in CASE_A_TABLE if s == STATUS_EIGSEARCH} \
-        == set(CURATED_EIGSEARCH)
+    assert {k for k, v in feas._RECORDS.items() if v == STATUS_EIGSEARCH} == EIGSEARCH_ROWS
+
+
+def test_every_record_is_a_screened_row_without_a_witness():
+    # a record behind a witness would never be read
+    screened = {r.params.astuple() for r in _enumerate_seidel_reference(1024, drop=False)}
+    screened |= {r.params.astuple() for r in enumerate_case_a(64)}
+    for key in feas._RECORDS:
+        assert key in screened
+        assert witness_for(*key) is None
+
+
+def _rebuild(label):
+    """(matrix, rows) of the split a witness label names, built with the
+    package's builders; fails the test for a label with no builder here."""
+    found = re.fullmatch(r"(.*) m=(\d+)", label)
+    kind, m = (found[1], int(found[2])) if found else (label, None)
+    if kind == "twin-sylvester":
+        tw = twin_sylvester(m)
+        return tw.h, tw.h2_rows
+    if kind.startswith("kron-square ") and (m == 12 or m & (m - 1) == 0):
+        if m == 12:
+            core = conference_from_core(paley_skew_core(11))
+            h = HadamardMatrix(core.array + np.eye(12, dtype=np.int64))
+        else:
+            h = sylvester(m.bit_length() - 1)
+        inst = kron_square(h, kind.removeprefix("kron-square "))
+        return inst.h, inst.rows
+    if kind == "delete from twin-sylvester":
+        tw = twin_sylvester(m)
+        return tw.h, delete_allones_transform(tw.h, tw.reports[1]).rows
+    if kind == "delete from complement of twin-sylvester":
+        tw = twin_sylvester(m)
+        # scaling each column by the sign of one twin row makes that row
+        # all-ones; it conjugates a Gram by a sign diagonal, which keeps the
+        # parameters of a b = -a split
+        h = HadamardMatrix(tw.h.array * tw.h.array[tw.h2_rows[0]])
+        rest = [i for i in range(h.order) if i not in tw.h2_rows]
+        return h, delete_allones_transform(h, check_split(h, rest)).rows
+    pytest.fail(f"no builder for the witness {label!r}")
+
+
+def test_every_exists_row_is_rebuilt_from_its_witness():
+    # 4 table-1 and 12 table-2 rows. Budget 30 s; the test takes about 0.6 s
+    # on two cores, twin_sylvester(5) (order 1024) 0.1-0.2 s of it.
+    start = time.perf_counter()
+    rows = [r for r in enumerate_seidel(1024) + enumerate_case_a(256) if r.status == STATUS_EXISTS]
+    assert len(rows) == 16
+    for row in rows:
+        h, split = _rebuild(row.witness)
+        assert check_split(h, split).params == row.params, row.witness
+    assert time.perf_counter() - start < 30
 
 
 def test_feasible_row_as_dict():
