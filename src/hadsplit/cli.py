@@ -111,12 +111,6 @@ def _load_hadamard(spec: str) -> HadamardMatrix:
     return HadamardMatrix.from_matrix(_load_matrix(spec))
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ValueError("missing required option(s): " + ", ".join(f"--{n}" for n in missing))
-
-
 def _parameter(build, value: int):
     """build(value), reporting a value it cannot build for as bad input."""
     try:
@@ -145,7 +139,7 @@ def _parse_rows(text: str) -> list[int]:
 
 class _Emitter:
     def __init__(self, args: argparse.Namespace):
-        self.json = bool(getattr(args, "json", False))
+        self.json = args.json
         self.command = args.subcommand
         self.lines: list[str] = []
         self.data: dict = {}
@@ -203,170 +197,157 @@ def _describe_split(em: _Emitter, report) -> None:
 # ---------------------------------------------------------------- construct
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    em = _Emitter(args)
-    kind = args.kind
-    if kind == "sylvester":
-        h = sylvester(args.m)
-        em.say(f"Sylvester matrix of order {h.order}")
-        em.data["order"] = h.order
-        _write_matrix(h, args.out, em)
-        return em.finish()
+def _construct_sylvester(args: argparse.Namespace, em: _Emitter) -> None:
+    h = sylvester(args.m)
+    em.say(f"Sylvester matrix of order {h.order}")
+    em.data["order"] = h.order
+    _write_matrix(h, args.out, em)
 
-    if kind == "twin":
-        tw = twin_sylvester(args.m)
-        em.data["order"] = tw.h.order
-        for label, rows, rep in (
-            ("block", tw.h1_rows, tw.reports[0]),
-            ("twin-1", tw.h2_rows, tw.reports[1]),
-            ("twin-2", tw.h3_rows, tw.reports[2]),
-        ):
-            em.say(f"{label}: params {rep.params.astuple()} rows {','.join(map(str, rows))}")
-            em.data[label] = rep.as_dict()
-        _write_matrix(tw.h, args.out, em)
-        return em.finish()
 
-    if kind == "skew-core":
-        inst = skew_core_bsh(_parameter(paley_skew_core, args.q))
-    elif kind == "kron":
-        inst = kron_square(_source_hadamard(args.input, args.sylvester), args.variant)
-    elif kind == "gram":
-        inst = gram_construction(_source_hadamard(args.input, args.sylvester))
-    elif kind == "core-tensor":
-        h = _source_hadamard(args.input, args.sylvester)
-        inst = core_tensor(h, _source_hadamard(args.input2, args.sylvester2))
-    elif kind == "two-row":
-        inst = two_row_split(_source_hadamard(args.input, args.sylvester))
-    else:
-        raise ValueError(f"unknown construction {kind!r}")
+def _construct_twin(args: argparse.Namespace, em: _Emitter) -> None:
+    tw = twin_sylvester(args.m)
+    em.data["order"] = tw.h.order
+    for label, rows, rep in (
+        ("block", tw.h1_rows, tw.reports[0]),
+        ("twin-1", tw.h2_rows, tw.reports[1]),
+        ("twin-2", tw.h3_rows, tw.reports[2]),
+    ):
+        em.say(f"{label}: params {rep.params.astuple()} rows {','.join(map(str, rows))}")
+        em.data[label] = rep.as_dict()
+    _write_matrix(tw.h, args.out, em)
+
+
+def _emit_split(inst, args: argparse.Namespace, em: _Emitter) -> None:
     _describe_split(em, inst.report)
     _write_matrix(inst.h, args.out, em)
-    return em.finish()
 
 
 def _source_hadamard(path: str | None, exponent: int) -> HadamardMatrix:
     return _load_hadamard(path) if path else sylvester(exponent)
 
 
+def _construct_skew_core(args: argparse.Namespace, em: _Emitter) -> None:
+    _emit_split(skew_core_bsh(_parameter(paley_skew_core, args.q)), args, em)
+
+
+def _construct_kron(args: argparse.Namespace, em: _Emitter) -> None:
+    h = _source_hadamard(args.input, args.sylvester)
+    _emit_split(kron_square(h, args.variant), args, em)
+
+
+def _construct_gram(args: argparse.Namespace, em: _Emitter) -> None:
+    _emit_split(gram_construction(_source_hadamard(args.input, args.sylvester)), args, em)
+
+
+def _construct_core_tensor(args: argparse.Namespace, em: _Emitter) -> None:
+    h = _source_hadamard(args.input, args.sylvester)
+    _emit_split(core_tensor(h, _source_hadamard(args.input2, args.sylvester2)), args, em)
+
+
+def _construct_two_row(args: argparse.Namespace, em: _Emitter) -> None:
+    _emit_split(two_row_split(_source_hadamard(args.input, args.sylvester)), args, em)
+
+
 # -------------------------------------------------------------------- check
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    em = _Emitter(args)
+def _cmd_check(args: argparse.Namespace, em: _Emitter) -> None:
     h = _load_hadamard(args.input)
     try:
         report = check_split(h, _parse_rows(args.rows))
     except NotSplittable as exc:
         em.negative("not-splittable", f"not a balanced split: {exc}")
-        return em.finish()
+        return
     _describe_split(em, report)
     for name, ok in report.checks.items():
         em.say(f"check {name}: {'pass' if ok else 'fail'}")
-    return em.finish()
 
 
 # ------------------------------------------------------------------ analyze
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    em = _Emitter(args)
-    mode = args.mode
+def _analyze_seidel(args: argparse.Namespace, em: _Emitter) -> None:
+    der = derive_seidel(args.n, args.ell, args.a)
+    em.data["params"] = der.params.astuple()
+    em.data["srg"] = der.srg.astuple()
+    em.data["s_spectrum"] = [list(t) for t in der.s_spectrum]
+    em.say(f"split parameters: {der.params.astuple()}")
+    em.say(f"block graph: {der.srg.astuple()}")
+    for val, mult in der.s_spectrum:
+        em.say(f"normalized Gram eigenvalue {val} with multiplicity {mult}")
 
-    if mode == "seidel":
-        _require(args, "n", "ell", "a")
-        der = derive_seidel(args.n, args.ell, args.a)
-        em.data["params"] = der.params.astuple()
-        em.data["srg"] = der.srg.astuple()
-        em.data["s_spectrum"] = [list(t) for t in der.s_spectrum]
-        em.say(f"split parameters: {der.params.astuple()}")
-        em.say(f"block graph: {der.srg.astuple()}")
-        for val, mult in der.s_spectrum:
-            em.say(f"normalized Gram eigenvalue {val} with multiplicity {mult}")
-        return em.finish()
 
-    if mode == "srg":
-        _require(args, "n", "ell", "a")
-        derive = derive_srg_case_b if args.case == "b" else derive_srg_case_a
-        b, srg = derive(args.n, args.ell, args.a)
-        em.data.update({"b": b, "srg": srg.astuple()})
-        em.say(f"off-diagonal value b = {b}")
-        em.say(f"block graph: {srg.astuple()}")
-        return em.finish()
+def _analyze_srg(args: argparse.Namespace, em: _Emitter) -> None:
+    derive = derive_srg_case_b if args.case == "b" else derive_srg_case_a
+    b, srg = derive(args.n, args.ell, args.a)
+    em.data.update({"b": b, "srg": srg.astuple()})
+    em.say(f"off-diagonal value b = {b}")
+    em.say(f"block graph: {srg.astuple()}")
 
-    if mode == "equiangular":
-        _require(args, "n", "ell", "a", "b")
-        rep = equiangular_report(SplitParams(args.n, args.ell, args.a, args.b))
-        em.data.update(
-            {
-                "lines": rep.m,
-                "alpha_sq": str(rep.alpha_sq),
-                "bound": str(rep.bound),
-                "attained": rep.attained,
-            }
-        )
-        em.say(f"{rep.m} equiangular lines with squared cosine {rep.alpha_sq}")
-        em.say(f"relative bound {rep.bound}{' (attained)' if rep.attained else ''}")
-        return em.finish()
 
-    if mode == "unbiased":
-        _require(args, "input", "rows")
-        h = _load_hadamard(args.input)
-        partner = unbiased_partner(h, check_split(h, _parse_rows(args.rows)))
-        em.say(f"unbiased partner of order {partner.order}")
-        _write_matrix(partner, args.out, em)
-        return em.finish()
+def _analyze_equiangular(args: argparse.Namespace, em: _Emitter) -> None:
+    rep = equiangular_report(SplitParams(args.n, args.ell, args.a, args.b))
+    em.data.update(
+        {
+            "lines": rep.m,
+            "alpha_sq": str(rep.alpha_sq),
+            "bound": str(rep.bound),
+            "attained": rep.attained,
+        }
+    )
+    em.say(f"{rep.m} equiangular lines with squared cosine {rep.alpha_sq}")
+    em.say(f"relative bound {rep.bound}{' (attained)' if rep.attained else ''}")
 
-    if mode == "regular":
-        _require(args, "input", "rows")
-        h = _load_hadamard(args.input)
-        reg = regular_hadamard_normalize(h, check_split(h, _parse_rows(args.rows)))
-        rs = sorted(set(reg.row_sums()))
-        em.data["row_sums"] = rs
-        em.say(f"regular form with constant row sum {rs}")
-        _write_matrix(reg, args.out, em)
-        return em.finish()
 
-    if mode == "diag":
-        _require(args, "input", "graph")
-        layout = diagonalize_by_hadamard(_load_matrix(args.graph), _load_hadamard(args.input))
-        em.data["multiplicities"] = {str(k): v for k, v in layout.multiplicities.items()}
-        em.say("rows diagonalize the graph; eigenvalue multiplicities:")
-        for val, mult in sorted(layout.multiplicities.items()):
-            em.say(f"  {val}: {mult}")
-        return em.finish()
+def _analyze_unbiased(args: argparse.Namespace, em: _Emitter) -> None:
+    h = _load_hadamard(args.input)
+    partner = unbiased_partner(h, check_split(h, _parse_rows(args.rows)))
+    em.say(f"unbiased partner of order {partner.order}")
+    _write_matrix(partner, args.out, em)
 
-    if mode == "srg16":
-        _require(args, "graph")
-        name = classify_srg16(_load_matrix(args.graph))
-        em.data["name"] = name
-        em.say(f"graph is the {name} graph")
-        return em.finish()
 
-    if mode == "search":
-        _require(args, "input", "ell")
-        h = _load_hadamard(args.input)
-        try:
-            found = search_splits(h, args.ell, budget=args.budget)
-        except BudgetExceeded as exc:
-            em.data["budget_exceeded"] = str(exc)
-            em.negative("inconclusive", f"search stopped: {exc}")
-            return em.finish()
-        em.data["splits"] = [r.as_dict() for r in found]
-        if not found:
-            em.negative("none-found", f"no balanced split on {args.ell} rows")
-            return em.finish()
-        for r in found:
-            em.say(f"params {r.params.astuple()} rows {','.join(map(str, r.rows))}")
-        return em.finish()
+def _analyze_regular(args: argparse.Namespace, em: _Emitter) -> None:
+    h = _load_hadamard(args.input)
+    reg = regular_hadamard_normalize(h, check_split(h, _parse_rows(args.rows)))
+    rs = sorted(set(reg.row_sums()))
+    em.data["row_sums"] = rs
+    em.say(f"regular form with constant row sum {rs}")
+    _write_matrix(reg, args.out, em)
 
-    raise ValueError(f"unknown analyze mode {mode!r}")
+
+def _analyze_diag(args: argparse.Namespace, em: _Emitter) -> None:
+    layout = diagonalize_by_hadamard(_load_matrix(args.graph), _load_hadamard(args.input))
+    em.data["multiplicities"] = {str(k): v for k, v in layout.multiplicities.items()}
+    em.say("rows diagonalize the graph; eigenvalue multiplicities:")
+    for val, mult in sorted(layout.multiplicities.items()):
+        em.say(f"  {val}: {mult}")
+
+
+def _analyze_srg16(args: argparse.Namespace, em: _Emitter) -> None:
+    name = classify_srg16(_load_matrix(args.graph))
+    em.data["name"] = name
+    em.say(f"graph is the {name} graph")
+
+
+def _analyze_search(args: argparse.Namespace, em: _Emitter) -> None:
+    h = _load_hadamard(args.input)
+    try:
+        found = search_splits(h, args.ell, budget=args.budget)
+    except BudgetExceeded as exc:
+        em.data["budget_exceeded"] = str(exc)
+        em.negative("inconclusive", f"search stopped: {exc}")
+        return
+    em.data["splits"] = [r.as_dict() for r in found]
+    if not found:
+        em.negative("none-found", f"no balanced split on {args.ell} rows")
+    for r in found:
+        em.say(f"params {r.params.astuple()} rows {','.join(map(str, r.rows))}")
 
 
 # ---------------------------------------------------------------- enumerate
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    em = _Emitter(args)
+def _cmd_enumerate(args: argparse.Namespace, em: _Emitter) -> None:
     if args.table == "table1":
         rows = enumerate_seidel(args.max_n)
     else:
@@ -380,20 +361,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"n={n:5d} ell={ell:4d} a={a:3d} b={b:4d} srg={r.srg.astuple()} {r.status}{wit}"
         )
     em.say(f"{len(rows)} parameter sets")
-    return em.finish()
 
 
 # ----------------------------------------------------------------- nonexist
 
 
-def _cmd_nonexist(args: argparse.Namespace) -> int:
-    em = _Emitter(args)
+def _cmd_nonexist(args: argparse.Namespace, em: _Emitter) -> None:
     try:
         res = eigvec_search(_load_matrix(args.graph), args.ell, args.a, args.b)
     except BudgetExceeded as exc:
         em.data["budget_exceeded"] = str(exc)
         em.negative("inconclusive", f"search stopped: {exc}")
-        return em.finish()
+        return
     em.data.update(
         {
             "eigenspace_dim": res.eigenspace_dim,
@@ -408,7 +387,6 @@ def _cmd_nonexist(args: argparse.Namespace) -> int:
         em.say("no split with these parameters embeds this graph")
     else:
         em.negative("inconclusive", "search does not rule the parameters out")
-    return em.finish()
 
 
 # -------------------------------------------------------------------- latin
@@ -418,9 +396,8 @@ def _load_latin(spec: str) -> LatinSquare:
     return parse_latin(Path(spec).read_text())
 
 
-def _emit_square(sq: LatinSquare, args: argparse.Namespace, em: _Emitter) -> None:
+def _emit_square(sq: LatinSquare, out: str | None, em: _Emitter) -> None:
     text = serialize_latin(sq)
-    out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text)
         em.data["out"] = out
@@ -431,75 +408,57 @@ def _emit_square(sq: LatinSquare, args: argparse.Namespace, em: _Emitter) -> Non
             sys.stdout.write(text)
 
 
-def _cmd_latin(args: argparse.Namespace) -> int:
-    em = _Emitter(args)
-    mode = args.mode
+def _latin_circle(args: argparse.Namespace, em: _Emitter) -> None:
+    _emit_square(_parameter(circle_symmetric, args.v), args.out, em)
 
-    if mode == "circle":
-        _require(args, "v")
-        _emit_square(_parameter(circle_symmetric, args.v), args, em)
-        return em.finish()
 
-    if mode == "affine":
-        _require(args, "q")
-        fam = _parameter(affine_ufs_family, args.q)
-        if args.pick is not None:
-            if not 0 <= args.pick < len(fam):
-                raise ValueError(f"--pick must be in 0..{len(fam) - 1}, got {args.pick}")
-            _emit_square(fam[args.pick], args, em)
-            return em.finish()
-        em.data["count"] = len(fam)
-        for sq in fam:
-            if not em.json:
-                sys.stdout.write(serialize_latin(sq) + "\n")
-        em.data["squares"] = [serialize_latin(sq) for sq in fam]
-        em.say(f"{len(fam)} pairwise uniform squares of order {args.q}")
-        return em.finish()
+def _latin_affine(args: argparse.Namespace, em: _Emitter) -> None:
+    fam = _parameter(affine_ufs_family, args.q)
+    if args.pick is not None:
+        if not 0 <= args.pick < len(fam):
+            raise ValueError(f"--pick must be in 0..{len(fam) - 1}, got {args.pick}")
+        _emit_square(fam[args.pick], args.out, em)
+        return
+    if args.out:
+        raise ValueError("--out writes one square: it needs --pick")
+    em.data["count"] = len(fam)
+    for sq in fam:
+        if not em.json:
+            sys.stdout.write(serialize_latin(sq) + "\n")
+    em.data["squares"] = [serialize_latin(sq) for sq in fam]
+    em.say(f"{len(fam)} pairwise uniform squares of order {args.q}")
 
-    if mode == "check":
-        _require(args, "input")
-        sq = _load_latin(args.input)
-        em.data.update(
-            {
-                "latin": sq.is_latin(),
-                "symmetric": sq.is_symmetric(),
-                "constant_diagonal": sq.has_constant_diagonal(),
-            }
-        )
-        em.say(f"latin: {sq.is_latin()}")
-        em.say(f"symmetric: {sq.is_symmetric()}")
-        em.say(f"constant diagonal: {sq.has_constant_diagonal()}")
-        if args.against:
-            other = _load_latin(args.against)
-            ufs = is_ufs(sq, other)
-            em.data["ufs"] = ufs
-            em.say(f"uniformly one-agreeing with {args.against}: {ufs}")
-            if not ufs:
-                em.negative("not-ufs", "pair fails the one-agreement test")
-        return em.finish()
 
-    if mode == "compose":
-        _require(args, "input", "against")
-        out = compose_ufs(_load_latin(args.input), _load_latin(args.against))
-        _emit_square(out, args, em)
-        return em.finish()
+def _latin_check(args: argparse.Namespace, em: _Emitter) -> None:
+    sq = _load_latin(args.input)
+    em.data.update(
+        {
+            "latin": sq.is_latin(),
+            "symmetric": sq.is_symmetric(),
+            "constant_diagonal": sq.has_constant_diagonal(),
+        }
+    )
+    em.say(f"latin: {sq.is_latin()}")
+    em.say(f"symmetric: {sq.is_symmetric()}")
+    em.say(f"constant diagonal: {sq.has_constant_diagonal()}")
+    if args.against:
+        other = _load_latin(args.against)
+        ufs = is_ufs(sq, other)
+        em.data["ufs"] = ufs
+        em.say(f"uniformly one-agreeing with {args.against}: {ufs}")
+        if not ufs:
+            em.negative("not-ufs", "pair fails the one-agreement test")
 
-    if mode == "diagfix":
-        _require(args, "input")
-        fixed = force_constant_diagonal(_load_latin(args.input), args.symbol)
-        _emit_square(fixed, args, em)
-        return em.finish()
 
-    raise ValueError(f"unknown latin mode {mode!r}")
+def _latin_compose(args: argparse.Namespace, em: _Emitter) -> None:
+    _emit_square(compose_ufs(_load_latin(args.input), _load_latin(args.against)), args.out, em)
+
+
+def _latin_diagfix(args: argparse.Namespace, em: _Emitter) -> None:
+    _emit_square(force_constant_diagonal(_load_latin(args.input), args.symbol), args.out, em)
 
 
 # ------------------------------------------------------------------- scheme
-
-
-def _twin_delete_split(m_exponent: int):
-    tw = twin_sylvester(m_exponent)
-    rep = delete_allones_transform(tw.h, tw.reports[1])
-    return tw.h, rep
 
 
 def _describe_scheme(em: _Emitter, scheme: Scheme, args: argparse.Namespace) -> None:
@@ -511,15 +470,14 @@ def _describe_scheme(em: _Emitter, scheme: Scheme, args: argparse.Namespace) -> 
         f"{scheme.classes}-class {'symmetric' if scheme.is_symmetric else 'non-symmetric'}"
         f" scheme on {scheme.size} points, valencies {scheme.valencies}"
     )
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir:
-        d = Path(out_dir)
+    if args.out_dir:
+        d = Path(args.out_dir)
         d.mkdir(parents=True, exist_ok=True)
         for i, m in enumerate(scheme.matrices):
             (d / f"class-{i}.txt").write_text(serialize_matrix(m))
         em.data["out_dir"] = str(d)
         em.say(f"class matrices written to {d}")
-    if getattr(args, "eig", False):
+    if args.eig:
         tables = eigenmatrices(scheme)
         em.data["p"] = [[repr(e) for e in row] for row in tables.p]
         em.data["q"] = [[repr(e) for e in row] for row in tables.q]
@@ -530,15 +488,18 @@ def _describe_scheme(em: _Emitter, scheme: Scheme, args: argparse.Namespace) -> 
 
 
 def _scheme_split(args: argparse.Namespace):
-    if getattr(args, "twin_delete", None) is not None:
-        return _twin_delete_split(args.twin_delete)
-    if getattr(args, "twin", None) is not None:
+    if (args.input is None) != (args.rows is None):
+        raise ValueError("--input and --rows go together")
+    if args.input is not None:
+        h = _load_hadamard(args.input)
+        return h, check_split(h, _parse_rows(args.rows))
+    if args.twin_delete is not None:
+        tw = twin_sylvester(args.twin_delete)
+        return tw.h, delete_allones_transform(tw.h, tw.reports[1])
+    if args.twin is not None:
         tw = twin_sylvester(args.twin)
         return tw.h, tw.reports[1]
-    if not getattr(args, "input", None) or not getattr(args, "rows", None):
-        raise ValueError("need --twin-delete/--twin or --input with --rows")
-    h = _load_hadamard(args.input)
-    return h, check_split(h, _parse_rows(args.rows))
+    raise ValueError("need --twin-delete/--twin or --input with --rows")
 
 
 def _first_squares(fam: list[LatinSquare], f: int) -> list[LatinSquare]:
@@ -547,147 +508,177 @@ def _first_squares(fam: list[LatinSquare], f: int) -> list[LatinSquare]:
     return fam[:f]
 
 
-def _cmd_scheme(args: argparse.Namespace) -> int:
-    em = _Emitter(args)
-    mode = args.mode
+def _scheme_build4(
+    args: argparse.Namespace, em: _Emitter, builder=build_4class_symmetric
+) -> None:
+    h, rep = _scheme_split(args)
+    square = _load_latin(args.square) if args.square else None
+    _describe_scheme(em, builder(h, rep, square), args)
 
-    if mode in ("build4", "build4n"):
-        h, rep = _scheme_split(args)
-        square = parse_latin(Path(args.square).read_text()) if args.square else None
-        builder = build_4class_nonsymmetric if mode == "build4n" else build_4class_symmetric
-        scheme = builder(h, rep, square)
-    elif mode == "build5":
-        h, rep = _scheme_split(args)
-        fam = [with_min_symbol(sq, 1) for sq in _parameter(affine_ufs_family, rep.params.ell)]
-        scheme = build_5class(h, rep, _first_squares(fam, args.f))
-    elif mode == "build6":
-        h, rep = _scheme_split(args)
-        fam = [
-            force_constant_diagonal(sq, 0)
-            for sq in _parameter(affine_ufs_family, rep.params.ell + 1)
-        ]
-        scheme = build_6class(h, rep, _first_squares(fam, args.f))
-    elif mode == "hamming":
-        _require(args, "n")
-        scheme = hamming_scheme(args.n)
-    elif mode == "fusion":
-        _require(args, "n")
-        scheme = muzychuk_fusion(args.n, args.variant)
-    elif mode == "verify":
-        _require(args, "inputs")
-        mats = [_load_matrix(spec) for spec in args.inputs.split(",")]
-        scheme = verify_scheme(mats)
-    else:
-        raise ValueError(f"unknown scheme mode {mode!r}")
-    _describe_scheme(em, scheme, args)
-    return em.finish()
+
+def _scheme_build5(args: argparse.Namespace, em: _Emitter) -> None:
+    h, rep = _scheme_split(args)
+    fam = [with_min_symbol(sq, 1) for sq in _parameter(affine_ufs_family, rep.params.ell)]
+    _describe_scheme(em, build_5class(h, rep, _first_squares(fam, args.f)), args)
+
+
+def _scheme_build6(args: argparse.Namespace, em: _Emitter) -> None:
+    h, rep = _scheme_split(args)
+    fam = [
+        force_constant_diagonal(sq, 0)
+        for sq in _parameter(affine_ufs_family, rep.params.ell + 1)
+    ]
+    _describe_scheme(em, build_6class(h, rep, _first_squares(fam, args.f)), args)
+
+
+def _scheme_hamming(args: argparse.Namespace, em: _Emitter) -> None:
+    _describe_scheme(em, hamming_scheme(args.n), args)
+
+
+def _scheme_fusion(args: argparse.Namespace, em: _Emitter) -> None:
+    _describe_scheme(em, muzychuk_fusion(args.n, args.variant), args)
+
+
+def _scheme_verify(args: argparse.Namespace, em: _Emitter) -> None:
+    mats = [_load_matrix(spec) for spec in args.inputs.split(",")]
+    _describe_scheme(em, verify_scheme(mats), args)
 
 
 # --------------------------------------------------------------------- main
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit a structured run report")
+def _modes(sp, name: str, dest: str, help: str):
+    """A command whose required positional picks one of its mode parsers."""
+    return sp.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+
+def _leaf(sp, name: str, func, help: str | None = None) -> argparse.ArgumentParser:
+    """The parser of a command or mode that main runs as func(args, em)."""
+    p = sp.add_parser(name, help=help)
+    p.add_argument("--json", action="store_true", help="emit a structured run report")
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_ints(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", type=int, required=True)
+
+
+def _add_split(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="Hadamard matrix file")
+    p.add_argument("--rows", required=True, help="comma list, ranges like 2-13 allowed")
+
+
+def _add_source(p: argparse.ArgumentParser, suffix: str, what: str) -> None:
+    one = p.add_mutually_exclusive_group()
+    one.add_argument(f"--input{suffix}", help=f"matrix file of the {what}")
+    one.add_argument(
+        f"--sylvester{suffix}", type=int, default=1, help=f"Sylvester exponent of the {what}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. Each mode declares only the flags it reads, so
+    argparse rejects any other flag as a usage error."""
     ap = argparse.ArgumentParser(
         prog="hadsplit",
         description="balanced splits of Hadamard matrices and their schemes",
     )
     sp = ap.add_subparsers(dest="subcommand", required=True)
 
-    c = sp.add_parser("construct", help="build a split by a named construction")
-    c.add_argument(
-        "kind",
-        choices=["sylvester", "kron", "gram", "core-tensor", "two-row", "twin", "skew-core"],
-    )
-    c.add_argument("--m", type=int, default=1, help="exponent for sylvester/twin")
-    c.add_argument("--variant", choices=["large", "small"], default="large")
-    c.add_argument("--q", type=int, default=3, help="core order for skew-core")
-    one = c.add_mutually_exclusive_group()
-    one.add_argument("--input", help="matrix file for kron/gram/core-tensor/two-row")
-    one.add_argument("--sylvester", type=int, default=1, help="Sylvester exponent of the source")
-    two = c.add_mutually_exclusive_group()
-    two.add_argument("--input2", help="second factor file for core-tensor")
-    two.add_argument(
-        "--sylvester2", type=int, default=1, help="Sylvester exponent of the second factor"
-    )
-    c.add_argument("--out", help="write the matrix here")
-    _add_common(c)
-    c.set_defaults(func=_cmd_construct)
+    con = _modes(sp, "construct", "kind", "build a split by a named construction")
+    for kind, func in (("sylvester", _construct_sylvester), ("twin", _construct_twin)):
+        _leaf(con, kind, func).add_argument("--m", type=int, default=1, help="Sylvester exponent")
+    p = _leaf(con, "skew-core", _construct_skew_core)
+    p.add_argument("--q", type=int, default=3, help="order of the skew core, a prime power")
+    for kind, func in (
+        ("kron", _construct_kron),
+        ("gram", _construct_gram),
+        ("core-tensor", _construct_core_tensor),
+        ("two-row", _construct_two_row),
+    ):
+        _add_source(_leaf(con, kind, func), "", "source")
+    con.choices["kron"].add_argument("--variant", choices=["large", "small"], default="large")
+    _add_source(con.choices["core-tensor"], "2", "second factor")
+    for p in con.choices.values():
+        p.add_argument("--out", help="write the matrix here")
 
-    k = sp.add_parser("check", help="validate a row subset as a balanced split")
-    k.add_argument("--input", required=True)
-    k.add_argument("--rows", required=True, help="comma list, ranges like 2-13 allowed")
-    _add_common(k)
-    k.set_defaults(func=_cmd_check)
+    _add_split(_leaf(sp, "check", _cmd_check, "validate a row subset as a balanced split"))
 
-    a = sp.add_parser("analyze", help="parameter derivations and matrix transforms")
-    a.add_argument(
-        "mode",
-        choices=["seidel", "srg", "equiangular", "unbiased", "regular", "diag", "srg16", "search"],
-    )
-    a.add_argument("--n", type=int)
-    a.add_argument("--ell", type=int)
-    a.add_argument("--a", type=int)
-    a.add_argument("--b", type=int)
-    a.add_argument("--case", choices=["a", "b"], default="a")
-    a.add_argument("--input", help="matrix file")
-    a.add_argument("--rows")
-    a.add_argument("--graph", help="adjacency file or bundled dataset name")
-    a.add_argument("--budget", type=int, default=10**7)
-    a.add_argument("--out")
-    _add_common(a)
-    a.set_defaults(func=_cmd_analyze)
+    an = _modes(sp, "analyze", "mode", "parameter derivations and matrix transforms")
+    _add_ints(_leaf(an, "seidel", _analyze_seidel), "n", "ell", "a")
+    p = _leaf(an, "srg", _analyze_srg)
+    _add_ints(p, "n", "ell", "a")
+    p.add_argument("--case", choices=["a", "b"], default="a")
+    _add_ints(_leaf(an, "equiangular", _analyze_equiangular), "n", "ell", "a", "b")
+    for mode, func in (("unbiased", _analyze_unbiased), ("regular", _analyze_regular)):
+        p = _leaf(an, mode, func)
+        _add_split(p)
+        p.add_argument("--out", help="write the matrix here")
+    p = _leaf(an, "diag", _analyze_diag)
+    p.add_argument("--input", required=True, help="Hadamard matrix file")
+    p.add_argument("--graph", required=True, help="adjacency file or bundled dataset name")
+    p = _leaf(an, "srg16", _analyze_srg16)
+    p.add_argument("--graph", required=True, help="adjacency file or bundled dataset name")
+    p = _leaf(an, "search", _analyze_search)
+    p.add_argument("--input", required=True, help="Hadamard matrix file")
+    _add_ints(p, "ell")
+    p.add_argument("--budget", type=int, default=10**7, help="most row subsets to try")
 
-    e = sp.add_parser("enumerate", help="feasible parameter tables")
-    e.add_argument("table", choices=["table1", "table2"])
-    e.add_argument("--max-n", type=int, required=True)
-    _add_common(e)
-    e.set_defaults(func=_cmd_enumerate)
+    p = _leaf(sp, "enumerate", _cmd_enumerate, "feasible parameter tables")
+    p.add_argument("table", choices=["table1", "table2"])
+    p.add_argument("--max-n", type=int, required=True)
 
-    x = sp.add_parser("nonexist", help="certify nonexistence by eigenvector search")
-    x.add_argument("--graph", required=True, help="adjacency file or bundled dataset name")
-    x.add_argument("--ell", type=int, required=True)
-    x.add_argument("--a", type=int, required=True)
-    x.add_argument("--b", type=int, required=True)
-    _add_common(x)
-    x.set_defaults(func=_cmd_nonexist)
+    p = _leaf(sp, "nonexist", _cmd_nonexist, "certify nonexistence by eigenvector search")
+    p.add_argument("--graph", required=True, help="adjacency file or bundled dataset name")
+    _add_ints(p, "ell", "a", "b")
 
-    lt = sp.add_parser("latin", help="latin square utilities")
-    lt.add_argument(
-        "mode", choices=["circle", "affine", "check", "compose", "diagfix"]
-    )
-    lt.add_argument("--v", type=int, help="order for circle")
-    lt.add_argument("--q", type=int, help="field order for affine")
-    lt.add_argument("--pick", type=int, help="emit just this member of the affine family")
-    lt.add_argument("--input")
-    lt.add_argument("--against")
-    lt.add_argument("--symbol", type=int, default=0)
-    lt.add_argument("--out")
-    _add_common(lt)
-    lt.set_defaults(func=_cmd_latin)
+    lt = _modes(sp, "latin", "mode", "latin square utilities")
+    p = _leaf(lt, "circle", _latin_circle)
+    p.add_argument("--v", type=int, required=True, help="order, even")
+    p = _leaf(lt, "affine", _latin_affine)
+    p.add_argument("--q", type=int, required=True, help="field order, a prime power")
+    p.add_argument("--pick", type=int, help="emit just this member of the family")
+    p = _leaf(lt, "check", _latin_check)
+    p.add_argument("--input", required=True)
+    p.add_argument("--against", help="test the pair for uniform one-agreement")
+    p = _leaf(lt, "compose", _latin_compose)
+    p.add_argument("--input", required=True)
+    p.add_argument("--against", required=True)
+    p = _leaf(lt, "diagfix", _latin_diagfix)
+    p.add_argument("--input", required=True)
+    p.add_argument("--symbol", type=int, default=0)
+    for mode in ("circle", "affine", "compose", "diagfix"):
+        lt.choices[mode].add_argument("--out", help="write the square here")
 
-    s = sp.add_parser("scheme", help="association scheme builders")
-    s.add_argument(
-        "mode",
-        choices=["build4", "build4n", "build5", "build6", "hamming", "fusion", "verify"],
-    )
-    src = s.add_mutually_exclusive_group()
-    src.add_argument("--twin-delete", type=int, help="use the deleted twin split at this exponent")
-    src.add_argument("--twin", type=int, help="use the twin split at this exponent")
-    src.add_argument("--input", help="Hadamard matrix file")
-    s.add_argument("--rows")
-    s.add_argument("--square", help="latin square file for the 4-class builders")
-    s.add_argument("--f", type=int, default=2, help="number of squares for build5/build6")
-    s.add_argument("--n", type=int, help="word length for hamming/fusion")
-    s.add_argument("--variant", choices=["01", "03"], default="01")
-    s.add_argument("--inputs", help="comma list of class matrix files for verify")
-    s.add_argument("--eig", action="store_true", help="also print the eigenmatrix")
-    s.add_argument("--out-dir", help="write class matrices here")
-    _add_common(s)
-    s.set_defaults(func=_cmd_scheme)
+    sc = _modes(sp, "scheme", "mode", "association scheme builders")
+    for mode, func in (
+        ("build4", _scheme_build4),
+        ("build4n", functools.partial(_scheme_build4, builder=build_4class_nonsymmetric)),
+        ("build5", _scheme_build5),
+        ("build6", _scheme_build6),
+    ):
+        p = _leaf(sc, mode, func)
+        src = p.add_mutually_exclusive_group()
+        src.add_argument(
+            "--twin-delete", type=int, help="use the deleted twin split at this exponent"
+        )
+        src.add_argument("--twin", type=int, help="use the twin split at this exponent")
+        src.add_argument("--input", help="Hadamard matrix file")
+        p.add_argument("--rows", help="the split's rows in the --input matrix")
+    for mode in ("build4", "build4n"):
+        sc.choices[mode].add_argument("--square", help="latin square file")
+    for mode in ("build5", "build6"):
+        sc.choices[mode].add_argument("--f", type=int, default=2, help="number of squares")
+    for mode, func in (("hamming", _scheme_hamming), ("fusion", _scheme_fusion)):
+        _leaf(sc, mode, func).add_argument("--n", type=int, required=True, help="word length")
+    sc.choices["fusion"].add_argument("--variant", choices=["01", "03"], default="01")
+    p = _leaf(sc, "verify", _scheme_verify)
+    p.add_argument("--inputs", required=True, help="comma list of class matrix files")
+    for p in sc.choices.values():
+        p.add_argument("--eig", action="store_true", help="also print the eigenmatrix")
+        p.add_argument("--out-dir", help="write class matrices here")
 
     return ap
 
@@ -700,9 +691,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code. A usage error, such as a
+    missing required flag or a flag the mode does not read, raises
+    SystemExit(2) from argparse instead."""
     args = _parser().parse_args(argv)
+    em = _Emitter(args)
     try:
-        return args.func(args)
+        args.func(args, em)
+        return em.finish()
     except (ParseError, UnknownDataset, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -100,16 +102,7 @@ def test_check_order_1_exits_two(capsys, tmp_path):
 def test_python_m_hadsplit_runs_the_cli(tmp_path, twin16):
     f = tmp_path / "twin.txt"
     f.write_text(serialize_matrix(twin16.h))
-    src = str(Path(hadsplit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = ["check", "--input", str(f), "--rows", "1,4,5,6,9,15", "--json"]
-    done = subprocess.run(
-        [sys.executable, "-m", "hadsplit", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
+    done = _hadsplit_process("check", "--input", str(f), "--rows", "1,4,5,6,9,15", "--json")
     assert (done.returncode, done.stderr) == (0, "")
     payload = json.loads(done.stdout)
     assert payload["outcome"] == "ok"
@@ -167,8 +160,11 @@ def test_analyze_seidel(capsys):
 
 
 def test_analyze_seidel_missing_option_exits_two(capsys):
-    code, _, err = run(capsys, "analyze", "seidel", "--n", "16")
-    assert code == 2
+    # a required flag is declared as such, so argparse reports it as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "seidel", "--n", "16"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
     assert "--ell" in err and "--a" in err
 
 
@@ -535,6 +531,23 @@ def test_scheme_split_requires_source(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["--twin-delete", "2", "--rows", "1"],
+        ["--twin", "2", "--rows", "1"],
+        ["--rows", "1"],
+        ["--input", "h.txt"],
+    ],
+)
+def test_scheme_split_rows_go_with_input(capsys, argv):
+    # --rows names rows of the --input matrix; beside a twin source it used to
+    # be ignored
+    code, out, err = run(capsys, "scheme", "build4", *argv)
+    assert (code, out) == (2, "")
+    assert "error: --input and --rows go together" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["scheme", "build4", "--twin-delete", "2", "--twin", "3"],
         ["scheme", "build4", "--twin", "2", "--input", "h.txt", "--rows", "1"],
         ["scheme", "build5", "--input", "h.txt", "--twin-delete", "2"],
@@ -548,6 +561,93 @@ def test_conflicting_sources_exit_two(capsys, argv):
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "kron", "--m", "3"],
+        ["construct", "gram", "--q", "7"],
+        ["construct", "sylvester", "--variant", "small"],
+        ["analyze", "seidel", "--n", "16", "--ell", "6", "--a", "2", "--input", "x"],
+        ["latin", "circle", "--v", "6", "--q", "5"],
+        ["latin", "circle", "--v", "6", "--q", "99", "--pick", "3"],
+        ["scheme", "hamming", "--n", "4", "--twin", "2"],
+        ["scheme", "build4", "--twin-delete", "2", "--f", "3"],
+    ],
+)
+def test_a_flag_the_mode_does_not_read_exits_two(capsys, argv):
+    # each of these used to exit 0 and drop the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_latin_affine_out_without_pick_exits_two(capsys, tmp_path):
+    # --out writes one square; the listing of the whole family used to ignore it
+    f = tmp_path / "sq.txt"
+    code, out, err = run(capsys, "latin", "affine", "--q", "4", "--out", str(f))
+    assert (code, out) == (2, "")
+    assert "error: --out writes one square: it needs --pick" in err
+    assert not f.exists()
+
+
+def _hadsplit_process(*argv, cwd=None):
+    src = str(Path(hadsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hadsplit", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
+        timeout=120,
+    )
+
+
+def test_python_m_hadsplit_rejects_an_unread_flag():
+    done = _hadsplit_process("construct", "kron", "--m", "3")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "unrecognized arguments: --m 3" in done.stderr
+
+
+def _commands(parser, path=()):
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, (*path, name))
+
+
+def test_help_exits_zero_for_every_command_and_mode(capsys):
+    # argparse %-formats help text, so a bad help string fails only here
+    paths = list(_commands(build_parser()))
+    # the root, 7 commands, and the modes of construct, analyze, latin and scheme
+    assert len(paths) == 1 + 7 + 7 + 8 + 5 + 7
+    for path in paths:
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0, path
+        assert capsys.readouterr().out.startswith("usage: hadsplit"), path
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("hadsplit ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    # the README's examples, in order, against the per-mode flags
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 # --------------------------------------------------------------------- misc
