@@ -12,7 +12,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -87,13 +86,8 @@ _BUNDLED = ("srg-36-10-4-2", "shrikhande", "lattice-4x4")
 
 
 def bundled_data(name: str) -> IntMatrix:
-    """Load a named dataset, honoring the HADSPLIT_DATA_DIR override."""
+    """Load a bundled dataset by name, with or without its .txt suffix."""
     stem = name[:-4] if name.endswith(".txt") else name
-    override = os.environ.get("HADSPLIT_DATA_DIR")
-    if override:
-        p = Path(override) / f"{stem}.txt"
-        if p.is_file():
-            return parse_matrix(p.read_text())
     if stem in _BUNDLED:
         text = resources.files("hadsplit.data").joinpath(f"{stem}.txt").read_text()
         return parse_matrix(text)

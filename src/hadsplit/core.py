@@ -386,7 +386,8 @@ def paley_skew_core(q: int) -> SkewCore:
     elems = field.elements()
     rows = []
     for x in elems:
-        rows.append([field.chi(field.sub(y, x)) for y in elems])
+        minus_x = field.neg(x)
+        rows.append([field.chi(field.add(y, minus_x)) for y in elems])
     return SkewCore(IntMatrix(rows))
 
 

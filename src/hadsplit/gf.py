@@ -1,14 +1,16 @@
-"""Small finite fields GF(p^e) with table-based arithmetic.
+"""Small finite fields GF(p^e) with exp/log arithmetic.
 
 Elements are integers 0..q-1 encoding coefficient vectors base p
 (index = c0 + c1*p + ... ). The reduction modulus is the lexicographically
 smallest monic irreducible of degree e, scanning coefficient tuples from
-the x^(e-1) coefficient down to the constant term.
+the x^(e-1) coefficient down to the constant term; for prime q it is x + 1,
+and the labels are the residues mod p.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .core import HadsplitError
 
@@ -43,23 +45,6 @@ def is_prime_power(q: int) -> bool:
     except NotPrimePower:
         return False
     return True
-
-
-def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    # modulus is monic of degree e; operands have degree < e
-    e = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    for d in range(len(out) - 1, e - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for k in range(e + 1):
-                out[d - e + k] = (out[d - e + k] - c * modulus[k]) % p
-    return [v % p for v in out[:e]] + [0] * max(0, e - len(out))
 
 
 def _is_irreducible(modulus: list[int], p: int) -> bool:
@@ -100,80 +85,90 @@ def _find_modulus(p: int, e: int) -> list[int]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
+def _powers(g: int, modulus: list[int], p: int) -> list[int]:
+    """Labels of 1, g, ..., g^(k-1), where k is the multiplicative order of g."""
+    e = len(modulus) - 1
+    weights = [p**k for k in range(e)]
+    # rows[i] holds the digits of x^i g: times x shifts the digits up and
+    # folds the top one back in, as x^e = -(m_0 + m_1 x + ... + m_(e-1) x^(e-1))
+    rows = [[g // w % p for w in weights]]
+    for _ in range(e - 1):
+        top = rows[-1][-1]
+        rows.append([(c - top * m) % p for c, m in zip([0] + rows[-1][:-1], modulus)])
+    cols = list(zip(*rows))
+    out, digits = [1], [1] + [0] * (e - 1)
+    while True:
+        digits = [sum(map(mul, digits, col)) % p for col in cols]
+        label = sum(map(mul, digits, weights))
+        if label == 1:
+            return out
+        out.append(label)
+
+
 class GF:
-    """GF(q) with add/mul tables, quadratic character, and inverses."""
+    """GF(q) on the exp and log tables of a generator g, built in O(q) steps.
+
+    A product adds logarithms mod q - 1. A sum uses Zech logarithms,
+    zech[k] = log(1 + g^k), as x + y = x (1 + y / x) (Lidl and Niederreiter,
+    Finite Fields, ch. 10). x is a square iff log x is even, for odd q; every
+    element of an even-order field is a square.
+    """
 
     def __init__(self, q: int):
         p, e = factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e
-        if e == 1:
-            self.modulus = None
-            self._add = [[(x + y) % p for y in range(p)] for x in range(p)]
-            self._mul = [[(x * y) % p for y in range(p)] for x in range(p)]
-        else:
-            self.modulus = _find_modulus(p, e)
-            vecs = [self._decode(i) for i in range(q)]
-            self._add = [
-                [self._encode([(x + y) % p for x, y in zip(vecs[i], vecs[j])]) for j in range(q)]
-                for i in range(q)
-            ]
-            self._mul = [[0] * q for _ in range(q)]
-            for i in range(q):
-                for j in range(i, q):
-                    v = self._encode(_poly_mul_mod(vecs[i], vecs[j], self.modulus, p))
-                    self._mul[i][j] = v
-                    self._mul[j][i] = v
-        self._neg = [0] * q
-        for x in range(q):
-            for y in range(q):
-                if self._add[x][y] == 0:
-                    self._neg[x] = y
-                    break
-        self._inv = [0] * q
-        for x in range(1, q):
-            for y in range(1, q):
-                if self._mul[x][y] == 1:
-                    self._inv[x] = y
-                    break
-        self._squares = {self._mul[x][x] for x in range(1, q)}
-
-    def _decode(self, i: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(i % self.p)
-            i //= self.p
-        return out
-
-    def _encode(self, coeffs: list[int]) -> int:
-        i = 0
-        for c in reversed(coeffs[: self.e]):
-            i = i * self.p + c
-        return i
+        self.modulus = _find_modulus(p, e)
+        # the modulus need not be primitive, so g is searched for
+        for g in range(1, q):
+            exp = _powers(g, self.modulus, p)
+            if len(exp) == q - 1:
+                break
+        # doubled, so sums of two logarithms and negative indices need no reduction
+        self._exp = exp + exp
+        self._log = [None] * q
+        for k, x in enumerate(exp):
+            self._log[x] = k
+        # 1 + z adds 1 to the constant digit of z; None marks 1 + g^k = 0
+        self._zech = [self._log[z + 1 if z % p < p - 1 else z + 1 - p] for z in exp]
+        # the label p - 1 is the constant -1
+        self._log_minus_one = self._log[p - 1]
+        self._nonsquare_bit = p % 2
 
     def elements(self) -> list[int]:
         return list(range(self.q))
 
     def add(self, x: int, y: int) -> int:
-        return self._add[x][y]
+        if not x:
+            return y
+        if not y:
+            return x
+        lx = self._log[x]
+        # zech has period q - 1, so a negative difference indexes from the end
+        k = self._zech[self._log[y] - lx]
+        return 0 if k is None else self._exp[lx + k]
 
     def sub(self, x: int, y: int) -> int:
-        return self._add[x][self._neg[y]]
+        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        return self._mul[x][y]
+        if not (x and y):
+            return 0
+        return self._exp[self._log[x] + self._log[y]]
 
     def neg(self, x: int) -> int:
-        return self._neg[x]
+        if not x:
+            return 0
+        return self._exp[self._log[x] + self._log_minus_one]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("no inverse of 0")
-        return self._inv[x]
+        return self._exp[-self._log[x]]
 
     def chi(self, x: int) -> int:
         """Quadratic character: 0 at 0, +1 on squares, -1 otherwise."""
         if x == 0:
             return 0
-        return 1 if x in self._squares else -1
+        return -1 if self._log[x] & self._nonsquare_bit else 1

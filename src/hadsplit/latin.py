@@ -144,11 +144,10 @@ def affine_ufs_family(q: int) -> list[LatinSquare]:
     Pairwise UFS, and within one square distinct rows never agree.
     """
     field = GF(q)
+    sums = [[field.add(i, j) for j in range(q)] for i in range(q)]
     out = []
     for a in range(1, q):
-        cells = tuple(
-            tuple(field.mul(a, field.add(i, j)) for j in range(q)) for i in range(q)
-        )
+        cells = tuple(tuple(field.mul(a, s) for s in row) for row in sums)
         out.append(LatinSquare(order=q, min_symbol=0, cells=cells))
     return out
 

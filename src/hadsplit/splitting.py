@@ -535,6 +535,10 @@ def equiangular_report(params: SplitParams) -> EquiangularReport:
     applies while m alpha^2 < 1.
     """
     n, ell = params.n, params.ell
+    if n < 2 or not 1 <= ell <= n:
+        raise ValueError(
+            f"equiangular analysis needs n >= 2 and 1 <= ell <= n, not n = {n}, ell = {ell}"
+        )
     if params.b != -params.a:
         raise InfeasibleSeidel("equiangular analysis needs b = -a")
     alpha_sq = Fraction(n - ell, ell * (n - 1))

@@ -39,17 +39,6 @@ def test_bundled_unknown_name():
         bundled_data("petersen")
 
 
-def test_data_dir_override(tmp_path, monkeypatch):
-    (tmp_path / "custom.txt").write_text("1 1\n+\n")
-    (tmp_path / "shrikhande.txt").write_text("1 1\n-\n")
-    monkeypatch.setenv("HADSPLIT_DATA_DIR", str(tmp_path))
-    assert bundled_data("custom")[0, 0] == 1
-    # the override shadows a bundled name
-    assert bundled_data("shrikhande")[0, 0] == -1
-    monkeypatch.delenv("HADSPLIT_DATA_DIR")
-    assert bundled_data("shrikhande").nrows == 16
-
-
 # ---------------------------------------------------------------- construct
 
 
@@ -200,6 +189,13 @@ def test_analyze_equiangular(capsys):
     assert code == 0
     assert "6 equiangular lines with squared cosine 1/9" in out
     assert "(attained)" in out
+    for n, ell in [("16", "0"), ("1", "1"), ("16", "17")]:
+        code, out, err = run(
+            capsys, "analyze", "equiangular", "--n", n, "--ell", ell, "--a", "2", "--b=-2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: equiangular analysis needs n >= 2 and 1 <= ell <= n")
+        assert err.endswith(f"not n = {n}, ell = {ell}\n")
 
 
 def test_analyze_unbiased_and_regular(capsys, tmp_path):

@@ -659,6 +659,10 @@ def test_equiangular_inapplicable():
         equiangular_report(SplitParams(4, 1, 1, -1))
     with pytest.raises(InfeasibleSeidel):
         equiangular_report(SplitParams(16, 9, 1, -3))
+    # ell = 0 or n = 1 would divide by zero; ell > n names no split
+    for n, ell in [(16, 0), (1, 1), (0, 0), (-4, 2), (16, 17), (16, -6)]:
+        with pytest.raises(ValueError, match="needs n >= 2 and 1 <= ell <= n"):
+            equiangular_report(SplitParams(n, ell, 2, -2))
 
 
 def test_unbiased_partner(twin16):
