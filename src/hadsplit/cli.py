@@ -36,10 +36,11 @@ from .constructions import (
     witness_for,
 )
 from .feasibility import eigvec_search, enumerate_case_a, enumerate_seidel
-from .gf import NotPrimePower
+from .gf import GF, NotPrimePower
 from .latin import (
     LatinSquare,
     OddOrder,
+    _affine_squares,
     affine_ufs_family,
     circle_symmetric,
     compose_ufs,
@@ -407,14 +408,17 @@ def _latin_circle(args: argparse.Namespace, em: _Emitter) -> None:
 
 
 def _latin_affine(args: argparse.Namespace, em: _Emitter) -> None:
-    fam = _parameter(affine_ufs_family, args.q)
+    field = _parameter(GF, args.q)
     if args.pick is not None:
-        if not 0 <= args.pick < len(fam):
-            raise ValueError(f"--pick must be in 0..{len(fam) - 1}, got {args.pick}")
-        _emit_square(fam[args.pick], args.out, em)
+        if not 0 <= args.pick < args.q - 1:
+            raise ValueError(f"--pick must be in 0..{args.q - 2}, got {args.pick}")
+        # member k is the square a = k + 1; the others are never built
+        (square,) = _affine_squares(field, [args.pick + 1])
+        _emit_square(square, args.out, em)
         return
     if args.out:
         raise ValueError("--out writes one square: it needs --pick")
+    fam = affine_ufs_family(args.q)
     em.data["count"] = len(fam)
     for sq in fam:
         if not em.json:

@@ -61,7 +61,9 @@ class ParseError(HadsplitError):
     """Malformed matrix or Latin square text."""
 
 
-def _as_array(rows: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
+def _as_array(rows: Iterable[Iterable[int]] | np.ndarray | IntMatrix) -> np.ndarray:
+    if isinstance(rows, IntMatrix):  # already checked and read-only
+        return rows.array
     if isinstance(rows, (list, tuple)):
         try:
             guess = np.array(rows)
@@ -161,7 +163,7 @@ class IntMatrix:
 
     __slots__ = ("_a",)
 
-    def __init__(self, rows: Iterable[Iterable[int]] | np.ndarray):
+    def __init__(self, rows: Iterable[Iterable[int]] | np.ndarray | IntMatrix):
         self._a = _as_array(rows)
 
     @classmethod
@@ -279,7 +281,7 @@ class HadamardMatrix(IntMatrix):
 
     __slots__ = ()
 
-    def __init__(self, rows: Iterable[Iterable[int]] | np.ndarray):
+    def __init__(self, rows: Iterable[Iterable[int]] | np.ndarray | IntMatrix):
         super().__init__(rows)
         _check_hadamard(self)
 

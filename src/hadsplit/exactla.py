@@ -1,14 +1,20 @@
 """Exact linear algebra over the rationals, and the Gaussian rationals that
 eigenmatrix entries live in.
 
-Small dense matrices only, and every elimination is fraction-free on Python
-ints. _echelon_int reduces an integer matrix and _kernel_int gives its
-kernel as primitive integer vectors; schemes.eigenmatrices splits its
-subspaces with these two, and rref and nullspace are built on them: they
-take int and Fraction entries, scale each row to integers, and build only
-their results from Fractions. mat_mul and mat_vec take any elements
-supporting + and *; schemes applies integer matrices with mat_vec, and the
-tests multiply GaussianRational tables with mat_mul.
+Small dense matrices only. Every elimination is fraction-free, in one of two
+loops that give the same rows and pivots:
+- _echelon_int runs on Python lists, one row at a time, and _kernel_int
+  gives its kernel as primitive integer vectors. schemes.eigenmatrices
+  splits its subspaces with these two, on systems of a few rows, where
+  lists beat numpy's cost per call; nullspace is built on them too.
+- _echelon_array runs on a numpy array and updates every row at once at
+  each pivot, in int64 while a bound allows and on Python ints past it.
+  rref runs on it, for the eigenspace systems of feasibility.eigvec_search,
+  which have one row per vertex.
+rref and nullspace take int and Fraction entries, scale each row to
+integers, and build only their results from Fractions. mat_mul and mat_vec
+take any elements supporting + and *; schemes applies integer matrices with
+mat_vec, and the tests multiply GaussianRational tables with mat_mul.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
+
+import numpy as np
+
+from .core import _INT64_SAFE, _max_abs
 
 __all__ = ["GaussianRational", "rref", "nullspace", "mat_mul", "mat_vec"]
 
@@ -172,9 +182,12 @@ def _kernel_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
 def _scaled_int(m: Sequence[Sequence[int | Fraction]]) -> Matrix:
     """m with each row scaled by the lcm d of its entries' denominators,
     which keeps its row space; entries other than int and Fraction raise
-    TypeError."""
+    TypeError. A row of plain ints is copied as it is."""
     scaled = []
     for row in m:
+        if set(map(type, row)) == {int}:
+            scaled.append(list(row))
+            continue
         for v in row:
             if not isinstance(v, (int, Fraction)):
                 raise TypeError(f"rref needs int or Fraction entries, got {type(v).__name__}")
@@ -183,14 +196,56 @@ def _scaled_int(m: Sequence[Sequence[int | Fraction]]) -> Matrix:
     return scaled
 
 
+def _primitive_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a divided by the gcd of its entries; a zero row stays.
+    initial=0 keeps the gcd nonnegative, also for a row of one entry."""
+    return a // np.maximum(np.gcd.reduce(a, axis=1, initial=0), 1)[:, None]
+
+
+def _echelon_array(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
+    """_echelon_int on a numpy array: the same rows and pivots, with each
+    pivot step forming pv * row - f * pivot_row for every row with f != 0
+    at once and dividing each by the gcd of its entries.
+
+    Every update is bounded by 2 max|a|^2. The step runs in int64 while
+    that bound is below 2**62, and from the first step past it the array
+    holds Python ints (dtype object) and the same loop runs on those.
+    """
+    try:
+        a = np.array(m, dtype=np.int64)
+    except OverflowError:
+        a = np.array(m, dtype=object)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        below = a[r:, c].nonzero()[0]
+        if not below.size:
+            continue
+        pr = r + int(below[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        rows = a[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        if rows.size:
+            if a.dtype != object and 2 * _max_abs(a) ** 2 >= _INT64_SAFE:
+                a = a.astype(object)
+            a[rows] = _primitive_rows(a[r, c] * a[rows] - a[rows, c, None] * a[r])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return _primitive_rows(a[:r]).tolist(), pivots
+
+
 def rref(m: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of a rational matrix; returns (all rows,
     nonzero rows first, as Fractions, and the pivot column indices), from
-    _echelon_int on the integer rows of _scaled_int."""
+    _echelon_array on the integer rows of _scaled_int."""
     scaled = _scaled_int(m)
     if not scaled:
         return [], []
-    rows, pivots = _echelon_int(scaled)
+    rows, pivots = _echelon_array(scaled)
     zero = Fraction(0)
     out = [[Fraction(x, row[p]) if x else zero for x in row] for row, p in zip(rows, pivots)]
     out += [[zero] * len(scaled[0]) for _ in range(len(scaled) - len(rows))]

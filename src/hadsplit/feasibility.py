@@ -425,14 +425,16 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     when the search finds more than _SURVIVOR_CAP sign vectors.
 
     The search runs on integers. B - nI is an integer matrix, so rref
-    reduces it on Python ints, and with scale = lcm of the denominators of
-    the reduced free columns each pivot entry of an eigenvector is (sum of
-    coeff[t] * sign[t] over the free entries) / scale for integer coeff; the
-    search bounds scale * entry instead of the entry. Its frontier holds
-    these partial sums for every partial sign vector that can still be
-    completed, one int64 row each: a level extends each row by +coeff[t] and
-    -coeff[t], interleaved, and keeps the rows within rem of +-scale on every
-    pivot, rem bounding the terms still to come. Blocks of at most
+    reduces it fraction-free on a numpy array, every row at each pivot, in
+    int64 while its bound allows and on Python ints past it. With scale =
+    lcm of the denominators of the reduced free columns, each pivot entry
+    of an eigenvector is (sum of coeff[t] * sign[t] over the free entries)
+    / scale for integer coeff; the search bounds scale * entry instead of
+    the entry. Its frontier holds these partial sums for every partial sign
+    vector that can still be completed, one int64 row each: a level extends
+    each row by +coeff[t] and -coeff[t], interleaved, and keeps the rows
+    within rem of +-scale on every pivot, rem bounding the terms still to
+    come. Blocks of at most
     _FRONTIER_ROWS rows are extended depth-first, so survivors come in the
     order of a depth-first search that tries +1 first. Every sum and
     test lies within scale + max(rem) of 0; at 2^62 and above the same loop

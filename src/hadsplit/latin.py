@@ -8,6 +8,7 @@ Latin square on the same symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import HadsplitError, ParseError
 from .gf import GF
@@ -143,10 +144,16 @@ def affine_ufs_family(q: int) -> list[LatinSquare]:
 
     Pairwise UFS, and within one square distinct rows never agree.
     """
-    field = GF(q)
+    return _affine_squares(GF(q), range(1, q))
+
+
+def _affine_squares(field: GF, multipliers: Iterable[int]) -> list[LatinSquare]:
+    """The squares a*(i+j) over field for each nonzero a in multipliers,
+    forming every sum i + j once."""
+    q = field.q
     sums = [[field.add(i, j) for j in range(q)] for i in range(q)]
     out = []
-    for a in range(1, q):
+    for a in multipliers:
         cells = tuple(tuple(field.mul(a, s) for s in row) for row in sums)
         out.append(LatinSquare(order=q, min_symbol=0, cells=cells))
     return out

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import hadsplit
-
+import hadsplit.cli as cli
 from hadsplit.cli import UnknownDataset, build_parser, bundled_data, main
 from hadsplit.core import IntMatrix, parse_matrix, serialize_matrix
-from hadsplit.latin import parse_latin
+from hadsplit.latin import affine_ufs_family, parse_latin
 from hadsplit.splitting import direct_srg_params
 
 
@@ -400,6 +400,25 @@ def test_latin_affine_pick_and_ufs(capsys, tmp_path):
     code, out, _ = run(capsys, "latin", "check", "--input", str(a), "--against", str(a))
     assert code == 1
     assert "one-agreement" in out
+
+
+@pytest.mark.parametrize("q, picks", [(9, range(8)), (64, (0, 1, 30, 62))])
+def test_latin_affine_pick_builds_only_the_picked_square(capsys, tmp_path, monkeypatch, q, picks):
+    family = affine_ufs_family(q)
+
+    def refuse(q):
+        raise AssertionError("latin affine --pick built the whole family")
+
+    monkeypatch.setattr(cli, "affine_ufs_family", refuse)
+    for k in picks:
+        out = tmp_path / f"{k}.txt"
+        code, _, _ = run(capsys, "latin", "affine", "--q", str(q), "--pick", str(k), "--out", str(out))
+        assert code == 0
+        assert parse_latin(out.read_text()) == family[k]
+    code, _, err = run(capsys, "latin", "affine", "--q", str(q), "--pick", str(q - 1))
+    assert code == 2 and f"error: --pick must be in 0..{q - 2}, got {q - 1}" in err
+    code, _, err = run(capsys, "latin", "affine", "--q", "6", "--pick", "0")
+    assert code == 2 and "error: 6 is not a prime power" in err
 
 
 def test_latin_affine_pick_out_of_range_exits_two(capsys):

@@ -61,6 +61,19 @@ def test_intmatrix_from_ndarray_is_a_read_only_copy():
         a.array[0, 0] = 5
 
 
+def test_constructors_take_an_intmatrix():
+    a = IntMatrix([[1, 2], [3, 4]])
+    assert IntMatrix(a) == a and IntMatrix(a).tolist() == [[1, 2], [3, 4]]
+    h = sylvester(2)
+    assert HadamardMatrix(h) == h and HadamardMatrix(IntMatrix(h.array)) == h
+    assert isinstance(HadamardMatrix(IntMatrix(h.array)), HadamardMatrix)
+    with pytest.raises(ValueError, match="entries must be"):
+        HadamardMatrix(a)
+    with pytest.raises(ValueError, match="rows are not orthogonal"):
+        HadamardMatrix(IntMatrix([[1, 1], [1, 1]]))
+    assert not IntMatrix(a).array.flags.writeable
+
+
 def test_intmatrix_from_ndarray_past_int64_range_raises():
     with pytest.raises(OverflowError):
         IntMatrix(np.array([[2**62, 1]], dtype=np.int64))

@@ -2,9 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hadsplit.exactla as exactla
 from hadsplit.exactla import (
     GaussianRational,
+    _echelon_array,
+    _echelon_int,
     mat_mul,
     mat_vec,
     nullspace,
@@ -145,3 +150,77 @@ def test_rref_rejects_non_rationals():
         rref([[1, 0.5]])
     with pytest.raises(TypeError):
         nullspace([[G(1), G(0, 1)], [G(0, -1), G(1)]])
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 9 x 9, int or Fraction entries up to 2**30 or 10**30, and
+    often a row that is a combination of two others."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    peak = draw(st.sampled_from([2**30, 10**30]))
+    entry = st.one_of(st.just(0), st.integers(-peak, peak))
+    if draw(st.booleans()):
+        entry = st.builds(F, entry, st.integers(1, peak))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    m = draw(st.lists(row, min_size=rows, max_size=rows))
+    if rows > 2 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[i] = [p * x + q * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_matrices())
+def test_rref_equals_the_fraction_reference(m):
+    got = rref(m)
+    assert got == fraction_rref(m)
+    assert all(type(v) is F for row in got[0] for v in row)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[-3]],
+        [[0, -5, 0]],
+        [[-6], [4], [0]],
+        [[-(2**70)]],
+        [[0, -(2**70)], [0, 3]],
+        [[2**70, 1], [2**70, 1]],
+        [[0, 0, 0], [0, 0, 0]],
+        [[0], [0]],
+        [[1, -2, 3, 0, 4]],
+        [[5], [-7], [2**63], [9]],
+    ],
+)
+def test_array_echelon_matches_the_list_echelon(m):
+    # a row left with one negative entry stays negative: the gcd that
+    # divides it is positive also when the row has one column
+    assert _echelon_array(m) == _echelon_int(m)
+    assert rref(m) == fraction_rref(m)
+
+
+def test_array_echelon_small_shapes():
+    assert _echelon_array([[-3]]) == ([[-1]], [0])
+    assert _echelon_array([[-(2**70)]]) == ([[-1]], [0])
+    assert _echelon_array([[0, -4, 6]]) == ([[0, -2, 3]], [1])
+    assert _echelon_array([[0], [0], [-2]]) == ([[-1]], [0])
+    assert _echelon_array([[0, 0], [0, 0]]) == ([], [])
+    zero = F(0)
+    assert rref([[0, 0], [0, 0]]) == ([[zero, zero], [zero, zero]], [])
+    assert rref([[2, -4, 6]]) == ([[F(1), F(-2), F(3)]], [0])
+    assert rref([[0], [-2], [5]]) == ([[F(1)], [zero], [zero]], [0])
+
+
+def test_array_echelon_leaves_int64_past_the_bound(monkeypatch):
+    # 2 max|a|^2 starts below 2**62, so the first step runs in int64; the
+    # entries then reach about 2**60 and the later steps need Python ints
+    m = [[2**30 + 1, 3, 5, 1], [7, 2**30 - 1, 11, 2], [13, 17, 2**30 + 3, 3]]
+    assert 2 * max(abs(v) for row in m for v in row) ** 2 < 2**62
+    want = _echelon_int(m)
+    assert max(abs(v) for row in want[0] for v in row) > 2**88
+    assert _echelon_array(m) == want
+    assert rref(m) == fraction_rref(m)
+    # with no bound the same steps run in int64, which wraps
+    monkeypatch.setattr(exactla, "_INT64_SAFE", 2**400)
+    assert _echelon_array(m) != want

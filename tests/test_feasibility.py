@@ -1,3 +1,4 @@
+import hashlib
 import re
 import time
 from collections import Counter
@@ -471,6 +472,32 @@ def test_eigvec_search_rook_certifies_nonexistence():
     assert len(res.survivors) == 20
     assert res.best_size == 2
     assert res.certifies_nonexistence
+
+
+@pytest.mark.parametrize(
+    "params, count, best_set, digest",
+    [
+        (
+            (10, 4, -2),
+            20,
+            (9, 19),
+            "49ff75ddf675eca0a454f6f3b8839e78ccc66685622f4eae47aa8d8ff211b7b7",
+        ),
+        (
+            (11, 5, -1),
+            63,
+            (28, 55, 62),
+            "1b5494e68837839d0ce707f1c85d01616f3660a0b4b1d07f5e75464f34b427e2",
+        ),
+    ],
+)
+def test_eigvec_search_rook_survivors_are_pinned(params, count, best_set, digest):
+    # the survivors in order and the best set depend on rref's pivots and
+    # row order, so these pin the elimination as well as the search
+    res = eigvec_search(bundled_data("srg-36-10-4-2"), *params)
+    assert len(res.survivors) == count and res.best_set == best_set
+    packed = np.array(res.survivors, dtype=np.int8).tobytes()
+    assert hashlib.sha256(packed).hexdigest() == digest
 
 
 def test_eigvec_search_lattice_finds_the_split():
