@@ -1,8 +1,13 @@
 """Association schemes assembled from balanced splits and Latin squares.
 
-Builders write the class of every cell into one index array, on which
-every axiom is checked outright, so any returned Scheme is genuine and
-carries an exact intersection table. Eigenmatrices are computed over the
+Every returned Scheme is genuine and carries an exact intersection table.
+The split builders prove every axiom in the Kronecker algebra: each class is
+an m x m grid of n x n blocks drawn from a short list of 0/1 matrices, held
+by their coordinates on the idempotents of the split's n-side algebra (see
+_KroneckerForm), so no v x v array or product is formed. The class of every
+cell is written into one index array only when colors is read. The Hamming
+and fusion schemes and verify_scheme's input are checked on such an index
+array outright (_verify_colors). Eigenmatrices are computed over the
 rationals (extended by i for the non-symmetric scheme) on integers alone:
 invariant subspaces are held as primitive integer vectors, eigenvalues are
 the integer roots of the intersection matrices' characteristic
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -151,13 +156,22 @@ def lift_latin(square: LatinSquare, aux: AuxiliarySet) -> IntMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """Verified association scheme: colors[x, y] is the class of cell
-    (x, y) and p[i][j][k] the intersection table; matrices are formed on first read."""
+    """Verified association scheme with intersection table p[i][j][k].
 
-    colors: np.ndarray
+    cells holds the classes: a v x v class-index array, or the Kronecker
+    form of a split build. colors[x, y], the class of cell (x, y), and the
+    class matrices are formed on first read."""
+
     p: tuple[tuple[tuple[int, ...], ...], ...]
     valencies: tuple[int, ...]
     transpose_map: tuple[int, ...]
+    cells: np.ndarray | _KroneckerForm = field(repr=False)
+
+    @cached_property
+    def colors(self) -> np.ndarray:
+        colors = self.cells if isinstance(self.cells, np.ndarray) else self.cells.colors()
+        colors.setflags(write=False)
+        return colors
 
     @cached_property
     def matrices(self) -> tuple[IntMatrix, ...]:
@@ -165,7 +179,8 @@ class Scheme:
 
     @property
     def size(self) -> int:
-        return self.colors.shape[0]
+        # the classes partition every row, so the valencies sum to v
+        return sum(self.valencies)
 
     @property
     def classes(self) -> int:
@@ -197,9 +212,10 @@ def _reduce(rows: list[tuple[int, list[int]]], x: list[int]) -> list[int]:
 
 def _open_product(a: np.ndarray, color: np.ndarray, reps, base: int, todo: list[int]) -> int | None:
     """The first j in todo for which A A_j, A_j the cells of color j, is not
-    constant on every class, or None; every entry of each A A_j lies below
-    base. The products are packed several to a kernel call, as described
-    in verify_scheme."""
+    constant on every class, or None; a is the boolean A and every entry of
+    each A A_j lies below base. The products are packed several to a kernel
+    call, as described in _verify_colors; every weight and packed entry lies
+    below 2**24, so both are gathered over the cells as int32."""
     v, d1 = a.shape[0], len(reps[0])
     width = 1
     while v * base**width < _FLOAT32_EXACT:
@@ -207,11 +223,11 @@ def _open_product(a: np.ndarray, color: np.ndarray, reps, base: int, todo: list[
     for start in range(0, len(todo), width):
         chunk = todo[start : start + width]
         scale = base ** np.arange(len(chunk), dtype=np.int64)
-        weights = np.zeros(d1, dtype=np.int64)
+        weights = np.zeros(d1, dtype=np.int32)
         weights[chunk] = scale
         prod = exact_matmul(a, weights[color])
         packed = prod[reps]
-        if np.array_equal(prod, packed[color]):
+        if np.array_equal(prod, packed.astype(np.int32)[color]):
             continue
         for t, j in enumerate(chunk):
             if not np.array_equal(prod // scale[t] % base, (packed // scale[t] % base)[color]):
@@ -241,40 +257,7 @@ def verify_scheme(matrices: Sequence[IntMatrix]) -> Scheme:
 def _verify_colors(colors: np.ndarray, d1: int) -> Scheme:
     """Check every axiom on the classes 0..d1-1 of the cells, cell (x, y)
     in class colors[x, y]; an index outside 0..d1-1 breaks the partition.
-
-    Products are formed only up to transposition. A_0 = I is checked
-    outright, so p_0j^k = p_j0^k = [j = k] needs no product. For i, j >= 1,
-    (A_i A_j)^T = A_j' A_i', where ' is the transpose map, an involution on
-    nonempty classes that partition the cells. Once A_i A_j = sum_k p_ij^k
-    A_k is proved, transposing gives A_j' A_i' = sum_k p_ij^k A_k'. So one
-    product per orbit {(i, j), (j', i')} proves both, and a product leaves
-    the algebra exactly when its partner does.
-
-    Products are formed only for a few generator classes. The classes are
-    disjoint and nonempty, hence a basis of their span V. Once every
-    A_g A_j lies in V, multiplication by A_g maps V into V with the integer
-    matrix B_g, B_g[k][j] = p_gj^k. The generators start with class 1; while
-    the span W of their words applied to A_0 = I, read through the B_g by
-    exact integer elimination, misses a class, the first class it misses, g,
-    joins them. W holds I and is closed under each generator, so it is the
-    algebra they generate, and each of its elements maps V into V. So when
-    A_j' lies in W, A_j' A_g' lies in V and so does its transpose A_g A_j:
-    only the products of g with A_j' outside W are formed. No orbit is
-    formed twice, since a partner (j', g') formed before belongs to a
-    generator j' already in W; at worst every class is a generator and every
-    orbit is formed once. Once W holds every class, W = V and V is closed
-    under products.
-
-    Each A_i A_j then lies in V, so its coordinates are its entries at the
-    class representatives: with c(x, y) the class of cell (x, y), p_ij^k is
-    the triangle count #{z : c(x_k, z) = i, c(z, y_k) = j} at the
-    representative (x_k, y_k) of class k, and the classes commute exactly
-    when p_ij = p_ji in that table.
-
-    When a product of g leaves V, every class i < g lies in W, so its
-    products stay in V, as do the products of g left unformed. The first
-    product of g that leaves V is therefore also the first pair, in (i, j)
-    order with one product per orbit, that leaves V, and it is the one named.
+    The closure and commutativity checks are _close's.
 
     The products of one A_i are packed, several to a kernel call. Regularity
     is checked first, so every entry of A_i A_j lies in [0, k_i]. Give the
@@ -313,13 +296,68 @@ def _verify_colors(colors: np.ndarray, d1: int) -> Scheme:
     valencies = tuple(counts[0].tolist())
     # every class meets row 0, so its first cell there is its first cell
     reps = (np.zeros(d1, dtype=np.intp), (colors[0] == np.arange(d1)[:, None]).argmax(axis=1))
+    p = _triangle_counts(colors[0], colors[:, reps[1]].T)
 
-    # p[i, j, k] = #{z : c(x_k, z) = i, c(z, y_k) = j}, each count at most v
-    row = colors[0].astype(np.int64) * d1
-    p = np.empty((d1, d1, d1), dtype=np.min_scalar_type(v))
-    for k, y in enumerate(reps[1]):
-        p[:, :, k] = np.bincount(row + colors[:, y], minlength=d1 * d1).reshape(d1, d1)
+    def open_product(g: int, todo: list[int]) -> int | None:
+        return _open_product(colors == g, colors, reps, valencies[g] + 1, todo)
 
+    return _close(p, valencies, tmap, open_product, colors)
+
+
+def _triangle_counts(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """p[i, j, k] = #{z : c(x, z) = i, c(z, y_k) = j} from row x of the class
+    indices and their columns y_k, at most v each: the entry of A_i A_j at
+    (x, y_k)."""
+    d1 = len(columns)
+    row = row.astype(np.int64) * d1
+    p = np.empty((d1, d1, d1), dtype=np.min_scalar_type(len(row)))
+    for k, col in enumerate(columns):
+        p[:, :, k] = np.bincount(row + col, minlength=d1 * d1).reshape(d1, d1)
+    return p
+
+
+def _close(
+    p: np.ndarray, valencies: tuple[int, ...], tmap: np.ndarray, open_product, cells
+) -> Scheme:
+    """Prove the span V of the classes closed under products and
+    commutative, and return the Scheme. The classes partition the cells,
+    A_0 = I, the transpose of class i is class tmap[i] and class i is
+    regular of valency valencies[i]; p[i, j, k] is the entry of A_i A_j at a
+    cell of class k. open_product(g, todo) returns the first j in todo for
+    which A_g A_j is not sum_k p_gj^k A_k, or None.
+
+    Products are formed only up to transposition. A_0 = I, so
+    p_0j^k = p_j0^k = [j = k] needs no product. For i, j >= 1,
+    (A_i A_j)^T = A_j' A_i', where ' is the transpose map, an involution on
+    nonempty classes that partition the cells. Once A_i A_j = sum_k p_ij^k
+    A_k is proved, transposing gives A_j' A_i' = sum_k p_ij^k A_k'. So one
+    product per orbit {(i, j), (j', i')} proves both, and a product leaves
+    the algebra exactly when its partner does.
+
+    Products are formed only for a few generator classes. The classes are
+    disjoint and nonempty, hence a basis of V. Once every A_g A_j lies in
+    V, multiplication by A_g maps V into V with the integer matrix B_g,
+    B_g[k][j] = p_gj^k. The generators start with class 1; while the span W
+    of their words applied to A_0 = I, read through the B_g by exact integer
+    elimination, misses a class, the first class it misses, g, joins them.
+    W holds I and is closed under each generator, so it is the algebra they
+    generate, and each of its elements maps V into V. So when A_j' lies in
+    W, A_j' A_g' lies in V and so does its transpose A_g A_j: only the
+    products of g with A_j' outside W are formed. No orbit is formed twice,
+    since a partner (j', g') formed before belongs to a generator j' already
+    in W; at worst every class is a generator and every orbit is formed
+    once. Once W holds every class, W = V and V is closed under products.
+
+    Each A_i A_j then lies in V, so its coordinates are its entries at the
+    class representatives, p_ij^k, and the classes commute exactly when
+    p_ij = p_ji in that table.
+
+    When a product of g leaves V, every class i < g lies in W, so its
+    products stay in V, as do the products of g left unformed. The first
+    product of g that leaves V is therefore also the first pair, in (i, j)
+    order with one product per orbit, that leaves V, and it is the one named.
+    """
+    d1 = len(valencies)
     # span: W as echelon rows (pivot, row) in class coordinates; pending: the
     # vectors of W not reduced into it yet; gens: the B_g. Each new echelon
     # row meets each B_g once: re-eliminating the whole span per step takes
@@ -340,7 +378,7 @@ def _verify_colors(colors: np.ndarray, d1: int) -> Scheme:
             break
         g = outside[0]
         todo = [j for j in range(1, d1) if tmap[j] in outside]
-        j = _open_product(colors == g, colors, reps, valencies[g] + 1, todo)
+        j = open_product(g, todo)
         if j is not None:
             raise AxiomFailure(f"product of classes {g}, {j} leaves the algebra")
         gens.append(p[g].T.tolist())
@@ -357,7 +395,7 @@ def _verify_colors(colors: np.ndarray, d1: int) -> Scheme:
         for j in range(i, d1):
             table[i][j] = table[j][i] = tuple(p[i, j].tolist())
     tr = tuple(tmap.tolist())
-    return Scheme(colors=colors, p=tuple(map(tuple, table)), valencies=valencies, transpose_map=tr)
+    return Scheme(p=tuple(map(tuple, table)), valencies=valencies, transpose_map=tr, cells=cells)
 
 
 def _require_zero_row_sums(report: SplitReport) -> None:
@@ -367,21 +405,179 @@ def _require_zero_row_sums(report: SplitReport) -> None:
         raise HadsplitError("split rows must sum to zero")
 
 
-def _assemble(
-    report: SplitReport, copies: int, lifted: np.ndarray, patterns: Sequence[np.ndarray] = ()
-) -> Scheme:
-    """Verify the classes I, I_c (x) A, I_c (x) (J - I - A), the positive and
-    the negative cells of the lift, and each block pattern (x) J_n, each
-    class k adding k + d1 on its cells and d1 coming off, as in verify_scheme."""
-    n, d1 = report.params.n, 5 + len(patterns)
-    adj, eye_n = report.adjacency.array, np.eye(n, dtype=np.int64)
-    within = d1 * eye_n + (1 + d1) * adj + (2 + d1) * (1 - eye_n - adj)
-    colors = np.kron(np.eye(copies, dtype=np.int16), within.astype(np.int16))
-    np.add(colors, 3 + d1, out=colors, where=lifted > 0)
-    np.add(colors, 4 + d1, out=colors, where=lifted < 0)
-    for t, pattern in enumerate(patterns):
-        colors += np.kron((5 + t + d1) * pattern.astype(np.int16), np.ones((n, n), np.int16))
-    return _verify_colors(colors - d1, d1)
+# The n x n blocks a split build places, by index: 0, I, A, J - I - A, J,
+# then (J + P_s)/2 for s = 1..ell and (J - P_s)/2 for s = 1..ell.
+_ZERO, _EYE, _ADJ, _NON, _ONES = range(5)
+
+
+class _KroneckerForm:
+    """Classes of a split build as block grids: block (x, y) of class c, in
+    an m x m grid of n x n blocks, is block number grids[c, x, y] of the
+    list above, each of them a symmetric 0/1 matrix.
+
+    The n-side algebra. With h_1..h_ell the split rows of h, which sum to
+    zero, P_s = h_s^T h_s and G = sum_s P_s the split Gram, HH^T = nI gives
+    J^2 = nJ, J P_s = P_s J = 0 and P_s P_t = n [s = t] P_s. So E_J = J/n,
+    E_s = P_s/n and E_0 = I - E_J - sum_s E_s are orthogonal idempotents,
+    the projections on 1, on each h_s and on their orthogonal complement;
+    ell <= n - 2, so each is nonzero and they are linearly independent. The
+    report's graph A is checked to be 0/1 and to satisfy
+    G = (ell - b) I + (a - b) A + bJ entry by entry. So every listed block
+    is 0/1, symmetric and a combination Y = sum_e y_e E_e, and coords[t]
+    holds block t's y: I = (1, 1, 1..1),
+    J = (0, n, 0..0), (J +- P_s)/2 has n/2 at J and +-n/2 at s, and A has
+    r = -(ell - b)/(a - b) at E_0, its valency at J and
+    theta = (n - ell + b)/(a - b) at each s: eigenvalues of the integer
+    matrix A, rational and so integers. Y Y' = sum_e y_e y'_e E_e: blocks
+    multiply coordinate by coordinate, and a class C = sum_e X_e (x) E_e,
+    X_e the m x m grid of its blocks' e-th coordinates, multiplies as
+    C C' = sum_e X_e X'_e (x) E_e. Equal coordinates mean equal matrices,
+    and by independence only equal matrices have equal coordinates.
+
+    Each axiom then holds on the m x m grids (see _verify_blocks). Rows of
+    colors, and colors itself, are formed from the blocks themselves.
+    """
+
+    def __init__(self, aux: AuxiliarySet, grids: np.ndarray):
+        n, ell, a, b = aux.report.params.astuple()
+        if ell + 2 > n or a == b:
+            raise HadsplitError("need a two-value split")
+        adj = aux.report.adjacency.array
+        want = (a - b) * adj + b
+        want.flat[:: n + 1] += ell - b
+        if not (np.all(adj.view(np.uint64) <= 1) and np.array_equal(aux.gram, want)):
+            raise AxiomFailure("the split Gram of h does not give the report's graph")
+        if np.any(aux._h1.sum(axis=1)):
+            raise AxiomFailure("split rows of h do not sum to zero")
+        self.aux, self.grids, self.n = aux, grids, n
+        coords = np.zeros((5 + 2 * ell, ell + 2), dtype=np.int64)
+        coords[_EYE] = 1
+        coords[_ADJ] = [(b - ell) // (a - b), (b - ell - b * n) // (a - b)] + [
+            (n - ell + b) // (a - b)
+        ] * ell
+        coords[_NON] = -1 - coords[_ADJ]
+        coords[_NON, 1] += n
+        coords[_ONES, 1] = n
+        coords[5:, 1] = n // 2
+        s = np.arange(ell)
+        coords[5 + s, 2 + s] = n // 2
+        coords[5 + ell + s, 2 + s] = -(n // 2)
+        self.coords = coords
+
+    def _rows(self, points: np.ndarray) -> np.ndarray:
+        """Rows points of every listed block, shape (blocks, len(points), n), in int8."""
+        n, h1 = self.n, self.aux._h1.astype(np.int8)
+        eye = np.eye(n, dtype=np.int8)[points]
+        adj = self.aux.report.adjacency.array[points].astype(np.int8)
+        same = h1[:, points, None] == h1[:, None, :]  # (J + P_s)/2 at (x, y)
+        return np.concatenate(
+            [[np.zeros_like(eye), eye, adj, 1 - eye - adj, np.ones_like(eye)], same, ~same],
+            dtype=np.int8,
+        )
+
+    def lines(self, xs) -> np.ndarray:
+        """Rows xs of colors, each formed from the one row of its blocks."""
+        block, point = np.divmod(np.asarray(xs), self.n)
+        rows = self._rows(point)
+        which = np.arange(len(point))[:, None]
+        out = sum(c * rows[g[block], which].astype(np.int64) for c, g in enumerate(self.grids))
+        return out.reshape(len(point), -1)
+
+    def colors(self) -> np.ndarray:
+        """The v x v class-index array in int16, one block row at a time: each
+        distinct column of the grids is one n x n block of indices."""
+        d1, m, _ = self.grids.shape
+        n = self.n
+        kinds, which = np.unique(self.grids.reshape(d1, -1).T, axis=0, return_inverse=True)
+        blocks = self._rows(np.arange(n))
+        table = sum(c * blocks[kinds[:, c]].astype(np.int16) for c in range(1, d1))
+        which = which.reshape(m, m)
+        out = np.empty((m, n, m, n), dtype=np.int16)
+        for x in range(m):
+            out[x] = table[which[x]].transpose(1, 0, 2)
+        return out.reshape(m * n, m * n)
+
+
+def _verify_blocks(form: _KroneckerForm) -> Scheme:
+    """Check every axiom on the block grids of a split build, in
+    _verify_colors' order and with its messages; the closure and
+    commutativity checks are _close's.
+
+    y[c] holds class c's grids X_e, one per coordinate e, so each check is
+    an identity of m x m integer matrices:
+    - partition: the listed blocks are 0/1, so the classes partition the
+      cells exactly when each block position's blocks sum to J, coordinate
+      by coordinate;
+    - identity: class 0 is I_m (x) I;
+    - transposes: every listed block is symmetric and so is each E_e, so
+      the transpose of class c is the class whose grids are its transposed
+      grids, X_e^T;
+    - regularity: E_e 1 = [e = J] 1, so the row sums of class c at block
+      row x are those of its J grid, X_J 1, and class c is regular exactly
+      when they agree on every block row;
+    - the table: row 0 of colors and its columns at the class
+      representatives are formed from their blocks (_KroneckerForm.lines),
+      and p is their triangle count as in _verify_colors;
+    - closure: A_g A_j = sum_k p_gj^k A_k exactly when
+      X^g_e X^j_e = sum_k p_gj^k X^k_e for every e, so each product is one
+      batched kernel call on (ell + 2) m x m grids per class.
+    """
+    grids, coords = form.grids, form.coords
+    d1 = len(grids)
+    y = np.stack([coords.T[:, g] for g in grids])  # (class, coordinate, m, m)
+    if np.any(y.sum(axis=0) != coords[_ONES][:, None, None]):
+        raise AxiomFailure("classes do not partition the cells")
+    eye = np.eye(grids.shape[1], dtype=np.int64)
+    if not np.array_equal(y[0], coords[_EYE][:, None, None] * eye):
+        raise AxiomFailure("first class is not the identity")
+
+    # key[t] numbers the distinct coordinate rows, so equal keys are equal blocks
+    _, key = np.unique(coords, axis=0, return_inverse=True)
+    keys = key.reshape(-1)[grids]
+    empty = ~y.reshape(d1, -1).any(axis=1)
+    same = (keys[:, None] == keys.transpose(0, 2, 1)[None]).all(axis=(2, 3))  # [d, c]: A_d = A_c^T
+    tmap = np.where(empty, np.arange(d1), same.argmax(axis=0))
+    wrong = np.flatnonzero(~empty & ~same.any(axis=0))
+    if len(wrong):
+        raise AxiomFailure(f"transpose of class {wrong[0]} is not a class")
+    if empty.any():
+        raise AxiomFailure(f"class {empty.argmax()} is empty")
+
+    rowsums = y[:, 1].sum(axis=2)
+    irregular = np.flatnonzero((rowsums != rowsums[:, :1]).any(axis=1))
+    if len(irregular):
+        raise AxiomFailure(f"class {irregular[0]} is not regular")
+    valencies = tuple(rowsums[:, 0].tolist())
+    row = form.lines([0])[0]
+    reps = (row == np.arange(d1)[:, None]).argmax(axis=1)
+    # a cell's transpose lies in the transposed class: column y of colors is tmap[row y]
+    p = _triangle_counts(row, tmap[form.lines(reps)])
+    flat = y.reshape(d1, -1)
+
+    def open_product(g: int, todo: list[int]) -> int | None:
+        prods = exact_matmul(y[g], y[todo]).reshape(len(todo), -1)
+        bad = np.flatnonzero((prods != exact_matmul(p[g, todo], flat)).any(axis=1))
+        return todo[bad[0]] if len(bad) else None
+
+    return _close(p, valencies, tmap, open_product, form)
+
+
+def _assemble_blocks(
+    aux: AuxiliarySet, lift: np.ndarray, patterns: Sequence[np.ndarray] = ()
+) -> _KroneckerForm:
+    """The classes I, I_c (x) A, I_c (x) (J - I - A), the positive and the
+    negative cells of the signed lift, and each block pattern (x) J_n. lift
+    is c x c: an entry +-s puts (J +- P_s)/2 in the positive class and
+    (J -+ P_s)/2 in the negative one, and 0 puts neither."""
+    ell = aux.report.params.ell
+    eye = np.eye(len(lift), dtype=np.int64)
+
+    def half(x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, 4 + x, np.where(x < 0, 4 + ell - x, _ZERO))
+
+    grids = [_EYE * eye, _ADJ * eye, _NON * eye, half(lift), half(-lift)]
+    grids += [_ONES * np.asarray(pattern, dtype=np.int64) for pattern in patterns]
+    return _KroneckerForm(aux, np.stack(grids))
 
 
 def _check_scheme_square(square: LatinSquare, ell: int) -> None:
@@ -399,17 +595,15 @@ def _build_4class(
     """4-class body: the lifted blocks below the block diagonal are scaled
     by below (1 keeps the scheme symmetric, -1 pairs the last two classes)."""
     _require_zero_row_sums(report)
-    n, ell = report.params.n, report.params.ell
+    ell = report.params.ell
     if ell % 2 == 0:
         raise OddityViolation("an even split size leaves no symmetric zero-diagonal square")
     if square is None:
         square = circle_symmetric(ell + 1)
     _check_scheme_square(square, ell)
     m = ell + 1
-    lifted = lift_latin(square, AuxiliarySet(h, report)).array
     signs = np.where(np.tri(m, k=-1, dtype=bool), below, 1)
-    lifted = (lifted.reshape(m, n, m, n) * signs[:, None, :, None]).reshape(m * n, m * n)
-    return _assemble(report, m, lifted)
+    return _verify_blocks(_assemble_blocks(AuxiliarySet(h, report), np.array(square.cells) * signs))
 
 
 def build_4class_symmetric(
@@ -431,14 +625,14 @@ def build_4class_nonsymmetric(
 
 
 def _ufs_cross_lift(
-    h: HadamardMatrix, report: SplitReport, squares: Sequence[LatinSquare], min_symbol: int
+    report: SplitReport, squares: Sequence[LatinSquare], min_symbol: int
 ) -> np.ndarray:
     """Check the split and a family of f pairwise UFS squares of order
     ell + 1 - min_symbol (with zero diagonal when 0 is a symbol), and return
-    the f x f block array whose (u, w) block, u != w, lifts the composition
-    of squares u and w."""
+    the lift's f x f array of blocks of symbols, whose (u, w) block, u != w,
+    is the composition of squares u and w."""
     _require_zero_row_sums(report)
-    n, ell = report.params.n, report.params.ell
+    ell = report.params.ell
     order = ell + 1 - min_symbol
     if len(squares) < 2:
         raise ValueError("need at least two squares")
@@ -451,16 +645,14 @@ def _ufs_cross_lift(
         raise NotUfs("squares are not pairwise UFS")
     if min_symbol == 0 and not all(sq.has_constant_diagonal(0) for sq in squares):
         raise ValueError("every square must have a zero diagonal")
-    aux = AuxiliarySet(h, report)
     f = len(squares)
-    s = order * n
-    big = np.zeros((f * s, f * s), dtype=np.int8)
+    lift = np.zeros((f * order, f * order), dtype=np.int64)
     for u in range(f):
         for w in range(f):
             if u != w:
-                lifted = lift_latin(compose_ufs(squares[u], squares[w]), aux)
-                big[u * s : (u + 1) * s, w * s : (w + 1) * s] = lifted.array
-    return big
+                cells = compose_ufs(squares[u], squares[w]).cells
+                lift[u * order : (u + 1) * order, w * order : (w + 1) * order] = cells
+    return lift
 
 
 def build_5class(
@@ -469,10 +661,11 @@ def build_5class(
     """Scheme on f * ell * n points from f mutually UFS squares of order ell
     on symbols 1..ell."""
     ell = report.params.ell
-    big = _ufs_cross_lift(h, report, squares, 1)
+    lift = _ufs_cross_lift(report, squares, 1)
     f = len(squares)
     off = np.ones((ell, ell), dtype=np.int64) - np.eye(ell, dtype=np.int64)
-    return _assemble(report, f * ell, big, [np.kron(np.eye(f, dtype=np.int64), off)])
+    pattern = np.kron(np.eye(f, dtype=np.int64), off)
+    return _verify_blocks(_assemble_blocks(AuxiliarySet(h, report), lift, [pattern]))
 
 
 def build_6class(
@@ -481,14 +674,14 @@ def build_6class(
     """Scheme on f * (ell+1) * n points from f mutually UFS squares of order
     ell+1 on symbols 0..ell with constant zero diagonal."""
     m = report.params.ell + 1
-    big = _ufs_cross_lift(h, report, squares, 0)
+    lift = _ufs_cross_lift(report, squares, 0)
     f = len(squares)
     eye_f, eye_m = np.eye(f, dtype=np.int64), np.eye(m, dtype=np.int64)
     patterns = [
         np.kron(eye_f, np.ones((m, m), dtype=np.int64) - eye_m),
         np.kron(np.ones((f, f), dtype=np.int64) - eye_f, eye_m),
     ]
-    return _assemble(report, f * m, big, patterns)
+    return _verify_blocks(_assemble_blocks(AuxiliarySet(h, report), lift, patterns))
 
 
 @dataclass(frozen=True)

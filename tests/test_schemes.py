@@ -1,7 +1,9 @@
 import cProfile
+import dataclasses
 import hashlib
 import math
 import pstats
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import hadsplit.schemes
 from hadsplit.constructions import twin_sylvester
-from hadsplit.core import HadsplitError, IntMatrix, isqrt_exact, sylvester
+from hadsplit.core import HadamardMatrix, HadsplitError, IntMatrix, isqrt_exact, sylvester
 from hadsplit.exactla import GaussianRational, mat_mul, mat_vec, nullspace, rref
 from hadsplit.latin import (
     LatinSquare,
@@ -28,8 +30,10 @@ from hadsplit.schemes import (
     EigenTables,
     IrrationalEigenvalue,
     OddityViolation,
-    _assemble,
+    _assemble_blocks,
     _integer_roots,
+    _ufs_cross_lift,
+    _verify_blocks,
     _verify_colors,
     build_4class_nonsymmetric,
     build_4class_symmetric,
@@ -829,15 +833,20 @@ def test_verify_judges_a_switched_square_like_the_definition(case, built_schemes
 
 # ----------------------------------------------------- class-index array
 
-# Every builder: both 4-class builders on both deleted order-16 twin splits,
-# the 5-class f = 2, 3 and 6-class f = 2 builds, hamming(1..8) and both
-# fusions at n = 4 and 6.
-_EVERY_BUILD = {
+# Every builder: both 4-class builders on both deleted order-16 twin splits
+# and on the deleted (64, 35, 3, -5) split of twin_sylvester(3) (2304
+# points), the 5-class f = 2, 3, 8 and 6-class f = 2 builds, hamming(1..8)
+# and both fusions at n = 4 and 6.
+_SPLIT_BUILDS = {
     **{
         f"4class-{kind}-twin{k}": (
             lambda tw, k=k, b=b: b(tw.h, delete_allones_transform(tw.h, tw.reports[k]))
         )
         for k in (1, 2)
+        for kind, b in (("sym", build_4class_symmetric), ("nonsym", build_4class_nonsymmetric))
+    },
+    **{
+        f"4class-{kind}-2304": (lambda tw, b=b: b(*_deleted_twin(3)))
         for kind, b in (("sym", build_4class_symmetric), ("nonsym", build_4class_nonsymmetric))
     },
     **{
@@ -848,11 +857,14 @@ _EVERY_BUILD = {
                 [with_min_symbol(sq, 1) for sq in affine_ufs_family(9)][:f],
             )
         )
-        for f in (2, 3)
+        for f in (2, 3, 8)
     },
     "6class-f2": lambda tw: build_6class(
         tw.h, tw.reports[1], [force_constant_diagonal(sq, 0) for sq in affine_ufs_family(7)][:2]
     ),
+}
+_EVERY_BUILD = {
+    **_SPLIT_BUILDS,
     **{f"hamming{n}": (lambda tw, n=n: hamming_scheme(n)) for n in range(1, 9)},
     **{
         f"fusion{variant}-n{n}": (lambda tw, n=n, variant=variant: muzychuk_fusion(n, variant))
@@ -862,10 +874,21 @@ _EVERY_BUILD = {
 }
 
 
+def _deleted_twin(m):
+    """Hadamard matrix of twin_sylvester(m) and the split left by deleting
+    the all-ones row next to its first twin split."""
+    tw = twin_sylvester(m)
+    return tw.h, delete_allones_transform(tw.h, tw.reports[1])
+
+
 @pytest.mark.parametrize("case", list(_EVERY_BUILD))
 def test_built_scheme_equals_the_verified_scheme_of_its_matrices(case, twin16):
+    """The dense verify_scheme of the formed classes is the reference: the
+    same table and the same class of every cell. A split build forms no
+    class-index array until colors is read."""
     scheme = _EVERY_BUILD[case](twin16)
-    assert "matrices" not in vars(scheme)
+    assert "matrices" not in vars(scheme) and "colors" not in vars(scheme)
+    assert isinstance(scheme.cells, np.ndarray) == (case not in _SPLIT_BUILDS)
     again = verify_scheme(scheme.matrices)
     assert "matrices" in vars(scheme) and scheme.matrices is scheme.matrices
     assert np.array_equal(again.colors, scheme.colors)
@@ -875,9 +898,26 @@ def test_built_scheme_equals_the_verified_scheme_of_its_matrices(case, twin16):
         scheme.transpose_map,
     )
     assert again == scheme and hash(again) == hash(scheme)
+    assert scheme.size == scheme.colors.shape[0]
     assert not scheme.colors.flags.writeable
     with pytest.raises(FrozenInstanceError):
         scheme.matrices = ()
+
+
+def test_split_builders_form_no_v_by_v_array_or_product(kernel_calls, monkeypatch, twin16):
+    """No split build calls the dense _verify_colors, and the operands of
+    each kernel call hold fewer than v * v entries together."""
+
+    def refuse(colors, d1):
+        raise AssertionError("a split build reached _verify_colors")
+
+    monkeypatch.setattr(hadsplit.schemes, "_verify_colors", refuse)
+    for case, build in _SPLIT_BUILDS.items():
+        kernel_calls.clear()
+        scheme = build(twin16)
+        assert kernel_calls, case
+        assert max(math.prod(a) + math.prod(b) for a, b in kernel_calls) < scheme.size**2, case
+        assert "colors" not in vars(scheme)
 
 
 def test_scheme_equality_compares_the_classes(twin16):
@@ -952,11 +992,122 @@ def test_an_overlap_or_a_gap_in_an_assembly_is_refused(twin16, split_16_9, fam9)
     """Every cell of a pattern that covers whole rows of blocks overlaps
     another class; a 5-class cross lift assembled with no block pattern
     leaves the zero blocks of its squares' diagonal cells uncovered."""
-    lifted = _cross_lift(twin16.h, split_16_9, fam9[:2])
+    aux = AuxiliarySet(twin16.h, split_16_9)
+    lift = _ufs_cross_lift(split_16_9, fam9[:2], 1)
     overlap = np.kron(np.eye(2), np.ones((9, 9)))
     for patterns in ([overlap], []):
         with pytest.raises(AxiomFailure, match="classes do not partition the cells"):
-            _assemble(split_16_9, 18, lifted, patterns)
+            _verify_blocks(_assemble_blocks(aux, lift, patterns))
+
+
+def _dense_classes(form):
+    """The 0/1 v x v classes of a Kronecker form, block by block."""
+    blocks = form._rows(np.arange(form.n))
+    m, n = form.grids.shape[1], form.n
+    return [IntMatrix(blocks[g].transpose(0, 2, 1, 3).reshape(m * n, m * n)) for g in form.grids]
+
+
+def _edited(grid, cells, value):
+    out = grid.copy()
+    out[tuple(zip(*cells))] = value
+    return out
+
+
+# Block grids on the (16, 9, 1, -3) split, each with the dense verdict it
+# must share: the lift of the one-factorization square, plain and negated
+# below the diagonal; symbol 1 in every lift cell (A_3^2 has P_1 on the
+# diagonal blocks); one lift cell negated (its transpose lies in the other
+# lift class); and two transposed cells emptied and covered by a block
+# pattern (rows 0 and 1 of the lift classes have one block fewer).
+_CIRCLE = np.array(circle_symmetric(10).cells)
+_BLOCK_CASES = {
+    "symmetric": (_CIRCLE, [], None),
+    "signed": (_CIRCLE * (1 - 2 * np.tri(10, k=-1, dtype=int)), [], None),
+    "one-symbol": (1 - np.eye(10, dtype=int), [], "product of classes 3, 3 leaves the algebra"),
+    "one-cell-negated": (
+        _edited(_CIRCLE, [(0, 1)], -_CIRCLE[0, 1]),
+        [],
+        "transpose of class 3 is not a class",
+    ),
+    "pattern-cells": (
+        _edited(_CIRCLE, [(0, 1), (1, 0)], 0),
+        [_edited(np.zeros((10, 10), dtype=int), [(0, 1), (1, 0)], 1)],
+        "class 3 is not regular",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_block_verdicts_match_the_dense_check(case, twin16, split_16_9):
+    """_verify_blocks accepts a grid with verify_scheme's table and colors,
+    or refuses it with verify_scheme's message, on the dense classes."""
+    lift, patterns, message = _BLOCK_CASES[case]
+    form = _assemble_blocks(AuxiliarySet(twin16.h, split_16_9), lift, patterns)
+    mats = _dense_classes(form)
+    if message is None:
+        assert _verify_blocks(form) == verify_scheme(mats)  # tables and colors
+        return
+    for check in (lambda: _verify_blocks(form), lambda: verify_scheme(mats)):
+        with pytest.raises(AxiomFailure) as exc:
+            check()
+        assert str(exc.value) == message
+
+
+def _with_columns(h, arr):
+    """A HadamardMatrix of h's order from arr, the columns of h changed."""
+    out = HadamardMatrix(arr)
+    assert out.order == h.order and not np.array_equal(out.array, h.array)
+    return out
+
+
+@pytest.mark.parametrize("builder", [build_4class_symmetric, build_4class_nonsymmetric])
+def test_a_report_not_of_h_is_refused(builder, twin16, split_16_9):
+    """The (16, 9, 1, -3) report read against h with its columns rotated by
+    one, whose split Gram is another graph, and against h with one column
+    negated, whose split Gram takes -1 and 3 in that column. The dense
+    check refused them as "product of classes 1, 3 leaves the algebra" and
+    "class 3 is not regular". Reversing the columns is an automorphism of
+    the graph, so that copy still gives a scheme."""
+    arr = twin16.h.array
+    negated = arr.copy()
+    negated[:, 5] *= -1
+    for other in (np.roll(arr, 1, axis=1), negated):
+        with pytest.raises(AxiomFailure, match="split Gram of h does not give the report's graph"):
+            builder(HadamardMatrix(other), split_16_9)
+    reversed_scheme = builder(HadamardMatrix(arr[:, ::-1]), split_16_9)
+    assert reversed_scheme.p == builder(twin16.h, split_16_9).p
+
+
+def test_split_rows_that_do_not_sum_to_zero_are_refused(twin16):
+    """The (16, 4, 4, 0) report of h, whose split rows do not sum to zero,
+    with its rowsum_zero check forged: its graph matches h's split Gram, but
+    J P_s = 0 fails, and the Kronecker form refuses it."""
+    rep = twin16.reports[0]
+    assert rep.params.astuple() == (16, 4, 4, 0) and not rep.checks["rowsum_zero"]
+    forged = dataclasses.replace(rep, checks={**rep.checks, "rowsum_zero": True})
+    squares = [with_min_symbol(sq, 1) for sq in affine_ufs_family(4)]
+    with pytest.raises(AxiomFailure, match="split rows of h do not sum to zero"):
+        build_5class(twin16.h, forged, squares)
+
+
+def test_34816_point_scheme_of_the_order_256_split():
+    """build_4class_symmetric on the (256, 135, 7, -9) split left by deleting
+    the all-ones row of twin_sylvester(4): 136 x 136 blocks of order 256.
+    Its class-index array alone would take 2.4 GB, and it is never formed.
+    Budget: the build and eigenmatrices take about 1 s on a 2-core host;
+    the test allows 30 s."""
+    start = time.perf_counter()
+    h, rep = _deleted_twin(4)
+    assert rep.params.astuple() == (256, 135, 7, -9)
+    scheme = build_4class_symmetric(h, rep)
+    tables = eigenmatrices(scheme)
+    assert time.perf_counter() - start < 30
+    assert scheme.size == 34816
+    assert scheme.valencies == (1, 135, 120, 17280, 17280)
+    assert scheme.is_symmetric
+    assert sum(tables.multiplicities) == 34816
+    assert tables.multiplicities == (1, 16320, 9180, 9180, 135)
+    assert "colors" not in vars(scheme)
 
 
 # ------------------------------------------------------------ eigenmatrices
