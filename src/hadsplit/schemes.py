@@ -4,10 +4,12 @@ Every returned Scheme is genuine and carries an exact intersection table.
 The split builders prove every axiom in the Kronecker algebra: each class is
 an m x m grid of n x n blocks drawn from a short list of 0/1 matrices, held
 by their coordinates on the idempotents of the split's n-side algebra (see
-_KroneckerForm), so no v x v array or product is formed. The class of every
-cell is written into one index array only when colors is read. The Hamming
-and fusion schemes and verify_scheme's input are checked on such an index
-array outright (_verify_colors). Eigenmatrices are computed over the
+_KroneckerForm), so no v x v array or product is formed. The Hamming and
+fusion schemes are translation schemes on Z_2^n, proved on one row of v
+class indices (see _TranslationForm). The class of every cell is written
+into one index array only when colors is read. Only verify_scheme's input,
+a list of class matrices from the user, is checked on such an index array
+outright (_verify_colors). Eigenmatrices are computed over the
 rationals (extended by i for the non-symmetric scheme) on integers alone:
 invariant subspaces are held as primitive integer vectors, eigenvalues are
 the integer roots of the intersection matrices' characteristic
@@ -158,14 +160,15 @@ def lift_latin(square: LatinSquare, aux: AuxiliarySet) -> IntMatrix:
 class Scheme:
     """Verified association scheme with intersection table p[i][j][k].
 
-    cells holds the classes: a v x v class-index array, or the Kronecker
-    form of a split build. colors[x, y], the class of cell (x, y), and the
-    class matrices are formed on first read."""
+    cells holds the classes: a v x v class-index array, the Kronecker form
+    of a split build, or the class row of a translation scheme on Z_2^n.
+    colors[x, y], the class of cell (x, y), and the class matrices are
+    formed on first read."""
 
     p: tuple[tuple[tuple[int, ...], ...], ...]
     valencies: tuple[int, ...]
     transpose_map: tuple[int, ...]
-    cells: np.ndarray | _KroneckerForm = field(repr=False)
+    cells: np.ndarray | _KroneckerForm | _TranslationForm = field(repr=False)
 
     @cached_property
     def colors(self) -> np.ndarray:
@@ -194,7 +197,12 @@ class Scheme:
         if not isinstance(other, Scheme):
             return NotImplemented
         tables = [(s.p, s.valencies, s.transpose_map) for s in (self, other)]
-        return tables[0] == tables[1] and bool(np.array_equal(self.colors, other.colors))
+        if tables[0] != tables[1]:
+            return False
+        if isinstance(self.cells, _TranslationForm) and isinstance(other.cells, _TranslationForm):
+            # row 0 of colors is the class row, and it fixes every other row
+            return bool(np.array_equal(self.cells.row, other.cells.row))
+        return bool(np.array_equal(self.colors, other.colors))
 
     def __hash__(self) -> int:
         return hash((self.p, self.valencies, self.transpose_map))
@@ -920,25 +928,95 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     )
 
 
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Entries of the gather that reads one generator's products on a translation
+# scheme, per block: 2**18 entries keep its temporaries near 4.5 MB.
+_GATHER_ENTRIES = 2**18
 
 
-def _hamming_distances(n: int) -> np.ndarray:
-    """Hamming distances between the binary words of length n, word x being
-    the bits of the index x: the popcount of x XOR y, summed over its bytes
-    from a 256-entry table. The words are held in the smallest unsigned type
-    that holds 2**n - 1, the distances in uint8."""
-    words = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    xor = words[:, None] ^ words[None, :]
-    return _POPCOUNT[xor.view(np.uint8)].reshape(*xor.shape, -1).sum(axis=-1, dtype=np.uint8)
+class _TranslationForm:
+    """Classes of a translation scheme on Z_2^n: cell (x, y) lies in class
+    row[x ^ y], the word x being the bits of the index x. Every class matrix
+    then commutes with each translation T_t, (x, y) -> (x ^ t, y ^ t), and
+    so does every product of them, so row 0 of any such matrix fixes it
+    (Delsarte 1973; Bannai and Ito, Algebraic Combinatorics I, 1984, sec.
+    II.6). colors is formed only when read."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def colors(self) -> np.ndarray:
+        """The v x v class-index array, in row's dtype."""
+        words = np.arange(len(self.row), dtype=np.min_scalar_type(len(self.row) - 1))
+        return self.row[np.bitwise_xor.outer(words, words)]
+
+
+def _verify_translation(row: np.ndarray, d1: int) -> Scheme:
+    """Check every axiom on the translation scheme whose cell (x, y) lies in
+    class row[x ^ y], in _verify_colors' order and with its messages; the
+    closure and commutativity checks are _close's.
+
+    Row x of colors is row permuted by z -> x ^ z, so each check reads row:
+    - partition: every cell holds an index in 0..d1-1 exactly when row does;
+    - identity: (x, y) lies in class 0 exactly when row[x ^ y] = 0, so class
+      0 is I exactly when row[0] = 0 and 0 appears nowhere else in row;
+    - transposes: x ^ y = y ^ x, so every class is its own transpose;
+    - regularity: every row of colors is a permutation of row, so class k
+      is regular, of valency |row^(-1)(k)|, and empty exactly when k is
+      missing from row;
+    - the table: row 0 of colors is row and its column y is row[y ^ z], so
+      p is their triangle count as in _verify_colors;
+    - closure: A_g A_j is translation invariant, so it is sum_k p_gj^k A_k
+      exactly when its row 0 is constant on each class. Entry (0, z) is
+      #{w : row[w] = g, row[z ^ w] = j}, one bincount over the gather
+      row[z ^ w] for every z and every w in class g, in blocks of at most
+      _GATHER_ENTRIES entries.
+    """
+    if row.min() < 0 or row.max() >= d1:
+        raise AxiomFailure("classes do not partition the cells")
+    if row[0] != 0 or np.count_nonzero(row == 0) != 1:
+        raise AxiomFailure("first class is not the identity")
+    row.setflags(write=False)
+    sizes = np.bincount(row, minlength=d1)
+    if not sizes.all():
+        raise AxiomFailure(f"class {sizes.argmin()} is empty")
+    valencies = tuple(sizes.tolist())
+    v = len(row)
+    words = np.arange(v)
+    reps = (row == np.arange(d1)[:, None]).argmax(axis=1)
+    p = _triangle_counts(row, row[reps[:, None] ^ words])
+    offsets = words * d1
+
+    def open_product(g: int, todo: list[int]) -> int | None:
+        members = np.flatnonzero(row == g)
+        step = max(1, _GATHER_ENTRIES // v)
+        counts = np.zeros(v * d1, dtype=np.int64)
+        for start in range(0, len(members), step):
+            gather = row[members[start : start + step, None] ^ words] + offsets
+            counts += np.bincount(gather.ravel(), minlength=v * d1)
+        # counts[z, j] is entry (0, z) of A_g A_j, and reps[row] the first z of z's class
+        counts = counts.reshape(v, d1)[:, todo]
+        bad = np.flatnonzero((counts != counts[reps[row]]).any(axis=0))
+        return todo[bad[0]] if len(bad) else None
+
+    return _close(p, valencies, np.arange(d1), open_product, _TranslationForm(row))
+
+
+def _weights(n: int) -> np.ndarray:
+    """Hamming weight of each binary word of length n, word z being the bits
+    of the index z, in uint8: the words at and above 2**k are those below it
+    with bit k set, one 1 more."""
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        weights = np.concatenate([weights, weights + 1])
+    return weights
 
 
 def hamming_scheme(n: int) -> Scheme:
     """Distance scheme on binary words of length n, classes by Hamming
-    distance."""
+    distance: cell (x, y) lies in the class of the weight of x XOR y."""
     if n < 1:
         raise ValueError("length must be positive")
-    return _verify_colors(_hamming_distances(n), n + 1)
+    return _verify_translation(_weights(n), n + 1)
 
 
 def muzychuk_fusion(n: int, variant: str) -> Scheme:
@@ -953,4 +1031,4 @@ def muzychuk_fusion(n: int, variant: str) -> Scheme:
     group = [0] + [1 if k % 4 in keep else 2 for k in range(1, n + 1)]
     if set(group[1:]) != {1, 2}:
         raise ValueError("fusion would leave an empty class")
-    return _verify_colors(np.array(group, dtype=np.uint8)[_hamming_distances(n)], 3)
+    return _verify_translation(np.array(group, dtype=np.uint8)[_weights(n)], 3)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import pstats
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -32,9 +33,12 @@ from hadsplit.schemes import (
     OddityViolation,
     _assemble_blocks,
     _integer_roots,
+    _KroneckerForm,
+    _TranslationForm,
     _ufs_cross_lift,
     _verify_blocks,
     _verify_colors,
+    _verify_translation,
     build_4class_nonsymmetric,
     build_4class_symmetric,
     build_5class,
@@ -884,11 +888,12 @@ def _deleted_twin(m):
 @pytest.mark.parametrize("case", list(_EVERY_BUILD))
 def test_built_scheme_equals_the_verified_scheme_of_its_matrices(case, twin16):
     """The dense verify_scheme of the formed classes is the reference: the
-    same table and the same class of every cell. A split build forms no
-    class-index array until colors is read."""
+    same table and the same class of every cell. A split build holds its
+    Kronecker form, and a Hamming or fusion build its class row, and neither
+    forms a class-index array until colors is read."""
     scheme = _EVERY_BUILD[case](twin16)
     assert "matrices" not in vars(scheme) and "colors" not in vars(scheme)
-    assert isinstance(scheme.cells, np.ndarray) == (case not in _SPLIT_BUILDS)
+    assert isinstance(scheme.cells, _KroneckerForm if case in _SPLIT_BUILDS else _TranslationForm)
     again = verify_scheme(scheme.matrices)
     assert "matrices" in vars(scheme) and scheme.matrices is scheme.matrices
     assert np.array_equal(again.colors, scheme.colors)
@@ -918,6 +923,48 @@ def test_split_builders_form_no_v_by_v_array_or_product(kernel_calls, monkeypatc
         assert kernel_calls, case
         assert max(math.prod(a) + math.prod(b) for a, b in kernel_calls) < scheme.size**2, case
         assert "colors" not in vars(scheme)
+
+
+_TRANSLATION_BUILDS = {k: b for k, b in _EVERY_BUILD.items() if k not in _SPLIT_BUILDS}
+
+
+def test_translation_builds_form_no_v_by_v_array_or_product(kernel_calls, monkeypatch, twin16):
+    """No Hamming or fusion build calls the dense _verify_colors or the
+    product kernel, or forms colors. At n = 12 (4096 points) the traced
+    peak of a build stays below v * v bytes, one byte per cell: the
+    "01" fusion's class 1 has valency 2015, and the gather over it runs in
+    blocks."""
+
+    def refuse(colors, d1):
+        raise AssertionError("a translation build reached _verify_colors")
+
+    monkeypatch.setattr(hadsplit.schemes, "_verify_colors", refuse)
+    for case, build in _TRANSLATION_BUILDS.items():
+        scheme = build(twin16)
+        assert not kernel_calls, case
+        assert "colors" not in vars(scheme), case
+    for build in (lambda: hamming_scheme(12), lambda: muzychuk_fusion(12, "01")):
+        tracemalloc.start()
+        try:
+            scheme = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scheme.size == 4096 and peak < scheme.size**2, peak
+    assert not kernel_calls
+
+
+def test_translation_schemes_compare_their_class_rows():
+    """Two translation schemes compare their class rows, so no colors is
+    formed; hamming_scheme(16)'s would take 4.3e9 cells. The two fusions at
+    n = 4 share a table on different rows."""
+    big = hamming_scheme(16)
+    assert big == hamming_scheme(16) and big != hamming_scheme(15)
+    assert "colors" not in vars(big)
+    f01, f03 = muzychuk_fusion(4, "01"), muzychuk_fusion(4, "03")
+    assert (f01.p, f01.valencies, f01.transpose_map) == (f03.p, f03.valencies, f03.transpose_map)
+    assert f01 != f03 and f01 == muzychuk_fusion(4, "01")
+    assert "colors" not in vars(f01) and "colors" not in vars(f03)
 
 
 def test_scheme_equality_compares_the_classes(twin16):
@@ -986,6 +1033,58 @@ def test_verify_colors_refuses_an_index_outside_the_classes():
     with pytest.raises(AxiomFailure, match="first class is not the identity"):
         _verify_colors(c, 4)
     assert _verify_colors(colors.copy(), 4) == hamming_scheme(3)
+
+
+@st.composite
+def _class_rows(draw):
+    """A class count d1 and a row of class indices on Z_2^n, n <= 4: a random
+    fusion of the Hamming distances or a random row, with row[0] = 0 and the
+    rest in 1..d1-1. One draw in three then sets one entry to any index in
+    -1..d1, which can break the identity or the partition."""
+    n, d1 = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    v, nonzero = 1 << n, st.integers(1, d1 - 1)
+    if draw(st.booleans()):
+        group = [0] + draw(st.lists(nonzero, min_size=n, max_size=n))
+        row = np.array(group)[hamming_scheme(n).cells.row]
+    else:
+        row = np.array([0] + draw(st.lists(nonzero, min_size=v - 1, max_size=v - 1)))
+    if draw(st.integers(0, 2)) == 0:
+        row[draw(st.integers(0, v - 1))] = draw(st.integers(-1, d1))
+    return row, d1
+
+
+def _same_verdict(check, reference):
+    """check() accepts with reference()'s table and colors, or refuses with
+    its message."""
+    try:
+        want = reference()
+    except AxiomFailure as exc:
+        with pytest.raises(AxiomFailure) as got:
+            check()
+        assert str(got.value) == str(exc)
+        return
+    got = check()
+    tables = [(s.p, s.valencies, s.transpose_map) for s in (got, want)]
+    assert tables[0] == tables[1]
+    assert np.array_equal(got.colors, want.colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_class_rows())
+def test_translation_verdicts_match_the_dense_check(case):
+    """_verify_translation on a class row judges the classes row[x ^ y] as
+    the dense checks judge the formed classes: verify_scheme of the class
+    matrices when every index lies in 0..d1-1, and _verify_colors of the
+    class-index array always. Most rows are not schemes."""
+    row, d1 = case
+    colors = row[np.bitwise_xor.outer(np.arange(len(row)), np.arange(len(row)))]
+
+    def check():
+        return _verify_translation(row.copy(), d1)
+
+    _same_verdict(check, lambda: _verify_colors(colors.copy(), d1))
+    if 0 <= row.min() and row.max() < d1:
+        _same_verdict(check, lambda: verify_scheme(_classes_from(colors, d1)))
 
 
 def test_an_overlap_or_a_gap_in_an_assembly_is_refused(twin16, split_16_9, fam9):
@@ -1606,6 +1705,22 @@ def test_hamming_8_has_binomial_multiplicities():
     et = eigenmatrices(sch)
     assert et.multiplicities == (1, 1, 8, 28, 56, 70, 56, 28, 8)
     assert sorted(et.multiplicities) == sorted(binomials)
+
+
+def _krawtchouk(n, i, j):
+    return sum((-1) ** s * math.comb(j, s) * math.comb(n - j, i - s) for s in range(i + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hamming_eigenmatrices_are_the_krawtchouk_values(n):
+    """The eigenspace of Z_2^n's characters of weight j gives the P row
+    K_0(j), ..., K_n(j), K_i(j) = sum_s (-1)^s C(j, s) C(n - j, i - s), with
+    multiplicity C(n, j); the first row is j = 0, the valencies."""
+    tables = eigenmatrices(hamming_scheme(n))
+    rows = table_as_ints(tables.p)
+    want = {tuple(_krawtchouk(n, i, j) for i in range(n + 1)): math.comb(n, j) for j in range(n + 1)}
+    assert dict(zip(rows, tables.multiplicities)) == want and len(rows) == n + 1
+    assert rows[0] == tuple(math.comb(n, i) for i in range(n + 1))
 
 
 def test_hamming_distance_one_diagonalized_by_sylvester():
