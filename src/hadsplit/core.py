@@ -19,6 +19,15 @@ A Gram, where one operand is a transpose view of the other (same data,
 reversed shape and strides, as in a @ a.T or h1.T @ h1), takes the route of
 bound = max|A|**2 * inner, found in one max/min pass instead of two; both
 operands are then cast and multiplied like any other product.
+
+The product comes back in its route's dtype: float32, float64 or int64,
+each entry an exact integer of absolute value at most the route's bound.
+A caller that only compares or counts its entries uses it as it is:
+_check_hadamard here, check_split and direct_srg_params, the scheme closure
+checks and eigvec_search. Only a caller that keeps a product or does
+arithmetic on its entries widens it to int64, where it does so: IntMatrix @
+here, and in schemes the auxiliary Gram, the scaling in lemma_c_ok and the
+digits of a packed product that fails its check.
 """
 
 from __future__ import annotations
@@ -64,18 +73,20 @@ class ParseError(HadsplitError):
 def _as_array(rows: Iterable[Iterable[int]] | np.ndarray | IntMatrix) -> np.ndarray:
     if isinstance(rows, IntMatrix):  # already checked and read-only
         return rows.array
+    built = False
     if isinstance(rows, (list, tuple)):
         try:
             guess = np.array(rows)
         except (TypeError, ValueError):  # ragged or odd rows: the loop below reports them
             guess = None
         if guess is not None and (guess.dtype.kind in "biu" or guess.ndim != 2):
-            rows = guess
+            rows, built = guess, True
     if isinstance(rows, np.ndarray) and rows.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {rows.shape}")
     if isinstance(rows, np.ndarray) and rows.size and rows.dtype.kind in "biu":
         _check_bound(_max_abs(rows))
-        arr = rows.astype(np.int64)  # a copy: the caller keeps its array
+        # copy a caller's array, which the caller keeps, but not one built here
+        arr = rows.astype(np.int64, copy=not built)
     else:
         data = [[_integer(v) for v in row] for row in rows]
         if not data or not data[0]:
@@ -124,11 +135,15 @@ def _check_bound(bound: int) -> None:
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two 2-D integer arrays.
+    """Exact product of two 2-D integer arrays (or stacks of them).
 
-    Returns int64, computed in float32 BLAS when bound = max|A| * max|B| *
-    inner is below 2**24, in float64 BLAS when it is below 2**53, and in
-    int64 when it is below 2**62; a larger bound raises OverflowError.
+    Computed and returned in float32 when bound = max|A| * max|B| * inner
+    is below 2**24, in float64 when it is below 2**53, and in int64 when it
+    is below 2**62; a larger bound raises OverflowError. Every entry is an
+    integer of absolute value at most bound, held exactly in the returned
+    dtype (see the module docstring). Comparing or counting entries is
+    exact in any of the three; a caller that keeps the product or does
+    arithmetic on it widens it with astype(np.int64) first.
     When b is a.T, one max/min pass over a bounds both operands.
     """
     if a.shape[-1] != b.shape[-2]:
@@ -140,7 +155,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         bound = _bound(a, b, a.shape[-1])
     if bound < _FLOAT64_EXACT:
         real = np.float32 if bound < _FLOAT32_EXACT else np.float64
-        return (a.astype(real) @ b.astype(real)).astype(np.int64)
+        return a.astype(real) @ b.astype(real)
     _check_bound(bound)
     return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
 
@@ -252,7 +267,7 @@ class IntMatrix:
         return IntMatrix._wrap(k * self._a)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix._wrap(exact_matmul(self._a, other._a))
+        return IntMatrix._wrap(exact_matmul(self._a, other._a).astype(np.int64, copy=False))
 
     @property
     def T(self) -> "IntMatrix":

@@ -91,7 +91,7 @@ class AuxiliarySet:
         self.report = report
         self._arr = h.array
         self._h1 = self._arr[list(report.rows)]
-        self.gram = exact_matmul(self._h1.T, self._h1)
+        self.gram = exact_matmul(self._h1.T, self._h1).astype(np.int64, copy=False)
 
     @property
     def matrices(self) -> tuple[IntMatrix, ...]:
@@ -115,7 +115,7 @@ class AuxiliarySet:
         n, ell, a, b = rep.params.astuple()
         if np.any(self._h1.sum(axis=1)):
             return False
-        left = (a - b) * exact_matmul(rep.adjacency.array, self._h1.T)
+        left = (a - b) * exact_matmul(rep.adjacency.array, self._h1.T).astype(np.int64, copy=False)
         return bool(np.array_equal(left, (n - ell + b) * self._h1.T))
 
 
@@ -222,8 +222,11 @@ def _open_product(a: np.ndarray, color: np.ndarray, reps, base: int, todo: list[
     """The first j in todo for which A A_j, A_j the cells of color j, is not
     constant on every class, or None; a is the boolean A and every entry of
     each A A_j lies below base. The products are packed several to a kernel
-    call, as described in _verify_colors; every weight and packed entry lies
-    below 2**24, so both are gathered over the cells as int32."""
+    call, as described in _verify_colors; every weight lies below 2**24, so
+    the weights are gathered over the cells as int32. A packed product is
+    compared with its class representatives in the kernel's dtype, which
+    holds each packed entry exactly; only a chunk that fails is widened to
+    int64 for its digits."""
     v, d1 = a.shape[0], len(reps[0])
     width = 1
     while v * base**width < _FLOAT32_EXACT:
@@ -235,8 +238,9 @@ def _open_product(a: np.ndarray, color: np.ndarray, reps, base: int, todo: list[
         weights[chunk] = scale
         prod = exact_matmul(a, weights[color])
         packed = prod[reps]
-        if np.array_equal(prod, packed.astype(np.int32)[color]):
+        if np.array_equal(prod, packed[color]):
             continue
+        prod, packed = prod.astype(np.int64), packed.astype(np.int64)
         for t, j in enumerate(chunk):
             if not np.array_equal(prod // scale[t] % base, (packed // scale[t] % base)[color]):
                 return j

@@ -223,7 +223,10 @@ def direct_srg_params(a: IntMatrix) -> SrgParams | None:
     nonedge = (arr == 0) & ~np.eye(v, dtype=bool)
     lam = int(sq[edge][0]) if edge.any() else 0
     mu = int(sq[nonedge][0]) if nonedge.any() else 0
-    expect = k * np.eye(v, dtype=np.int64) + lam * arr + mu * (1 - arr - np.eye(v, dtype=np.int64))
+    # kI + lam A + mu (J - I - A), in the product's dtype: every entry is at
+    # most v, which that dtype holds exactly as it holds every entry of A^2
+    expect = np.where(edge, sq.dtype.type(lam), sq.dtype.type(mu))
+    np.fill_diagonal(expect, k)
     if not np.array_equal(sq, expect):
         return None
     return SrgParams(v, k, lam, mu)
@@ -276,11 +279,23 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     One product gives G, from the smaller side. HtH = nI as well, so with
     H2 the other n - ell rows, G = H1t H1 = nI - H2t H2; when 2 ell > n, G
     is formed that way. The product then costs n^2 min(ell, n - ell)
-    multiply-adds, and at ell = n, H2 is empty and G = nI. The off-diagonal
-    values of G are counted, not hashed: every |G_ij| is at most ell and the
-    diagonal is ell, so bincount(G + ell) with the n diagonal entries taken
-    off the top bin holds them all. Its sum 1t G 1 = |H1 1|^2 is zero
-    exactly when every split row sums to zero. The report's srg is None
+    multiply-adds, and at ell = n, H2 is empty and G = nI. The product is
+    read in the kernel's dtype, not widened to int64: with its diagonal
+    overwritten by one of its off-diagonal entries, its min and max give a
+    and b (negated on the H2 side), and it is shifted in place to G - b off
+    the diagonal and 0 on it. Every off-diagonal entry of the product is an
+    integer of absolute value at most m = min(ell, n - ell) <= n/2, so the
+    entries of the shift and of its result are integers of absolute value
+    at most 2m <= n. float64 and int64 hold every such integer; float32,
+    the route below m = 2**24, holds every integer up to 2**24, and so every
+    one up to n for any H that fits in memory (at n = 2**24, H alone takes
+    2**51 bytes). The shift is therefore exact on every route. The
+    a-entries then read a - b and the others 0, so G has no third value
+    exactly when the two counts sum to n^2; np.unique lists the values
+    only for the NotSplittable message. The a-count c also gives
+    1t G 1 = n ell + ac + b (n^2 - n - c) = |H1 1|^2, zero exactly when
+    every split row sums to zero. Only the adjacency A that the report
+    keeps is an n x n int64 array. The report's srg is None
     when A is not regular, as it can be on the b = -a branch; otherwise
     G^2 = nG gives it from the degree of A (see _regular_srg), and it
     equals direct_srg_params(A).
@@ -301,30 +316,18 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     ell = len(rows)
     picked = np.zeros(n, dtype=bool)
     picked[list(rows)] = True
-    if 2 * ell > n:
-        h2 = h.array[~picked]
-        shifted = exact_matmul(h2.T, h2)
-        np.subtract(ell, shifted, out=shifted)
-        shifted.flat[:: n + 1] += n  # G + ell = ell + nI - H2t H2, in place
-    else:
-        h1 = h.array[picked]
-        shifted = exact_matmul(h1.T, h1)
-        shifted += ell  # G + ell, in place: entries 0 .. 2 ell
-    counts = np.bincount(shifted.ravel(), minlength=2 * ell + 1)
-    counts[2 * ell] -= n
-    values = (np.flatnonzero(counts) - ell).tolist()
+    other = 2 * ell > n
+    side = h.array[~picked] if other else h.array[picked]
+    prod = exact_matmul(side.T, side)  # G = nI - prod if other, else G = prod
+    prod.flat[:: n + 1] = prod[0, 1]  # off-diagonal values only
+    low, high = int(prod.min()), int(prod.max())
+    a, b = (-low, -high) if other else (high, low)
 
-    if len(values) > 2:
-        raise NotSplittable(f"off-diagonal Gram values {values}")
-
-    # gram_ok and seidel_ok hold because h is a HadamardMatrix (see above)
-    gram_sum = n * ell + int(counts @ np.arange(-ell, ell + 1))
-    checks = {"rowsum_zero": gram_sum == 0, "gram_ok": True}
-
-    if len(values) == 1:
-        a = values[0]
+    if a == b:
         if (ell, a) not in {(1, 1), (n - 1, -1), (n, 0)}:
             raise InvalidSingleValue(f"single value {a} with ell={ell} not allowed")
+        # gram_ok holds because h is a HadamardMatrix (see above)
+        checks = {"rowsum_zero": n * ell + a * (n * n - n) == 0, "gram_ok": True}
         return SplitReport(
             params=SplitParams(n, ell, a, a),
             rows=rows,
@@ -334,10 +337,23 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
             checks=checks,
         )
 
-    a, b = values[1], values[0]
-    adj = (shifted == a + ell).astype(np.int64)
-    np.fill_diagonal(adj, 0)
+    if other:
+        np.subtract(high, prod, out=prod)
+    else:
+        prod -= low
+    prod.flat[:: n + 1] = 0  # G - b off the diagonal, 0 on it
+    edge = prod == a - b
+    count = int(np.count_nonzero(edge))
+    if count + np.count_nonzero(prod == 0) != n * n:
+        values = [int(v) + b for v in np.unique(prod)]  # 0, b's shift, lies off the diagonal too
+        raise NotSplittable(f"off-diagonal Gram values {values}")
+    del prod  # freed before the int64 adjacency is allocated
+    adj = edge.astype(np.int64)
     degrees = adj.sum(axis=1)
+
+    # gram_ok and seidel_ok hold because h is a HadamardMatrix (see above)
+    gram_sum = n * ell + a * count + b * (n * n - n - count)
+    checks = {"rowsum_zero": gram_sum == 0, "gram_ok": True}
 
     branch = "unclassified"
     alt = None

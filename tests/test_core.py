@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ def test_intmatrix_from_ndarray_is_a_read_only_copy():
     assert not a.array.flags.writeable
     with pytest.raises(ValueError):
         a.array[0, 0] = 5
+
+
+def test_intmatrix_from_a_nested_list_copies_it_once():
+    # the 512 x 512 int64 array built from the list takes 2 MiB; a second
+    # copy of it would take 2 more
+    rows = sylvester(9).array.tolist()
+    tracemalloc.start()
+    try:
+        a = IntMatrix(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.tolist() == rows and a.array.dtype == np.int64
+    assert not a.array.flags.writeable
+    assert peak < 3 * 2**20
 
 
 def test_constructors_take_an_intmatrix():

@@ -4,8 +4,9 @@ Inputs are scaled so that bound = max|A| * max|B| * inner lands just below
 or just above each route threshold (2**24 for float32, 2**53 for float64,
 2**62 for int64), with entries biased toward the extremes and of both signs
 so that partial sums come close to the bound, on operands of random shape.
-Every route must agree with the product of Python ints, and a bound at or
-past 2**62 must raise OverflowError. A Gram, a @ a.T or a.T @ a with the
+Every route must agree with the product of Python ints and return its
+result in the route's own dtype, and a bound at or past 2**62 must raise
+OverflowError. A Gram, a @ a.T or a.T @ a with the
 transpose a view of a, is bounded from one pass over a and must agree with
 the general product on every layout and route.
 """
@@ -17,9 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadsplit.core import _is_transpose, exact_matmul
+from hadsplit.core import IntMatrix, _is_transpose, exact_matmul
 
 F32, F64, I64 = 2**24, 2**53, 2**62
+# the dtype of the route a bound just below or just above each threshold takes
+ROUTE = {
+    (F32, "below"): np.float32,
+    (F32, "above"): np.float64,
+    (F64, "below"): np.float64,
+    (F64, "above"): np.int64,
+    (I64, "below"): np.int64,
+}
 
 
 def _entries(draw, rows, cols, peak):
@@ -56,9 +65,9 @@ def _reference(a, b):
 @pytest.mark.parametrize(
     "target, side, outcome",
     [
-        (F32, "below", np.int64),
-        (F32, "above", np.int64),
-        (F64, "below", np.int64),
+        (F32, "below", np.float32),
+        (F32, "above", np.float64),
+        (F64, "below", np.float64),
         (F64, "above", np.int64),
         (I64, "below", np.int64),
         (I64, "above", OverflowError),
@@ -121,8 +130,17 @@ def test_zero_factor_keeps_huge_entries_out_of_float64():
 def test_small_object_inputs_take_a_fixed_width_route():
     a = np.array([[1, -2], [3, 4]], dtype=object)
     got = exact_matmul(a, a)
-    assert got.dtype == np.int64
+    assert got.dtype == np.float32
     assert got.tolist() == [[-5, -10], [15, 10]]
+
+
+@pytest.mark.parametrize("peak", [2**10, 2**20, 2**30])
+def test_intmatrix_product_is_read_only_int64_on_every_route(peak):
+    # bounds 2**21, 2**41 and 2**61: the float32, float64 and int64 routes
+    a = np.array([[peak, -peak], [peak - 1, 1]], dtype=np.int64)
+    got = (IntMatrix(a) @ IntMatrix(a.T)).array
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert got.tolist() == _reference(a, a.T)
 
 
 def test_inner_dimension_mismatch():
@@ -135,7 +153,7 @@ def test_stacks_multiply_slice_by_slice():
     a = rng.integers(-3, 4, (5, 2, 6))
     b = rng.integers(-3, 4, (5, 6, 3))
     got = exact_matmul(a, b)
-    assert got.dtype == np.int64
+    assert got.dtype == np.float32
     assert [g.tolist() for g in got] == [_reference(x, y) for x, y in zip(a, b)]
     with pytest.raises(ValueError):
         exact_matmul(a, a)
@@ -177,7 +195,8 @@ def test_gram_route_matches_the_two_cast_product(target, side, data):
                 exact_matmul(left, b)
         return
     got = exact_matmul(left, right)
-    assert got.dtype == np.int64
+    # an empty operand has bound 1 and takes the float32 route
+    assert got.dtype == (ROUTE[target, side] if left.size else np.float32)
     assert np.array_equal(got, exact_matmul(left, general))
     assert got.tolist() == _reference(left, right)
 

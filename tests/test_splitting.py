@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -20,6 +21,7 @@ from hadsplit.constructions import (
 from hadsplit.core import (
     HadamardMatrix,
     IntMatrix,
+    _proved_hadamard,
     conference_from_core,
     paley_skew_core,
     sylvester,
@@ -430,6 +432,57 @@ def test_check_split_matches_the_direct_gram_on_both_sides_of_half(case):
     assert got == want
     if isinstance(want, SplitReport):
         assert list(got.checks) == list(want.checks)
+
+
+def _signed(h, seed, rows):
+    """D P H Q for random row signs D and row and column permutations P, Q,
+    which keep every split; returns it and the images of the given rows."""
+    rng = np.random.default_rng(seed)
+    n = h.order
+    perm = rng.permutation(n)
+    signs = rng.choice([-1, 1], size=n)
+    image = HadamardMatrix(signs[:, None] * h.array[perm][:, rng.permutation(n)])
+    return image, sorted(np.argsort(perm)[rows].tolist())
+
+
+@pytest.mark.parametrize("order, part", [(256, "h1_rows"), (256, "h2_rows"), (512, "rows")])
+def test_check_split_on_orders_256_and_512_matches_the_direct_gram(order, part):
+    # each row set and its complement: one takes 2 ell <= n, the other 2 ell > n
+    inst = twin_sylvester(4) if order == 256 else core_tensor(sylvester(2), sylvester(7))
+    h = inst.h
+    image, rows = _signed(h, 0, list(getattr(inst, part)))
+    for subset in (rows, sorted(set(range(h.order)) - set(rows))):
+        got, want = check_split(image, subset), _direct_report(image, subset)
+        assert got == want and list(got.checks) == list(want.checks)
+
+
+def test_check_split_error_messages_list_gram_values_in_ascending_order(twin16):
+    with pytest.raises(NotSplittable, match=re.escape("off-diagonal Gram values [-1, 1, 3]")):
+        check_split(twin16.h, [0, 1, 2])
+    with pytest.raises(NotSplittable, match=re.escape("off-diagonal Gram values [-3, -1, 1]")):
+        check_split(twin16.h, range(3, 16))
+    # a genuine Hadamard matrix has no disallowed single value (G^2 = nG
+    # rules it out), so the all-ones matrix is passed off as one
+    ones = _proved_hadamard(np.ones((4, 4), dtype=np.int64))
+    with pytest.raises(InvalidSingleValue, match=re.escape("single value 2 with ell=2 not allowed")):
+        check_split(ones, [0, 1])
+
+
+def test_check_split_allocates_no_int64_gram():
+    # n = 512, ell = 508: the float32 product (1 MiB) and its edge mask
+    # (0.25 MiB), then the mask and the int64 adjacency (2 MiB); an int64
+    # copy of the product would add 2 MiB
+    inst = core_tensor(sylvester(2), sylvester(7))
+    h, rows = _signed(inst.h, 1, list(inst.rows))
+    check_split(h, rows)
+    tracemalloc.start()
+    try:
+        rep = check_split(h, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.params.astuple() == (512, 508, 0, -4)
+    assert peak < 3.5 * 2**20
 
 
 # ------------------------------------------------------------- derivations
