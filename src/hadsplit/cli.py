@@ -502,10 +502,12 @@ def _scheme_split(args: argparse.Namespace):
     raise ValueError("need --twin-delete/--twin or --input with --rows")
 
 
-def _first_squares(fam: list[LatinSquare], f: int) -> list[LatinSquare]:
-    if not 2 <= f <= len(fam):
-        raise ValueError(f"--f must be in 2..{len(fam)}, got {f}")
-    return fam[:f]
+def _first_squares(q: int, f: int) -> list[LatinSquare]:
+    """The first f squares of GF(q)'s affine family; the others are never built."""
+    field = _parameter(GF, q)
+    if not 2 <= f <= q - 1:
+        raise ValueError(f"--f must be in 2..{q - 1}, got {f}")
+    return _affine_squares(field, range(1, f + 1))
 
 
 def _scheme_build4(
@@ -518,17 +520,14 @@ def _scheme_build4(
 
 def _scheme_build5(args: argparse.Namespace, em: _Emitter) -> None:
     h, rep = _scheme_split(args)
-    fam = [with_min_symbol(sq, 1) for sq in _parameter(affine_ufs_family, rep.params.ell)]
-    _describe_scheme(em, build_5class(h, rep, _first_squares(fam, args.f)), args)
+    fam = [with_min_symbol(sq, 1) for sq in _first_squares(rep.params.ell, args.f)]
+    _describe_scheme(em, build_5class(h, rep, fam), args)
 
 
 def _scheme_build6(args: argparse.Namespace, em: _Emitter) -> None:
     h, rep = _scheme_split(args)
-    fam = [
-        force_constant_diagonal(sq, 0)
-        for sq in _parameter(affine_ufs_family, rep.params.ell + 1)
-    ]
-    _describe_scheme(em, build_6class(h, rep, _first_squares(fam, args.f)), args)
+    fam = [force_constant_diagonal(sq, 0) for sq in _first_squares(rep.params.ell + 1, args.f)]
+    _describe_scheme(em, build_6class(h, rep, fam), args)
 
 
 def _scheme_hamming(args: argparse.Namespace, em: _Emitter) -> None:

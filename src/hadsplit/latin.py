@@ -3,12 +3,20 @@
 Two squares are UFS when any row of one agrees with any row of the other in
 exactly one column. Composition reads off the agreed symbol and is again a
 Latin square on the same symbols.
+
+`is_ufs` and `compose_ufs` read one agreement table: for each row pair (i, j),
+the number of columns where row i of l1 agrees with row j of l2, and l1's
+symbol at the first of them. `_agreements` builds it a row of l1 at a time,
+each step an m x m comparison with all of l2, never an m x m x m array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from .core import HadsplitError, ParseError
 from .gf import GF
@@ -80,25 +88,28 @@ class LatinSquare:
         return symbol is None or diag == {symbol}
 
 
+def _agreements(l1: LatinSquare, l2: LatinSquare) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, first): the agreements of row i of l1 with row j of l2 and
+    l1's symbol at the first (at column 0 when there is none), per (i, j)."""
+    a, b = np.array(l1.cells), np.array(l2.cells)
+    if a.dtype != np.int64 or b.dtype != np.int64:  # past int64 numpy may round to float
+        a, b = np.array(l1.cells, dtype=object), np.array(l2.cells, dtype=object)
+    counts, first = np.empty(a.shape, dtype=np.int64), np.empty_like(a)
+    for i, row in enumerate(a):
+        agree = b == row
+        counts[i] = agree.sum(axis=1)
+        first[i] = row[agree.argmax(axis=1)]
+    return counts, first
+
+
 def is_ufs(l1: LatinSquare, l2: LatinSquare) -> bool:
     """Every row of l1 meets every row of l2 in exactly one column."""
-    if l1.order != l2.order or l1.min_symbol != l2.min_symbol:
-        return False
-    m = l1.order
-    for i in range(m):
-        for j in range(m):
-            hits = sum(l1.cells[i][c] == l2.cells[j][c] for c in range(m))
-            if hits != 1:
-                return False
-    return True
+    same = l1.order == l2.order and l1.min_symbol == l2.min_symbol
+    return same and bool((_agreements(l1, l2)[0] == 1).all())
 
 
 def is_mutually_ufs(squares: list[LatinSquare]) -> bool:
-    return all(
-        is_ufs(squares[i], squares[j])
-        for i in range(len(squares))
-        for j in range(i + 1, len(squares))
-    )
+    return all(is_ufs(a, b) for a, b in combinations(squares, 2))
 
 
 def compose_ufs(l1: LatinSquare, l2: LatinSquare) -> LatinSquare:
@@ -106,17 +117,11 @@ def compose_ufs(l1: LatinSquare, l2: LatinSquare) -> LatinSquare:
     row j of l2. Raises NotUfs when some agreement is not unique."""
     if l1.order != l2.order or l1.min_symbol != l2.min_symbol:
         raise NotUfs("orders or symbol ranges differ")
-    m = l1.order
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            hits = [c for c in range(m) if l1.cells[i][c] == l2.cells[j][c]]
-            if len(hits) != 1:
-                raise NotUfs(f"rows {i}, {j} agree {len(hits)} times")
-            row.append(l1.cells[i][hits[0]])
-        out.append(tuple(row))
-    return LatinSquare(order=m, min_symbol=l1.min_symbol, cells=tuple(out))
+    counts, first = _agreements(l1, l2)
+    if (counts != 1).any():
+        i, j = np.argwhere(counts != 1)[0]
+        raise NotUfs(f"rows {i}, {j} agree {counts[i, j]} times")
+    return LatinSquare(l1.order, l1.min_symbol, tuple(map(tuple, first.tolist())))
 
 
 def circle_symmetric(v: int) -> LatinSquare:
@@ -167,15 +172,11 @@ def force_constant_diagonal(square: LatinSquare, symbol: int) -> LatinSquare:
     """
     if symbol not in square.symbols:
         raise ValueError(f"symbol {symbol} outside {square.symbols}")
-    m = square.order
-    perm = []
-    for i in range(m):
-        matches = [r for r in range(m) if square.cells[r][i] == symbol]
-        if len(matches) != 1:
-            raise ValueError("square is not Latin in some column")
-        perm.append(matches[0])
-    cells = tuple(square.cells[perm[i]] for i in range(m))
-    return LatinSquare(order=m, min_symbol=square.min_symbol, cells=cells)
+    hits = np.array(square.cells, dtype=object) == symbol
+    if not (hits.sum(axis=0) == 1).all():
+        raise ValueError("square is not Latin in some column")
+    cells = tuple(square.cells[r] for r in hits.argmax(axis=0))
+    return LatinSquare(order=square.order, min_symbol=square.min_symbol, cells=cells)
 
 
 def with_min_symbol(square: LatinSquare, min_symbol: int) -> LatinSquare:

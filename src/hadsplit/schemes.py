@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .core import (
     isqrt_exact,
 )
 from .exactla import GaussianRational, _echelon_int, _kernel_int, _primitive, mat_vec
-from .latin import LatinSquare, NotUfs, circle_symmetric, compose_ufs, is_mutually_ufs
+from .latin import LatinSquare, circle_symmetric, compose_ufs
 from .splitting import SplitReport
 
 __all__ = [
@@ -642,7 +643,10 @@ def _ufs_cross_lift(
     """Check the split and a family of f pairwise UFS squares of order
     ell + 1 - min_symbol (with zero diagonal when 0 is a symbol), and return
     the lift's f x f array of blocks of symbols, whose (u, w) block, u != w,
-    is the composition of squares u and w."""
+    is the composition of squares u and w. Row j of w agrees with row i of
+    u in the same columns, on the same symbols, as row i of u with row j of
+    w, so each pair u < w is composed once and the (w, u) block is the
+    transpose of the (u, w) block. NotUfs is raised before the diagonal check."""
     _require_zero_row_sums(report)
     ell = report.params.ell
     order = ell + 1 - min_symbol
@@ -653,18 +657,14 @@ def _ufs_cross_lift(
             raise ValueError(f"every square must have order {order} and symbols from {min_symbol}")
         if not sq.is_latin():
             raise ValueError("square is not Latin")
-    if not is_mutually_ufs(list(squares)):
-        raise NotUfs("squares are not pairwise UFS")
+    f = len(squares)
+    lift = np.zeros((f, order, f, order), dtype=np.int64)
+    for u, w in combinations(range(f), 2):
+        cells = np.array(compose_ufs(squares[u], squares[w]).cells)
+        lift[u, :, w], lift[w, :, u] = cells, cells.T
     if min_symbol == 0 and not all(sq.has_constant_diagonal(0) for sq in squares):
         raise ValueError("every square must have a zero diagonal")
-    f = len(squares)
-    lift = np.zeros((f * order, f * order), dtype=np.int64)
-    for u in range(f):
-        for w in range(f):
-            if u != w:
-                cells = compose_ufs(squares[u], squares[w]).cells
-                lift[u * order : (u + 1) * order, w * order : (w + 1) * order] = cells
-    return lift
+    return lift.reshape(f * order, f * order)
 
 
 def build_5class(

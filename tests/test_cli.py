@@ -14,7 +14,12 @@ import hadsplit
 import hadsplit.cli as cli
 from hadsplit.cli import UnknownDataset, build_parser, bundled_data, main
 from hadsplit.core import IntMatrix, parse_matrix, serialize_matrix
-from hadsplit.latin import affine_ufs_family, parse_latin
+from hadsplit.latin import (
+    affine_ufs_family,
+    force_constant_diagonal,
+    parse_latin,
+    with_min_symbol,
+)
 from hadsplit.splitting import direct_srg_params
 
 
@@ -542,6 +547,36 @@ def test_scheme_build6(capsys):
         code, out, err = run(capsys, "scheme", "build6", "--twin", "2", "--f", f)
         assert code == 2
         assert f"error: --f must be in 2..6, got {f}" in err
+
+
+@pytest.mark.parametrize(
+    "mode, split, q, fix",
+    [
+        ("build5", "--twin-delete", 9, lambda sq: with_min_symbol(sq, 1)),
+        ("build6", "--twin", 7, lambda sq: force_constant_diagonal(sq, 0)),
+    ],
+    ids=["build5", "build6"],
+)
+def test_scheme_build5_and_build6_build_only_the_squares_they_use(
+    capsys, monkeypatch, mode, split, q, fix
+):
+    family = [fix(sq) for sq in affine_ufs_family(q)]
+    seen = []
+    builder = getattr(cli, f"build_{mode[-1]}class")
+
+    def record(h, rep, squares):
+        seen.append(list(squares))
+        return builder(h, rep, squares)
+
+    def refuse(q):
+        raise AssertionError(f"scheme {mode} built the whole family")
+
+    monkeypatch.setattr(cli, f"build_{mode[-1]}class", record)
+    monkeypatch.setattr(cli, "affine_ufs_family", refuse)
+    for f in (2, 3, q - 1):
+        code, _, _ = run(capsys, "scheme", mode, split, "2", "--f", str(f))
+        assert code == 0
+        assert seen.pop() == family[:f]
 
 
 def test_scheme_build5_and_build6_non_prime_power_exit_two(capsys):

@@ -399,6 +399,14 @@ def test_5class_rejects_non_ufs(twin16, split_16_9, fam9):
         build_5class(twin16.h, split_16_9, [fam9[0], fam9[0]])
 
 
+@pytest.mark.parametrize("picks", [(0, 1, 0), (0, 1, 1)])
+def test_5class_rejects_a_non_ufs_pair_after_ufs_ones(twin16, split_16_9, fam9, picks):
+    from hadsplit.latin import NotUfs
+
+    with pytest.raises(NotUfs):
+        build_5class(twin16.h, split_16_9, [fam9[k] for k in picks])
+
+
 def test_5class_needs_two_squares(twin16, split_16_9, fam9):
     with pytest.raises(ValueError):
         build_5class(twin16.h, split_16_9, fam9[:1])
@@ -439,6 +447,14 @@ def test_6class_rejects_nonzero_diagonal(twin16):
     squares = affine_ufs_family(7)[:2]  # symmetric but diagonal not constant 0
     with pytest.raises(ValueError):
         build_6class(twin16.h, twin16.reports[1], squares)
+
+
+def test_6class_reports_non_ufs_before_the_diagonal(twin16):
+    from hadsplit.latin import NotUfs
+
+    square = affine_ufs_family(7)[0]  # diagonal 2i, and never UFS with itself
+    with pytest.raises(NotUfs):
+        build_6class(twin16.h, twin16.reports[1], [square, square])
 
 
 # ------------------------------------------------------- scheme verification
