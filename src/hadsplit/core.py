@@ -32,6 +32,7 @@ digits of a packed product that fails its check.
 
 from __future__ import annotations
 
+import array
 import math
 import re
 from typing import Iterable
@@ -75,10 +76,12 @@ def _as_array(rows: Iterable[Iterable[int]] | np.ndarray | IntMatrix) -> np.ndar
         return rows.array
     built = False
     if isinstance(rows, (list, tuple)):
-        try:
-            guess = np.array(rows)
-        except (TypeError, ValueError):  # ragged or odd rows: the loop below reports them
-            guess = None
+        guess = _typed_rows(rows)
+        if guess is None:
+            try:
+                guess = np.array(rows)
+            except (TypeError, ValueError):  # ragged or odd rows: the loop below reports them
+                guess = None
         if guess is not None and (guess.dtype.kind in "biu" or guess.ndim != 2):
             rows, built = guess, True
     if isinstance(rows, np.ndarray) and rows.ndim != 2:
@@ -99,6 +102,34 @@ def _as_array(rows: Iterable[Iterable[int]] | np.ndarray | IntMatrix) -> np.ndar
         arr = np.array(data, dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _typed_rows(rows: list | tuple) -> np.ndarray | None:
+    """Rectangular rows that are lists of ints, read in one int64 pass.
+
+    array("q").fromlist takes an int, a bool or anything with __index__
+    (numpy integer scalars among them) and refuses a float, str, None or
+    Fraction with TypeError and an int past int64 with OverflowError. On
+    any refusal, a ragged or empty row, or a row that is not a list, this
+    returns None and _as_array reads the rows the general way, which
+    decides what is accepted and raises its own errors. Each row's buffer
+    is copied into one preallocated array, so the matrix is allocated once,
+    never regrown or copied whole.
+    """
+    if not rows or not isinstance(rows[0], list) or not rows[0]:
+        return None
+    width = len(rows[0])
+    out = np.empty((len(rows), width), dtype=np.int64)
+    try:
+        for i, row in enumerate(rows):
+            buf = array.array("q")
+            buf.fromlist(row)
+            if len(buf) != width:
+                return None
+            out[i] = buf
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out
 
 
 def _integer(v) -> int:
@@ -415,9 +446,11 @@ def conference_from_core(core: SkewCore) -> IntMatrix:
     and Ct = -C; neither is re-checked.
     """
     q = core.q
-    top = [[0] + [1] * q]
-    body = [[-1] + list(core.matrix.row(i)) for i in range(q)]
-    return IntMatrix(top + body)
+    c = np.zeros((q + 1, q + 1), dtype=np.int64)
+    c[0, 1:] = 1
+    c[1:, 0] = -1
+    c[1:, 1:] = core.matrix.array
+    return IntMatrix._wrap(c)
 
 
 # Entries parsed per block in parse_matrix: 128 rows at n = 256.

@@ -517,8 +517,9 @@ def complement_split(report: SplitReport) -> SplitParams:
     return SplitParams(p.n, p.n - p.ell, -p.b, -p.a)
 
 
-def _constant_sign_rows(h: HadamardMatrix) -> list[int]:
-    return [i for i in range(h.order) if len(set(h.row(i))) == 1]
+def _constant_sign_rows(h: HadamardMatrix) -> np.ndarray:
+    # every entry is +-1, so a row has one sign exactly when |row sum| = n
+    return np.flatnonzero(np.abs(h.array.sum(axis=1)) == h.order)
 
 
 def delete_allones_transform(h: HadamardMatrix, report: SplitReport) -> SplitReport:
@@ -531,11 +532,12 @@ def delete_allones_transform(h: HadamardMatrix, report: SplitReport) -> SplitRep
     p = report.params
     if p.b != -p.a:
         raise InfeasibleSeidel("transform needs b = -a")
-    outside = [i for i in _constant_sign_rows(h) if i not in report.rows]
+    split = set(report.rows)
+    outside = [i for i in _constant_sign_rows(h) if i not in split]
     if not outside:
         raise MissingAllOnesRow("no constant-sign row outside the split")
-    drop = outside[0]
-    keep = [i for i in range(h.order) if i not in report.rows and i != drop]
+    drop = int(outside[0])
+    keep = [i for i in range(h.order) if i not in split and i != drop]
     out = check_split(h, keep)
     want = SplitParams(p.n, p.n - p.ell - 1, p.a - 1, -p.a - 1)
     if out.params != want:

@@ -1,8 +1,13 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hadsplit.core as core
 
 from hadsplit.core import (
     HadamardMatrix,
@@ -75,6 +80,77 @@ def test_intmatrix_from_a_nested_list_copies_it_once():
     assert a.tolist() == rows and a.array.dtype == np.int64
     assert not a.array.flags.writeable
     assert peak < 3 * 2**20
+
+
+_BIG = 2**62 - 1
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([[True, False], [1, 2]], [[1, 0], [1, 2]]),
+        ([[np.int64(3), np.int8(-2)], [np.uint64(5), 1]], [[3, -2], [5, 1]]),
+        ([[_BIG, -_BIG]], [[_BIG, -_BIG]]),
+        ([[2.0, 1], [3, np.float64(4.0)]], [[2, 1], [3, 4]]),
+        ([[Fraction(4, 2), 1]], [[2, 1]]),
+        (((1, 2), (3, 4)), [[1, 2], [3, 4]]),
+        ([[1, 2], (3, 4)], [[1, 2], [3, 4]]),
+        (([1, 2], [3, 4]), [[1, 2], [3, 4]]),
+        ([[1, 2], np.array([3, 4])], [[1, 2], [3, 4]]),
+    ],
+)
+def test_intmatrix_reads_nested_lists(rows, want):
+    a = IntMatrix(rows)
+    assert a.tolist() == want
+    assert a.array.dtype == np.int64 and not a.array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[2**62]], OverflowError, "integer bound 4611686018427387904 reaches 2**62"),
+        ([[1, 2**63]], OverflowError, "integer bound 9223372036854775808 reaches 2**62"),
+        ([[-1, 2**63]], OverflowError, "integer bound 9223372036854775808 reaches 2**62"),
+        ([[-(2**63), 1]], OverflowError, "integer bound 9223372036854775808 reaches 2**62"),
+        ([[2**64, 1]], OverflowError, "integer bound 18446744073709551616 reaches 2**62"),
+        ([[1.5, 1]], ValueError, "entry 1.5 is not an integer"),
+        ([[1, 2], [3, "1"]], ValueError, "entry '1' is not an integer"),
+        ([[Fraction(1, 2), 1]], ValueError, "entry Fraction(1, 2) is not an integer"),
+        # int(None) fails before the integer check
+        ([[None, 1]], TypeError, "int() argument must be"),
+        ([[1, 2], [3]], ValueError, "ragged rows"),
+        ([[1], [2, 3]], ValueError, "ragged rows"),
+        ([], ValueError, "matrix must be 2-D, got shape (0,)"),
+        ([[]], ValueError, "matrix must have at least one row and column"),
+        ([[], []], ValueError, "matrix must have at least one row and column"),
+        ([1, 2, 3], ValueError, "matrix must be 2-D, got shape (3,)"),
+        ([[[1, 2]], [[3, 4]]], ValueError, "matrix must be 2-D, got shape (2, 1, 2)"),
+        ([[1, 2], None], TypeError, "'NoneType' object is not iterable"),
+    ],
+)
+def test_intmatrix_refuses_nested_lists(rows, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        IntMatrix(rows)
+
+
+def test_only_lists_of_ints_take_the_typed_pass():
+    assert core._typed_rows([[1, True], [np.int64(2), -3]]) is not None
+    for rows in ([[1, 2], (3, 4)], [[1, 2.0]], [[1, 2**63]], [[1, 2], [3]], [[]], [], [1, 2]):
+        assert core._typed_rows(rows) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-_BIG, _BIG), min_size=width, max_size=width),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_nested_list_reads_as_its_int64_array(rows):
+    assert IntMatrix(rows) == IntMatrix(np.array(rows, dtype=np.int64))
 
 
 def test_constructors_take_an_intmatrix():
@@ -228,12 +304,15 @@ def test_paley_skew_core_rejects_non_prime_power():
         paley_skew_core(15)
 
 
-@pytest.mark.parametrize("q", [3, 7, 11, 19])
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27])
 def test_conference_from_core_is_skew_and_orthogonal(q):
     """The reference for CCt = qI and Ct = -C, which conference_from_core
     derives from the core's identities instead of re-checking."""
-    c = conference_from_core(paley_skew_core(q))
+    core = paley_skew_core(q)
+    c = conference_from_core(core)
     n = q + 1
+    bordered = [[0] + [1] * q] + [[-1] + list(core.matrix.row(i)) for i in range(q)]
+    assert c == IntMatrix(bordered) and not c.array.flags.writeable
     assert c.T.tolist() == (-1 * c).tolist()
     assert (c @ c.T).tolist() == ((n - 1) * IntMatrix.identity(n)).tolist()
     # skew conference plus identity is Hadamard

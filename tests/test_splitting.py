@@ -692,6 +692,32 @@ def test_delete_requires_constant_row(twin16):
         delete_allones_transform(flipped, rep)
 
 
+def _delete_by_row_sets(h, report):
+    """Reference dropped row and report for delete_allones_transform, with
+    the constant-sign rows found from each row's set of entries."""
+    outside = [i for i in range(h.order) if len(set(h.row(i))) == 1 and i not in report.rows]
+    drop = outside[0]
+    keep = [i for i in range(h.order) if i not in report.rows and i != drop]
+    return drop, check_split(h, keep)
+
+
+@pytest.mark.parametrize("m", [2, 4, 5])
+@pytest.mark.parametrize("negate_row_0", [False, True])
+def test_delete_transform_matches_the_row_by_row_search(m, negate_row_0):
+    tw = twin_sylvester(m)
+    h = tw.h
+    if negate_row_0:  # the constant-sign row becomes all -1
+        arr = h.array.copy()
+        arr[0] *= -1
+        h = _proved_hadamard(arr)
+    for twin in tw.reports[1:]:
+        report = check_split(h, twin.rows)
+        out = delete_allones_transform(h, report)
+        drop, want = _delete_by_row_sets(h, report)
+        assert out == want
+        assert set(range(h.order)) - set(report.rows) - set(out.rows) == {drop}
+
+
 # ------------------------------------------------------------- transforms
 
 
