@@ -165,14 +165,15 @@ class _Emitter:
         self.say(line)
 
 
-def _write_matrix(m: IntMatrix, path: str | None, em: _Emitter) -> None:
-    text = serialize_matrix(m)
+def _write_text(noun: str, text: str, path: str | None, em: _Emitter) -> None:
+    """Write a serialized matrix or square to path, or report it under the
+    key noun: as data with --json, on stdout without."""
     if path:
         Path(path).write_text(text)
         em.data["out"] = path
-        em.say(f"matrix written to {path}")
+        em.say(f"{noun} written to {path}")
     else:
-        em.data["matrix"] = text
+        em.data[noun] = text
         if not em.json:
             sys.stdout.write(text)
 
@@ -198,7 +199,7 @@ def _construct_sylvester(args: argparse.Namespace, em: _Emitter) -> None:
     h = sylvester(args.m)
     em.say(f"Sylvester matrix of order {h.order}")
     em.data["order"] = h.order
-    _write_matrix(h, args.out, em)
+    _write_text("matrix", serialize_matrix(h), args.out, em)
 
 
 def _construct_twin(args: argparse.Namespace, em: _Emitter) -> None:
@@ -211,12 +212,12 @@ def _construct_twin(args: argparse.Namespace, em: _Emitter) -> None:
     ):
         em.say(f"{label}: params {rep.params.astuple()} rows {','.join(map(str, rows))}")
         em.data[label] = rep.as_dict()
-    _write_matrix(tw.h, args.out, em)
+    _write_text("matrix", serialize_matrix(tw.h), args.out, em)
 
 
 def _emit_split(inst, args: argparse.Namespace, em: _Emitter) -> None:
     _describe_split(em, inst.report)
-    _write_matrix(inst.h, args.out, em)
+    _write_text("matrix", serialize_matrix(inst.h), args.out, em)
 
 
 def _source_hadamard(path: str | None, exponent: int) -> HadamardMatrix:
@@ -300,7 +301,7 @@ def _analyze_unbiased(args: argparse.Namespace, em: _Emitter) -> None:
     h = _load_hadamard(args.input)
     partner = unbiased_partner(h, check_split(h, _parse_rows(args.rows)))
     em.say(f"unbiased partner of order {partner.order}")
-    _write_matrix(partner, args.out, em)
+    _write_text("matrix", serialize_matrix(partner), args.out, em)
 
 
 def _analyze_regular(args: argparse.Namespace, em: _Emitter) -> None:
@@ -309,7 +310,7 @@ def _analyze_regular(args: argparse.Namespace, em: _Emitter) -> None:
     rs = sorted(set(reg.row_sums()))
     em.data["row_sums"] = rs
     em.say(f"regular form with constant row sum {rs}")
-    _write_matrix(reg, args.out, em)
+    _write_text("matrix", serialize_matrix(reg), args.out, em)
 
 
 def _analyze_diag(args: argparse.Namespace, em: _Emitter) -> None:
@@ -328,12 +329,7 @@ def _analyze_srg16(args: argparse.Namespace, em: _Emitter) -> None:
 
 def _analyze_search(args: argparse.Namespace, em: _Emitter) -> None:
     h = _load_hadamard(args.input)
-    try:
-        found = search_splits(h, args.ell, budget=args.budget)
-    except BudgetExceeded as exc:
-        em.data["budget_exceeded"] = str(exc)
-        em.negative("inconclusive", f"search stopped: {exc}")
-        return
+    found = search_splits(h, args.ell, budget=args.budget)
     em.data["splits"] = [r.as_dict() for r in found]
     if not found:
         em.negative("none-found", f"no balanced split on {args.ell} rows")
@@ -364,12 +360,7 @@ def _cmd_enumerate(args: argparse.Namespace, em: _Emitter) -> None:
 
 
 def _cmd_nonexist(args: argparse.Namespace, em: _Emitter) -> None:
-    try:
-        res = eigvec_search(_load_matrix(args.graph), args.ell, args.a, args.b)
-    except BudgetExceeded as exc:
-        em.data["budget_exceeded"] = str(exc)
-        em.negative("inconclusive", f"search stopped: {exc}")
-        return
+    res = eigvec_search(_load_matrix(args.graph), args.ell, args.a, args.b)
     em.data.update(
         {
             "eigenspace_dim": res.eigenspace_dim,
@@ -393,20 +384,9 @@ def _load_latin(spec: str) -> LatinSquare:
     return parse_latin(Path(spec).read_text())
 
 
-def _emit_square(sq: LatinSquare, out: str | None, em: _Emitter) -> None:
-    text = serialize_latin(sq)
-    if out:
-        Path(out).write_text(text)
-        em.data["out"] = out
-        em.say(f"square written to {out}")
-    else:
-        em.data["square"] = text
-        if not em.json:
-            sys.stdout.write(text)
-
-
 def _latin_circle(args: argparse.Namespace, em: _Emitter) -> None:
-    _emit_square(_parameter(circle_symmetric, args.v), args.out, em)
+    square = _parameter(circle_symmetric, args.v)
+    _write_text("square", serialize_latin(square), args.out, em)
 
 
 def _latin_affine(args: argparse.Namespace, em: _Emitter) -> None:
@@ -416,7 +396,7 @@ def _latin_affine(args: argparse.Namespace, em: _Emitter) -> None:
             raise ValueError(f"--pick must be in 0..{args.q - 2}, got {args.pick}")
         # member k is the square a = k + 1; the others are never built
         (square,) = _affine_squares(field, [args.pick + 1])
-        _emit_square(square, args.out, em)
+        _write_text("square", serialize_latin(square), args.out, em)
         return
     if args.out:
         raise ValueError("--out writes one square: it needs --pick")
@@ -451,11 +431,13 @@ def _latin_check(args: argparse.Namespace, em: _Emitter) -> None:
 
 
 def _latin_compose(args: argparse.Namespace, em: _Emitter) -> None:
-    _emit_square(compose_ufs(_load_latin(args.input), _load_latin(args.against)), args.out, em)
+    square = compose_ufs(_load_latin(args.input), _load_latin(args.against))
+    _write_text("square", serialize_latin(square), args.out, em)
 
 
 def _latin_diagfix(args: argparse.Namespace, em: _Emitter) -> None:
-    _emit_square(force_constant_diagonal(_load_latin(args.input), args.symbol), args.out, em)
+    square = force_constant_diagonal(_load_latin(args.input), args.symbol)
+    _write_text("square", serialize_latin(square), args.out, em)
 
 
 # ------------------------------------------------------------------- scheme
@@ -701,6 +683,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UnknownDataset, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceeded as exc:
+        # a search stopped at its budget decided nothing: an inconclusive
+        # outcome with exit 1, reported like any other, not an error
+        em.data["budget_exceeded"] = str(exc)
+        em.negative("inconclusive", f"search stopped: {exc}")
+        return em.finish()
     except HadsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,19 +15,13 @@ routes from bound = max|A| * max|B| * inner dimension:
   float64: bound < 2**53, by the same argument with the float64 mantissa.
   int64: bound < 2**62, so no partial sum can overflow.
 
-A Gram, where one operand is a transpose view of the other (same data,
-reversed shape and strides, as in a @ a.T or h1.T @ h1), takes the route of
-bound = max|A|**2 * inner, found in one max/min pass instead of two; both
-operands are then cast and multiplied like any other product.
-
 The product comes back in its route's dtype: float32, float64 or int64,
 each entry an exact integer of absolute value at most the route's bound.
 A caller that only compares or counts its entries uses it as it is:
 _check_hadamard here, check_split and direct_srg_params, the scheme closure
 checks and eigvec_search. Only a caller that keeps a product or does
 arithmetic on its entries widens it to int64, where it does so: IntMatrix @
-here, and in schemes the auxiliary Gram, the scaling in lemma_c_ok and the
-digits of a packed product that fails its check.
+here, and in schemes the auxiliary Gram and the scaling in lemma_c_ok.
 """
 
 from __future__ import annotations
@@ -133,7 +127,10 @@ def _typed_rows(rows: list | tuple) -> np.ndarray | None:
 
 
 def _integer(v) -> int:
-    i = int(v)
+    try:
+        i = int(v)
+    except TypeError as exc:  # None, a list: no int() at all
+        raise ValueError(f"entry {v!r} is not an integer") from exc
     if i != v:
         raise ValueError(f"entry {v!r} is not an integer")
     return i
@@ -175,33 +172,15 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dtype (see the module docstring). Comparing or counting entries is
     exact in any of the three; a caller that keeps the product or does
     arithmetic on it widens it with astype(np.int64) first.
-    When b is a.T, one max/min pass over a bounds both operands.
     """
     if a.shape[-1] != b.shape[-2]:
         raise ValueError("inner dimension mismatch")
-    if _is_transpose(a, b):
-        peak = _bound(a)
-        bound = _bound(peak, peak, a.shape[-1])
-    else:
-        bound = _bound(a, b, a.shape[-1])
+    bound = _bound(a, b, a.shape[-1])
     if bound < _FLOAT64_EXACT:
         real = np.float32 if bound < _FLOAT32_EXACT else np.float64
         return a.astype(real) @ b.astype(real)
     _check_bound(bound)
     return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-
-
-def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether b is a.T: 2-D views of the same data with reversed shape and
-    strides."""
-    return (
-        a.ndim == 2
-        and b.ndim == 2
-        and a.shape == b.shape[::-1]
-        and a.strides == b.strides[::-1]
-        and a.dtype == b.dtype
-        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    )
 
 
 class IntMatrix:
@@ -333,10 +312,7 @@ class HadamardMatrix(IntMatrix):
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "HadamardMatrix":
-        h = object.__new__(HadamardMatrix)
-        h._a = m._a
-        _check_hadamard(h)
-        return h
+        return cls(m)
 
     @property
     def order(self) -> int:

@@ -226,24 +226,22 @@ def _open_product(a: np.ndarray, color: np.ndarray, reps, base: int, todo: list[
     call, as described in _verify_colors; every weight lies below 2**24, so
     the weights are gathered over the cells as int32. A packed product is
     compared with its class representatives in the kernel's dtype, which
-    holds each packed entry exactly; only a chunk that fails is widened to
-    int64 for its digits."""
+    holds each packed entry exactly. Only a chunk that fails is formed again,
+    one class at a time, to name its first failing class."""
     v, d1 = a.shape[0], len(reps[0])
     width = 1
     while v * base**width < _FLOAT32_EXACT:
         width += 1
     for start in range(0, len(todo), width):
         chunk = todo[start : start + width]
-        scale = base ** np.arange(len(chunk), dtype=np.int64)
         weights = np.zeros(d1, dtype=np.int32)
-        weights[chunk] = scale
+        weights[chunk] = base ** np.arange(len(chunk))
         prod = exact_matmul(a, weights[color])
-        packed = prod[reps]
-        if np.array_equal(prod, packed[color]):
+        if np.array_equal(prod, prod[reps][color]):
             continue
-        prod, packed = prod.astype(np.int64), packed.astype(np.int64)
-        for t, j in enumerate(chunk):
-            if not np.array_equal(prod // scale[t] % base, (packed // scale[t] % base)[color]):
+        for j in chunk:
+            prod = exact_matmul(a, color == j)
+            if not np.array_equal(prod, prod[reps][color]):
                 return j
     return None
 

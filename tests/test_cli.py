@@ -20,7 +20,7 @@ from hadsplit.latin import (
     parse_latin,
     with_min_symbol,
 )
-from hadsplit.splitting import direct_srg_params
+from hadsplit.splitting import BudgetExceeded, direct_srg_params
 
 
 def run(capsys, *argv):
@@ -398,6 +398,20 @@ def test_nonexist_survivor_budget_is_inconclusive(capsys, tmp_path):
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out == "search stopped: 16385 survivors exceed the budget of 16384\n"
+
+
+def test_any_command_reports_a_stopped_search_as_inconclusive(capsys, monkeypatch):
+    def stop(max_n):
+        raise BudgetExceeded(f"table past n = {max_n}")
+
+    monkeypatch.setattr(cli, "enumerate_seidel", stop)
+    argv = ("enumerate", "table1", "--max-n", "64")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["outcome"] == "inconclusive"
+    assert payload["data"] == {"budget_exceeded": "table past n = 64"}
+    assert run(capsys, *argv) == (1, "search stopped: table past n = 64\n", "")
 
 
 @pytest.mark.parametrize("change", ["loops", "weights"])

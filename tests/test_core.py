@@ -116,8 +116,7 @@ def test_intmatrix_reads_nested_lists(rows, want):
         ([[1.5, 1]], ValueError, "entry 1.5 is not an integer"),
         ([[1, 2], [3, "1"]], ValueError, "entry '1' is not an integer"),
         ([[Fraction(1, 2), 1]], ValueError, "entry Fraction(1, 2) is not an integer"),
-        # int(None) fails before the integer check
-        ([[None, 1]], TypeError, "int() argument must be"),
+        ([[None, 1]], ValueError, "entry None is not an integer"),
         ([[1, 2], [3]], ValueError, "ragged rows"),
         ([[1], [2, 3]], ValueError, "ragged rows"),
         ([], ValueError, "matrix must be 2-D, got shape (0,)"),
