@@ -26,9 +26,9 @@ here, and in schemes the auxiliary Gram and the scaling in lemma_c_ok.
 
 from __future__ import annotations
 
-import array
 import math
 import re
+import struct
 from typing import Iterable
 
 import numpy as np
@@ -101,27 +101,27 @@ def _as_array(rows: Iterable[Iterable[int]] | np.ndarray | IntMatrix) -> np.ndar
 def _typed_rows(rows: list | tuple) -> np.ndarray | None:
     """Rectangular rows that are lists of ints, read in one int64 pass.
 
-    array("q").fromlist takes an int, a bool or anything with __index__
-    (numpy integer scalars among them) and refuses a float, str, None or
-    Fraction with TypeError and an int past int64 with OverflowError. On
-    any refusal, a ragged or empty row, or a row that is not a list, this
-    returns None and _as_array reads the rows the general way, which
-    decides what is accepted and raises its own errors. Each row's buffer
-    is copied into one preallocated array, so the matrix is allocated once,
-    never regrown or copied whole.
+    One struct.Struct of width "q" fields packs each row into its place in
+    one preallocated array, so the matrix is allocated once and never
+    copied. A "q" field takes an int, a bool or anything with __index__
+    (numpy integer scalars among them); pack_into raises struct.error on a
+    float, str, None or Fraction, on an int past int64 and on a row of
+    another length. On that error or one that an entry's own __index__
+    raises, an empty first row, or a row that is not a list, this returns
+    None and _as_array reads the rows the general way, which decides what
+    is accepted and raises its own errors.
     """
     if not rows or not isinstance(rows[0], list) or not rows[0]:
         return None
     width = len(rows[0])
     out = np.empty((len(rows), width), dtype=np.int64)
+    pack = struct.Struct(f"{width}q").pack_into
     try:
         for i, row in enumerate(rows):
-            buf = array.array("q")
-            buf.fromlist(row)
-            if len(buf) != width:
+            if not isinstance(row, list):
                 return None
-            out[i] = buf
-    except (TypeError, ValueError, OverflowError):
+            pack(out, 8 * width * i, *row)
+    except (struct.error, TypeError, ValueError, OverflowError):
         return None
     return out
 
@@ -296,9 +296,13 @@ class IntMatrix:
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product, exact."""
+    """Kronecker product, exact: a[i, j] * b[k, l] is written to [i, k, j, l]
+    of one array, whose reshape puts it at row i*r + k, column j*t + l."""
     _check_bound(_bound(a._a, b._a))
-    return IntMatrix._wrap(np.kron(a._a, b._a))
+    (p, q), (r, t) = a.shape, b.shape
+    out = np.empty((p, r, q, t), dtype=np.int64)
+    np.multiply(a._a[:, None, :, None], b._a[None, :, None, :], out=out)
+    return IntMatrix._wrap(out.reshape(p * r, q * t))
 
 
 class HadamardMatrix(IntMatrix):
@@ -322,10 +326,12 @@ class HadamardMatrix(IntMatrix):
 def _check_hadamard(m: IntMatrix) -> None:
     if not m.is_square:
         raise ValueError("Hadamard matrix must be square")
-    if not bool(np.all(np.abs(m._a) == 1)):
+    a = m._a
+    # every entry in [-1, 1] and none of them 0, with no temporary array
+    if a.min() < -1 or a.max() > 1 or np.count_nonzero(a) != a.size:
         raise ValueError("entries must be +-1")
     n = m.nrows
-    g = exact_matmul(m._a, m._a.T)
+    g = exact_matmul(a, a.T)
     # n nonzero entries, all of them n on the diagonal, is g = nI
     if not (np.all(np.diagonal(g) == n) and np.count_nonzero(g) == n):
         raise ValueError("rows are not orthogonal")
@@ -344,17 +350,26 @@ def _proved_hadamard(arr: np.ndarray) -> HadamardMatrix:
 
 
 def sylvester(m_exponent: int) -> HadamardMatrix:
-    """Kronecker power of [[1,1],[1,-1]], order 2**m_exponent.
+    """Sylvester matrix of order n = 2**m_exponent, filled in place by
+    doubling: the k x k block H in the top-left corner is copied to the
+    right of it and below it, and its negation is written diagonally,
+    giving [[H, H], [H, -H]] = B kron H = H kron B, B = [[1, 1], [1, -1]].
 
-    Not re-proved: the base B has BBt = 2I, and (A kron B)(A kron B)t =
-    AAt kron BBt, so the m-th power has Gram 2^m I.
+    Not re-proved: BBt = 2I, and (B kron H)(B kron H)t = BBt kron HHt, so
+    each doubling doubles the Gram, and the n x n matrix has Gram nI.
     """
     if m_exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    h = np.array([[1]], dtype=np.int64)
-    base = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    for _ in range(m_exponent):
-        h = np.kron(h, base)
+    n = 1 << m_exponent
+    h = np.empty((n, n), dtype=np.int64)
+    h[0, 0] = 1
+    k = 1
+    while k < n:
+        top = h[:k, :k]
+        h[:k, k : 2 * k] = top
+        h[k : 2 * k, :k] = top
+        np.negative(top, out=h[k : 2 * k, k : 2 * k])
+        k *= 2
     return _proved_hadamard(h)
 
 

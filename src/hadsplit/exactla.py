@@ -12,9 +12,8 @@ loops that give the same rows and pivots:
   rref runs on it, for the eigenspace systems of feasibility.eigvec_search,
   which have one row per vertex.
 rref and nullspace take int and Fraction entries, scale each row to
-integers, and build only their results from Fractions. mat_mul and mat_vec
-take any elements supporting + and *; schemes applies integer matrices with
-mat_vec, and the tests multiply GaussianRational tables with mat_mul.
+integers, and build only their results from Fractions. mat_vec takes any
+elements supporting + and *; schemes applies integer matrices with it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .core import _INT64_SAFE, _max_abs
 
-__all__ = ["GaussianRational", "rref", "nullspace", "mat_mul", "mat_vec"]
+__all__ = ["GaussianRational", "rref", "nullspace", "mat_vec"]
 
 
 class GaussianRational:
@@ -265,22 +264,6 @@ def nullspace(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
         last = next(x for x in reversed(v) if x)
         basis.append([Fraction(x, last) for x in v])
     return basis
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError(f"inner dimensions differ: {len(a[0])} columns against {k} rows")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for t in range(1, k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:

@@ -54,8 +54,9 @@ from hadsplit import (
     with_min_symbol,
 )
 from hadsplit.cli import bundled_data
-from hadsplit.exactla import GaussianRational, mat_mul
+from hadsplit.exactla import GaussianRational
 from hadsplit.splitting import direct_srg_params
+from helpers import mat_mul
 
 
 @contextmanager

@@ -134,7 +134,20 @@ def test_intmatrix_refuses_nested_lists(rows, error, message):
 
 def test_only_lists_of_ints_take_the_typed_pass():
     assert core._typed_rows([[1, True], [np.int64(2), -3]]) is not None
-    for rows in ([[1, 2], (3, 4)], [[1, 2.0]], [[1, 2**63]], [[1, 2], [3]], [[]], [], [1, 2]):
+    for rows in (
+        [[1, 2], (3, 4)],
+        [[1, 2.0]],
+        [[1, 2**63]],
+        [[1, 2], [3]],
+        [[1, 2, 3], [4, 5, 6], [7, 8]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9, 10]],
+        [[1, 2], [3, np.float64(1.0)]],
+        # np.array([5]).__index__ raises TypeError
+        [[1, 2], [3, np.array([5])]],
+        [[]],
+        [],
+        [1, 2],
+    ):
         assert core._typed_rows(rows) is None
 
 
@@ -239,6 +252,37 @@ def test_kronecker_block_structure():
     assert k.tolist() == [[1, -1, 0, 0], [0, 2, 0, 0], [0, 0, 1, -1], [0, 0, 0, 2]]
 
 
+# 1 to 5 rows of 1 to 5 entries in [-2**30, 2**30]
+_SMALL_ROWS = st.integers(1, 5).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(-(2**30), 2**30), min_size=width, max_size=width),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_ROWS, _SMALL_ROWS)
+def test_kronecker_equals_np_kron(a, b):
+    k = kronecker(IntMatrix(a), IntMatrix(b)).array
+    assert k.dtype == np.int64 and np.array_equal(k, np.kron(np.array(a), np.array(b)))
+
+
+def test_kronecker_past_int64_safe_range_raises():
+    with pytest.raises(OverflowError):
+        kronecker(IntMatrix([[2**31]]), IntMatrix([[2**31]]))
+
+
+def test_sylvester_equals_the_kronecker_power():
+    base = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    power = np.ones((1, 1), dtype=np.int64)
+    for m in range(11):
+        h = sylvester(m).array
+        assert h.dtype == np.int64 and np.array_equal(h, power)
+        power = np.kron(power, base)
+
+
 @pytest.mark.parametrize("exp", [0, 1, 2, 3, 4, 5])
 def test_sylvester_orders_and_orthogonality(exp):
     h = sylvester(exp)
@@ -263,6 +307,9 @@ def test_hadamard_rejects_bad_input():
         HadamardMatrix([[1, 2], [1, -1]])
     with pytest.raises(ValueError):
         HadamardMatrix([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError, match=re.escape("entries must be +-1")):
+            HadamardMatrix([[1, 1], [bad, -1]])
 
 
 def test_normalize_gives_all_ones_first_row_and_column():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hadsplit.schemes
 from hadsplit.constructions import twin_sylvester
 from hadsplit.core import HadamardMatrix, HadsplitError, IntMatrix, isqrt_exact, sylvester
-from hadsplit.exactla import GaussianRational, mat_mul, mat_vec, nullspace, rref
+from hadsplit.exactla import GaussianRational, mat_vec, nullspace, rref
 from hadsplit.latin import (
     LatinSquare,
     affine_ufs_family,
@@ -55,6 +55,7 @@ from hadsplit.splitting import (
     diagonalize_by_hadamard,
     direct_srg_params,
 )
+from helpers import mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,12 @@ def test_4class_symmetric_tables(scheme4sym):
         (1, 0, -5, 5, -1),
         (1, 0, 5, -5, -1),
     )
+
+
+def test_mat_mul_helper_rejects_mismatched_shapes():
+    assert mat_mul([[1, 2, 3]], [[1], [1], [1]]) == [[6]]
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        mat_mul([[1, 2, 3]], [[1], [1]])
 
 
 def test_4class_pq_identity(scheme4sym):
