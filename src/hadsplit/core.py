@@ -455,6 +455,10 @@ _CLASS = bytes(
 ) + bytes([_OTHER] * 128)
 # every whitespace character but the newline, for text that is not ASCII
 _NON_NEWLINE_SPACE = re.compile(r"[^\S\n]")
+# the line breaks str.splitlines honours besides the newline, each mapped
+# to a newline ("\r\n" becomes a blank line, which is skipped)
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_TO_NEWLINE = str.maketrans(dict.fromkeys(_OTHER_BREAKS, "\n"))
 # the byte path reads at most 18 digits: 10**18 - 1 < 2**62
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
@@ -473,7 +477,9 @@ def parse_matrix(text: str) -> IntMatrix:
     per-token int() would. Of several faults the first line's is reported,
     and on that line a wrong entry count before the leftmost bad entry.
     """
-    lines = [ln for ln in text.splitlines() if (s := ln.lstrip()) and s[0] != "#"]
+    if any(c in text for c in _OTHER_BREAKS):
+        text = text.translate(_TO_NEWLINE)
+    lines = [ln for ln in text.split("\n") if (s := ln.lstrip()) and s[0] != "#"]
     if not lines:
         raise ParseError("empty input")
     head = lines[0].split()

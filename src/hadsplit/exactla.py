@@ -4,9 +4,11 @@ eigenmatrix entries live in.
 Small dense matrices only. Every elimination is fraction-free, in one of two
 loops that give the same rows and pivots:
 - _echelon_int runs on Python lists, one row at a time, and _kernel_int
-  gives its kernel as primitive integer vectors. schemes.eigenmatrices
-  splits its subspaces with these two, on systems of a few rows, where
-  lists beat numpy's cost per call; nullspace is built on them too.
+  gives its kernel as primitive integer vectors. The exact subspace
+  splitting of schemes.eigenmatrices, which runs only when that function's
+  float proposal of P fails its exact character check, splits with these
+  two, on systems of a few rows, where lists beat numpy's cost per call;
+  nullspace is built on them too.
 - _echelon_array runs on a numpy array and updates every row at once at
   each pivot, in int64 while a bound allows and on Python ints past it.
   rref runs on it, for the eigenspace systems of feasibility.eigvec_search,
@@ -14,6 +16,10 @@ loops that give the same rows and pivots:
 rref and nullspace take int and Fraction entries, scale each row to
 integers, and build only their results from Fractions. mat_vec takes any
 elements supporting + and *; schemes applies integer matrices with it.
+_gaussian_characters, which schemes.eigenmatrices asks first, reads a
+scheme's character table off one float eigendecomposition, where floats
+only propose: it returns the table only when an exact int64 identity
+check proves every row a character and the rows are distinct.
 """
 
 from __future__ import annotations
@@ -270,3 +276,72 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     if a and len(a[0]) != len(v):
         raise ValueError(f"inner dimensions differ: {len(a[0])} columns against {len(v)} entries")
     return [sum(map(mul, row, v)) for row in a]
+
+
+def _prime_roots(count: int) -> np.ndarray:
+    """sqrt(2), sqrt(3), sqrt(5), ...: the square roots of the first count
+    primes, which are linearly independent over Q."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % q for q in primes):
+            primes.append(n)
+        n += 1
+    return np.sqrt(np.array(primes, dtype=np.float64))
+
+
+def _gaussian_characters(
+    p: Sequence[Sequence[Sequence[int]]], valencies: Sequence[int]
+) -> list[tuple[list[int], list[int]]] | None:
+    """The characters of a commutative scheme's Bose-Mesner algebra,
+    proposed by one float eigendecomposition and proved exactly, as integer
+    (real parts, imaginary parts); None when the proposal fails any check.
+
+    p[i][j][k] = p_ij^k is the intersection table and valencies the k_i,
+    so A_i A_j = sum_k p_ij^k A_k and A_0 = I. p[i], indexed [k][m], is
+    B_i^T for B_i, multiplication by A_i, so a common left eigenvector x
+    of the B_i is an eigenvector of the combination sum_i w_i p[i], w_i
+    the square root of the i-th prime, with eigenvalue sum_i w_i theta_i.
+    The w_i are linearly independent over Q, so distinct characters in
+    Z[i] get distinct eigenvalues. Each eigenvector x is scaled to x_0 = 1
+    and rounded to Gaussian integers; floats only propose. A row theta is
+    kept when theta_0 = 1, |theta_i| <= k_i and theta_i theta_j =
+    sum_k p_ij^k theta_k for every i and j, compared exactly in int64 on
+    real and imaginary parts. As sum_k p_ij^k k_k = k_i k_j, each side and
+    every partial sum is at most k_i k_j <= v^2 < 2^62 in magnitude, with
+    v = sum_i k_i < 2^31 (and |re|^2 + |im|^2 <= 2 v^2 < 2^63), so nothing
+    wraps. Such a row is a character: A_i -> theta_i respects the unit A_0
+    and every product. The algebra is commutative and semisimple of
+    dimension d+1, so it has exactly d+1 characters, and d+1 distinct rows
+    are all of them.
+    """
+    d1 = len(valencies)
+    if sum(valencies) >= 2**31:
+        return None
+    p = np.array(p, dtype=np.int64)
+    val = np.array(valencies, dtype=np.int64)
+    try:
+        _, vecs = np.linalg.eig(np.tensordot(_prime_roots(d1), p, axes=1))
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        rows = (vecs / vecs[0]).T
+        re, im = np.round(rows.real), np.round(rows.imag)
+        # a NaN or an infinity fails the comparison too
+        if not ((np.abs(re) <= val) & (np.abs(im) <= val)).all():
+            return None
+    re, im = re.astype(np.int64), im.astype(np.int64)
+    if (re * re + im * im > val * val).any() or (re[:, 0] != 1).any() or im[:, 0].any():
+        return None
+    sums = p.reshape(d1 * d1, d1).T
+    lhs_re = re[:, :, None] * re[:, None, :] - im[:, :, None] * im[:, None, :]
+    lhs_im = re[:, :, None] * im[:, None, :] + im[:, :, None] * re[:, None, :]
+    if not (
+        np.array_equal(lhs_re.reshape(d1, -1), re @ sums)
+        and np.array_equal(lhs_im.reshape(d1, -1), im @ sums)
+    ):
+        return None
+    lines = list(zip(re.tolist(), im.tolist()))
+    if len({(tuple(a), tuple(b)) for a, b in lines}) < d1:
+        return None
+    return lines

@@ -9,12 +9,16 @@ fusion schemes are translation schemes on Z_2^n, proved on one row of v
 class indices (see _TranslationForm). The class of every cell is written
 into one index array only when colors is read. Only verify_scheme's input,
 a list of class matrices from the user, is checked on such an index array
-outright (_verify_colors). Eigenmatrices are computed over the
-rationals (extended by i for the non-symmetric scheme) on integers alone:
-invariant subspaces are held as primitive integer vectors, eigenvalues are
-the integer roots of the intersection matrices' characteristic
-polynomials, each eigenspace is an integer kernel, and Q follows from P by
-the orthogonality relations; only the final table entries are fractions.
+outright (_verify_colors). Eigenmatrices are exact over the Gaussian
+rationals, and floats only propose: one float eigendecomposition proposes
+the rows of P, and an exact int64 identity check proves each row a
+character of the algebra (exactla._gaussian_characters). When it fails,
+and always for a scheme whose characters leave Z[i], the exact subspace
+splitting runs on integers alone (_split_eigenspaces): invariant subspaces
+are held as primitive integer vectors, eigenvalues are the integer roots of
+the intersection matrices' characteristic polynomials, and each eigenspace
+is an integer kernel. Q follows from P by the orthogonality relations; only
+the final table entries are fractions.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from .core import (
     exact_matmul,
     isqrt_exact,
 )
-from .exactla import GaussianRational, _echelon_int, _kernel_int, _primitive, mat_vec
+from .exactla import (
+    GaussianRational,
+    _echelon_int,
+    _gaussian_characters,
+    _kernel_int,
+    _primitive,
+    mat_vec,
+)
 from .latin import LatinSquare, circle_symmetric, compose_ufs
 from .splitting import SplitReport
 
@@ -831,8 +842,9 @@ def _entry(num_re: int, num_im: int, den: int) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def eigenmatrices(scheme: Scheme) -> EigenTables:
-    """Exact eigenmatrices of a commutative scheme.
+def _split_eigenspaces(scheme: Scheme) -> list[tuple[list[int], list[int]]]:
+    """Common left eigenvectors of the B_i, as integer (real parts,
+    imaginary parts), found by exact subspace splitting alone.
 
     Simultaneously diagonalizes the intersection matrices over Q, splitting
     any leftover plane over Q(i); raises IrrationalEigenvalue when the
@@ -850,16 +862,8 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     theta_i theta_j = sum_k p_ij^k theta_k: each row of P is a character.
     The d+1 settled lines are independent common eigenvectors of this
     representation of a commutative semisimple algebra, where each
-    character occurs exactly once, so the rows of P are the d+1 distinct
-    characters and P needs no singularity check. The first orthogonality
-    relation then gives m_j = |X| / sum_i |P_ji|^2 / k_i and Q_ij = m_j
-    conj(P_ji) / k_i with PQ = |X| I, so E_j = sum_i Q_ij A_i / |X| are the
-    primitive idempotents: E_j E_k = [j = k] E_j and sum_j E_j = I, none of
-    it re-checked (Bannai and Ito, Algebraic Combinatorics I, 1984, sec. II.3).
-    A line x = re + i im gives P_ji = N_i / D with the Gaussian integers
-    N_i = x_i conj(x_0) and D = |x_0|^2, so with L = lcm(k_i) both
-    m_j = |X| L D^2 / sum_i |N_i|^2 (L / k_i) and Q_ij = m_j conj(N_i) /
-    (D k_i) are quotients of integers.
+    character occurs exactly once, so they give the d+1 distinct
+    characters.
     """
     d1 = scheme.classes + 1
     val = scheme.valencies
@@ -893,6 +897,38 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
             raise HadsplitError("eigenspaces are not separated by the classes")
     if len(settled) != d1:
         raise HadsplitError("eigenspace count mismatch")
+    return settled
+
+
+def eigenmatrices(scheme: Scheme) -> EigenTables:
+    """Exact eigenmatrices of a commutative scheme.
+
+    The rows of P are the d+1 characters theta of the Bose-Mesner algebra:
+    theta_0 = 1 and theta_i theta_j = sum_k p_ij^k theta_k. Floats only
+    propose them: exactla._gaussian_characters reads a table off one float
+    eigendecomposition and keeps it only when an exact int64 identity
+    check proves every row a character and the d+1 rows are distinct.
+    Otherwise, and always when a character leaves Z[i], the exact subspace
+    splitting of _split_eigenspaces finds them; it raises
+    IrrationalEigenvalue when the algebra needs a field larger than Q(i).
+    Either way the result is the same exact table.
+
+    Each line x = re + i im found is a common left eigenvector with x / x_0
+    a row of P (x_0 = 1 for a proposed row); P needs no singularity check.
+    The first orthogonality relation then gives m_j = |X| / sum_i |P_ji|^2
+    / k_i and Q_ij = m_j conj(P_ji) / k_i with PQ = |X| I, so E_j = sum_i
+    Q_ij A_i / |X| are the primitive idempotents: E_j E_k = [j = k] E_j and
+    sum_j E_j = I, none of it re-checked (Bannai and Ito, Algebraic
+    Combinatorics I, 1984, sec. II.3). A line gives P_ji = N_i / D with the
+    Gaussian integers N_i = x_i conj(x_0) and D = |x_0|^2, so with
+    L = lcm(k_i) both m_j = |X| L D^2 / sum_i |N_i|^2 (L / k_i) and
+    Q_ij = m_j conj(N_i) / (D k_i) are quotients of integers.
+    """
+    d1 = scheme.classes + 1
+    val = scheme.valencies
+    settled = _gaussian_characters(scheme.p, val)
+    if settled is None:
+        settled = _split_eigenspaces(scheme)
 
     lines = []
     for re, im in settled:

@@ -526,6 +526,21 @@ def test_scheme_build4_and_verify_round_trip(capsys, tmp_path):
     assert "4-class symmetric scheme on 160 points" in out
 
 
+def test_scheme_verify_eig_of_the_pentagon_exits_one(capsys, tmp_path):
+    """The pentagon's eigenvalues (-1 +- sqrt 5) / 2 leave Z[i]: the float
+    proposal is declined, the exact splitting raises IrrationalEigenvalue,
+    and the CLI reports it as a negative outcome with nothing on stdout."""
+    files = []
+    for i, diffs in enumerate([{0}, {1, 4}, {2, 3}]):
+        f = tmp_path / f"class-{i}.txt"
+        rows = [[int((y - x) % 5 in diffs) for y in range(5)] for x in range(5)]
+        f.write_text(serialize_matrix(IntMatrix(rows)))
+        files.append(str(f))
+    code, out, err = run(capsys, "scheme", "verify", "--inputs", ",".join(files), "--eig", "--json")
+    assert (code, out) == (1, "")
+    assert err == "error: discriminant 5 is not a square\n"
+
+
 def test_scheme_verify_entry_past_int64_exits_two(capsys, tmp_path):
     f = tmp_path / "big.txt"
     f.write_text(f"2 2\n{2**70} 0\n0 1\n")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hadsplit.exactla
 import hadsplit.schemes
 from hadsplit.constructions import twin_sylvester
 from hadsplit.core import HadamardMatrix, HadsplitError, IntMatrix, isqrt_exact, sylvester
@@ -1288,19 +1289,6 @@ def _kernel_roots(m, bound):
     ]
 
 
-@pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
-def test_eigenmatrices_need_no_floating_point(case, built_schemes, monkeypatch):
-    sch = built_schemes[case]
-    want = repr(eigenmatrices(sch))
-
-    def no_float(*args, **kwargs):
-        raise AssertionError("floating-point eigensolver called")
-
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, no_float)
-    assert repr(eigenmatrices(sch)) == want
-
-
 # sha256 of repr(eigenmatrices(...)) per built scheme, recorded when the
 # non-real plane of the 4-class non-symmetric scheme was still split by an
 # elimination over Q(i); reading the kernel off a row must give the same
@@ -1503,6 +1491,79 @@ def test_eigenmatrices_match_the_fraction_reference(case, built_schemes):
     assert _outcome(eigenmatrices, sch) == want
 
 
+# Schemes with a character outside Z[i], where the float proposal must be
+# declined and the exact splitting raises IrrationalEigenvalue.
+_DECLINED_PROPOSALS = {"pentagon", "z3-directed", "z12"}
+
+
+def _patched_eigs(rng):
+    """Replacements for np.linalg.eig, by name: each returns the true
+    eigenvalues with shuffled, rescaled, perturbed or garbage vectors, or
+    raises LinAlgError."""
+    eig = np.linalg.eig
+
+    def raises(m):
+        raise np.linalg.LinAlgError("patched")
+
+    def shuffled(m):
+        w, v = eig(m)
+        perm = rng.permutation(len(w))
+        return w[perm], v[:, perm]
+
+    def rescaled(m):
+        w, v = eig(m)
+        return w, v * (rng.uniform(0.5, 2, len(w)) * np.exp(1j * rng.uniform(0, 6, len(w))))
+
+    def perturbed(m):
+        w, v = eig(m)
+        return w, v + 1e-10 * rng.standard_normal(v.shape)
+
+    def far(m):
+        w, v = eig(m)
+        return w, v + 0.3 * rng.standard_normal(v.shape)
+
+    def garbage(m):
+        return np.zeros(len(m)), rng.standard_normal(m.shape) * 10
+
+    def repeated(m):
+        w, v = eig(m)
+        return w, v[:, [0] * len(w)]
+
+    def zero_lead(m):
+        w, v = eig(m)
+        v = v.copy()
+        v[0] = 0
+        return w, v
+
+    def nan(m):
+        return np.full(len(m), np.nan), np.full(m.shape, np.nan)
+
+    fakes = (raises, shuffled, rescaled, perturbed, far, garbage, repeated, zero_lead, nan)
+    return {f.__name__: f for f in fakes}
+
+
+@pytest.mark.parametrize("case", list(_BUILT_SCHEMES) + list(_MORE_SCHEMES))
+def test_eigenmatrices_do_not_depend_on_the_float_proposal(case, built_schemes, monkeypatch):
+    """Floats only propose the rows of P, and an exact check proves them:
+    whatever np.linalg.eig returns, eigenmatrices gives the same tables, or
+    the same exception and message. The true proposal is accepted exactly
+    where every character lies in Z[i]; a failing one is declined."""
+    sch = _scheme_for(case, built_schemes)
+    want = _outcome(eigenmatrices, sch)
+
+    def propose(s):
+        return hadsplit.exactla._gaussian_characters(s.p, s.valencies)
+
+    assert (propose(sch) is None) == (case in _DECLINED_PROPOSALS)
+    for name, fake in _patched_eigs(np.random.default_rng(7)).items():
+        monkeypatch.setattr(np.linalg, "eig", fake)
+        if name in ("shuffled", "rescaled", "perturbed"):
+            assert (propose(sch) is None) == (case in _DECLINED_PROPOSALS), name
+        if name in ("raises", "zero_lead", "nan") or (name == "repeated" and sch.classes):
+            assert propose(sch) is None, name
+        assert _outcome(eigenmatrices, sch) == want, name
+
+
 def test_split_returns_primitive_pieces_from_any_basis():
     """X c is made primitive: on the invariant plane span(e0 + e1, e0 - e1)
     of diag(1, 2, 3), the 1-eigenspace is X (1, 1) = (2, 0, 0), returned as
@@ -1579,10 +1640,11 @@ def test_real_table_entries_hash_as_their_numbers():
 
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
 def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypatch):
-    """Each subspace split takes at most one exact kernel (an integer
-    `_kernel_int` call) per integer eigenvalue of the splitting class, also
-    where a leftover plane has the non-real eigenvalues of the 4-class
-    non-symmetric scheme."""
+    """Each subspace split of the exact splitting, which eigenmatrices runs
+    when it declines the float proposal, takes at most one exact kernel (an
+    integer `_kernel_int` call) per integer eigenvalue of the splitting
+    class, also where a leftover plane has the non-real eigenvalues of the
+    4-class non-symmetric scheme."""
     sch = built_schemes[case]
     calls = []
     splits = []
@@ -1601,7 +1663,7 @@ def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypa
 
     monkeypatch.setattr(hadsplit.schemes, "_kernel_int", counting)
     monkeypatch.setattr(hadsplit.schemes, "_split_by_integer_eigenvalues", recording)
-    eigenmatrices(sch)
+    hadsplit.schemes._split_eigenspaces(sch)
     assert splits
     for bmat, taken in splits:
         assert taken <= len(_kernel_roots(bmat, _row_sum_bound(bmat)))
@@ -1616,9 +1678,9 @@ def _assert_primitive_int_basis(basis):
 
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES) + ["z4", "z8", "pentagon", "z12"])
 def test_eigenmatrices_split_primitive_integer_bases(case, built_schemes, monkeypatch):
-    """Every basis that reaches a split, and every piece a split returns
-    (the non-real lines as integer real and imaginary parts), is made of
-    primitive Python-int vectors."""
+    """Every basis that reaches a split of the exact splitting, and every
+    piece a split returns (the non-real lines as integer real and imaginary
+    parts), is made of primitive Python-int vectors."""
     sch = _scheme_for(case, built_schemes)
     seen = []
     split = hadsplit.schemes._split_by_integer_eigenvalues
@@ -1643,7 +1705,7 @@ def test_eigenmatrices_split_primitive_integer_bases(case, built_schemes, monkey
     monkeypatch.setattr(hadsplit.schemes, "_split_by_integer_eigenvalues", recording)
     monkeypatch.setattr(hadsplit.schemes, "_split_complex_pair", recording_pair)
     try:
-        eigenmatrices(sch)
+        hadsplit.schemes._split_eigenspaces(sch)
     except IrrationalEigenvalue:
         pass
     assert seen
