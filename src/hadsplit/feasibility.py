@@ -5,14 +5,17 @@ and annotates them with a status: realized by a construction, excluded by a
 mod-4 sign count, excluded by an exhaustive eigenvector search, or open.
 
 The two tables screen each order's whole (ell, a) grid at once in int64
-numpy; only the cells that survive reach the exact screens below, as Python
-ints. The grids are exact for orders n <= _MAX_GRID_ORDER = 2^15, and both
-tables raise OverflowError past it before building anything:
+numpy, then the SRG screens of srg_primitive_feasible run on the surviving
+columns, also in int64 (_srg_feasible); Python objects are built only for
+the rows that pass. The arrays are exact for orders n <= _MAX_GRID_ORDER =
+2^15, and both tables raise OverflowError past it before building anything:
 
   Seidel (b = -a): the grid holds n^2 - 4 a^2 (n-1), which lies in
   [0, n^2] with n^2 <= 2^30 where it is used. float64 holds such integers
   exactly, and its correctly rounded sqrt of a perfect square is the root
-  itself, so rint(sqrt(x))^2 == x is an exact squareness test.
+  itself, so rint(sqrt(x))^2 == x is an exact squareness test. k, lam and
+  mu are formed on cells with a^2 < ell < n and a^2 <= n/3, where each
+  numerator and denominator is below 4 a n^2 <= 4 n^(5/2) < 2^40.
 
   Zero row sums: b's numerator ell (ell - a - n) and denominator
   a (n-1) + ell are below n^2 in magnitude. k, lam and mu are formed only
@@ -20,6 +23,15 @@ tables raise OverflowError past it before building anything:
   factor (b - 1 included) is at most n in magnitude, or 2n for a sum of two.
   Adding up the monomials bounds every partial sum and product by
   2n^4 + 19n^3 (lam's numerator, the largest), below 2^62 for n <= 2^15.
+
+  SRG screens: the range tests 0 < k < v - 1, 0 <= lam < k and
+  1 <= mu < k, comparisons only, run first and the columns are compressed
+  to the cells that pass, so every later quantity is bounded in terms of
+  v = n <= 2^15: the discriminant (lam - mu)^2 + 4 (k - mu) lies in
+  [4, v^2 + 4v], below 2^53, so float64 sqrt decides squareness exactly as
+  above; its root is below v + 2, the eigenvalues below v + 1 in
+  magnitude, and the largest product, a Krein side, below 2 (v + 2)^3,
+  far below 2^62.
 """
 
 from __future__ import annotations
@@ -36,12 +48,11 @@ from .exactla import rref
 from .search import _bitmasks, max_clique
 from .splitting import (
     BudgetExceeded,
-    NonIntegral,
     SplitParams,
     SrgParams,
     _case_a_b,
+    _seidel_terms,
     _srg_terms,
-    derive_seidel,
 )
 
 __all__ = [
@@ -285,6 +296,52 @@ def _status(params: SplitParams) -> tuple[str | None, str | None]:
     return STATUS_OPEN, None
 
 
+def _srg_feasible(v: np.ndarray, k: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """srg_primitive_feasible(SrgParams(v, k, lam, mu)) on int64 columns,
+    cell by cell, for v <= 2^15 (bounds in the module docstring)."""
+    out = (0 < k) & (k < v - 1) & (0 <= lam) & (lam < k) & (1 <= mu) & (mu < k)
+    cells = np.flatnonzero(out)
+    v, k, lam, mu = v[cells], k[cells], lam[cells], mu[cells]
+    ok = k * (k - lam - 1) == (v - k - 1) * mu
+    ok &= (v - 2 * k + mu - 2 >= 0) & (v - 2 * k + lam >= 0)
+    # multiplicities: disc >= 4 since mu < k, so d >= 2 whether or not disc
+    # is a square
+    disc = (lam - mu) ** 2 + 4 * (k - mu)
+    d = np.rint(np.sqrt(disc)).astype(np.int64)
+    square = d * d == disc
+    t = 2 * k + (v - 1) * (lam - mu)
+    num_f, num_g = (v - 1) * d - t, (v - 1) * d + t
+    rational = (num_f % (2 * d) == 0) & (num_g % (2 * d) == 0) & (num_f >= 0) & (num_g >= 0)
+    # irrational eigenvalues force equal halves
+    halves = (t == 0) & ((v - 1) % 2 == 0)
+    ok &= np.where(square, rational, halves)
+    # f + g = v - 1 on the cells still ok, and f, g lie in [0, v - 1]
+    f = np.where(square & rational, num_f // (2 * d), (v - 1) // 2)
+    g = v - 1 - f
+    ok &= (v <= f * (f + 3) // 2) & (v <= g * (g + 3) // 2)
+    # Krein conditions, where the eigenvalues are integers
+    r, s = (lam - mu + d) // 2, (lam - mu - d) // 2
+    krein = ((r + 1) * (k + r + 2 * r * s) <= (k + r) * (s + 1) ** 2) & (
+        (s + 1) * (k + s + 2 * r * s) <= (k + s) * (r + 1) ** 2
+    )
+    ok &= krein | ~square | ((lam - mu + d) % 2 == 1)
+    out[cells] = ok
+    return out
+
+
+def _integral_cells(terms: tuple[tuple, ...], *cols: np.ndarray) -> list[np.ndarray]:
+    """The columns cols, then k, lam and mu, of the cells where each of the
+    (numerator, denominator) columns in terms is an integer."""
+    keep = np.logical_and.reduce([num % den == 0 for num, den in terms])
+    return [c[keep] for c in cols] + [num[keep] // den[keep] for num, den in terms]
+
+
+def _feasible_cells(cols: list[np.ndarray]) -> list[tuple[int, ...]]:
+    """The rows of the columns (n, ..., k, lam, mu) that pass _srg_feasible."""
+    ok = _srg_feasible(cols[0], *cols[-3:])
+    return list(zip(*(c[ok].tolist() for c in cols)))
+
+
 def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
     """All b = -a parameter sets with n <= max_n surviving every screen.
 
@@ -293,23 +350,20 @@ def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
     OverflowError when max_n > 2^15.
     """
     _check_grid_order(max_n)
+    n, ell, a = _seidel_cells(max_n)
+    cells = _feasible_cells(_integral_cells(_seidel_terms(ell, a), n, ell, a))
     rows: list[FeasibleRow] = []
-    for n, ell, a in _seidel_cells(max_n):
-        try:
-            der = derive_seidel(n, ell, a)
-        except NonIntegral:
-            continue
-        if not srg_primitive_feasible(der.srg):
-            continue
-        status, witness = _status(der.params)
+    for n, ell, a, k, lam, mu in cells:
+        params = SplitParams(n, ell, a, -a)
+        status, witness = _status(params)
         if status is not None:
-            rows.append(FeasibleRow(der.params, der.srg, status, witness))
+            rows.append(FeasibleRow(params, SrgParams(n, k, lam, mu), status, witness))
     rows.sort(key=lambda r: r.params.astuple())
     return rows
 
 
-def _seidel_cells(max_n: int) -> list[tuple[int, int, int]]:
-    """(n, ell, a) for n = 4, 8, ..., max_n and a >= 1 where
+def _seidel_cells(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (n, ell, a) for n = 4, 8, ..., max_n and a >= 1 where
     n^2 - 4a^2(n-1) = d^2 is a perfect square with n - d even, ell = (n-d)/2
     exceeds a^2, and a divides ell and n - ell with odd quotients (both
     sign-matrix eigenvalues are odd for even order)."""
@@ -323,7 +377,7 @@ def _seidel_cells(max_n: int) -> list[tuple[int, int, int]]:
     ell = (n - d) // 2
     ok = ((n - d) % 2 == 0) & (ell > a * a) & (ell % a == 0) & ((n - ell) % a == 0)
     ok &= ((ell // a) % 2 == 1) & (((n - ell) // a) % 2 == 1)
-    return list(zip(n[ok].tolist(), ell[ok].tolist(), a[ok].tolist()))
+    return n[ok], ell[ok], a[ok]
 
 
 def enumerate_case_a(max_n: int) -> list[FeasibleRow]:
@@ -333,13 +387,10 @@ def enumerate_case_a(max_n: int) -> list[FeasibleRow]:
     _check_grid_order(max_n)
     rows: list[FeasibleRow] = []
     for n, ell, a, b, k, lam, mu in _case_a_cells(max_n):
-        srg = SrgParams(n, k, lam, mu)
-        if not srg_primitive_feasible(srg):
-            continue
         params = SplitParams(n, ell, a, b)
         status, witness = _status(params)
         if status is not None:
-            rows.append(FeasibleRow(params, srg, status, witness))
+            rows.append(FeasibleRow(params, SrgParams(n, k, lam, mu), status, witness))
     rows.sort(key=lambda r: r.params.astuple())
     return rows
 
@@ -351,14 +402,16 @@ _GRID_CELLS = 2**16
 
 
 def _case_a_cells(max_n: int) -> list[tuple[int, ...]]:
-    """(n, ell, a, b, k, lam, mu) for n = 8, 12, ..., max_n, 2 <= ell < n and
+    """Rows (n, ell, a, b, k, lam, mu) for n = 8, 12, ..., max_n, 2 <= ell < n and
     1 <= a <= ell where the zero-row-sum b is an integer, b >= -ell,
-    a^2 != b^2, and k, lam and mu are integers; in no particular order."""
+    a^2 != b^2, and k, lam and mu are integers passing every SRG screen; in
+    no particular order."""
     # The grid is built in blocks of whole ell rows, in (ell, a) order; the
     # cells of a block that order n screens, those with ell < n, are a prefix.
     # The hits, never more than the cells screened, are finished in batches.
     step = max(1, _GRID_CELLS // max(max_n, 1))
-    cells: list[tuple[int, ...]] = []
+    # the integral cells, 5601 up to order 1024, are screened all at once
+    found: list[list[np.ndarray]] = []
     hits: list[tuple[np.ndarray, ...]] = []
     screened = 0
     for e0 in range(2, max_n, step):
@@ -375,23 +428,22 @@ def _case_a_cells(max_n: int) -> list[tuple[int, ...]]:
             hits.append((np.full(len(i), n), ell[i], a[i], num[i] // den[i]))
             screened += size
             if screened >= _GRID_CELLS:
-                cells += _integral_srg_cells(hits)
+                found.append(_case_a_integral_cells(hits))
                 hits, screened = [], 0
-    return cells + _integral_srg_cells(hits)
-
-
-def _integral_srg_cells(hits: list[tuple[np.ndarray, ...]]) -> list[tuple[int, ...]]:
-    """The (n, ell, a, b, k, lam, mu) of the hit columns (n, ell, a, b) with
-    b >= -ell, a^2 != b^2 and integral k, lam and mu."""
-    if not hits:
+    if hits:
+        found.append(_case_a_integral_cells(hits))
+    if not found:
         return []
+    return _feasible_cells([np.concatenate(c) for c in zip(*found)])
+
+
+def _case_a_integral_cells(hits: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """Columns (n, ell, a, b, k, lam, mu) of the hit columns (n, ell, a, b)
+    with b >= -ell, a^2 != b^2, and integral k, lam and mu."""
     n, ell, a, b = map(np.concatenate, zip(*hits))
     keep = (b >= -ell) & (a * a != b * b)
     n, ell, a, b = n[keep], ell[keep], a[keep], b[keep]
-    terms = _srg_terms(n, ell, a, b)
-    keep = np.logical_and.reduce([num % den == 0 for num, den in terms])
-    found = [n, ell, a, b] + [num // den for num, den in terms]
-    return list(zip(*(c[keep].tolist() for c in found)))
+    return _integral_cells(_srg_terms(n, ell, a, b), n, ell, a, b)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
 from typing import Iterable
 
 import numpy as np
 
 from .core import (
+    _INT64_SAFE,
     HadamardMatrix,
     HadsplitError,
     IntMatrix,
@@ -404,12 +404,29 @@ def _regular_srg(n: int, ell: int, a: int, b: int, k: int) -> SrgParams:
     return SrgParams(n, k, mu + _exact("lambda - mu", n - 2 * d, c), mu)
 
 
+def _seidel_terms(ell: int, a: int) -> tuple[tuple, tuple, tuple]:
+    """(numerator, denominator) of k, lam and mu on the b = -a branch, given
+    the order identity ell^2 + a^2 (n-1) = n ell; also elementwise on
+    integer arrays. Needs ell != a^2."""
+    den = 2 * a * (ell - a * a)
+    return (
+        ((a - 1) * ell * (a + ell), den),
+        ((a + ell) * (3 * a * a + a * ell - a - 3 * ell), 2 * den),
+        ((a - 1) * (ell * ell - a * a), 2 * den),
+    )
+
+
 def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
     """Graph parameters forced on the a-marked graph when b = -a.
 
-    Raises InfeasibleSeidel when the order identity fails and NonIntegral
-    when the forced parameters are not integers.
+    Raises ValueError unless n >= 4 and 1 <= ell <= n, InfeasibleSeidel
+    when the order identity fails and NonIntegral when the forced
+    parameters are not integers.
     """
+    if n < 4 or not 1 <= ell <= n:
+        raise ValueError(
+            f"Seidel derivation needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = {ell}"
+        )
     if a < 1:
         raise InfeasibleSeidel("a must be positive when b = -a")
     if ell * ell + a * a * (n - 1) != n * ell:
@@ -421,11 +438,8 @@ def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
         k = (n - 2) // 2
         srg = SrgParams(n, k, k - 1, 0)
     else:
-        den = 2 * a * (ell - a * a)
-        k = _exact("k", (a - 1) * ell * (a + ell), den)
-        lam = _exact("lambda", (a + ell) * (3 * a * a + a * ell - a - 3 * ell), 2 * den)
-        mu = _exact("mu", (a - 1) * (ell * ell - a * a), 2 * den)
-        srg = SrgParams(n, k, lam, mu)
+        terms = zip(("k", "lambda", "mu"), _seidel_terms(ell, a))
+        srg = SrgParams(n, *(_exact(name, num, den) for name, (num, den) in terms))
     if (n - ell) % a or ell % a:
         raise NonIntegral(
             f"Seidel spectrum {Fraction(n - ell, a)}, {Fraction(-ell, a)} not integral"
@@ -657,6 +671,9 @@ _SCREEN_ENTRIES = 2**17
 # Largest pair-product table search_splits keeps, in entries: every order up
 # to 256 (8,355,840 entries at n = 256).
 _PAIR_TABLE_ENTRIES = 2**23
+# Subset elements search_splits unranks at once, whole chunks of subsets but
+# at least one chunk: 1 MB of indices.
+_UNRANK_ENTRIES = 2**17
 
 
 def _pair_products(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -666,19 +683,59 @@ def _pair_products(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray
     return out
 
 
+def _colex_table(n: int, ell: int) -> np.ndarray:
+    """table[i - 1, j] = C(i - 1 + j, i) for 1 <= i <= ell and 0 <= j <= n - ell.
+
+    Row 1 is j, and each later row the running sum of the one before
+    (C(x, i) = sum of C(y, i - 1) over y < x). Every entry is at most
+    C(n - 1, ell), so the table is exact in int64 wherever C(n, ell) is.
+    """
+    table = np.empty((ell, n - ell + 1), dtype=np.int64)
+    table[0] = np.arange(n - ell + 1)
+    for i in range(1, ell):
+        np.cumsum(table[i - 1], out=table[i])
+    return table
+
+
+def _unrank_subsets(table: np.ndarray, n: int, count: int, start: int, stop: int) -> np.ndarray:
+    """cols[t, s]: the t-th smallest element of the ell-subset of range(n)
+    of lexicographic rank start + s, for start <= start + s < stop.
+
+    The mirrored subset {n - 1 - c} has co-lexicographic rank
+    count - 1 - r, count = C(n, ell), and its i-th smallest element d_i
+    is the largest d with C(d, i) <= the rank left after the larger ones
+    are taken off (Knuth, TAOCP 4A, 7.2.1.3). With d_i = i - 1 + j, the
+    j of each subset is one searchsorted in table row i - 1, largest
+    element first, and c = n - 1 - d_i is the (ell - i)-th smallest.
+    """
+    ell = len(table)
+    rank = np.arange(count - 1 - start, count - 1 - stop, -1, dtype=np.int64)
+    cols = np.empty((ell, stop - start), dtype=np.intp)
+    for t, row in enumerate(table[::-1]):
+        j = row.searchsorted(rank, side="right") - 1
+        rank -= row[j]
+        np.subtract(n - ell + t, j, out=cols[t])
+    return cols
+
+
 def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[SplitReport]:
     """All balanced ell-row splits, deduplicated by parameter tuple.
 
     Subsets are scanned in lexicographic order and the first representative
     of each parameter tuple is kept, so output is deterministic. Raises
-    BudgetExceeded when C(n, ell) exceeds the budget.
+    BudgetExceeded when C(n, ell) exceeds the budget, and OverflowError,
+    before any array is built, when C(n, ell) >= 2^62, past what int64
+    ranks hold (only a budget that large gets there).
 
-    Subsets are screened in chunks. A subset whose off-diagonal Gram entries
-    take only the values max and min has the parameter tuple
-    (n, ell, max, min) in check_split's report, so check_split runs once per
-    tuple, on its first subset. Whether check_split raises depends on the
-    tuple alone (InvalidSingleValue, which G^2 = nG rules out on a Hadamard
-    matrix), so it raises on the same subset as a check of every subset.
+    Subsets are taken by rank: the ranks 0 .. C(n, ell) - 1 are unranked
+    in batches of whole chunks into index arrays (_unrank_subsets), so no
+    Python object is built per subset. Each chunk's subsets are screened
+    at once. A subset whose off-diagonal Gram entries take only the values
+    max and min has the parameter tuple (n, ell, max, min) in check_split's
+    report, so check_split runs once per tuple, on its first subset.
+    Whether check_split raises depends on the tuple alone
+    (InvalidSingleValue, which G^2 = nG rules out on a Hadamard matrix), so
+    it raises on the same subset as a check of every subset.
 
     The screen forms no Gram product. prods[r, e] = h[r, p] h[r, q] for
     the e-th column pair p < q, so a subset's off-diagonal Gram entries are
@@ -692,6 +749,8 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     chunk forms the prods rows of its subsets from h's rows. A chunk holds
     at most max(_SCREEN_ENTRIES, n (n - 1) / 2) sums, as many for each row
     it adds (two more without the table) and the screen's boolean masks.
+    A batch of unranked subsets holds at most max(_UNRANK_ENTRIES, ell
+    chunk) indices.
     """
     n = h.order
     _require_order_above_1(n)
@@ -700,6 +759,8 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     count = math.comb(n, ell)
     if count > budget:
         raise BudgetExceeded(f"C({n}, {ell}) = {count} exceeds budget {budget}")
+    if count >= _INT64_SAFE:
+        raise OverflowError(f"C({n}, {ell}) = {count} subsets exceed the int64 ranks below 2^62")
     arr = h.array.astype(np.int8 if ell <= 127 else np.int16)
     p, q = np.triu_indices(n, 1)
     if n * len(p) <= _PAIR_TABLE_ENTRIES:
@@ -715,25 +776,25 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
             return _pair_products(arr.take(col, axis=0), p, q)
 
     chunk = max(1, _SCREEN_ENTRIES // len(p))
-    subsets = combinations(range(n), ell)
+    batch = chunk * max(1, _UNRANK_ENTRIES // (chunk * ell))
+    table = _colex_table(n, ell)
     seen: set[tuple[int, int, int, int]] = set()
     out: list[SplitReport] = []
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(subsets, chunk)), dtype=np.intp)
-        if not flat.size:
-            return out
-        idx = flat.reshape(-1, ell)
-        cols = idx.T.copy()
-        off = pair_rows(cols[0])
-        for col in cols[1:]:
-            off += pair_rows(col)
-        hi, lo = off.max(axis=1), off.min(axis=1)
-        two = ((off == hi[:, None]) | (off == lo[:, None])).all(axis=1)
-        for pos in np.flatnonzero(two).tolist():
-            key = (n, ell, int(hi[pos]), int(lo[pos]))
-            if key not in seen:
-                seen.add(key)
-                out.append(check_split(h, idx[pos].tolist()))
+    for first in range(0, count, batch):
+        subsets = _unrank_subsets(table, n, count, first, min(first + batch, count))
+        for start in range(0, subsets.shape[1], chunk):
+            cols = subsets[:, start : start + chunk]
+            off = pair_rows(cols[0])
+            for col in cols[1:]:
+                off += pair_rows(col)
+            hi, lo = off.max(axis=1), off.min(axis=1)
+            two = ((off == hi[:, None]) | (off == lo[:, None])).all(axis=1)
+            for pos in np.flatnonzero(two).tolist():
+                key = (n, ell, int(hi[pos]), int(lo[pos]))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(check_split(h, cols[:, pos].tolist()))
+    return out
 
 
 def classify_srg16(a: IntMatrix) -> str:

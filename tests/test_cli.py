@@ -211,6 +211,14 @@ def test_analyze_seidel_infeasible_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n", ["-4", "2"])
+def test_analyze_seidel_below_order_4_exits_two(capsys, n):
+    # both cells satisfy the order identity ell^2 + a^2 (n-1) = n ell
+    code, out, err = run(capsys, "analyze", "seidel", "--n", n, "--ell", "1", "--a", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: Seidel derivation needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = 1\n"
+
+
 def test_analyze_srg_both_cases(capsys):
     code, out, _ = run(capsys, "analyze", "srg", "--n", "16", "--ell", "9", "--a", "1")
     assert code == 0
@@ -289,6 +297,16 @@ def test_analyze_search_none_found(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", "search", "--input", str(f), "--ell", "2")
     assert code == 1
     assert "no balanced split on 2 rows" in out
+
+
+def test_analyze_search_past_the_int64_ranks_exits_two(capsys, tmp_path):
+    f = tmp_path / "h128.txt"
+    run(capsys, "construct", "sylvester", "--m", "7", "--out", str(f))
+    argv = ("analyze", "search", "--input", str(f), "--ell", "64", "--budget", str(2**200))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: C(128, 64) = ")
+    assert err.endswith(" subsets exceed the int64 ranks below 2^62\n")
 
 
 def test_analyze_search_budget_is_inconclusive(capsys, tmp_path):

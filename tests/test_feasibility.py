@@ -323,6 +323,73 @@ def test_enumerations_refuse_orders_past_the_int64_bound(monkeypatch):
             enumerate_table(2**15 + 1)
 
 
+def _assert_screen_matches_the_scalar_one(v, k, lam, mu):
+    got = feas._srg_feasible(*(np.array(c, dtype=np.int64) for c in (v, k, lam, mu)))
+    assert got.dtype == bool
+    want = [srg_primitive_feasible(SrgParams(*cell)) for cell in zip(v, k, lam, mu)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("table, max_n", [(enumerate_case_a, 512), (enumerate_seidel, 2**15)])
+def test_array_srg_screen_matches_the_scalar_one_on_every_table_cell(monkeypatch, table, max_n):
+    cells = []
+
+    def recording(*cols):
+        cells.append([c.tolist() for c in cols])
+        return srg_feasible(*cols)
+
+    srg_feasible = feas._srg_feasible
+    monkeypatch.setattr(feas, "_srg_feasible", recording)
+    rows = table(max_n)
+    (v, k, lam, mu), = cells
+    assert len(v) > len(rows)
+    _assert_screen_matches_the_scalar_one(v, k, lam, mu)
+
+
+# (v, k, lam, mu) and the screens that reject it
+_NAMED_SRG_SETS = {
+    (28, 9, 0, 4): {"krein", "absolute"},
+    # conference graphs: irrational eigenvalues, equal multiplicities
+    (5, 2, 0, 1): set(),
+    (13, 6, 2, 3): set(),
+    (65, 32, 15, 16): set(),
+    (7, 3, 0, 1): {"basic"},  # the counting identity fails
+    # the absolute bound needs the multiplicities
+    (7, 3, 0, 2): {"multiplicities", "absolute"},
+    (273, 256, 240, 240): {"complement"},
+    (154, 51, 8, 21): {"krein"},
+    (50, 21, 4, 12): {"absolute"},
+}
+
+
+def test_array_srg_screen_matches_the_scalar_one_on_named_sets():
+    screens = {
+        "basic": srg_basic_ok,
+        "multiplicities": lambda p: srg_multiplicities(p) is not None,
+        "krein": srg_krein_ok,
+        "absolute": srg_absolute_bound_ok,
+        "complement": srg_complement_ok,
+    }
+    for cell, rejected in _NAMED_SRG_SETS.items():
+        p = SrgParams(*cell)
+        assert {name for name, ok in screens.items() if not ok(p)} == rejected, cell
+        assert srg_primitive_feasible(p) == (not rejected)
+    _assert_screen_matches_the_scalar_one(*zip(*_NAMED_SRG_SETS))
+
+
+def test_array_srg_screen_matches_the_scalar_one_on_a_small_box():
+    # every (v, k, lam, mu) with 0 <= v <= 16 and -1 <= k, lam, mu <= v + 1,
+    # out-of-range values included
+    cells = [
+        (v, k, lam, mu)
+        for v in range(17)
+        for k in range(-1, v + 2)
+        for lam in range(-1, v + 2)
+        for mu in range(-1, v + 2)
+    ]
+    _assert_screen_matches_the_scalar_one(*zip(*cells))
+
+
 def test_seidel_enumeration_at_the_int64_bound():
     rows = enumerate_seidel(2**15)
     assert rows[:28] == enumerate_seidel(1024)

@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -522,6 +523,15 @@ def test_derive_seidel_rejects_broken_trace_identity():
         derive_seidel(16, 6, -2)
 
 
+@pytest.mark.parametrize("cell", [(-4, 1, 1), (2, 1, 1), (3, 1, 1), (16, 0, 1), (16, 17, 1)])
+def test_derive_seidel_refuses_orders_below_4_and_ell_out_of_range(cell):
+    # (-4, 1, 1) and (2, 1, 1) satisfy the order identity; derive_seidel
+    # once returned (-4, -3, -4, 0) and lambda = -1 for them
+    n, ell, _ = cell
+    with pytest.raises(ValueError, match=f"needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = {ell}"):
+        derive_seidel(*cell)
+
+
 def test_derive_case_a_rows():
     assert derive_srg_case_a(16, 9, 1) == (-3, SrgParams(16, 9, 4, 6))
     assert derive_srg_case_a(16, 5, 1) == (-3, SrgParams(16, 10, 6, 6))
@@ -588,6 +598,10 @@ def _ref_srg(n, ell, a, b):
 
 
 def _ref_seidel(n, ell, a):
+    if n < 4 or not 1 <= ell <= n:
+        raise ValueError(
+            f"Seidel derivation needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = {ell}"
+        )
     if a < 1:
         raise InfeasibleSeidel("a must be positive when b = -a")
     if ell * ell + a * a * (n - 1) != n * ell:
@@ -631,7 +645,7 @@ def _ref_case_b(n, ell, a):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NonIntegral, InfeasibleSeidel) as exc:
+    except (NonIntegral, InfeasibleSeidel, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -891,6 +905,54 @@ def test_search_splits_matches_a_per_subset_scan_on_orders_8_and_32(monkeypatch,
     h = _signed_sylvester(m)
     for ell in ells:
         _assert_matches_reference(monkeypatch, h, ell)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_unranked_subsets_are_the_lexicographic_combinations(n):
+    for ell in range(1, n + 1):
+        count = math.comb(n, ell)
+        table = splitting._colex_table(n, ell)
+        got = splitting._unrank_subsets(table, n, count, 0, count)
+        assert got.dtype == np.intp
+        assert got.T.tolist() == [list(c) for c in combinations(range(n), ell)]
+        # any window of ranks, as a batch starting mid-sequence sees it
+        for start, stop in ((count // 3, count - count // 5), (count - 1, count)):
+            window = splitting._unrank_subsets(table, n, count, start, stop)
+            assert window.T.tolist() == got.T.tolist()[start:stop]
+
+
+@pytest.mark.parametrize("screen, unrank", [(4, 4), (64, 100), (64, 10**6), (2**17, 12)])
+def test_search_splits_unranks_across_batch_and_chunk_boundaries(monkeypatch, screen, unrank):
+    # n = 16, ell = 5: C(16, 5) = 4368 subsets, in chunks of 1 / 1 / 1 / 1092
+    # subsets and batches of 1 / 20 / all 4368 / 1 chunk, the last batch
+    # short in the second and fourth; the batches' subsets concatenate to
+    # the combinations, and the splits found are the reference's
+    h = _signed_sylvester()
+    batches = []
+
+    def recording(*args):
+        batches.append(unrank_subsets(*args))
+        return batches[-1]
+
+    unrank_subsets = splitting._unrank_subsets
+    monkeypatch.setattr(splitting, "_unrank_subsets", recording)
+    monkeypatch.setattr(splitting, "_SCREEN_ENTRIES", screen)
+    monkeypatch.setattr(splitting, "_UNRANK_ENTRIES", unrank)
+    assert search_splits(h, 5) == _search_splits_reference(h, 5)
+    chunk = max(1, screen // 120)
+    assert all(b.shape[1] % chunk == 0 for b in batches[:-1])
+    assert np.hstack(batches).T.tolist() == [list(c) for c in combinations(range(16), 5)]
+
+
+def test_search_splits_refuses_counts_past_the_int64_ranks(monkeypatch):
+    # C(128, 64) > 2^62: only a budget that large gets past BudgetExceeded,
+    # and the count is refused before numpy builds anything
+    h = sylvester(7)
+    monkeypatch.setattr(splitting, "np", None)
+    with pytest.raises(OverflowError, match=r"C\(128, 64\) = \d+ subsets exceed the int64 ranks"):
+        search_splits(h, 64, budget=2**200)
+    with pytest.raises(BudgetExceeded):
+        search_splits(h, 64)
 
 
 def test_search_splits_at_ell_128_matches_the_reference():
