@@ -1,18 +1,15 @@
 """Exact linear algebra over the rationals, and the Gaussian rationals that
 eigenmatrix entries live in.
 
-Small dense matrices only. Every elimination is fraction-free, in one of two
-loops that give the same rows and pivots:
-- _echelon_int runs on Python lists, one row at a time, and _kernel_int
-  gives its kernel as primitive integer vectors. The exact subspace
-  splitting of schemes.eigenmatrices, which runs only when that function's
-  float proposal of P fails its exact character check, splits with these
-  two, on systems of a few rows, where lists beat numpy's cost per call;
-  nullspace is built on them too.
-- _echelon_array runs on a numpy array and updates every row at once at
-  each pivot, in int64 while a bound allows and on Python ints past it.
-  rref runs on it, for the eigenspace systems of feasibility.eigvec_search,
-  which have one row per vertex.
+Small dense matrices only. Every elimination is fraction-free and runs in
+one loop, _echelon_array, on a numpy array that it updates every row at
+once at each pivot, in int64 while a bound allows and on Python ints past
+it. rref runs on it, for the eigenspace systems of
+feasibility.eigvec_search, which have one row per vertex; _kernel_int gives
+its kernel as primitive integer vectors, and nullspace is built on that.
+The exact subspace splitting of schemes.eigenmatrices, which runs only
+when that function's float proposal of P fails its exact character check,
+splits with _kernel_int and _echelon_array.
 rref and nullspace take int and Fraction entries, scale each row to
 integers, and build only their results from Fractions. mat_vec takes any
 elements supporting + and *; schemes applies integer matrices with it.
@@ -129,61 +126,6 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
-    """Fraction-free Gauss-Jordan on an integer matrix: the nonzero rows,
-    each primitive, and the pivot column indices.
-
-    Each elimination is pv * row - f * pivot_row, divided by the gcd of its
-    entries. Every row stays a nonzero multiple of the row that a Fraction
-    elimination holds at the same step, so the zero pattern, the pivots and
-    the ratios row[c] / row[pivot] are those of rref; dividing each row by
-    its pivot entry gives rref itself.
-    """
-    a = [list(row) for row in m]
-    nrows, ncols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        pv = prow[c]
-        for i in range(nrows):
-            f = a[i][c]
-            if i != r and f:
-                a[i] = _primitive([pv * x - f * y for x, y in zip(a[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [_primitive(row) for row in a[:r]], pivots
-
-
-def _kernel_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Right kernel of an integer matrix as primitive integer vectors: the
-    nullspace basis, one vector per free column, each scaled by a positive
-    integer to gcd 1.
-
-    With L the lcm of the pivot entries, the vector for free column fc is
-    L at fc and -row[fc] * (L // row[pivot]) at each pivot, L times the
-    nullspace vector, so every entry is an integer.
-    """
-    rows, pivots = _echelon_int(m)
-    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
-    basis = []
-    for fc in range(len(m[0])):
-        if fc in pivots:
-            continue
-        v = [0] * len(m[0])
-        v[fc] = scale
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc] * (scale // row[pc])
-        basis.append(_primitive(v))
-    return basis
-
-
 def _scaled_int(m: Sequence[Sequence[int | Fraction]]) -> Matrix:
     """m with each row scaled by the lcm d of its entries' denominators,
     which keeps its row space; entries other than int and Fraction raise
@@ -208,13 +150,20 @@ def _primitive_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _echelon_array(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
-    """_echelon_int on a numpy array: the same rows and pivots, with each
-    pivot step forming pv * row - f * pivot_row for every row with f != 0
-    at once and dividing each by the gcd of its entries.
+    """Fraction-free Gauss-Jordan on an integer matrix: the nonzero rows,
+    each primitive, and the pivot column indices.
+
+    Each pivot step forms pv * row - f * pivot_row for every row with
+    f != 0 at once and divides each by the gcd of its entries. Every row
+    stays a nonzero multiple of the row that a Fraction elimination holds
+    at the same step, so the zero pattern, the pivots and the ratios
+    row[c] / row[pivot] are those of rref; dividing each row by its pivot
+    entry gives rref itself.
 
     Every update is bounded by 2 max|a|^2. The step runs in int64 while
     that bound is below 2**62, and from the first step past it the array
-    holds Python ints (dtype object) and the same loop runs on those.
+    holds Python ints (dtype object) and the same loop runs on those; the
+    rows come back as Python ints either way.
     """
     try:
         a = np.array(m, dtype=np.int64)
@@ -241,6 +190,29 @@ def _echelon_array(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
         if r == nrows:
             break
     return _primitive_rows(a[:r]).tolist(), pivots
+
+
+def _kernel_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Right kernel of an integer matrix as primitive integer vectors: the
+    nullspace basis, one vector per free column, each scaled by a positive
+    integer to gcd 1.
+
+    With L the lcm of the pivot entries, the vector for free column fc is
+    L at fc and -row[fc] * (L // row[pivot]) at each pivot, L times the
+    nullspace vector, so every entry is an integer.
+    """
+    rows, pivots = _echelon_array(m)
+    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    basis = []
+    for fc in range(len(m[0])):
+        if fc in pivots:
+            continue
+        v = [0] * len(m[0])
+        v[fc] = scale
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append(_primitive(v))
+    return basis
 
 
 def rref(m: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:

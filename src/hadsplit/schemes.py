@@ -43,7 +43,7 @@ from .core import (
 )
 from .exactla import (
     GaussianRational,
-    _echelon_int,
+    _echelon_array,
     _gaussian_characters,
     _kernel_int,
     _primitive,
@@ -793,7 +793,7 @@ def _split_by_integer_eigenvalues(basis: list[list[int]], bmat, roots: list[int]
         left = basis
         for theta in found:
             left = [[y - theta * x for x, y in zip(v, mat_vec(bmat, v))] for v in left]
-        pieces.append(_echelon_int(left)[0])
+        pieces.append(_echelon_array(left)[0])
     return pieces
 
 

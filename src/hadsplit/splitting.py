@@ -416,6 +416,12 @@ def _seidel_terms(ell: int, a: int) -> tuple[tuple, tuple, tuple]:
     )
 
 
+def _check_range(name: str, n: int, ell: int) -> None:
+    """ValueError unless n >= 4 and 1 <= ell <= n."""
+    if n < 4 or not 1 <= ell <= n:
+        raise ValueError(f"{name} needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = {ell}")
+
+
 def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
     """Graph parameters forced on the a-marked graph when b = -a.
 
@@ -423,10 +429,7 @@ def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
     when the order identity fails and NonIntegral when the forced
     parameters are not integers.
     """
-    if n < 4 or not 1 <= ell <= n:
-        raise ValueError(
-            f"Seidel derivation needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = {ell}"
-        )
+    _check_range("Seidel derivation", n, ell)
     if a < 1:
         raise InfeasibleSeidel("a must be positive when b = -a")
     if ell * ell + a * a * (n - 1) != n * ell:
@@ -488,7 +491,13 @@ def _srg_from_b(n: int, ell: int, a: int, b: int) -> SrgParams:
 
 
 def derive_srg_case_a(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
-    """b and the a-marked graph parameters on the zero-row-sum branch."""
+    """b and the a-marked graph parameters on the zero-row-sum branch.
+
+    Raises ValueError unless n >= 4 and 1 <= ell <= n, and NonIntegral
+    when the branch denominator vanishes or b, k, lam or mu is not an
+    integer.
+    """
+    _check_range("case-a derivation", n, ell)
     num, den = _case_a_b(n, ell, a)
     if den == 0:
         raise NonIntegral("branch denominator a(n-1) + ell vanishes")
@@ -497,7 +506,9 @@ def derive_srg_case_a(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
 
 
 def derive_srg_case_b(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
-    """b and the a-marked graph parameters on the other non-seidel branch."""
+    """b and the a-marked graph parameters on the other non-seidel branch,
+    with the errors of derive_srg_case_a."""
+    _check_range("case-b derivation", n, ell)
     num, den = _case_b_b(n, ell, a)
     if den == 0:
         raise NonIntegral("branch denominator a(n-1) + ell - n vanishes")

@@ -230,13 +230,35 @@ def test_analyze_srg_both_cases(capsys):
     assert "b = 0" in out
 
 
-@pytest.mark.parametrize("cell", [("16", "15", "-1"), ("0", "1", "1"), ("16", "0", "0")])
+@pytest.mark.parametrize("cell", [("16", "15", "-1"), ("4", "3", "-1"), ("64", "63", "-1")])
 def test_analyze_srg_vanishing_denominator_exits_one(capsys, cell):
+    # in range, a(n-1) + ell vanishes only at a = -1, ell = n - 1
     n, ell, a = cell
     code, out, err = run(capsys, "analyze", "srg", "--n", n, "--ell", ell, "--a", a)
     assert code == 1
     assert out == ""
     assert err == "error: branch denominator a(n-1) + ell vanishes\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "16", "--ell", "0", "--a", "1"),
+        ("--n", "16", "--ell", "17", "--a", "1"),
+        ("--n", "16", "--ell", "17", "--a", "1", "--case", "b"),
+        ("--n", "-4", "--ell", "1", "--a", "1"),
+        ("--n", "0", "--ell", "1", "--a", "1"),
+        ("--n", "16", "--ell", "0", "--a", "0", "--case", "b"),
+    ],
+)
+def test_analyze_srg_out_of_range_exits_two(capsys, argv):
+    # (16, 0, 1) once exited 0 with the block graph (16, 0, 16, 0), and
+    # (-4, 1, 1) exited 1 with an unrelated a^2 = b^2 error
+    code, out, err = run(capsys, "analyze", "srg", *argv)
+    case = argv[-1] if "--case" in argv else "a"
+    assert (code, out) == (2, "")
+    need = "needs n >= 4 and 1 <= ell <= n"
+    assert err == f"error: case-{case} derivation {need}, not n = {argv[1]}, ell = {argv[3]}\n"
 
 
 def test_analyze_equiangular(capsys):

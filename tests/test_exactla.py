@@ -9,11 +9,11 @@ import hadsplit.exactla as exactla
 from hadsplit.exactla import (
     GaussianRational,
     _echelon_array,
-    _echelon_int,
     mat_vec,
     nullspace,
     rref,
 )
+from helpers import _echelon_int
 
 F = Fraction
 G = GaussianRational
@@ -172,6 +172,31 @@ def test_rref_equals_the_fraction_reference(m):
     got = rref(m)
     assert got == fraction_rref(m)
     assert all(type(v) is F for row in got[0] for v in row)
+
+
+def fraction_nullspace(m):
+    """Reference kernel from fraction_rref: one vector per free column fc,
+    1 at fc and -rref[i][fc] at the i-th pivot."""
+    red, pivots = fraction_rref(m)
+    basis = []
+    for fc in range(len(m[0])):
+        if fc in pivots:
+            continue
+        v = [F(0)] * len(m[0])
+        v[fc] = F(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_matrices())
+def test_nullspace_equals_the_fraction_kernel(m):
+    # entries up to 10**30 take _echelon_array past int64 to Python ints
+    got = nullspace(m)
+    assert got == fraction_nullspace(m)
+    assert all(type(v) is F for vec in got for v in vec)
 
 
 @pytest.mark.parametrize(

@@ -545,20 +545,37 @@ def test_derive_case_a_rejects_seidel_overlap():
 
 
 def test_derive_case_a_reports_a_vanishing_denominator():
-    """Every cell of 2 <= n < 90, 1 <= ell <= n, -3 <= a <= ell + 1 gives a
-    result or NonIntegral; a(n-1) + ell = 0 says so."""
+    """Every cell of 4 <= n < 90, 1 <= ell <= n, -3 <= a <= ell + 1 gives a
+    result or NonIntegral; a(n-1) + ell = 0 says so. Cells outside that
+    range raise ValueError before the denominator is formed."""
     vanishing = 0
-    for n in range(2, 90):
+    for n in range(4, 90):
         for ell in range(1, n + 1):
             for a in range(-3, ell + 2):
                 try:
                     derive_srg_case_a(n, ell, a)
                 except NonIntegral as exc:
                     vanishing += str(exc) == "branch denominator a(n-1) + ell vanishes"
-    assert vanishing == 89
-    for cell in ((16, 15, -1), (0, 1, 1), (16, 0, 0)):
-        with pytest.raises(NonIntegral, match="denominator a\\(n-1\\) \\+ ell vanishes"):
+    assert vanishing == 86
+    with pytest.raises(NonIntegral, match="denominator a\\(n-1\\) \\+ ell vanishes"):
+        derive_srg_case_a(16, 15, -1)
+    for cell in ((0, 1, 1), (16, 0, 0)):
+        with pytest.raises(ValueError, match="needs n >= 4 and 1 <= ell <= n"):
             derive_srg_case_a(*cell)
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+@pytest.mark.parametrize("cell", [(-4, 1, 1), (2, 1, 1), (3, 1, 1), (16, 0, 1), (16, 17, 1)])
+def test_derive_srg_cases_refuse_orders_below_4_and_ell_out_of_range(case, cell):
+    # case a once returned b = 0 and the block graph (16, 0, 16, 0) for
+    # (16, 0, 1), and k = -17 for (16, 17, 1)
+    derive = derive_srg_case_b if case == "b" else derive_srg_case_a
+    n, ell, _ = cell
+    with pytest.raises(
+        ValueError,
+        match=f"^case-{case} derivation needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = {ell}$",
+    ):
+        derive(*cell)
 
 
 def test_derive_case_b():
@@ -626,7 +643,13 @@ def _ref_seidel(n, ell, a):
     )
 
 
+def _ref_range(name, n, ell):
+    if n < 4 or not 1 <= ell <= n:
+        raise ValueError(f"{name} needs n >= 4 and 1 <= ell <= n, not n = {n}, ell = {ell}")
+
+
 def _ref_case_a(n, ell, a):
+    _ref_range("case-a derivation", n, ell)
     den = a * (n - 1) + ell
     if den == 0:
         raise NonIntegral("branch denominator a(n-1) + ell vanishes")
@@ -635,6 +658,7 @@ def _ref_case_a(n, ell, a):
 
 
 def _ref_case_b(n, ell, a):
+    _ref_range("case-b derivation", n, ell)
     den = a * (n - 1) + ell - n
     if den == 0:
         raise NonIntegral("branch denominator a(n-1) + ell - n vanishes")
@@ -665,10 +689,10 @@ def test_derivations_match_the_fraction_formulas(seed):
         cells.append((n, ell, int(rng.integers(-3, ell + 2))))
     # cells where a derivation succeeds, and where it stops at k (15, 7, 2),
     # at mu (45, 12, 3), (27, 16, 4), (27, 17, 5), at a vanishing denominator
-    # (2, 1, 1), (2, 1, -1) or in the degenerate branch (3, 1, 1)
+    # (16, 15, -1), or at an order below 4 (2, 1, 1), (2, 1, -1), (3, 1, 1)
     cells += [(16, 6, 2), (16, 1, 1), (36, 15, 3), (16, 9, 1), (36, 10, 4), (64, 14, 6),
               (16, 4, 4), (64, 8, 8), (15, 7, 2), (45, 12, 3), (27, 16, 4), (27, 17, 5),
-              (2, 1, 1), (2, 1, -1), (3, 1, 1)]
+              (16, 15, -1), (2, 1, 1), (2, 1, -1), (3, 1, 1)]
     for derive, ref in ((derive_seidel, _ref_seidel), (derive_srg_case_a, _ref_case_a),
                         (derive_srg_case_b, _ref_case_b)):
         for cell in cells:
