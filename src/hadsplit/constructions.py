@@ -106,12 +106,15 @@ def core_tensor(h: HadamardMatrix, k2: HadamardMatrix) -> BshInstance:
     """Tensor of orders k and m split away from the all-ones factor rows.
 
     Split rows are (i, j) with j >= 1 after normalizing the second factor;
-    parameters (km, k(m-1), 0, -k).
+    parameters (km, k(m-1), 0, -k). Needs k >= 2: at k = 1 the rows form
+    the single-value split (m, m-1, -1, -1).
 
     Not re-proved: (A kron B)(A kron B)t = AAt kron BBt = km I, as both
     factors are Hadamard.
     """
     k = h.order
+    if k < 2:
+        raise ValueError(f"core-tensor needs a first factor of order at least 2, not {k}")
     m = k2.order
     big = _proved_hadamard(kronecker(h, normalize(k2)).array)
     rows = [i * m + j for i in range(k) for j in range(1, m)]
@@ -287,7 +290,7 @@ def _family(n: int, ell: int, a: int, b: int) -> str | None:
         return "two-row"
     if a == 0 and b < 0:
         k = -b
-        if n % k == 0 and ell == n - k and n // k >= 2:
+        if k >= 2 and n % k == 0 and ell == n - k and n // k >= 2:
             if _hadamard_order_ok(k) and _hadamard_order_ok(n // k):
                 return f"core-tensor k={k}"
     if a == ell and b == -1 and n == a * (a + 1) and a % 4 == 3:

@@ -1,5 +1,6 @@
-"""Exact linear algebra over the rationals, and the Gaussian rationals that
-eigenmatrix entries live in.
+"""Exact linear algebra over the rationals, the Gaussian rationals that
+eigenmatrix entries live in, and the characters of a commutative scheme's
+Bose-Mesner algebra.
 
 Small dense matrices only. Every elimination is fraction-free and runs in
 one loop, _echelon_array, on a numpy array that it updates every row at
@@ -7,16 +8,21 @@ once at each pivot, in int64 while a bound allows and on Python ints past
 it. rref runs on it, for the eigenspace systems of
 feasibility.eigvec_search, which have one row per vertex; _kernel_int gives
 its kernel as primitive integer vectors, and nullspace is built on that.
-The exact subspace splitting of schemes.eigenmatrices, which runs only
-when that function's float proposal of P fails its exact character check,
-splits with _kernel_int and _echelon_array.
 rref and nullspace take int and Fraction entries, scale each row to
 integers, and build only their results from Fractions. mat_vec takes any
-elements supporting + and *; schemes applies integer matrices with it.
-_gaussian_characters, which schemes.eigenmatrices asks first, reads a
-scheme's character table off one float eigendecomposition, where floats
-only propose: it returns the table only when an exact int64 identity
-check proves every row a character and the rows are distinct.
+elements supporting + and *.
+
+_characters gives the d+1 characters of the algebra from its intersection
+table, each as integer (real parts, imaginary parts) with theta_0 = 1.
+Floats only propose: _gaussian_characters reads them off one float
+eigendecomposition and returns them only when an exact int64 identity
+check proves every row a character and the rows are distinct. Otherwise
+the exact subspace splitting, _split_eigenspaces, finds them on integers
+alone: invariant subspaces are held as primitive integer vectors,
+eigenvalues are the integer roots of the intersection matrices'
+characteristic polynomials, and each eigenspace is an integer kernel
+(_kernel_int, _echelon_array). It raises IrrationalEigenvalue when a
+character leaves Z[i].
 """
 
 from __future__ import annotations
@@ -28,9 +34,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_SAFE, _max_abs
+from .core import _INT64_SAFE, HadsplitError, _max_abs, isqrt_exact
 
 __all__ = ["GaussianRational", "rref", "nullspace", "mat_vec"]
+
+
+class IrrationalEigenvalue(HadsplitError):
+    """An eigenvalue lies outside the Gaussian rationals."""
 
 
 class GaussianRational:
@@ -317,3 +327,184 @@ def _gaussian_characters(
     if len({(tuple(a), tuple(b)) for a, b in lines}) < d1:
         return None
     return lines
+
+
+def _integer_roots(m: Sequence[Sequence[int]], bound: int) -> list[int]:
+    """Integers in [-bound, bound], increasing, that are roots of det(xI - m).
+
+    Faddeev-LeVerrier gives the coefficients of the integer matrix m
+    (M_1 = I, c_(n-k) = -tr(m M_k) / k, M_(k+1) = m M_k + c_(n-k) I); they
+    are integers, so each division is exact. Horner's rule evaluates them.
+    M_k is held by columns, so m M_k is m applied to each column.
+    """
+    n = len(m)
+    coeffs = [1]
+    prod = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for r in range(n):
+            prod[r][r] += coeffs[-1]
+        prod = [mat_vec(m, col) for col in prod]
+        coeffs.append(-sum(prod[r][r] for r in range(n)) // k)
+    roots = []
+    for theta in range(-bound, bound + 1):
+        acc = 0
+        for c in coeffs:
+            acc = acc * theta + c
+        if not acc:
+            roots.append(theta)
+    return roots
+
+
+def _combine(basis: list[list[int]], coeffs: Sequence[int]) -> list[int]:
+    """sum_t coeffs[t] basis[t], made primitive."""
+    return _primitive([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)])
+
+
+def _split_by_integer_eigenvalues(basis: list[list[int]], bmat, roots: list[int]):
+    """Split a bmat-invariant subspace into integer eigenspaces plus a leftover.
+
+    basis holds independent primitive integer vectors X; every piece comes
+    back the same way. With the images Y = bmat X, bmat X c = theta X c
+    exactly when (Y - theta X) c = 0, so X c over an integer kernel basis of
+    Y - theta X spans the theta-eigenspace inside span(X). roots holds every
+    integer eigenvalue of bmat. The restriction T (bmat X = X T) has only
+    eigenvalues of bmat, and its rational ones are rational roots of a monic
+    integer polynomial, hence integers. The leftover is the image of the
+    product of (T - theta I) over the eigenvalues found, which kills every
+    found eigenspace; X times it is the product of (bmat - theta I) applied
+    to X, whose column space an integer echelon form spans.
+    """
+    s = len(basis)
+    rows = list(zip(zip(*basis), zip(*(mat_vec(bmat, v) for v in basis))))
+    found = []
+    pieces = []
+    used = 0
+    for theta in roots:
+        if used == s:
+            break
+        ker = _kernel_int([[y - theta * x for x, y in zip(xs, ys)] for xs, ys in rows])
+        if ker:
+            found.append(theta)
+            pieces.append([_combine(basis, c) for c in ker])
+            used += len(ker)
+    if used < s:
+        left = basis
+        for theta in found:
+            left = [[y - theta * x for x, y in zip(v, mat_vec(bmat, v))] for v in left]
+        pieces.append(_echelon_array(left)[0])
+    return pieces
+
+
+def _split_complex_pair(basis: list[list[int]], bmat):
+    """Split a 2-dimensional invariant subspace over the Gaussian rationals.
+
+    With Y = bmat X and M a nonsingular 2 x 2 minor of X on rows r, q, the
+    restriction is T = M^(-1) Y[r, q]. U = adj(M) Y[r, q] = det(M) T is an
+    integer matrix with T's eigenvectors and det(M)^2 times its
+    discriminant. Two rational eigenvalues cannot occur: they would be
+    integers, and every class either acts on a pending plane as one integer
+    scalar (disc = 0) or has no integer eigenvalue on it, since the plane
+    lies in that class's leftover. With disc < 0 each eigenvalue mu of U
+    leaves U - mu I singular but not zero, row 0 is nonzero, and its kernel
+    vector 2 (-u01, u00 - mu) = (-2 u01, 2 u00 - tr -+ i root). Each line
+    comes back as its integer real and imaginary parts.
+    """
+    x1, x2 = basis
+    y1, y2 = mat_vec(bmat, x1), mat_vec(bmat, x2)
+    r, q, det = next(
+        (r, q, x1[r] * x2[q] - x1[q] * x2[r])
+        for r in range(len(x1))
+        for q in range(r + 1, len(x1))
+        if x1[r] * x2[q] != x1[q] * x2[r]
+    )
+    u00, u01 = x2[q] * y1[r] - x2[r] * y1[q], x2[q] * y2[r] - x2[r] * y2[q]
+    u10, u11 = x1[r] * y1[q] - x1[q] * y1[r], x1[r] * y2[q] - x1[q] * y2[r]
+    tr = u00 + u11
+    disc = tr * tr - 4 * (u00 * u11 - u01 * u10)
+    if disc == 0:
+        return None
+    root = isqrt_exact(abs(disc))
+    if root is None:
+        shape = "a square" if disc > 0 else "minus a square"
+        raise IrrationalEigenvalue(f"discriminant {Fraction(disc, det * det)} is not {shape}")
+    if disc > 0:
+        raise HadsplitError("a pending plane has two rational eigenvalues")
+    re = [(2 * u00 - tr) * b - 2 * u01 * a for a, b in zip(x1, x2)]
+    return [(re, [-root * b for b in x2]), (re, [root * b for b in x2])]
+
+
+def _split_eigenspaces(
+    p: Sequence[Sequence[Sequence[int]]], valencies: Sequence[int]
+) -> list[tuple[list[int], list[int]]]:
+    """The characters of a commutative scheme's Bose-Mesner algebra, as
+    _gaussian_characters gives them, found by exact subspace splitting
+    alone.
+
+    Simultaneously diagonalizes the intersection matrices over Q, splitting
+    any leftover plane over Q(i); raises IrrationalEigenvalue when the
+    algebra needs a larger field. Every subspace is held as independent
+    primitive integer vectors, and every split is integer arithmetic.
+
+    B_i, multiplication by A_i in the basis A_0..A_d, is an integer matrix
+    with the eigenvalues of A_i, so they lie in [-k_i, k_i]; p[i], indexed
+    [k][m], is B_i^T. Each split takes eigenspaces, or the leftover image,
+    of one B_i^T inside a subspace invariant under all of them; they
+    commute, so every piece is invariant too and each settled line is a
+    common left eigenvector x of the B_i. Coordinate 0 of x B_i = theta_i x
+    reads theta_i x_0 = x_i, so x / x_0 is a character. The d+1 settled
+    lines are independent common eigenvectors of this representation of a
+    commutative semisimple algebra, where each character occurs exactly
+    once, so they give the d+1 distinct characters. A character value is
+    an eigenvalue of an integer matrix, an algebraic integer, so one in
+    Q(i) lies in Z[i] and each division by x_0 is exact.
+    """
+    d1 = len(valencies)
+    subspaces = [[[int(r == c) for r in range(d1)] for c in range(d1)]]
+    for i in range(1, d1):
+        if len(subspaces) == d1:
+            break
+        roots = _integer_roots(p[i], valencies[i])
+        nxt = []
+        for basis in subspaces:
+            if len(basis) == 1:
+                nxt.append(basis)
+            else:
+                nxt.extend(_split_by_integer_eigenvalues(basis, p[i], roots))
+        subspaces = nxt
+
+    zero = [0] * d1
+    settled = [(b[0], zero) for b in subspaces if len(b) == 1]
+    pending = [b for b in subspaces if len(b) > 1]
+    while pending:
+        basis = pending.pop()
+        if len(basis) != 2:
+            raise IrrationalEigenvalue("cannot separate a subspace of dimension > 2")
+        for i in range(1, d1):
+            pieces = _split_complex_pair(basis, p[i])
+            if pieces is not None:
+                settled.extend(pieces)
+                break
+        else:
+            raise HadsplitError("eigenspaces are not separated by the classes")
+    if len(settled) != d1:
+        raise HadsplitError("eigenspace count mismatch")
+    characters = []
+    for re, im in settled:
+        # x_i / x_0 = x_i conj(x_0) / |x_0|^2
+        norm = re[0] * re[0] + im[0] * im[0]
+        nums = [(a * re[0] + b * im[0], b * re[0] - a * im[0]) for a, b in zip(re, im)]
+        if any(u % norm or w % norm for u, w in nums):
+            raise HadsplitError("a character value is not a Gaussian integer")
+        characters.append(([u // norm for u, _ in nums], [w // norm for _, w in nums]))
+    return characters
+
+
+def _characters(
+    p: Sequence[Sequence[Sequence[int]]], valencies: Sequence[int]
+) -> list[tuple[list[int], list[int]]]:
+    """The d+1 characters of a commutative scheme's Bose-Mesner algebra,
+    each as integer (real parts, imaginary parts) with theta_0 = 1: the
+    float proposal when its exact check proves it, else the exact
+    splitting, which raises IrrationalEigenvalue for a character outside
+    Z[i]."""
+    return _gaussian_characters(p, valencies) or _split_eigenspaces(p, valencies)

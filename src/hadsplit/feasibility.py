@@ -342,6 +342,19 @@ def _feasible_cells(cols: list[np.ndarray]) -> list[tuple[int, ...]]:
     return list(zip(*(c[ok].tolist() for c in cols)))
 
 
+def _table(cells: list[tuple[int, ...]]) -> list[FeasibleRow]:
+    """The rows (n, ell, a, b, k, lam, mu) that _status keeps, as table rows
+    sorted by (n, ell, a, b)."""
+    rows: list[FeasibleRow] = []
+    for n, ell, a, b, k, lam, mu in cells:
+        params = SplitParams(n, ell, a, b)
+        status, witness = _status(params)
+        if status is not None:
+            rows.append(FeasibleRow(params, SrgParams(n, k, lam, mu), status, witness))
+    rows.sort(key=lambda r: r.params.astuple())
+    return rows
+
+
 def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
     """All b = -a parameter sets with n <= max_n surviving every screen.
 
@@ -351,15 +364,7 @@ def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
     """
     _check_grid_order(max_n)
     n, ell, a = _seidel_cells(max_n)
-    cells = _feasible_cells(_integral_cells(_seidel_terms(ell, a), n, ell, a))
-    rows: list[FeasibleRow] = []
-    for n, ell, a, k, lam, mu in cells:
-        params = SplitParams(n, ell, a, -a)
-        status, witness = _status(params)
-        if status is not None:
-            rows.append(FeasibleRow(params, SrgParams(n, k, lam, mu), status, witness))
-    rows.sort(key=lambda r: r.params.astuple())
-    return rows
+    return _table(_feasible_cells(_integral_cells(_seidel_terms(ell, a), n, ell, a, -a)))
 
 
 def _seidel_cells(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -385,14 +390,7 @@ def enumerate_case_a(max_n: int) -> list[FeasibleRow]:
     every screen, sorted by (n, ell, a). Raises OverflowError when
     max_n > 2^15."""
     _check_grid_order(max_n)
-    rows: list[FeasibleRow] = []
-    for n, ell, a, b, k, lam, mu in _case_a_cells(max_n):
-        params = SplitParams(n, ell, a, b)
-        status, witness = _status(params)
-        if status is not None:
-            rows.append(FeasibleRow(params, SrgParams(n, k, lam, mu), status, witness))
-    rows.sort(key=lambda r: r.params.astuple())
-    return rows
+    return _table(_case_a_cells(max_n))
 
 
 # Most (ell, a) cells, and most integral-b hits, that _case_a_cells holds at
@@ -472,9 +470,10 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     else MultiplicityMismatch), enumerates all +-1 vectors inside it up to
     global sign, and reports a maximum pairwise orthogonal subset. A maximum
     below ell certifies that no split with this Gram exists. Raises
-    ValueError unless the adjacency matrix is a graph's (symmetric, 0/1,
-    zero diagonal), and BudgetExceeded, before any Gram or bitmask is built,
-    when the search finds more than _SURVIVOR_CAP sign vectors.
+    ValueError unless 1 <= ell <= v and the adjacency matrix is a graph's
+    (symmetric, 0/1, zero diagonal), and BudgetExceeded, before any Gram
+    or bitmask is built, when the search finds more than _SURVIVOR_CAP
+    sign vectors.
 
     The search runs on integers. B - nI is an integer matrix, so rref
     reduces it fraction-free on a numpy array, every row at each pivot, in
@@ -493,6 +492,8 @@ def eigvec_search(adjacency: IntMatrix, ell: int, a: int, b: int) -> EigvecSearc
     runs on Python ints in object arrays.
     """
     v = adjacency.nrows
+    if not 1 <= ell <= v:
+        raise ValueError(f"eigenvector search needs 1 <= ell <= v, not v = {v}, ell = {ell}")
     if not adjacency.is_square or not adjacency.is_symmetric():
         raise ValueError("adjacency must be square and symmetric")
     arr = adjacency.array

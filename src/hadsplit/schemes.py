@@ -10,15 +10,10 @@ class indices (see _TranslationForm). The class of every cell is written
 into one index array only when colors is read. Only verify_scheme's input,
 a list of class matrices from the user, is checked on such an index array
 outright (_verify_colors). Eigenmatrices are exact over the Gaussian
-rationals, and floats only propose: one float eigendecomposition proposes
-the rows of P, and an exact int64 identity check proves each row a
-character of the algebra (exactla._gaussian_characters). When it fails,
-and always for a scheme whose characters leave Z[i], the exact subspace
-splitting runs on integers alone (_split_eigenspaces): invariant subspaces
-are held as primitive integer vectors, eigenvalues are the integer roots of
-the intersection matrices' characteristic polynomials, and each eigenspace
-is an integer kernel. Q follows from P by the orthogonality relations; only
-the final table entries are fractions.
+rationals: the rows of P are the characters of the algebra, which
+exactla._characters finds as Gaussian integers, eigenmatrices orders them,
+and Q follows from P by the orthogonality relations; only the final table
+entries are fractions.
 """
 
 from __future__ import annotations
@@ -33,22 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    _FLOAT32_EXACT,
-    HadamardMatrix,
-    HadsplitError,
-    IntMatrix,
-    exact_matmul,
-    isqrt_exact,
-)
-from .exactla import (
-    GaussianRational,
-    _echelon_array,
-    _gaussian_characters,
-    _kernel_int,
-    _primitive,
-    mat_vec,
-)
+from .core import _FLOAT32_EXACT, HadamardMatrix, HadsplitError, IntMatrix, exact_matmul
+from .exactla import GaussianRational, IrrationalEigenvalue, _characters, _primitive, mat_vec
 from .latin import LatinSquare, circle_symmetric, compose_ufs
 from .splitting import SplitReport
 
@@ -78,10 +59,6 @@ class AxiomFailure(HadsplitError):
 
 class OddityViolation(HadsplitError):
     """The block count parity rules out the requested construction."""
-
-
-class IrrationalEigenvalue(HadsplitError):
-    """An eigenvalue lies outside the Gaussian rationals."""
 
 
 class AuxiliarySet:
@@ -731,110 +708,6 @@ def table_as_ints(rows: Sequence[Sequence[GaussianRational]]) -> tuple[tuple[int
     return tuple(out)
 
 
-def _integer_roots(m: Sequence[Sequence[int]], bound: int) -> list[int]:
-    """Integers in [-bound, bound], increasing, that are roots of det(xI - m).
-
-    Faddeev-LeVerrier gives the coefficients of the integer matrix m
-    (M_1 = I, c_(n-k) = -tr(m M_k) / k, M_(k+1) = m M_k + c_(n-k) I); they
-    are integers, so each division is exact. Horner's rule evaluates them.
-    M_k is held by columns, so m M_k is m applied to each column.
-    """
-    n = len(m)
-    coeffs = [1]
-    prod = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        for r in range(n):
-            prod[r][r] += coeffs[-1]
-        prod = [mat_vec(m, col) for col in prod]
-        coeffs.append(-sum(prod[r][r] for r in range(n)) // k)
-    roots = []
-    for theta in range(-bound, bound + 1):
-        acc = 0
-        for c in coeffs:
-            acc = acc * theta + c
-        if not acc:
-            roots.append(theta)
-    return roots
-
-
-def _combine(basis: list[list[int]], coeffs: Sequence[int]) -> list[int]:
-    """sum_t coeffs[t] basis[t], made primitive."""
-    return _primitive([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)])
-
-
-def _split_by_integer_eigenvalues(basis: list[list[int]], bmat, roots: list[int]):
-    """Split a bmat-invariant subspace into integer eigenspaces plus a leftover.
-
-    basis holds independent primitive integer vectors X; every piece comes
-    back the same way. With the images Y = bmat X, bmat X c = theta X c
-    exactly when (Y - theta X) c = 0, so X c over an integer kernel basis of
-    Y - theta X spans the theta-eigenspace inside span(X). roots holds every
-    integer eigenvalue of bmat. The restriction T (bmat X = X T) has only
-    eigenvalues of bmat, and its rational ones are rational roots of a monic
-    integer polynomial, hence integers. The leftover is the image of the
-    product of (T - theta I) over the eigenvalues found, which kills every
-    found eigenspace; X times it is the product of (bmat - theta I) applied
-    to X, whose column space an integer echelon form spans.
-    """
-    s = len(basis)
-    rows = list(zip(zip(*basis), zip(*(mat_vec(bmat, v) for v in basis))))
-    found = []
-    pieces = []
-    used = 0
-    for theta in roots:
-        if used == s:
-            break
-        ker = _kernel_int([[y - theta * x for x, y in zip(xs, ys)] for xs, ys in rows])
-        if ker:
-            found.append(theta)
-            pieces.append([_combine(basis, c) for c in ker])
-            used += len(ker)
-    if used < s:
-        left = basis
-        for theta in found:
-            left = [[y - theta * x for x, y in zip(v, mat_vec(bmat, v))] for v in left]
-        pieces.append(_echelon_array(left)[0])
-    return pieces
-
-
-def _split_complex_pair(basis: list[list[int]], bmat):
-    """Split a 2-dimensional invariant subspace over the Gaussian rationals.
-
-    With Y = bmat X and M a nonsingular 2 x 2 minor of X on rows r, q, the
-    restriction is T = M^(-1) Y[r, q]. U = adj(M) Y[r, q] = det(M) T is an
-    integer matrix with T's eigenvectors and det(M)^2 times its
-    discriminant. Two rational eigenvalues cannot occur: they would be
-    integers, and every class either acts on a pending plane as one integer
-    scalar (disc = 0) or has no integer eigenvalue on it, since the plane
-    lies in that class's leftover. With disc < 0 each eigenvalue mu of U
-    leaves U - mu I singular but not zero, row 0 is nonzero, and its kernel
-    vector 2 (-u01, u00 - mu) = (-2 u01, 2 u00 - tr -+ i root). Each line
-    comes back as its integer real and imaginary parts.
-    """
-    x1, x2 = basis
-    y1, y2 = mat_vec(bmat, x1), mat_vec(bmat, x2)
-    r, q, det = next(
-        (r, q, x1[r] * x2[q] - x1[q] * x2[r])
-        for r in range(len(x1))
-        for q in range(r + 1, len(x1))
-        if x1[r] * x2[q] != x1[q] * x2[r]
-    )
-    u00, u01 = x2[q] * y1[r] - x2[r] * y1[q], x2[q] * y2[r] - x2[r] * y2[q]
-    u10, u11 = x1[r] * y1[q] - x1[q] * y1[r], x1[r] * y2[q] - x1[q] * y2[r]
-    tr = u00 + u11
-    disc = tr * tr - 4 * (u00 * u11 - u01 * u10)
-    if disc == 0:
-        return None
-    root = isqrt_exact(abs(disc))
-    if root is None:
-        shape = "a square" if disc > 0 else "minus a square"
-        raise IrrationalEigenvalue(f"discriminant {Fraction(disc, det * det)} is not {shape}")
-    if disc > 0:
-        raise HadsplitError("a pending plane has two rational eigenvalues")
-    re = [(2 * u00 - tr) * b - 2 * u01 * a for a, b in zip(x1, x2)]
-    return [(re, [-root * b for b in x2]), (re, [root * b for b in x2])]
-
-
 def _entry(num_re: int, num_im: int, den: int) -> GaussianRational:
     """(num_re + i num_im) / den, with integer parts passed as ints."""
     re = Fraction(num_re, den) if num_re % den else num_re // den
@@ -842,128 +715,50 @@ def _entry(num_re: int, num_im: int, den: int) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def _split_eigenspaces(scheme: Scheme) -> list[tuple[list[int], list[int]]]:
-    """Common left eigenvectors of the B_i, as integer (real parts,
-    imaginary parts), found by exact subspace splitting alone.
-
-    Simultaneously diagonalizes the intersection matrices over Q, splitting
-    any leftover plane over Q(i); raises IrrationalEigenvalue when the
-    algebra needs a larger field. Every subspace is held as independent
-    primitive integer vectors, and every split is integer arithmetic.
-
-    B_i, multiplication by A_i in the basis A_0..A_d of the algebra
-    verify_scheme proved closed and commutative, is an integer matrix with
-    the eigenvalues of A_i, so they lie in [-k_i, k_i]; scheme.p[i], indexed
-    [k][m], is B_i^T. Each split takes eigenspaces, or the leftover image,
-    of one B_i^T inside a subspace invariant under all of them; they
-    commute, so every piece is invariant too and each settled line is a
-    common left eigenvector x of the B_i. Coordinate 0 of x B_i = theta_i x
-    reads theta_i x_0 = x_i, so x / x_0 is a row of P, with theta_0 = 1 and
-    theta_i theta_j = sum_k p_ij^k theta_k: each row of P is a character.
-    The d+1 settled lines are independent common eigenvectors of this
-    representation of a commutative semisimple algebra, where each
-    character occurs exactly once, so they give the d+1 distinct
-    characters.
-    """
-    d1 = scheme.classes + 1
-    val = scheme.valencies
-
-    subspaces = [[[int(r == c) for r in range(d1)] for c in range(d1)]]
-    for i in range(1, d1):
-        if len(subspaces) == d1:
-            break
-        roots = _integer_roots(scheme.p[i], val[i])
-        nxt = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                nxt.append(basis)
-            else:
-                nxt.extend(_split_by_integer_eigenvalues(basis, scheme.p[i], roots))
-        subspaces = nxt
-
-    zero = [0] * d1
-    settled = [(b[0], zero) for b in subspaces if len(b) == 1]
-    pending = [b for b in subspaces if len(b) > 1]
-    while pending:
-        basis = pending.pop()
-        if len(basis) != 2:
-            raise IrrationalEigenvalue("cannot separate a subspace of dimension > 2")
-        for i in range(1, d1):
-            pieces = _split_complex_pair(basis, scheme.p[i])
-            if pieces is not None:
-                settled.extend(pieces)
-                break
-        else:
-            raise HadsplitError("eigenspaces are not separated by the classes")
-    if len(settled) != d1:
-        raise HadsplitError("eigenspace count mismatch")
-    return settled
-
-
 def eigenmatrices(scheme: Scheme) -> EigenTables:
     """Exact eigenmatrices of a commutative scheme.
 
-    The rows of P are the d+1 characters theta of the Bose-Mesner algebra:
-    theta_0 = 1 and theta_i theta_j = sum_k p_ij^k theta_k. Floats only
-    propose them: exactla._gaussian_characters reads a table off one float
-    eigendecomposition and keeps it only when an exact int64 identity
-    check proves every row a character and the d+1 rows are distinct.
-    Otherwise, and always when a character leaves Z[i], the exact subspace
-    splitting of _split_eigenspaces finds them; it raises
-    IrrationalEigenvalue when the algebra needs a field larger than Q(i).
-    Either way the result is the same exact table.
+    The rows of P are the d+1 characters theta of the Bose-Mesner algebra,
+    which exactla._characters finds as Gaussian integers, with theta_0 = 1;
+    it raises IrrationalEigenvalue when a character leaves Z[i]. The row of
+    valencies comes first and the others follow in increasing order of
+    their (re, im) pairs, the order of GaussianRational.sort_key.
 
-    Each line x = re + i im found is a common left eigenvector with x / x_0
-    a row of P (x_0 = 1 for a proposed row); P needs no singularity check.
-    The first orthogonality relation then gives m_j = |X| / sum_i |P_ji|^2
-    / k_i and Q_ij = m_j conj(P_ji) / k_i with PQ = |X| I, so E_j = sum_i
-    Q_ij A_i / |X| are the primitive idempotents: E_j E_k = [j = k] E_j and
+    The first orthogonality relation gives m_j = |X| / sum_i |P_ji|^2 / k_i
+    and Q_ij = m_j conj(P_ji) / k_i with PQ = |X| I, so E_j = sum_i Q_ij
+    A_i / |X| are the primitive idempotents: E_j E_k = [j = k] E_j and
     sum_j E_j = I, none of it re-checked (Bannai and Ito, Algebraic
-    Combinatorics I, 1984, sec. II.3). A line gives P_ji = N_i / D with the
-    Gaussian integers N_i = x_i conj(x_0) and D = |x_0|^2, so with
-    L = lcm(k_i) both m_j = |X| L D^2 / sum_i |N_i|^2 (L / k_i) and
-    Q_ij = m_j conj(N_i) / (D k_i) are quotients of integers.
+    Combinatorics I, 1984, sec. II.3). With L = lcm(k_i), m_j = |X| L /
+    sum_i |P_ji|^2 (L / k_i) is a quotient of integers, and so is each
+    Q_ij.
     """
-    d1 = scheme.classes + 1
     val = scheme.valencies
-    settled = _gaussian_characters(scheme.p, val)
-    if settled is None:
-        settled = _split_eigenspaces(scheme)
-
-    lines = []
-    for re, im in settled:
-        den = re[0] * re[0] + im[0] * im[0]
-        nums = [(a * re[0] + b * im[0], b * re[0] - a * im[0]) for a, b in zip(re, im)]
-        lines.append((tuple(_entry(nr, ni, den) for nr, ni in nums), nums, den))
-    lead = [j for j, (_, nums, den) in enumerate(lines) if nums == [(v * den, 0) for v in val]]
-    if not lead:
+    rows = _characters(scheme.p, val)
+    trivial = (list(val), [0] * len(val))
+    if trivial not in rows:
         raise HadsplitError("no eigenspace carries the valencies")
-    first = lines.pop(lead[0])
-    lines.sort(key=lambda line: tuple(e.sort_key() for e in line[0]))
-    lines.insert(0, first)
+    rows.remove(trivial)
+    rows.sort(key=lambda row: tuple(zip(*row)))
+    rows.insert(0, trivial)
 
     size = scheme.size
     lcm = math.lcm(*val)
+    num = size * lcm
     mults = []
-    for _, nums, den in lines:
-        num = size * lcm * den * den
-        norm = sum((nr * nr + ni * ni) * (lcm // k) for (nr, ni), k in zip(nums, val))
+    for re, im in rows:
+        norm = sum((a * a + b * b) * (lcm // k) for a, b, k in zip(re, im, val))
         if num % norm:
             raise HadsplitError(f"multiplicity {Fraction(num, norm)} is not a positive integer")
         mults.append(num // norm)
     if sum(mults) != size:
         raise HadsplitError("multiplicities do not sum to the point count")
 
+    p_rows = tuple(tuple(_entry(a, b, 1) for a, b in zip(re, im)) for re, im in rows)
     q_rows = tuple(
-        tuple(
-            _entry(m * nums[i][0], -m * nums[i][1], den * val[i])
-            for m, (_, nums, den) in zip(mults, lines)
-        )
-        for i in range(d1)
+        tuple(_entry(m * re[i], -m * im[i], k) for m, (re, im) in zip(mults, rows))
+        for i, k in enumerate(val)
     )
-    return EigenTables(
-        p=tuple(row for row, _, _ in lines), q=q_rows, multiplicities=tuple(mults), size=size
-    )
+    return EigenTables(p=p_rows, q=q_rows, multiplicities=tuple(mults), size=size)
 
 
 # Entries of the gather that reads one generator's products on a translation

@@ -128,6 +128,15 @@ def test_construct_skew_core_non_prime_power_exits_two(capsys):
     assert "error: 15 is not a prime power" in err
 
 
+def test_construct_core_tensor_of_order_1_exits_two(capsys):
+    code, out, err = run(
+        capsys, "construct", "core-tensor", "--sylvester", "0", "--sylvester2", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: core-tensor needs a first factor of order at least 2, not 1" in err
+
+
 def test_construct_kron_small(capsys):
     code, out, _ = run(
         capsys, "construct", "kron", "--sylvester", "2", "--variant", "small", "--json"
@@ -415,6 +424,16 @@ def test_nonexist_multiplicity_mismatch_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "eigenspace dimension 0, expected 5" in err
+
+
+@pytest.mark.parametrize("ell", ["0", "-1", "20"])
+def test_nonexist_ell_outside_1_to_v_exits_two(capsys, ell):
+    code, out, err = run(
+        capsys, "nonexist", "--graph", "lattice-4x4", "--ell", ell, "--a", "2", "--b=-2"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"error: eigenvector search needs 1 <= ell <= v, not v = 16, ell = {ell}" in err
 
 
 def test_nonexist_inconclusive(capsys):

@@ -74,6 +74,12 @@ def test_core_tensor(kexp, mexp):
     assert inst.report.checks["rowsum_zero"]
 
 
+def test_core_tensor_needs_a_first_factor_of_order_2():
+    # at k = 1 the rows would form the single-value split (m, m - 1, -1, -1)
+    with pytest.raises(ValueError, match="order at least 2, not 1"):
+        core_tensor(sylvester(0), sylvester(2))
+
+
 @pytest.mark.parametrize("exp", [2, 3, 4])
 def test_two_row_split(exp):
     n = 2**exp
@@ -281,6 +287,11 @@ def test_witness_none_for_unknown():
     assert witness_for(16, 0, 1, 1) is None
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_witness_has_no_core_tensor_of_order_1(n):
+    assert witness_for(n, n - 1, 0, -1) is None
+
+
 def test_witness_needs_a_known_hadamard_order():
     # no Hadamard matrix of order 668 is known; 664 and 1024 are
     assert witness_for(668, 666, 0, -2) is None
@@ -317,7 +328,7 @@ def _witness_chain(n, ell, a, b, _depth=0):
         return "two-row"
     if a == 0 and b < 0:
         k = -b
-        if n % k == 0 and ell == n - k and n // k >= 2:
+        if k >= 2 and n % k == 0 and ell == n - k and n // k >= 2:
             if _hadamard_order_ok(k) and _hadamard_order_ok(n // k):
                 return f"core-tensor k={k}"
     if a == ell and b == -1 and n == a * (a + 1) and a % 4 == 3 and is_prime_power(a):

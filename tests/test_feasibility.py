@@ -593,6 +593,12 @@ def test_eigvec_search_rejects_asymmetric():
         eigvec_search(bad, 1, 1, -1)
 
 
+@pytest.mark.parametrize("ell", [0, -1, 17, 20])
+def test_eigvec_search_rejects_ell_outside_1_to_v(ell):
+    with pytest.raises(ValueError, match=rf"needs 1 <= ell <= v, not v = 16, ell = {ell}$"):
+        eigvec_search(bundled_data("lattice-4x4"), ell, 2, -2)
+
+
 def test_eigvec_search_rejects_a_matrix_that_is_not_a_graph():
     lattice = bundled_data("lattice-4x4").array
     for bad in (lattice + np.eye(16, dtype=np.int64), 2 * lattice, -lattice):

@@ -17,7 +17,7 @@ import hadsplit.exactla
 import hadsplit.schemes
 from hadsplit.constructions import twin_sylvester
 from hadsplit.core import HadamardMatrix, HadsplitError, IntMatrix, isqrt_exact, sylvester
-from hadsplit.exactla import GaussianRational, mat_vec, nullspace, rref
+from hadsplit.exactla import GaussianRational, _integer_roots, mat_vec, nullspace, rref
 from hadsplit.latin import (
     LatinSquare,
     affine_ufs_family,
@@ -33,7 +33,6 @@ from hadsplit.schemes import (
     IrrationalEigenvalue,
     OddityViolation,
     _assemble_blocks,
-    _integer_roots,
     _KroneckerForm,
     _TranslationForm,
     _ufs_cross_lift,
@@ -1564,12 +1563,25 @@ def test_eigenmatrices_do_not_depend_on_the_float_proposal(case, built_schemes, 
         assert _outcome(eigenmatrices, sch) == want, name
 
 
+@pytest.mark.parametrize(
+    "case", [c for c in list(_BUILT_SCHEMES) + list(_MORE_SCHEMES) if c not in _DECLINED_PROPOSALS]
+)
+def test_splitting_and_proposal_give_characters_in_one_format(case, built_schemes):
+    """The exact splitting hands back what an accepted proposal does: the
+    characters as integer (real parts, imaginary parts) with theta_0 = 1."""
+    sch = _scheme_for(case, built_schemes)
+    proposed = hadsplit.exactla._gaussian_characters(sch.p, sch.valencies)
+    split = hadsplit.exactla._split_eigenspaces(sch.p, sch.valencies)
+    assert sorted(split) == sorted(proposed)
+    assert all(re[0] == 1 and im[0] == 0 for re, im in split)
+
+
 def test_split_returns_primitive_pieces_from_any_basis():
     """X c is made primitive: on the invariant plane span(e0 + e1, e0 - e1)
     of diag(1, 2, 3), the 1-eigenspace is X (1, 1) = (2, 0, 0), returned as
     e0."""
     bmat = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
-    split = hadsplit.schemes._split_by_integer_eigenvalues
+    split = hadsplit.exactla._split_by_integer_eigenvalues
     first, second = split([[1, 1, 0], [1, -1, 0]], bmat, [1, 2, 3])
     assert first == [[1, 0, 0]]
     assert second in ([[0, 1, 0]], [[0, -1, 0]])
@@ -1588,13 +1600,13 @@ def test_irrational_plane_message_does_not_depend_on_its_basis(case, message, mo
     basis and divided by det(M)^2; with the basis (u + v, u - v) every minor
     doubles, and the message must not change."""
     seen = []
-    pair = hadsplit.schemes._split_complex_pair
+    pair = hadsplit.exactla._split_complex_pair
 
     def recording(basis, bmat):
         seen.append((basis, bmat))
         return pair(basis, bmat)
 
-    monkeypatch.setattr(hadsplit.schemes, "_split_complex_pair", recording)
+    monkeypatch.setattr(hadsplit.exactla, "_split_complex_pair", recording)
     with pytest.raises(IrrationalEigenvalue) as info:
         eigenmatrices(_CYCLIC_SCHEMES[case]())
     assert str(info.value) == message
@@ -1608,8 +1620,8 @@ def test_plane_with_two_rational_eigenvalues_is_an_internal_error():
     """eigenmatrices never hands over such a plane: both eigenvalues would
     be integers, and the integer splits have already separated them."""
     with pytest.raises(HadsplitError, match="two rational eigenvalues"):
-        hadsplit.schemes._split_complex_pair([[1, 0], [0, 1]], [[1, 0], [0, 2]])
-    assert len(hadsplit.schemes._split_complex_pair([[1, 0], [0, 1]], [[0, -1], [1, 0]])) == 2
+        hadsplit.exactla._split_complex_pair([[1, 0], [0, 1]], [[1, 0], [0, 2]])
+    assert len(hadsplit.exactla._split_complex_pair([[1, 0], [0, 1]], [[0, -1], [1, 0]])) == 2
 
 
 def test_eigenmatrices_petersen_tables():
@@ -1648,8 +1660,8 @@ def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypa
     sch = built_schemes[case]
     calls = []
     splits = []
-    kernel = hadsplit.schemes._kernel_int
-    split = hadsplit.schemes._split_by_integer_eigenvalues
+    kernel = hadsplit.exactla._kernel_int
+    split = hadsplit.exactla._split_by_integer_eigenvalues
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -1661,9 +1673,9 @@ def test_eigenmatrices_take_one_nullspace_per_root(case, built_schemes, monkeypa
         splits.append((bmat, len(calls) - before))
         return pieces
 
-    monkeypatch.setattr(hadsplit.schemes, "_kernel_int", counting)
-    monkeypatch.setattr(hadsplit.schemes, "_split_by_integer_eigenvalues", recording)
-    hadsplit.schemes._split_eigenspaces(sch)
+    monkeypatch.setattr(hadsplit.exactla, "_kernel_int", counting)
+    monkeypatch.setattr(hadsplit.exactla, "_split_by_integer_eigenvalues", recording)
+    hadsplit.exactla._split_eigenspaces(sch.p, sch.valencies)
     assert splits
     for bmat, taken in splits:
         assert taken <= len(_kernel_roots(bmat, _row_sum_bound(bmat)))
@@ -1683,8 +1695,8 @@ def test_eigenmatrices_split_primitive_integer_bases(case, built_schemes, monkey
     parts), is made of primitive Python-int vectors."""
     sch = _scheme_for(case, built_schemes)
     seen = []
-    split = hadsplit.schemes._split_by_integer_eigenvalues
-    pair = hadsplit.schemes._split_complex_pair
+    split = hadsplit.exactla._split_by_integer_eigenvalues
+    pair = hadsplit.exactla._split_complex_pair
 
     def recording(basis, bmat, roots):
         _assert_primitive_int_basis(basis)
@@ -1702,10 +1714,10 @@ def test_eigenmatrices_split_primitive_integer_bases(case, built_schemes, monkey
         seen.append(len(basis))
         return pieces
 
-    monkeypatch.setattr(hadsplit.schemes, "_split_by_integer_eigenvalues", recording)
-    monkeypatch.setattr(hadsplit.schemes, "_split_complex_pair", recording_pair)
+    monkeypatch.setattr(hadsplit.exactla, "_split_by_integer_eigenvalues", recording)
+    monkeypatch.setattr(hadsplit.exactla, "_split_complex_pair", recording_pair)
     try:
-        hadsplit.schemes._split_eigenspaces(sch)
+        hadsplit.exactla._split_eigenspaces(sch.p, sch.valencies)
     except IrrationalEigenvalue:
         pass
     assert seen
