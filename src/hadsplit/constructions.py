@@ -38,7 +38,6 @@ __all__ = [
     "twin_sylvester",
     "ja_recursion",
     "skew_core_bsh",
-    "translate_sylvester_rows",
     "witness_for",
 ]
 
@@ -195,22 +194,6 @@ def twin_sylvester(m_exponent: int) -> TwinSplit:
         h3_rows=tuple(r),
         reports=(rep1, rep2, rep3),
     )
-
-
-def translate_sylvester_rows(m_exponent: int, rows, t: int) -> list[int]:
-    """Translate a Sylvester row set by XOR on row indices.
-
-    Rows of the order 2^k Sylvester matrix multiply pointwise by index XOR,
-    so a translated set carries a Gram conjugated by a sign diagonal and
-    keeps its split parameters.
-    """
-    n = 2**m_exponent
-    if not 0 <= t < n:
-        raise ValueError("translation out of range")
-    out = [i ^ t for i in rows]
-    if len(set(out)) != len(out) or any(not 0 <= i < n for i in out):
-        raise ValueError("bad row set")
-    return sorted(out)
 
 
 @dataclass(frozen=True)

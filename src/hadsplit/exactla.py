@@ -6,11 +6,10 @@ Small dense matrices only. Every elimination is fraction-free and runs in
 one loop, _echelon_array, on a numpy array that it updates every row at
 once at each pivot, in int64 while a bound allows and on Python ints past
 it. rref runs on it, for the eigenspace systems of
-feasibility.eigvec_search, which have one row per vertex; _kernel_int gives
-its kernel as primitive integer vectors, and nullspace is built on that.
-rref and nullspace take int and Fraction entries, scale each row to
-integers, and build only their results from Fractions. mat_vec takes any
-elements supporting + and *.
+feasibility.eigvec_search, which have one row per vertex, and _kernel_int
+gives its kernel as primitive integer vectors. rref takes int and Fraction
+entries, scales each row to integers, and builds only its result from
+Fractions. mat_vec takes any elements supporting + and *.
 
 _characters gives the d+1 characters of the algebra from its intersection
 table, each as integer (real parts, imaginary parts) with theta_0 = 1.
@@ -36,7 +35,7 @@ import numpy as np
 
 from .core import _INT64_SAFE, HadsplitError, _max_abs, isqrt_exact
 
-__all__ = ["GaussianRational", "rref", "nullspace", "mat_vec"]
+__all__ = ["GaussianRational", "rref", "mat_vec"]
 
 
 class IrrationalEigenvalue(HadsplitError):
@@ -237,21 +236,6 @@ def rref(m: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
     out = [[Fraction(x, row[p]) if x else zero for x in row] for row, p in zip(rows, pivots)]
     out += [[zero] * len(scaled[0]) for _ in range(len(scaled) - len(rows))]
     return out, pivots
-
-
-def nullspace(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix, one vector per free
-    column, each carrying 1 at its own free column: the _kernel_int vector
-    of the scaled matrix divided by its entry there, which is positive. A
-    pivot row is zero left of its pivot, so the free column is the last
-    nonzero entry."""
-    if not m:
-        return []
-    basis = []
-    for v in _kernel_int(_scaled_int(m)):
-        last = next(x for x in reversed(v) if x)
-        basis.append([Fraction(x, last) for x in v])
-    return basis
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:

@@ -4,6 +4,11 @@ Each enumeration lists the parameter sets surviving every implemented screen
 and annotates them with a status: realized by a construction, excluded by a
 mod-4 sign count, excluded by an exhaustive eigenvector search, or open.
 
+Parity: two +-1 columns of length ell that disagree in d places have inner
+product ell - 2d, so every off-diagonal Gram value of a split is congruent
+to ell mod 2. The zero-row-sum table keeps only cells with
+a = b = ell (mod 2).
+
 The two tables screen each order's whole (ell, a) grid at once in int64
 numpy, then the SRG screens of srg_primitive_feasible run on the surviving
 columns, also in int64 (_srg_feasible); Python objects are built only for
@@ -402,13 +407,13 @@ _GRID_CELLS = 2**16
 def _case_a_cells(max_n: int) -> list[tuple[int, ...]]:
     """Rows (n, ell, a, b, k, lam, mu) for n = 8, 12, ..., max_n, 2 <= ell < n and
     1 <= a <= ell where the zero-row-sum b is an integer, b >= -ell,
-    a^2 != b^2, and k, lam and mu are integers passing every SRG screen; in
-    no particular order."""
+    a^2 != b^2, a = b = ell (mod 2), and k, lam and mu are integers passing
+    every SRG screen; in no particular order."""
     # The grid is built in blocks of whole ell rows, in (ell, a) order; the
     # cells of a block that order n screens, those with ell < n, are a prefix.
     # The hits, never more than the cells screened, are finished in batches.
     step = max(1, _GRID_CELLS // max(max_n, 1))
-    # the integral cells, 5601 up to order 1024, are screened all at once
+    # the integral cells, 4453 up to order 1024, are screened all at once
     found: list[list[np.ndarray]] = []
     hits: list[tuple[np.ndarray, ...]] = []
     screened = 0
@@ -437,9 +442,10 @@ def _case_a_cells(max_n: int) -> list[tuple[int, ...]]:
 
 def _case_a_integral_cells(hits: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
     """Columns (n, ell, a, b, k, lam, mu) of the hit columns (n, ell, a, b)
-    with b >= -ell, a^2 != b^2, and integral k, lam and mu."""
+    with b >= -ell, a^2 != b^2, a = b = ell (mod 2), and integral k, lam
+    and mu."""
     n, ell, a, b = map(np.concatenate, zip(*hits))
-    keep = (b >= -ell) & (a * a != b * b)
+    keep = (b >= -ell) & (a * a != b * b) & ((ell - a) % 2 == 0) & ((ell - b) % 2 == 0)
     n, ell, a, b = n[keep], ell[keep], a[keep], b[keep]
     return _integral_cells(_srg_terms(n, ell, a, b), n, ell, a, b)
 

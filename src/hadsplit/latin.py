@@ -13,7 +13,6 @@ each step an m x m comparison with all of l2, never an m x m x m array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "NotUfs",
     "LatinSquare",
     "is_ufs",
-    "is_mutually_ufs",
     "compose_ufs",
     "circle_symmetric",
     "affine_ufs_family",
@@ -106,10 +104,6 @@ def is_ufs(l1: LatinSquare, l2: LatinSquare) -> bool:
     """Every row of l1 meets every row of l2 in exactly one column."""
     same = l1.order == l2.order and l1.min_symbol == l2.min_symbol
     return same and bool((_agreements(l1, l2)[0] == 1).all())
-
-
-def is_mutually_ufs(squares: list[LatinSquare]) -> bool:
-    return all(is_ufs(a, b) for a, b in combinations(squares, 2))
 
 
 def compose_ufs(l1: LatinSquare, l2: LatinSquare) -> LatinSquare:

@@ -31,14 +31,13 @@ import numpy as np
 from .core import _FLOAT32_EXACT, HadamardMatrix, HadsplitError, IntMatrix, exact_matmul
 from .exactla import GaussianRational, IrrationalEigenvalue, _characters, _primitive, mat_vec
 from .latin import LatinSquare, circle_symmetric, compose_ufs
-from .splitting import SplitReport
+from .splitting import SplitReport, _require_report_of
 
 __all__ = [
     "AxiomFailure",
     "OddityViolation",
     "IrrationalEigenvalue",
     "AuxiliarySet",
-    "lift_latin",
     "Scheme",
     "verify_scheme",
     "build_4class_symmetric",
@@ -47,7 +46,6 @@ __all__ = [
     "build_6class",
     "EigenTables",
     "eigenmatrices",
-    "table_as_ints",
     "hamming_scheme",
     "muzychuk_fusion",
 ]
@@ -74,8 +72,7 @@ class AuxiliarySet:
     """
 
     def __init__(self, h: HadamardMatrix, report: SplitReport):
-        if report.params.n != h.order:
-            raise ValueError("report does not belong to this matrix")
+        _require_report_of(h, report)
         self.h = h
         self.report = report
         self._arr = h.array
@@ -106,43 +103,6 @@ class AuxiliarySet:
             return False
         left = (a - b) * exact_matmul(rep.adjacency.array, self._h1.T).astype(np.int64, copy=False)
         return bool(np.array_equal(left, (n - ell + b) * self._h1.T))
-
-
-def lift_latin(square: LatinSquare, aux: AuxiliarySet) -> IntMatrix:
-    """Replace each symbol s >= 1 by the projector of split row s and 0 by a
-    zero block.
-
-    The lift L satisfies L Lt = I (x) nG, with G the split Gram. Since
-    HHt = nI, the split projectors P_s satisfy P_s P_t = n [s = t] P_s and
-    are linearly independent, so block (i, k) of L Lt is n times the sum of
-    P_s over the columns where rows i and k both hold s >= 1. The identity
-    therefore holds exactly when every row holds each split symbol 1..ell
-    exactly once and distinct rows never agree at a nonzero symbol; both
-    are checked on the square, and no product of the lift is formed.
-    """
-    n, ell = aux.report.params.n, aux.report.params.ell
-    m = square.order
-    if square.min_symbol not in (0, 1) or square.min_symbol + m - 1 != ell:
-        raise ValueError(f"square symbols {square.symbols} do not index a split of size {ell}")
-    for i, row in enumerate(square.cells):
-        for j, s in enumerate(row):
-            if s not in square.symbols:
-                raise ValueError(
-                    f"cell ({i}, {j}) holds {s!r}, outside the symbols {square.min_symbol}..{ell}"
-                )
-    # m distinct cells within the symbols are each split symbol once
-    for i, row in enumerate(square.cells):
-        if len(set(row)) != m:
-            raise HadsplitError(f"row {i} of the square repeats a symbol")
-    cells = np.array(square.cells, dtype=np.int64)
-    agree = (cells[:, None, :] == cells[None, :, :]) & (cells[None, :, :] >= 1)
-    if np.any(agree[~np.eye(m, dtype=bool)]):
-        raise HadsplitError("distinct rows of the square agree at a nonzero symbol")
-    rows = np.zeros((ell + 1, n), dtype=np.int64)
-    rows[1:] = aux._h1
-    blocks = rows[cells]
-    lifted = np.einsum("ija,ijb->iajb", blocks, blocks, order="C")
-    return IntMatrix(lifted.reshape(m * n, m * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -693,19 +653,6 @@ class EigenTables:
     q: tuple[tuple[GaussianRational, ...], ...]
     multiplicities: tuple[int, ...]
     size: int
-
-
-def table_as_ints(rows: Sequence[Sequence[GaussianRational]]) -> tuple[tuple[int, ...], ...]:
-    """Render a table of Gaussian rationals as plain integers, or fail."""
-    out = []
-    for row in rows:
-        ints = []
-        for e in row:
-            if not e.is_rational or e.re.denominator != 1:
-                raise ValueError(f"entry {e!r} is not a plain integer")
-            ints.append(int(e.re))
-        out.append(tuple(ints))
-    return tuple(out)
 
 
 def _entry(num_re: int, num_im: int, den: int) -> GaussianRational:

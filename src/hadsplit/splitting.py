@@ -59,7 +59,6 @@ __all__ = [
     "derive_srg_case_b",
     "general_srg_from_b",
     "verify_seidel_matrix",
-    "complement_split",
     "delete_allones_transform",
     "equiangular_report",
     "unbiased_partner",
@@ -255,6 +254,14 @@ def _require_order_above_1(n: int) -> None:
         raise ValueError(
             "a Hadamard matrix of order 1 has no split: its Gram has no off-diagonal entries"
         )
+
+
+def _require_report_of(h: HadamardMatrix, report: SplitReport) -> None:
+    """A report of another order cannot describe rows of h. A same-order
+    report of another matrix goes undetected: telling it apart would take
+    a product."""
+    if report.params.n != h.order:
+        raise ValueError("report does not belong to this matrix")
 
 
 def _row_index(i) -> int:
@@ -536,12 +543,6 @@ def verify_seidel_matrix(report: SplitReport) -> bool:
     return a * a * (s @ s) == a * (n - 2 * ell) * s + (ell * (n - ell)) * eye
 
 
-def complement_split(report: SplitReport) -> SplitParams:
-    """Parameters carried by the complementary row set."""
-    p = report.params
-    return SplitParams(p.n, p.n - p.ell, -p.b, -p.a)
-
-
 def _constant_sign_rows(h: HadamardMatrix) -> np.ndarray:
     # every entry is +-1, so a row has one sign exactly when |row sum| = n
     return np.flatnonzero(np.abs(h.array.sum(axis=1)) == h.order)
@@ -554,6 +555,7 @@ def delete_allones_transform(h: HadamardMatrix, report: SplitReport) -> SplitRep
     remaining n - ell - 1 rows form a split with parameters
     (n, n - ell - 1, a - 1, -a - 1).
     """
+    _require_report_of(h, report)
     p = report.params
     if p.b != -p.a:
         raise InfeasibleSeidel("transform needs b = -a")
@@ -606,6 +608,7 @@ def unbiased_partner(h: HadamardMatrix, report: SplitReport) -> HadamardMatrix:
     with D marking the split rows, so H Kt = (n / 2a)(2D - I) H has every
     entry +-n/(2a) = +-sqrt(n).
     """
+    _require_report_of(h, report)
     p = report.params
     n, ell, a = p.n, p.ell, p.a
     root = isqrt_exact(n)
@@ -624,6 +627,7 @@ def regular_hadamard_normalize(h: HadamardMatrix, report: SplitReport) -> Hadama
     re-proved, and its row sums are 2m too: 1t H = 2m 1t and H Ht = nI give
     n 1t = 2m 1t Ht, so H 1 = (n / 2m) 1 = 2m 1.
     """
+    _require_report_of(h, report)
     p = report.params
     m = p.a
     if p.b != -m or p.n != 4 * m * m or p.ell != 2 * m * m - m:

@@ -1,8 +1,13 @@
 """Reference arithmetic for the tests."""
 
+from fractions import Fraction
 from typing import Sequence
 
-from hadsplit.exactla import Matrix, _primitive
+import numpy as np
+
+from hadsplit.exactla import GaussianRational, Matrix, _primitive
+from hadsplit.latin import LatinSquare
+from hadsplit.schemes import AuxiliarySet
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -53,3 +58,70 @@ def _echelon_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
         if r == nrows:
             break
     return [_primitive(row) for row in a[:r]], pivots
+
+
+def fraction_rref(m):
+    """Reference rref: Gauss-Jordan elimination over Fraction, dividing each
+    pivot row by its pivot."""
+    a = [[Fraction(v) for v in row] for row in m]
+    if not a:
+        return a, []
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [v / pv for v in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def fraction_nullspace(m):
+    """Reference kernel from fraction_rref: one vector per free column fc,
+    1 at fc and -rref[i][fc] at the i-th pivot."""
+    red, pivots = fraction_rref(m)
+    basis = []
+    for fc in range(len(m[0])):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * len(m[0])
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def lift_latin(square: LatinSquare, aux: AuxiliarySet) -> np.ndarray:
+    """Dense lift of a Latin square: cell (i, j) holding symbol s >= 1
+    becomes the block h_s h_st of split row s, and symbol 0 a zero block.
+    The square is not checked."""
+    h1 = aux.h.array[list(aux.report.rows)]
+    m, n = square.order, h1.shape[1]
+    rows = np.vstack([np.zeros((1, n), dtype=np.int64), h1])
+    blocks = rows[np.array(square.cells)]
+    return np.einsum("ija,ijb->iajb", blocks, blocks).reshape(m * n, m * n)
+
+
+def table_as_ints(rows: Sequence[Sequence[GaussianRational]]) -> tuple[tuple[int, ...], ...]:
+    """Render a table of Gaussian rationals as plain integers, or fail."""
+    out = []
+    for row in rows:
+        ints = []
+        for e in row:
+            if not e.is_rational or e.re.denominator != 1:
+                raise ValueError(f"entry {e!r} is not a plain integer")
+            ints.append(int(e.re))
+        out.append(tuple(ints))
+    return tuple(out)

@@ -20,7 +20,6 @@ from hadsplit.constructions import (
     ja_recursion,
     kron_square,
     skew_core_bsh,
-    translate_sylvester_rows,
     twin_sylvester,
     two_row_split,
     witness_for,
@@ -213,16 +212,9 @@ def test_twin_rejects_zero():
 
 def test_translate_keeps_parameters(twin16):
     for t in (1, 5, 15):
-        moved = translate_sylvester_rows(4, twin16.h2_rows, t)
-        rep = check_split(twin16.h, moved)
+        # Sylvester rows multiply pointwise by index XOR
+        rep = check_split(twin16.h, sorted(i ^ t for i in twin16.h2_rows))
         assert rep.params == twin16.reports[1].params
-
-
-def test_translate_validates_input():
-    with pytest.raises(ValueError):
-        translate_sylvester_rows(4, (1, 4), 16)
-    with pytest.raises(ValueError):
-        translate_sylvester_rows(2, (1, 5), 0)
 
 
 # ------------------------------------------------------------ skew cores

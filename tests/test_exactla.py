@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,11 @@ import hadsplit.exactla as exactla
 from hadsplit.exactla import (
     GaussianRational,
     _echelon_array,
+    _kernel_int,
     mat_vec,
-    nullspace,
     rref,
 )
-from helpers import _echelon_int
+from helpers import _echelon_int, fraction_nullspace, fraction_rref
 
 F = Fraction
 G = GaussianRational
@@ -68,13 +69,11 @@ def test_rref_known_case():
 
 
 def test_nullspace_normalization():
-    vecs = nullspace([[1, 2, 3]])
-    assert len(vecs) == 2
+    vecs = _kernel_int([[2, 4, 6]])
+    # one primitive vector per free column, positive there
+    assert vecs == [[-2, 1, 0], [-3, 0, 1]]
     for v in vecs:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
-    # each vector carries a 1 at its own free column
-    assert vecs[0][1] == 1 and vecs[0][2] == 0
-    assert vecs[1][1] == 0 and vecs[1][2] == 1
 
 
 def test_mat_vec():
@@ -86,33 +85,6 @@ def test_mat_vec_rejects_mismatched_shapes():
         mat_vec([[1, 2, 3]], [1, 1])
     with pytest.raises(ValueError, match="inner dimensions differ"):
         mat_vec([[1, 2]], [1, 1, 1])
-
-
-def fraction_rref(m):
-    """Reference rref: Gauss-Jordan elimination over Fraction, dividing each
-    pivot row by its pivot."""
-    a = [[F(v) for v in row] for row in m]
-    if not a:
-        return a, []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -144,18 +116,16 @@ def test_rref_rejects_non_rationals():
         rref([[F(1), G(0, 1)], [1, 2]])
     with pytest.raises(TypeError, match="float"):
         rref([[1, 0.5]])
-    with pytest.raises(TypeError):
-        nullspace([[G(1), G(0, 1)], [G(0, -1), G(1)]])
 
 
 @st.composite
-def rational_matrices(draw):
-    """Up to 9 x 9, int or Fraction entries up to 2**30 or 10**30, and
-    often a row that is a combination of two others."""
+def rational_matrices(draw, fractions=True):
+    """Up to 9 x 9, int or (with fractions) Fraction entries up to 2**30
+    or 10**30, and often a row that is a combination of two others."""
     rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     peak = draw(st.sampled_from([2**30, 10**30]))
     entry = st.one_of(st.just(0), st.integers(-peak, peak))
-    if draw(st.booleans()):
+    if fractions and draw(st.booleans()):
         entry = st.builds(F, entry, st.integers(1, peak))
     row = st.lists(entry, min_size=cols, max_size=cols)
     m = draw(st.lists(row, min_size=rows, max_size=rows))
@@ -174,29 +144,18 @@ def test_rref_equals_the_fraction_reference(m):
     assert all(type(v) is F for row in got[0] for v in row)
 
 
-def fraction_nullspace(m):
-    """Reference kernel from fraction_rref: one vector per free column fc,
-    1 at fc and -rref[i][fc] at the i-th pivot."""
-    red, pivots = fraction_rref(m)
-    basis = []
-    for fc in range(len(m[0])):
-        if fc in pivots:
-            continue
-        v = [F(0)] * len(m[0])
-        v[fc] = F(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
 @settings(max_examples=200, deadline=None)
-@given(m=rational_matrices())
+@given(m=rational_matrices(fractions=False))
 def test_nullspace_equals_the_fraction_kernel(m):
-    # entries up to 10**30 take _echelon_array past int64 to Python ints
-    got = nullspace(m)
-    assert got == fraction_nullspace(m)
-    assert all(type(v) is F for vec in got for v in vec)
+    # entries up to 10**30 take _echelon_array past int64 to Python ints;
+    # a pivot row is zero left of its pivot, so each vector's free column
+    # is its last nonzero entry
+    got = _kernel_int(m)
+    assert all(type(x) is int for v in got for x in v)
+    assert all(math.gcd(*v) == 1 for v in got)
+    free = [next(x for x in reversed(v) if x) for v in got]
+    assert all(f > 0 for f in free)
+    assert [[F(x, f) for x in v] for v, f in zip(got, free)] == fraction_nullspace(m)
 
 
 @pytest.mark.parametrize(

@@ -54,8 +54,9 @@ from hadsplit.splitting import (
     delete_allones_transform,
     derive_seidel,
     general_srg_from_b,
+    search_splits,
 )
-from test_exactla import fraction_rref
+from helpers import fraction_rref
 
 # (n, ell, a) -> status for every surviving b = -a parameter set up to 1024
 SEIDEL_TABLE = [
@@ -240,6 +241,29 @@ def _enumerate_case_a_reference(max_n):
     return rows
 
 
+# Rows that table 2 listed as open before its parity screen: each has a or
+# b of the other parity from ell, which no +-1 Gram can hold.
+_PARITY_FAILURES = {
+    (300, 65, 5, -10), (300, 69, 9, -6), (300, 230, 5, -10), (300, 234, 9, -6),
+    (540, 55, 10, -5), (540, 484, 4, -11), (676, 45, 6, -7), (676, 630, 6, -7),
+    (980, 429, 9, -26), (980, 445, 25, -10), (980, 534, 9, -26), (980, 550, 25, -10),
+    (1000, 185, 10, -15), (1000, 189, 14, -11), (1000, 810, 10, -15), (1000, 814, 14, -11),
+}
+
+
+def test_case_a_rows_keep_the_gram_parity():
+    # two +-1 columns of length ell that disagree in d places have inner
+    # product ell - 2d, so a = b = ell (mod 2) on every realizable row
+    listed = {r.params.astuple() for r in enumerate_case_a(1024)}
+    assert all((ell - a) % 2 == 0 == (ell - b) % 2 for _, ell, a, b in listed)
+    assert not listed & _PARITY_FAILURES
+    for h in (sylvester(3), sylvester(4)):
+        for ell in range(1, h.order + 1):
+            for rep in search_splits(h, ell):
+                _, ell, a, b = rep.params.astuple()
+                assert (ell - a) % 2 == 0 == (ell - b) % 2, rep.params
+
+
 def test_case_a_enumeration_matches_the_fraction_reference():
     got = [(*r.params.astuple(), r.srg) for r in enumerate_case_a(256)]
     assert got == _enumerate_case_a_reference(256)
@@ -248,13 +272,13 @@ def test_case_a_enumeration_matches_the_fraction_reference():
 
 def _case_a_srg(n, ell, a):
     """b and the a-marked graph parameters of one zero-row-sum cell, in
-    integer arithmetic; None when b, k, lam or mu is not an integer or when
-    a^2 = b^2."""
+    integer arithmetic; None when b, k, lam or mu is not an integer, when
+    a^2 = b^2, or when a or b differs from ell in parity."""
     num, den = _case_a_b(n, ell, a)
     if num % den:
         return None
     b = num // den
-    if a * a == b * b:
+    if a * a == b * b or (ell - a) % 2 or (ell - b) % 2:
         return None
     vals = []
     for num, den in _srg_terms(n, ell, a, b):
@@ -289,9 +313,9 @@ def _enumerate_case_a_reference_rows(orders):
 
 def test_case_a_enumeration_to_1024():
     rows = enumerate_case_a(1024)
-    assert len(rows) == 586
+    assert len(rows) == 570
     assert Counter(r.status for r in rows) == {
-        STATUS_EXISTS: 22, STATUS_EIGSEARCH: 4, STATUS_OPEN: 560
+        STATUS_EXISTS: 22, STATUS_EIGSEARCH: 4, STATUS_OPEN: 544
     }
     top = [r for r in rows if r.params.n in (1020, 1024)]
     assert top == _enumerate_case_a_reference_rows((1020, 1024))

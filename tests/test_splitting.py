@@ -44,7 +44,6 @@ from hadsplit.splitting import (
     WrongParameters,
     check_split,
     classify_srg16,
-    complement_split,
     delete_allones_transform,
     derive_seidel,
     derive_srg_case_a,
@@ -704,11 +703,13 @@ def test_verify_seidel_matrix(twin16):
 
 
 def test_complement_split_is_involutive(twin16):
+    # the complementary rows carry (n, n - ell, -b, -a)
     rep = twin16.reports[1]
-    comp = complement_split(rep)
-    assert comp.astuple() == (16, 10, 2, -2)
-    again = complement_split(check_split(twin16.h, sorted(set(range(16)) - set(rep.rows))))
-    assert again == rep.params
+    n, ell, a, b = rep.params.astuple()
+    comp = check_split(twin16.h, sorted(set(range(16)) - set(rep.rows)))
+    assert comp.params == SplitParams(n, n - ell, -b, -a) == SplitParams(16, 10, 2, -2)
+    again = check_split(twin16.h, sorted(set(range(16)) - set(comp.rows)))
+    assert again.params == rep.params
 
 
 def test_delete_transform(twin16, split_16_9):
@@ -827,6 +828,17 @@ def test_regular_normal_form(twin16):
     assert reg @ reg.T == 16 * IntMatrix.identity(16)
     with pytest.raises(WrongParameters):
         regular_hadamard_normalize(twin16.h, twin16.reports[0])
+
+
+@pytest.mark.parametrize(
+    "transform", [delete_allones_transform, unbiased_partner, regular_hadamard_normalize]
+)
+@pytest.mark.parametrize("m", [2, 5])
+def test_report_of_another_order_is_refused(transform, m, twin16):
+    # the (16, 6, 2, -2) report is in range of each transform, so only the
+    # order tells it apart from a report of rows of h
+    with pytest.raises(ValueError, match="report does not belong to this matrix"):
+        transform(sylvester(m), twin16.reports[1])
 
 
 def test_diagonalize_by_hadamard(twin16):
