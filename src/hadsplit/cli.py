@@ -287,13 +287,14 @@ def _analyze_equiangular(args: argparse.Namespace, em: _Emitter) -> None:
     rep = equiangular_report(SplitParams(args.n, args.ell, args.a, args.b))
     em.data.update(
         {
-            "lines": rep.m,
+            "lines": args.n,
+            "dimension": rep.m,
             "alpha_sq": str(rep.alpha_sq),
             "bound": str(rep.bound),
             "attained": rep.attained,
         }
     )
-    em.say(f"{rep.m} equiangular lines with squared cosine {rep.alpha_sq}")
+    em.say(f"{args.n} equiangular lines in dimension {rep.m} with squared cosine {rep.alpha_sq}")
     em.say(f"relative bound {rep.bound}{' (attained)' if rep.attained else ''}")
 
 

@@ -19,15 +19,19 @@ the rows that pass. The arrays are exact for orders n <= _MAX_GRID_ORDER =
   [0, n^2] with n^2 <= 2^30 where it is used. float64 holds such integers
   exactly, and its correctly rounded sqrt of a perfect square is the root
   itself, so rint(sqrt(x))^2 == x is an exact squareness test. k, lam and
-  mu are formed on cells with a^2 < ell < n and a^2 <= n/3, where each
-  numerator and denominator is below 4 a n^2 <= 4 n^(5/2) < 2^40.
+  mu are formed (splitting._srg_terms with sigma = 0, so c = 2a and
+  d = ell + a) on cells with a^2 < ell < n and a^2 <= n/3: k's numerator
+  an - ell - a and mu's na(a - 1) are below n^2, and lam's adds
+  2a(n - 2 ell - 2a), below 4an <= 4n^2/3, so every term is below 2n^2.
 
   Zero row sums: b's numerator ell (ell - a - n) and denominator
-  a (n-1) + ell are below n^2 in magnitude. k, lam and mu are formed only
-  on cells with b an integer in [-ell, 0) and 1 <= a <= ell < n, where each
-  factor (b - 1 included) is at most n in magnitude, or 2n for a sum of two.
-  Adding up the monomials bounds every partial sum and product by
-  2n^4 + 19n^3 (lam's numerator, the largest), below 2^62 for n <= 2^15.
+  a (n-1) + ell are below n^2 in magnitude. k, lam and mu are formed
+  (_srg_terms with sigma = 0) only on cells with b an integer in [-ell, 0)
+  and 1 <= a <= ell < n, so c = a - b and d = ell - b lie in [1, 2 ell].
+  k's numerator -d - bn lies in [0, n^2); mu's, nb(b + 1), in
+  [0, n ell (ell - 1)]; (n - 2d) c in (-6n^2, 2n ell), so lam's numerator,
+  their sum, lies in (-6n^2, n ell (ell + 1)); and c^2 <= 4 ell^2. Every
+  product and sum is below n^3 <= 2^45 in magnitude for n >= 8.
 
   SRG screens: the range tests 0 < k < v - 1, 0 <= lam < k and
   1 <= mu < k, comparisons only, run first and the columns are compressed
@@ -56,7 +60,6 @@ from .splitting import (
     SplitParams,
     SrgParams,
     _case_a_b,
-    _seidel_terms,
     _srg_terms,
 )
 
@@ -369,7 +372,7 @@ def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
     """
     _check_grid_order(max_n)
     n, ell, a = _seidel_cells(max_n)
-    return _table(_feasible_cells(_integral_cells(_seidel_terms(ell, a), n, ell, a, -a)))
+    return _table(_feasible_cells(_integral_cells(_srg_terms(n, ell, a, -a, 0), n, ell, a, -a)))
 
 
 def _seidel_cells(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -447,7 +450,7 @@ def _case_a_integral_cells(hits: list[tuple[np.ndarray, ...]]) -> list[np.ndarra
     n, ell, a, b = map(np.concatenate, zip(*hits))
     keep = (b >= -ell) & (a * a != b * b) & ((ell - a) % 2 == 0) & ((ell - b) % 2 == 0)
     n, ell, a, b = n[keep], ell[keep], a[keep], b[keep]
-    return _integral_cells(_srg_terms(n, ell, a, b), n, ell, a, b)
+    return _integral_cells(_srg_terms(n, ell, a, b, 0), n, ell, a, b)
 
 
 @dataclass(frozen=True)

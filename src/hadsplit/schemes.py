@@ -31,7 +31,7 @@ import numpy as np
 from .core import _FLOAT32_EXACT, HadamardMatrix, HadsplitError, IntMatrix, exact_matmul
 from .exactla import GaussianRational, IrrationalEigenvalue, _characters, _primitive, mat_vec
 from .latin import LatinSquare, circle_symmetric, compose_ufs
-from .splitting import SplitReport, _require_report_of
+from .splitting import SplitReport, _require_report_of, _srg_terms
 
 __all__ = [
     "AxiomFailure",
@@ -411,9 +411,8 @@ class _KroneckerForm:
         self.aux, self.grids, self.n = aux, grids, n
         coords = np.zeros((5 + 2 * ell, ell + 2), dtype=np.int64)
         coords[_EYE] = 1
-        coords[_ADJ] = [(b - ell) // (a - b), (b - ell - b * n) // (a - b)] + [
-            (n - ell + b) // (a - b)
-        ] * ell
+        k, c = _srg_terms(n, ell, a, b, 0)[0]
+        coords[_ADJ] = [(b - ell) // c, k // c] + [(n - ell + b) // c] * ell
         coords[_NON] = -1 - coords[_ADJ]
         coords[_NON, 1] += n
         coords[_ONES, 1] = n

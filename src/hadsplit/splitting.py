@@ -10,6 +10,11 @@ branches:
   case-a: b = ell (ell - a - n) / (a (n-1) + ell), split rows sum to zero;
   case-b: b = (ell - a)(ell - n) / (a (n-1) + ell - n).
 
+With c = a - b and d = ell - b, G = dI + cA + bJ. A k-regular A gives G
+the row sum sigma = d + ck + bn, which G^2 = nG makes 0 (the split rows sum
+to zero) or n; then k = (sigma - d - bn)/c, mu = (nb(b + 1) - 2 sigma b)/c^2
+and lam = mu + (n - 2d)/c (_srg_terms).
+
 Reports carry the branch, the derived graph, and verification flags.
 """
 
@@ -304,8 +309,8 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     every split row sums to zero. Only the adjacency A that the report
     keeps is an n x n int64 array. The report's srg is None
     when A is not regular, as it can be on the b = -a branch; otherwise
-    G^2 = nG gives it from the degree of A (see _regular_srg), and it
-    equals direct_srg_params(A).
+    G1 = sigma 1 with sigma = 1t G 1 / n, _srg_terms gives it from sigma,
+    and it equals direct_srg_params(A).
 
     Row indices are read with operator.index, so a float index raises
     ValueError rather than being truncated.
@@ -386,41 +391,44 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         rows=rows,
         adjacency=IntMatrix._wrap(adj),
         branch=branch,
-        srg=_regular_srg(n, ell, a, b, int(degrees[0])) if regular else None,
+        srg=_srg_params(n, ell, a, b, gram_sum // n) if regular else None,
         checks=checks,
         alt_branch=alt,
     )
 
 
-def _regular_srg(n: int, ell: int, a: int, b: int, k: int) -> SrgParams:
-    """Parameters of the k-regular a-graph A of a split, read off G^2 = nG.
+def _srg_terms(n: int, ell: int, a, b, sigma) -> tuple[tuple, tuple, tuple]:
+    """(numerator, denominator) of k, lam and mu of the a-graph of a split
+    with values a != b and G1 = sigma 1; on ints, Fractions or int64 arrays.
 
-    With c = a - b and d = ell - b, G = dI + cA + bJ, and AJ = JA = kJ turns
-    G^2 = nG into
+    G1 = sigma 1 is d + ck + bn = sigma, and with it and AJ = JA = kJ,
+    G^2 = nG reads
 
-      c^2 A^2 = d(n - d) I + c(n - 2d) A + (nb - nb^2 - 2db - 2cbk) J.
+      c^2 A^2 = d(n - d) I + c(n - 2d) A + (nb(b + 1) - 2 sigma b) J.
 
     Both values occur off the diagonal, so A has edges and non-edges; I, A
     and J - I - A are then independent, and matching the above with
-    A^2 = (k - mu) I + (lam - mu) A + mu J gives mu and lam as exact
-    quotients. With both classes present, direct_srg_params' conventions
-    for a missing class never apply.
+    A^2 = (k - mu) I + (lam - mu) A + mu J gives mu and lam - mu.
     """
     c, d = a - b, ell - b
-    mu = _exact("mu", n * b - n * b * b - 2 * d * b - 2 * c * b * k, c * c)
-    return SrgParams(n, k, mu + _exact("lambda - mu", n - 2 * d, c), mu)
+    mu = n * b * (b + 1) - 2 * sigma * b
+    return (sigma - d - b * n, c), (mu + (n - 2 * d) * c, c * c), (mu, c * c)
 
 
-def _seidel_terms(ell: int, a: int) -> tuple[tuple, tuple, tuple]:
-    """(numerator, denominator) of k, lam and mu on the b = -a branch, given
-    the order identity ell^2 + a^2 (n-1) = n ell; also elementwise on
-    integer arrays. Needs ell != a^2."""
-    den = 2 * a * (ell - a * a)
-    return (
-        ((a - 1) * ell * (a + ell), den),
-        ((a + ell) * (3 * a * a + a * ell - a - 3 * ell), 2 * den),
-        ((a - 1) * (ell * ell - a * a), 2 * den),
-    )
+def _srg_params(n: int, ell: int, a: int, b: int, sigma: int) -> SrgParams:
+    """_srg_terms as integers, raising NonIntegral on the first of k, lam
+    and mu that is not one."""
+    terms = zip(("k", "lambda", "mu"), _srg_terms(n, ell, a, b, sigma))
+    return SrgParams(n, *(_exact(name, num, den) for name, (num, den) in terms))
+
+
+def _require_graph(srg: SrgParams) -> SrgParams:
+    """HadsplitError unless 1 <= k <= v - 2, 0 <= lam < k and 0 <= mu <= k,
+    as in every graph with both edges and non-edges."""
+    v, k, lam, mu = srg.astuple()
+    if not (1 <= k <= v - 2 and 0 <= lam < k and 0 <= mu <= k):
+        raise HadsplitError(f"no graph with edges and non-edges has parameters {srg.astuple()}")
+    return srg
 
 
 def _check_range(name: str, n: int, ell: int) -> None:
@@ -430,97 +438,76 @@ def _check_range(name: str, n: int, ell: int) -> None:
 
 
 def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
-    """Graph parameters forced on the a-marked graph when b = -a.
+    """Graph parameters forced on the a-marked graph when b = -a and the
+    split rows sum to zero (sigma = 0 in _srg_terms).
 
     Raises ValueError unless n >= 4 and 1 <= ell <= n, InfeasibleSeidel
-    when the order identity fails and NonIntegral when the forced
-    parameters are not integers.
+    when the order identity fails, NonIntegral when the forced parameters
+    are not integers, and HadsplitError when no graph has them.
     """
     _check_range("Seidel derivation", n, ell)
     if a < 1:
         raise InfeasibleSeidel("a must be positive when b = -a")
     if ell * ell + a * a * (n - 1) != n * ell:
         raise InfeasibleSeidel(f"ell^2 + a^2(n-1) != n ell for {(n, ell, a)}")
-    if ell == a * a:
-        # forced ell = 1, a = 1: the graph is two disjoint cliques of size n/2
-        if n % 2:
-            raise NonIntegral("odd order in the degenerate branch")
-        k = (n - 2) // 2
-        srg = SrgParams(n, k, k - 1, 0)
-    else:
-        terms = zip(("k", "lambda", "mu"), _seidel_terms(ell, a))
-        srg = SrgParams(n, *(_exact(name, num, den) for name, (num, den) in terms))
+    if ell == a * a and n % 2:
+        # forced ell = 1, a = 1: two disjoint cliques of size n/2
+        raise NonIntegral("odd order in the degenerate branch")
+    srg = _srg_params(n, ell, a, -a, 0)
     if (n - ell) % a or ell % a:
         raise NonIntegral(
             f"Seidel spectrum {Fraction(n - ell, a)}, {Fraction(-ell, a)} not integral"
         )
     return SeidelDerivation(
         params=SplitParams(n, ell, a, -a),
-        srg=srg,
+        srg=_require_graph(srg),
         s_spectrum=(((n - ell) // a, ell), (-ell // a, n - ell)),
-    )
-
-
-def _srg_terms(n: int, ell: int, a: int, b: int | Fraction) -> tuple[tuple, tuple, tuple]:
-    """(numerator, denominator) of k, lam and mu for a two-value split with
-    off-diagonal values a and b; integers when b is one, and elementwise on
-    integer arrays. Needs a^2 != b^2."""
-    den = (a - b) ** 2 * (a + b)
-    return (
-        (n * ell - ell * ell - b * b * (n - 1), a * a - b * b),
-        (
-            n * (a * a - a * (b - 1) * b + b**3 - 2 * b * ell)
-            + 2 * (b - ell) * (a * a + a * b - b * (b + ell)),
-            den,
-        ),
-        (b * n * (-a * b + a + b * b + b - 2 * ell) + 2 * b * (a - ell) * (b - ell), den),
     )
 
 
 def general_srg_from_b(n: int, ell: int, a: int, b: int | Fraction) -> tuple[Fraction, ...]:
     """Exact (k, lam, mu) for a two-value split with the given b.
 
-    Valid whenever a^2 != b^2. Shared by both b-branches.
+    Valid whenever a^2 != b^2. k is read off the trace of G^2 = nG, and
+    sigma = d + ck + bn passes it to _srg_terms.
     """
     b = Fraction(b)
     if a * a == b * b:
         raise NonIntegral("a^2 = b^2 has no two-value derivation here")
-    return tuple(num / den for num, den in _srg_terms(n, ell, a, b))
+    k = (n * ell - ell * ell - (n - 1) * b * b) / (a * a - b * b)
+    sigma = ell - b + (a - b) * k + b * n
+    return tuple(num / den for num, den in _srg_terms(n, ell, a, b, sigma))
 
 
-def _srg_from_b(n: int, ell: int, a: int, b: int) -> SrgParams:
-    """general_srg_from_b for an integer b, raising NonIntegral on the first
-    of k, lam, mu that is not an integer."""
+def _derive_from_b(n: int, ell: int, a: int, b: int, sigma: int) -> tuple[int, SrgParams]:
+    """b and its a-graph for row sum sigma, with derive_srg_case_a's errors."""
     if a * a == b * b:
         raise NonIntegral("a^2 = b^2 has no two-value derivation here")
-    terms = zip(("k", "lambda", "mu"), _srg_terms(n, ell, a, b))
-    return SrgParams(n, *(_exact(name, num, den) for name, (num, den) in terms))
+    return b, _require_graph(_srg_params(n, ell, a, b, sigma))
 
 
 def derive_srg_case_a(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
     """b and the a-marked graph parameters on the zero-row-sum branch.
 
-    Raises ValueError unless n >= 4 and 1 <= ell <= n, and NonIntegral
-    when the branch denominator vanishes or b, k, lam or mu is not an
-    integer.
+    Raises ValueError unless n >= 4 and 1 <= ell <= n, NonIntegral when
+    the branch denominator vanishes, a^2 = b^2 or b, k, lam or mu is not
+    an integer, and HadsplitError when no graph has them.
     """
     _check_range("case-a derivation", n, ell)
     num, den = _case_a_b(n, ell, a)
     if den == 0:
         raise NonIntegral("branch denominator a(n-1) + ell vanishes")
-    b = _exact("b", num, den)
-    return b, _srg_from_b(n, ell, a, b)
+    return _derive_from_b(n, ell, a, _exact("b", num, den), 0)
 
 
 def derive_srg_case_b(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
     """b and the a-marked graph parameters on the other non-seidel branch,
-    with the errors of derive_srg_case_a."""
+    where G has row sum sigma = n, with the errors of derive_srg_case_a."""
     _check_range("case-b derivation", n, ell)
     num, den = _case_b_b(n, ell, a)
     if den == 0:
         raise NonIntegral("branch denominator a(n-1) + ell - n vanishes")
-    b = _exact("b", num, den)
-    return b, _srg_from_b(n, ell, a, b)
+    return _derive_from_b(n, ell, a, _exact("b", num, den), n)
 
 
 def verify_seidel_matrix(report: SplitReport) -> bool:
@@ -573,11 +560,12 @@ def delete_allones_transform(h: HadamardMatrix, report: SplitReport) -> SplitRep
 
 
 def equiangular_report(params: SplitParams) -> EquiangularReport:
-    """Line-count bound for the split seen as equiangular lines.
+    """Line-count bound for a b = -a split seen as equiangular lines.
 
-    The ell split rows span lines at common angle alpha with
-    alpha^2 = (n - ell)/(ell (n - 1)); the bound m(1 - alpha^2)/(1 - m alpha^2)
-    applies while m alpha^2 < 1.
+    The n columns of H1 are n lines in dimension m = ell with squared
+    cosine alpha^2 = a^2 / ell^2 = (n - ell)/(ell (n - 1)) by the order
+    identity, which must hold; the bound m(1 - alpha^2)/(1 - m alpha^2)
+    on their number applies while m alpha^2 < 1.
     """
     n, ell = params.n, params.ell
     if n < 2 or not 1 <= ell <= n:
@@ -586,6 +574,8 @@ def equiangular_report(params: SplitParams) -> EquiangularReport:
         )
     if params.b != -params.a:
         raise InfeasibleSeidel("equiangular analysis needs b = -a")
+    if ell * ell + params.a**2 * (n - 1) != n * ell:
+        raise InfeasibleSeidel(f"ell^2 + a^2(n-1) != n ell for {(n, ell, params.a)}")
     alpha_sq = Fraction(n - ell, ell * (n - 1))
     denom = 1 - ell * alpha_sq
     if denom <= 0:

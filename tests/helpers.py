@@ -28,6 +28,21 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return out
 
 
+def srg_polynomials(n, ell, a, b) -> tuple[Fraction, Fraction, Fraction]:
+    """(k, lam, mu) of the a-graph of a two-value split over Fraction, from
+    closed-form polynomials in (n, ell, a, b): k from the trace of
+    G^2 = nG, lam and mu from its entries. Needs a^2 != b^2."""
+    b = Fraction(b)
+    den = (a - b) ** 2 * (a + b)
+    k = (n * ell - ell * ell - b * b * (n - 1)) / (a * a - b * b)
+    lam = (
+        n * (a * a - a * (b - 1) * b + b**3 - 2 * b * ell)
+        + 2 * (b - ell) * (a * a + a * b - b * (b + ell))
+    ) / den
+    mu = (b * n * (-a * b + a + b * b + b - 2 * ell) + 2 * b * (a - ell) * (b - ell)) / den
+    return k, lam, mu
+
+
 def _echelon_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
     """Fraction-free Gauss-Jordan on an integer matrix: the nonzero rows,
     each primitive, and the pivot column indices.

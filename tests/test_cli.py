@@ -270,13 +270,35 @@ def test_analyze_srg_out_of_range_exits_two(capsys, argv):
     assert err == f"error: case-{case} derivation {need}, not n = {argv[1]}, ell = {argv[3]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("seidel", "--n", "16", "--ell", "15", "--a", "1"), "parameters (16, 0, -8, 0)"),
+        (("srg", "--n", "36", "--ell", "28", "--a", "4"), "parameters (36, 7, -2, 2)"),
+        (("srg", "--n", "16", "--ell", "15", "--a", "7"), "parameters (16, 0, -2, 0)"),
+        (("equiangular", "--n", "16", "--ell", "6", "--a", "3", "--b=-3"),
+         "ell^2 + a^2(n-1) != n ell for (16, 6, 3)"),
+    ],
+)
+def test_analyze_parameters_no_split_has_exit_one(capsys, argv, err):
+    # each once exited 0 and printed a graph or line count that cannot occur
+    code, out, got = run(capsys, "analyze", *argv)
+    assert (code, out) == (1, "")
+    assert got.startswith("error: ") and got.endswith(f"{err}\n")
+
+
 def test_analyze_equiangular(capsys):
     code, out, _ = run(
         capsys, "analyze", "equiangular", "--n", "16", "--ell", "6", "--a", "2", "--b=-2"
     )
     assert code == 0
-    assert "6 equiangular lines with squared cosine 1/9" in out
+    assert "16 equiangular lines in dimension 6 with squared cosine 1/9" in out
     assert "(attained)" in out
+    code, out, _ = run(
+        capsys, "analyze", "equiangular", "--n", "16", "--ell", "6", "--a", "2", "--b=-2", "--json"
+    )
+    data = json.loads(out)["data"]
+    assert (code, data["lines"], data["dimension"]) == (0, 16, 6)
     for n, ell in [("16", "0"), ("1", "1"), ("16", "17")]:
         code, out, err = run(
             capsys, "analyze", "equiangular", "--n", n, "--ell", ell, "--a", "2", "--b=-2"

@@ -49,14 +49,12 @@ from hadsplit.splitting import (
     SplitParams,
     SrgParams,
     _case_a_b,
-    _srg_terms,
     check_split,
     delete_allones_transform,
     derive_seidel,
-    general_srg_from_b,
     search_splits,
 )
-from helpers import fraction_rref
+from helpers import fraction_rref, srg_polynomials
 
 # (n, ell, a) -> status for every surviving b = -a parameter set up to 1024
 SEIDEL_TABLE = [
@@ -229,10 +227,7 @@ def _enumerate_case_a_reference(max_n):
                 b = Fraction(ell * (ell - a - n), a * (n - 1) + ell)
                 if b.denominator != 1 or b == -a or b < -ell:
                     continue
-                try:
-                    k, lam, mu = general_srg_from_b(n, ell, a, b)
-                except NonIntegral:
-                    continue
+                k, lam, mu = srg_polynomials(n, ell, a, b)
                 if any(x.denominator != 1 for x in (k, lam, mu)):
                     continue
                 srg = SrgParams(n, int(k), int(lam), int(mu))
@@ -271,21 +266,16 @@ def test_case_a_enumeration_matches_the_fraction_reference():
 
 
 def _case_a_srg(n, ell, a):
-    """b and the a-marked graph parameters of one zero-row-sum cell, in
-    integer arithmetic; None when b, k, lam or mu is not an integer, when
-    a^2 = b^2, or when a or b differs from ell in parity."""
-    num, den = _case_a_b(n, ell, a)
-    if num % den:
+    """b and the a-marked graph parameters of one zero-row-sum cell, over
+    Fraction; None when b, k, lam or mu is not an integer, when a^2 = b^2,
+    or when a or b differs from ell in parity."""
+    b = Fraction(ell * (ell - a - n), a * (n - 1) + ell)
+    if b.denominator != 1 or a * a == b * b or (ell - a) % 2 or (ell - b) % 2:
         return None
-    b = num // den
-    if a * a == b * b or (ell - a) % 2 or (ell - b) % 2:
+    vals = srg_polynomials(n, ell, a, b)
+    if any(x.denominator != 1 for x in vals):
         return None
-    vals = []
-    for num, den in _srg_terms(n, ell, a, b):
-        if num % den:
-            return None
-        vals.append(num // den)
-    return b, SrgParams(n, *vals)
+    return int(b), SrgParams(n, *map(int, vals))
 
 
 def _enumerate_case_a_reference_rows(orders):

@@ -21,6 +21,7 @@ from hadsplit.constructions import (
 )
 from hadsplit.core import (
     HadamardMatrix,
+    HadsplitError,
     IntMatrix,
     _proved_hadamard,
     conference_from_core,
@@ -58,6 +59,7 @@ from hadsplit.splitting import (
     unbiased_partner,
     verify_seidel_matrix,
 )
+from helpers import srg_polynomials
 
 
 def _load(name):
@@ -545,15 +547,15 @@ def test_derive_case_a_rejects_seidel_overlap():
 
 def test_derive_case_a_reports_a_vanishing_denominator():
     """Every cell of 4 <= n < 90, 1 <= ell <= n, -3 <= a <= ell + 1 gives a
-    result or NonIntegral; a(n-1) + ell = 0 says so. Cells outside that
-    range raise ValueError before the denominator is formed."""
+    result, NonIntegral or HadsplitError; a(n-1) + ell = 0 says so. Cells
+    outside that range raise ValueError before the denominator is formed."""
     vanishing = 0
     for n in range(4, 90):
         for ell in range(1, n + 1):
             for a in range(-3, ell + 2):
                 try:
                     derive_srg_case_a(n, ell, a)
-                except NonIntegral as exc:
+                except HadsplitError as exc:
                     vanishing += str(exc) == "branch denominator a(n-1) + ell vanishes"
     assert vanishing == 86
     with pytest.raises(NonIntegral, match="denominator a\\(n-1\\) \\+ ell vanishes"):
@@ -585,6 +587,59 @@ def test_derive_case_b():
     assert srg.identity_ok()
 
 
+@pytest.mark.parametrize(
+    "derive, cell, srg",
+    [
+        (derive_seidel, (16, 15, 1), (16, 0, -8, 0)),
+        (derive_srg_case_a, (36, 28, 4), (36, 7, -2, 2)),
+        (derive_srg_case_a, (16, 15, 7), (16, 0, -2, 0)),
+    ],
+)
+def test_derivations_refuse_parameters_no_graph_has(derive, cell, srg):
+    # each once returned its integral k, lambda and mu: lambda < 0 or k = 0
+    with pytest.raises(HadsplitError) as exc:
+        derive(*cell)
+    assert type(exc.value) is HadsplitError
+    assert str(exc.value) == f"no graph with edges and non-edges has parameters {srg}"
+
+
+def test_derive_seidel_gives_the_zero_row_sum_graph():
+    # (16, 10, 2, -2) with zero row sums has the Clebsch graph; the
+    # complement of twin_sylvester(2)'s twin rows has nonzero row sums
+    assert derive_seidel(16, 10, 2).srg.astuple() == (16, 5, 0, 2)
+    tw = twin_sylvester(2)
+    rep = check_split(tw.h, sorted(set(range(16)) - set(tw.h2_rows)))
+    assert rep.params.astuple() == (16, 10, 2, -2)
+    assert not rep.checks["rowsum_zero"]
+    assert rep.srg.astuple() == (16, 9, 4, 6)
+
+
+def _branch_b(n, ell, a, branch):
+    """b on the case-a (sigma = 0) or case-b (sigma = n) branch, or None
+    where its denominator vanishes."""
+    num, den = ((ell * (ell - a - n), a * (n - 1) + ell) if branch == "a"
+                else ((ell - a) * (ell - n), a * (n - 1) + ell - n))
+    return Fraction(num, den) if den else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_srg_terms_match_the_closed_form_polynomials(data):
+    """_srg_terms on each branch's b, and general_srg_from_b on any b, give
+    the (k, lam, mu) of the polynomials in tests/helpers.py."""
+    n = data.draw(st.integers(4, 4096))
+    ell = data.draw(st.integers(1, n))
+    a = data.draw(st.integers(-ell, ell))
+    for branch, sigma in (("a", 0), ("b", n)):
+        b = _branch_b(n, ell, a, branch)
+        if b is not None and a * a != b * b:
+            got = tuple(num / den for num, den in splitting._srg_terms(n, ell, a, b, sigma))
+            assert got == srg_polynomials(n, ell, a, b), (branch, b)
+    b = Fraction(data.draw(st.integers(-n, n)), data.draw(st.integers(1, n)))
+    if a * a != b * b:
+        assert general_srg_from_b(n, ell, a, b) == srg_polynomials(n, ell, a, b)
+
+
 def test_general_srg_from_b_is_exact():
     k, lam, mu = general_srg_from_b(16, 9, 1, -3)
     assert (k, lam, mu) == (Fraction(9), Fraction(4), Fraction(6))
@@ -598,19 +653,21 @@ def _ref_integer(name, val):
     return int(val)
 
 
+def _ref_graph(srg):
+    """srg, when a graph with both edges and non-edges can have it."""
+    v, k, lam, mu = srg.astuple()
+    if not (1 <= k <= v - 2 and 0 <= lam <= k - 1 and 0 <= mu <= k):
+        raise HadsplitError(f"no graph with edges and non-edges has parameters {srg.astuple()}")
+    return srg
+
+
 def _ref_srg(n, ell, a, b):
     """(k, lam, mu) of the a-marked graph over Fraction, for an integer b."""
     if a * a == b * b:
         raise NonIntegral("a^2 = b^2 has no two-value derivation here")
-    den = Fraction((a - b) ** 2 * (a + b))
-    k = Fraction(n * ell - ell * ell - b * b * (n - 1), a * a - b * b)
-    lam = (
-        n * (a * a - a * (b - 1) * b + b**3 - 2 * b * ell)
-        + 2 * (b - ell) * (a * a + a * b - b * (b + ell))
-    ) / den
-    mu = (b * n * (-a * b + a + b * b + b - 2 * ell) + 2 * b * (a - ell) * (b - ell)) / den
+    k, lam, mu = srg_polynomials(n, ell, a, b)
     vals = [_ref_integer(name, v) for name, v in (("k", k), ("lambda", lam), ("mu", mu))]
-    return SrgParams(n, *vals)
+    return _ref_graph(SrgParams(n, *vals))
 
 
 def _ref_seidel(n, ell, a):
@@ -637,7 +694,7 @@ def _ref_seidel(n, ell, a):
         raise NonIntegral(f"Seidel spectrum {s_pos}, {s_neg} not integral")
     return SeidelDerivation(
         params=SplitParams(n, ell, a, -a),
-        srg=srg,
+        srg=_ref_graph(srg),
         s_spectrum=((int(s_pos), ell), (int(s_neg), n - ell)),
     )
 
@@ -668,7 +725,7 @@ def _ref_case_b(n, ell, a):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NonIntegral, InfeasibleSeidel, ValueError) as exc:
+    except (HadsplitError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -777,6 +834,9 @@ def test_equiangular_inapplicable():
         equiangular_report(SplitParams(4, 1, 1, -1))
     with pytest.raises(InfeasibleSeidel):
         equiangular_report(SplitParams(16, 9, 1, -3))
+    # b = -a, but 6^2 + 3^2 * 15 != 16 * 6: no split has these parameters
+    with pytest.raises(InfeasibleSeidel, match=re.escape("ell^2 + a^2(n-1) != n ell for (16, 6, 3)")):
+        equiangular_report(SplitParams(16, 6, 3, -3))
     # ell = 0 or n = 1 would divide by zero; ell > n names no split
     for n, ell in [(16, 0), (1, 1), (0, 0), (-4, 2), (16, 17), (16, -6)]:
         with pytest.raises(ValueError, match="needs n >= 2 and 1 <= ell <= n"):
