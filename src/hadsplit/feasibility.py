@@ -9,11 +9,13 @@ product ell - 2d, so every off-diagonal Gram value of a split is congruent
 to ell mod 2. The zero-row-sum table keeps only cells with
 a = b = ell (mod 2).
 
-The two tables screen each order's whole (ell, a) grid at once in int64
-numpy, then the SRG screens of srg_primitive_feasible run on the surviving
-columns, also in int64 (_srg_feasible); Python objects are built only for
-the rows that pass. The arrays are exact for orders n <= _MAX_GRID_ORDER =
-2^15, and both tables raise OverflowError past it before building anything:
+The Seidel table screens its whole (n, a) grid at once in int64 numpy, the
+zero-row-sum table only the cells where b is an integer, found as divisor
+pairs (_case_a_cells); the SRG screens of srg_primitive_feasible then run
+on the surviving columns, also in int64 (_srg_feasible), and Python
+objects are built only for the rows that pass. The arrays are exact for
+orders n <= _MAX_GRID_ORDER = 2^15, and both tables raise OverflowError
+past it before building anything:
 
   Seidel (b = -a): the grid holds n^2 - 4 a^2 (n-1), which lies in
   [0, n^2] with n^2 <= 2^30 where it is used. float64 holds such integers
@@ -24,14 +26,19 @@ the rows that pass. The arrays are exact for orders n <= _MAX_GRID_ORDER =
   an - ell - a and mu's na(a - 1) are below n^2, and lam's adds
   2a(n - 2 ell - 2a), below 4an <= 4n^2/3, so every term is below 2n^2.
 
-  Zero row sums: b's numerator ell (ell - a - n) and denominator
-  a (n-1) + ell are below n^2 in magnitude. k, lam and mu are formed
-  (_srg_terms with sigma = 0) only on cells with b an integer in [-ell, 0)
-  and 1 <= a <= ell < n, so c = a - b and d = ell - b lie in [1, 2 ell].
-  k's numerator -d - bn lies in [0, n^2); mu's, nb(b + 1), in
-  [0, n ell (ell - 1)]; (n - 2d) c in (-6n^2, 2n ell), so lam's numerator,
-  their sum, lies in (-6n^2, n ell (ell + 1)); and c^2 <= 4 ell^2. Every
-  product and sum is below n^3 <= 2^45 in magnitude for n >= 8.
+  Zero row sums: the items (n, a, t) of _case_a_cells have
+  K = n - 1 - a in [0, n) and 0 <= t <= K^2 / (4an), so K^2 <= n^2 and
+  4ant <= 4n^3 <= 2^47 (in fact 4ant <= K^2), and
+  D = (K - t)^2 - 4ant lies in [-n^2, n^2]; the square root runs on
+  max(D, 0) <= n^2 <= 2^30, where the float64 test above is exact. b's
+  numerator ell (ell - a - n) and denominator a (n-1) + ell are below n^2
+  in magnitude. k, lam and mu are formed (_srg_terms with sigma = 0) only
+  on cells with b an integer in [-ell, 0) and 1 <= a <= ell < n, so
+  c = a - b and d = ell - b lie in [1, 2 ell]. k's numerator -d - bn lies
+  in [0, n^2); mu's, nb(b + 1), in [0, n ell (ell - 1)]; (n - 2d) c in
+  (-6n^2, 2n ell), so lam's numerator, their sum, lies in
+  (-6n^2, n ell (ell + 1)); and c^2 <= 4 ell^2. Every product and sum is
+  below n^3 <= 2^45 in magnitude for n >= 8.
 
   SRG screens: the range tests 0 < k < v - 1, 0 <= lam < k and
   1 <= mu < k, comparisons only, run first and the columns are compressed
@@ -46,6 +53,7 @@ the rows that pass. The arrays are exact for orders n <= _MAX_GRID_ORDER =
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -401,9 +409,10 @@ def enumerate_case_a(max_n: int) -> list[FeasibleRow]:
     return _table(_case_a_cells(max_n))
 
 
-# Most (ell, a) cells, and most integral-b hits, that _case_a_cells holds at
-# once: peak memory stays flat in max_n, and arrays of at most 512 KB are
-# reused from the heap rather than mapped and faulted in afresh per order.
+# Most (n, a, t) items that _case_a_cells screens in one block, and most
+# (n, a) pairs it numbers at once unless one order has more: peak memory
+# stays flat in max_n, and arrays of at most 512 KB are reused from the heap
+# rather than mapped and faulted in afresh per block.
 _GRID_CELLS = 2**16
 
 
@@ -411,43 +420,82 @@ def _case_a_cells(max_n: int) -> list[tuple[int, ...]]:
     """Rows (n, ell, a, b, k, lam, mu) for n = 8, 12, ..., max_n, 2 <= ell < n and
     1 <= a <= ell where the zero-row-sum b is an integer, b >= -ell,
     a^2 != b^2, a = b = ell (mod 2), and k, lam and mu are integers passing
-    every SRG screen; in no particular order."""
-    # The grid is built in blocks of whole ell rows, in (ell, a) order; the
-    # cells of a block that order n screens, those with ell < n, are a prefix.
-    # The hits, never more than the cells screened, are finished in batches.
-    step = max(1, _GRID_CELLS // max(max_n, 1))
-    # the integral cells, 4453 up to order 1024, are screened all at once
-    found: list[list[np.ndarray]] = []
-    hits: list[tuple[np.ndarray, ...]] = []
-    screened = 0
-    for e0 in range(2, max_n, step):
-        e1 = min(e0 + step, max_n)
-        block_ell, block_a = np.nonzero(np.arange(1, e1) <= np.arange(e0, e1)[:, None])
-        block_ell += e0
-        block_a += 1
-        for n in range(max(8, e0 // 4 * 4 + 4), max_n + 1, 4):
-            m = min(n, e1)
-            size = (m * (m - 1) - e0 * (e0 - 1)) // 2
-            ell, a = block_ell[:size], block_a[:size]
-            num, den = _case_a_b(n, ell, a)
-            i = np.flatnonzero(num % den == 0)
-            hits.append((np.full(len(i), n), ell[i], a[i], num[i] // den[i]))
-            screened += size
-            if screened >= _GRID_CELLS:
-                found.append(_case_a_integral_cells(hits))
-                hits, screened = [], 0
-    if hits:
-        found.append(_case_a_integral_cells(hits))
+    every SRG screen; in no particular order.
+
+    Only the cells with an integral b are visited, as divisor pairs. With
+    den = a(n-1) + ell, ell = -a(n-1) (mod den) turns b's numerator
+    ell (ell - a - n) into N = a(a+1) n(n-1) modulo den, so b is an integer
+    exactly when den divides N. With K = n - 1 - a, N = an (an + K) and
+    den = an + x, x = ell - a in [0, K]; where den divides N, its cofactor
+    N/den = an + y lies in [an, an + K] too. Expanding
+    (an + x)(an + y) = an (an + K) gives xy = an (K - x - y), so
+    t = K - x - y is an integer with x + y = K - t and xy = ant; t >= 0,
+    and 4ant = 4xy <= (x + y)^2 <= K^2 bounds t by K^2 / (4an). Conversely,
+    for an (n, a, t) item, x and y are the roots of z^2 - (K - t) z + ant,
+    and when D = (K - t)^2 - 4ant is a perfect square, which then has the
+    parity of K - t since D = (K - t)^2 (mod 4), they are integers in
+    [0, K] with (an + x)(an + y) = N: ell = a + x and ell = a + y are
+    integral cells, and each integral cell comes from one item. An order
+    has K^2 / (4an) + 1 items per a, about n + (n/4) ln n in all, against
+    the n^2 / 2 cells of its (ell, a) grid.
+    """
+    found = [_case_a_integral_cells(*_divisor_pair_cells(*c)) for c in _case_a_items(max_n)]
     if not found:
         return []
     return _feasible_cells([np.concatenate(c) for c in zip(*found)])
 
 
-def _case_a_integral_cells(hits: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
-    """Columns (n, ell, a, b, k, lam, mu) of the hit columns (n, ell, a, b)
+def _case_a_items(max_n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks of at most _GRID_CELLS item columns (n, a, t), over n = 8, 12,
+    ..., max_n, 1 <= a < n and 0 <= t <= K^2 / (4an) with K = n - 1 - a."""
+    # The (n, a) pairs come a run of whole orders at a time, at most
+    # _GRID_CELLS of them unless one order alone has more; the items of a
+    # run are numbered pair by pair and cut into blocks.
+    orders = np.arange(8, max_n + 1, 4, dtype=np.int64)
+    stop = np.cumsum(orders - 1)
+    lo = 0
+    while lo < len(orders):
+        first = stop[lo] - orders[lo] + 1
+        hi = max(lo + 1, int(np.searchsorted(stop, first + _GRID_CELLS, side="right")))
+        run = orders[lo:hi]
+        n = np.repeat(run, run - 1)
+        # a = 1, ..., n - 1 within each order
+        a = np.arange(len(n)) - np.repeat(np.cumsum(run - 1) - run, run - 1)
+        span = n - 1 - a
+        count = span * span // (4 * a * n) + 1
+        end = np.cumsum(count)
+        total = int(end[-1])
+        for start in range(0, total, _GRID_CELLS):
+            item = np.arange(start, min(start + _GRID_CELLS, total))
+            j = np.searchsorted(end, item, side="right")
+            yield n[j], a[j], item - end[j] + count[j]
+        lo = hi
+
+
+def _divisor_pair_cells(n: np.ndarray, a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns (n, ell, a, b) of the integral cells with ell >= 2 that the
+    item columns (n, a, t) give, each once (see _case_a_cells)."""
+    s = n - 1 - a - t
+    disc = s * s - 4 * a * n * t
+    root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+    i = np.flatnonzero(root * root == disc)
+    # the roots (s + root) / 2 and (s - root) / 2 give a cell each, one
+    # cell when they coincide
+    j = i[root[i] > 0]
+    n, a = np.concatenate([n[i], n[j]]), np.concatenate([a[i], a[j]])
+    ell = a + np.concatenate([(s[i] + root[i]) // 2, (s[j] - root[j]) // 2])
+    keep = ell >= 2
+    n, ell, a = n[keep], ell[keep], a[keep]
+    num, den = _case_a_b(n, ell, a)
+    return n, ell, a, num // den
+
+
+def _case_a_integral_cells(
+    n: np.ndarray, ell: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> list[np.ndarray]:
+    """Columns (n, ell, a, b, k, lam, mu) of the integral cells (n, ell, a, b)
     with b >= -ell, a^2 != b^2, a = b = ell (mod 2), and integral k, lam
     and mu."""
-    n, ell, a, b = map(np.concatenate, zip(*hits))
     keep = (b >= -ell) & (a * a != b * b) & ((ell - a) % 2 == 0) & ((ell - b) % 2 == 0)
     n, ell, a, b = n[keep], ell[keep], a[keep], b[keep]
     return _integral_cells(_srg_terms(n, ell, a, b, 0), n, ell, a, b)

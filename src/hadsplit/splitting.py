@@ -480,9 +480,17 @@ def general_srg_from_b(n: int, ell: int, a: int, b: int | Fraction) -> tuple[Fra
 
 
 def _derive_from_b(n: int, ell: int, a: int, b: int, sigma: int) -> tuple[int, SrgParams]:
-    """b and its a-graph for row sum sigma, with derive_srg_case_a's errors."""
+    """b and its a-graph for row sum sigma, with derive_srg_case_a's errors.
+
+    Two +-1 columns of length ell that disagree in d places have inner
+    product ell - 2d, so a Gram value lies in [-ell, ell] with ell's parity.
+    """
     if a * a == b * b:
         raise NonIntegral("a^2 = b^2 has no two-value derivation here")
+    if not (abs(a) <= ell and abs(b) <= ell and (ell - a) % 2 == 0 == (ell - b) % 2):
+        raise HadsplitError(
+            f"no +-1 columns of length {ell} have inner products a = {a} and b = {b}"
+        )
     return b, _require_graph(_srg_params(n, ell, a, b, sigma))
 
 
@@ -491,7 +499,8 @@ def derive_srg_case_a(n: int, ell: int, a: int) -> tuple[int, SrgParams]:
 
     Raises ValueError unless n >= 4 and 1 <= ell <= n, NonIntegral when
     the branch denominator vanishes, a^2 = b^2 or b, k, lam or mu is not
-    an integer, and HadsplitError when no graph has them.
+    an integer, and HadsplitError when a and b are not both inner products
+    of +-1 columns of length ell, or when no graph has k, lam and mu.
     """
     _check_range("case-a derivation", n, ell)
     num, den = _case_a_b(n, ell, a)

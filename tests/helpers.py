@@ -43,6 +43,20 @@ def srg_polynomials(n, ell, a, b) -> tuple[Fraction, Fraction, Fraction]:
     return k, lam, mu
 
 
+def case_a_integral_grid(max_n: int) -> list[tuple[int, int, int]]:
+    """(n, ell, a) for n = 8, 12, ..., max_n, 2 <= ell < n and 1 <= a <= ell
+    where the zero-row-sum b = ell (ell - a - n) / (a (n-1) + ell) is an
+    integer, screening each order's whole (ell, a) grid in int64."""
+    cells = []
+    for n in range(8, max_n + 1, 4):
+        ell, a = np.nonzero(np.arange(1, n) <= np.arange(2, n)[:, None])
+        ell += 2
+        a += 1
+        hit = ell * (ell - a - n) % (a * (n - 1) + ell) == 0
+        cells += [(n, e, x) for e, x in zip(ell[hit].tolist(), a[hit].tolist())]
+    return cells
+
+
 def _echelon_int(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
     """Fraction-free Gauss-Jordan on an integer matrix: the nonzero rows,
     each primitive, and the pivot column indices.

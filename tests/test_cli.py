@@ -278,6 +278,8 @@ def test_analyze_srg_out_of_range_exits_two(capsys, argv):
         (("srg", "--n", "16", "--ell", "15", "--a", "7"), "parameters (16, 0, -2, 0)"),
         (("equiangular", "--n", "16", "--ell", "6", "--a", "3", "--b=-3"),
          "ell^2 + a^2(n-1) != n ell for (16, 6, 3)"),
+        (("srg", "--n", "12", "--ell", "2", "--a", "2"), "inner products a = 2 and b = -1"),
+        (("srg", "--n", "12", "--ell", "2", "--a", "-1"), "inner products a = -1 and b = 2"),
     ],
 )
 def test_analyze_parameters_no_split_has_exit_one(capsys, argv, err):

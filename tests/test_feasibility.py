@@ -48,13 +48,12 @@ from hadsplit.splitting import (
     NonIntegral,
     SplitParams,
     SrgParams,
-    _case_a_b,
     check_split,
     delete_allones_transform,
     derive_seidel,
     search_splits,
 )
-from helpers import fraction_rref, srg_polynomials
+from helpers import case_a_integral_grid, fraction_rref, srg_polynomials
 
 # (n, ell, a) -> status for every surviving b = -a parameter set up to 1024
 SEIDEL_TABLE = [
@@ -312,21 +311,63 @@ def test_case_a_enumeration_to_1024():
     assert len(top) == 50
 
 
+def test_case_a_enumeration_to_4096():
+    # about 0.5 s on a 2-core x86-64 machine; tier-1 holds it only while it
+    # stays within a few seconds, so the budget is 10 s
+    start = time.perf_counter()
+    rows = enumerate_case_a(4096)
+    elapsed = time.perf_counter() - start
+    assert len(rows) == 2560
+    assert Counter(r.status for r in rows) == {
+        STATUS_OPEN: 2516, STATUS_EXISTS: 40, STATUS_EIGSEARCH: 4
+    }
+    assert [r for r in rows if r.params.n <= 1024] == enumerate_case_a(1024)
+    assert elapsed < 10, elapsed
+
+
+def _recording_divisor_pair_cells(monkeypatch):
+    """Patch feas._divisor_pair_cells to keep its item and output columns."""
+    calls = []
+    divisor_pair_cells = feas._divisor_pair_cells
+
+    def recording(n, a, t):
+        out = divisor_pair_cells(n, a, t)
+        calls.append(((n, a, t), out))
+        return out
+
+    monkeypatch.setattr(feas, "_divisor_pair_cells", recording)
+    return calls
+
+
+def test_divisor_pairs_give_every_integral_cell_once(monkeypatch):
+    calls = _recording_divisor_pair_cells(monkeypatch)
+    enumerate_case_a(512)
+    cells = [c for _, (n, ell, a, _) in calls for c in zip(n.tolist(), ell.tolist(), a.tolist())]
+    assert len(cells) == len(set(cells)) == 68066
+    assert set(cells) == set(case_a_integral_grid(512))
+    # and b is the exact quotient on each
+    for _, (n, ell, a, b) in calls:
+        assert np.array_equal(b * (a * (n - 1) + ell), ell * (ell - a - n))
+
+
 def test_case_a_enumeration_in_bounded_blocks(monkeypatch):
     whole = enumerate_case_a(256)
-    screened = []
-
-    def recording(n, ell, a):
-        screened.append(len(ell))
-        return _case_a_b(n, ell, a)
-
-    monkeypatch.setattr(feas, "_case_a_b", recording)
+    calls = _recording_divisor_pair_cells(monkeypatch)
     monkeypatch.setattr(feas, "_GRID_CELLS", 1000)
-    # blocks of 3 ell rows, the hits finished once per 1000 cells screened;
-    # each order still screens each of its cells once
+    # blocks of at most 1000 (n, a, t) items, which between them hold each
+    # item once, give the rows of the unpatched run
     assert enumerate_case_a(256) == whole
-    assert max(screened) <= 1000
-    assert sum(screened) == sum(n * (n - 1) // 2 - 1 for n in range(8, 257, 4))
+    sizes = [len(t) for (_, _, t), _ in calls]
+    assert len(sizes) > 1 and max(sizes) <= 1000
+    items = sorted(
+        item for (n, a, t), _ in calls for item in zip(n.tolist(), a.tolist(), t.tolist())
+    )
+    assert items == [
+        (n, a, t)
+        for n in range(8, 257, 4)
+        for a in range(1, n)
+        for t in range((n - 1 - a) ** 2 // (4 * a * n) + 1)
+    ]
 
 
 def test_enumerations_refuse_orders_past_the_int64_bound(monkeypatch):

@@ -603,6 +603,24 @@ def test_derivations_refuse_parameters_no_graph_has(derive, cell, srg):
     assert str(exc.value) == f"no graph with edges and non-edges has parameters {srg}"
 
 
+@pytest.mark.parametrize(
+    "derive, cell, b",
+    [
+        (derive_srg_case_a, (12, 2, 2), -1),
+        (derive_srg_case_a, (12, 2, -1), 2),
+        (derive_srg_case_b, (9, 5, 2), -1),
+    ],
+)
+def test_derivations_refuse_values_no_gram_has(derive, cell, b):
+    # each once returned b with a graph, (12, 3, 2, 0), (12, 8, 4, 8) and
+    # (9, 4, 1, 2), though b or a differs from ell in parity
+    _, ell, a = cell
+    with pytest.raises(HadsplitError) as exc:
+        derive(*cell)
+    assert type(exc.value) is HadsplitError
+    assert str(exc.value) == f"no +-1 columns of length {ell} have inner products a = {a} and b = {b}"
+
+
 def test_derive_seidel_gives_the_zero_row_sum_graph():
     # (16, 10, 2, -2) with zero row sums has the Clebsch graph; the
     # complement of twin_sylvester(2)'s twin rows has nonzero row sums
@@ -665,6 +683,9 @@ def _ref_srg(n, ell, a, b):
     """(k, lam, mu) of the a-marked graph over Fraction, for an integer b."""
     if a * a == b * b:
         raise NonIntegral("a^2 = b^2 has no two-value derivation here")
+    # a Gram value is ell - 2d, d in [0, ell] counting the disagreements
+    if any((ell - x) % 2 or not 0 <= (ell - x) // 2 <= ell for x in (a, b)):
+        raise HadsplitError(f"no +-1 columns of length {ell} have inner products a = {a} and b = {b}")
     k, lam, mu = srg_polynomials(n, ell, a, b)
     vals = [_ref_integer(name, v) for name, v in (("k", k), ("lambda", lam), ("mu", mu))]
     return _ref_graph(SrgParams(n, *vals))
@@ -745,10 +766,11 @@ def test_derivations_match_the_fraction_formulas(seed):
         cells.append((n, ell, int(rng.integers(-3, ell + 2))))
     # cells where a derivation succeeds, and where it stops at k (15, 7, 2),
     # at mu (45, 12, 3), (27, 16, 4), (27, 17, 5), at a vanishing denominator
-    # (16, 15, -1), or at an order below 4 (2, 1, 1), (2, 1, -1), (3, 1, 1)
+    # (16, 15, -1), at a b of the other parity from ell (12, 2, 2), (12, 2, -1),
+    # or at an order below 4 (2, 1, 1), (2, 1, -1), (3, 1, 1)
     cells += [(16, 6, 2), (16, 1, 1), (36, 15, 3), (16, 9, 1), (36, 10, 4), (64, 14, 6),
               (16, 4, 4), (64, 8, 8), (15, 7, 2), (45, 12, 3), (27, 16, 4), (27, 17, 5),
-              (16, 15, -1), (2, 1, 1), (2, 1, -1), (3, 1, 1)]
+              (16, 15, -1), (12, 2, 2), (12, 2, -1), (2, 1, 1), (2, 1, -1), (3, 1, 1)]
     for derive, ref in ((derive_seidel, _ref_seidel), (derive_srg_case_a, _ref_case_a),
                         (derive_srg_case_b, _ref_case_b)):
         for cell in cells:
