@@ -681,8 +681,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args, em)
         return em.finish()
-    except (ParseError, UnknownDataset, ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, UnknownDataset, ValueError, OverflowError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         # a search stopped at its budget decided nothing: an inconclusive

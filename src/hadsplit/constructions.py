@@ -152,23 +152,28 @@ class TwinSplit:
 
 
 def _twin_partition(m_exponent: int) -> tuple[list[int], list[int], list[int]]:
-    # base partition of the order-4 row indices
-    p, q, r = [0, 2], [1], [3]
-    for _ in range(m_exponent - 1):
-        def cell(xs, ys):
-            return [4 * u + v for u in xs for v in ys]
-
-        p1, q1, r1 = [0, 2], [1], [3]
-        p_next = cell(p, p1)
-        q_next = cell(p, q1) + cell(q, p1) + cell(q, q1) + cell(r, r1)
-        r_next = cell(p, r1) + cell(q, r1) + cell(r, p1) + cell(r, q1)
-        p, q, r = p_next, q_next, r_next
-    return sorted(p), sorted(q), sorted(r)
+    even = (4**m_exponent - 1) // 3  # the bits at positions 0, 2, ..., 2m - 2
+    p, q, r = [], [], []
+    for x in range(4**m_exponent):
+        u = x & even
+        if not u:
+            p.append(x)
+        elif (u & x >> 1).bit_count() & 1:  # u & w
+            r.append(x)
+        else:
+            q.append(x)
+    return p, q, r
 
 
 def twin_sylvester(m_exponent: int) -> TwinSplit:
     """Partition the order 4^m Sylvester matrix into one imprimitive split
     and two splits sharing the same b = -a parameters.
+
+    The parts are level sets of a quadric on the row index x. Let u hold the
+    bits of x at even positions and w those at odd positions, shifted down
+    one place. The block rows (h1_rows) have u = 0, twin-1 (h2_rows) has
+    u != 0 and popcount(u & w) even, and twin-2 (h3_rows) has popcount(u & w)
+    odd.
 
     sylvester proves HHt = nI by its Kronecker identity, so the three Grams
     inside check_split are the only products."""

@@ -48,8 +48,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is immutable, so it is kept; Fraction(Fraction) would
+        # copy it through the slow numbers.Rational check
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def _coerce(v) -> "GaussianRational":

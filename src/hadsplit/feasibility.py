@@ -386,8 +386,12 @@ def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
 def _seidel_cells(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns (n, ell, a) for n = 4, 8, ..., max_n and a >= 1 where
     n^2 - 4a^2(n-1) = d^2 is a perfect square with n - d even, ell = (n-d)/2
-    exceeds a^2, and a divides ell and n - ell with odd quotients (both
-    sign-matrix eigenvalues are odd for even order)."""
+    exceeds a^2, and a divides ell and n - ell.
+
+    The quotients ell/a and (n - ell)/a, the sign-matrix eigenvalues, are
+    then odd with no further screen: ell (n - ell) = (n^2 - d^2)/4 =
+    a^2 (n-1), so the two quotients multiply to n - 1, which is odd, as n is
+    a multiple of 4."""
     n = np.arange(4, max_n + 1, 4, dtype=np.int64)[:, None]
     # 4a^2(n-1) <= n^2 forces a^2 <= n^2 / (4(n-1)) <= n/3 for n >= 4
     a = np.arange(1, math.isqrt(max(max_n, 0) // 3) + 1, dtype=np.int64)
@@ -397,7 +401,6 @@ def _seidel_cells(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, a, d = n[i, 0], a[j], d[i, j]
     ell = (n - d) // 2
     ok = ((n - d) % 2 == 0) & (ell > a * a) & (ell % a == 0) & ((n - ell) % a == 0)
-    ok &= ((ell // a) % 2 == 1) & (((n - ell) // a) % 2 == 1)
     return n[ok], ell[ok], a[ok]
 
 

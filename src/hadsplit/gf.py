@@ -1,10 +1,12 @@
 """Small finite fields GF(p^e) with exp/log arithmetic.
 
 Elements are integers 0..q-1 encoding coefficient vectors base p
-(index = c0 + c1*p + ... ). The reduction modulus is the lexicographically
-smallest monic irreducible of degree e, scanning coefficient tuples from
-the x^(e-1) coefficient down to the constant term; for prime q it is x + 1,
-and the labels are the residues mod p.
+(index = c0 + c1*p + ... ). The reduction modulus is the first monic
+primitive polynomial of degree e, scanning coefficient tuples from the
+x^(e-1) coefficient down to a nonzero constant term, so x (label p for
+e > 1) generates the nonzero elements. For prime q the modulus is x + m0,
+where -m0 is the first generator in the order p - 1, p - 2, ..., 1, and the
+labels are the residues mod p.
 """
 
 from __future__ import annotations
@@ -47,71 +49,43 @@ def is_prime_power(q: int) -> bool:
     return True
 
 
-def _is_irreducible(modulus: list[int], p: int) -> bool:
-    """Brute force irreducibility for small degree: no monic factor of degree <= e//2."""
-    e = len(modulus) - 1
-    for d in range(1, e // 2 + 1):
-        for coeffs in product(range(p), repeat=d):
-            divisor = list(coeffs) + [1]
-            if _poly_divides(divisor, modulus, p):
-                return False
-    return True
-
-
-def _poly_divides(d: list[int], f: list[int], p: int) -> bool:
-    rem = list(f)
-    dd = len(d) - 1
-    inv_lead = pow(d[-1], p - 2, p)
-    while len(rem) - 1 >= dd:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        coef = rem[-1] * inv_lead % p
-        shift = len(rem) - 1 - dd
-        for i in range(dd + 1):
-            rem[shift + i] = (rem[shift + i] - coef * d[i]) % p
-        rem.pop()
-    return all(v == 0 for v in rem)
-
-
-def _find_modulus(p: int, e: int) -> list[int]:
-    # scan (a_{e-1}, ..., a_0) in lexicographic order
-    for high in product(range(p), repeat=e):
-        modulus = [high[e - 1 - i] for i in range(e)] + [1]
-        if modulus[0] == 0:
-            continue  # constant term 0 means x divides it
-        if _is_irreducible(modulus, p):
-            return modulus
-    raise AssertionError("no irreducible polynomial found")  # pragma: no cover
-
-
-def _powers(g: int, modulus: list[int], p: int) -> list[int]:
-    """Labels of 1, g, ..., g^(k-1), where k is the multiplicative order of g."""
-    e = len(modulus) - 1
+def _primitive(p: int, e: int) -> tuple[list[int], list[int]]:
+    """The first modulus in the scan that is primitive, as its powers of x
+    take p**e - 1 steps to return to 1, and the labels of those powers."""
     weights = [p**k for k in range(e)]
-    # rows[i] holds the digits of x^i g: times x shifts the digits up and
-    # folds the top one back in, as x^e = -(m_0 + m_1 x + ... + m_(e-1) x^(e-1))
-    rows = [[g // w % p for w in weights]]
-    for _ in range(e - 1):
-        top = rows[-1][-1]
-        rows.append([(c - top * m) % p for c, m in zip([0] + rows[-1][:-1], modulus)])
-    cols = list(zip(*rows))
-    out, digits = [1], [1] + [0] * (e - 1)
-    while True:
-        digits = [sum(map(mul, digits, col)) % p for col in cols]
-        label = sum(map(mul, digits, weights))
-        if label == 1:
-            return out
-        out.append(label)
+    for high in product(range(p), repeat=e):
+        modulus = [*reversed(high), 1]
+        if not modulus[0]:
+            continue  # x divides it
+        exp, digits, label = [1], [1] + [0] * (e - 1), 1
+        while True:
+            # times x shifts the digits up and folds the top one back in,
+            # as x^e = -(m_0 + m_1 x + ... + m_(e-1) x^(e-1))
+            top = digits.pop()
+            digits.insert(0, 0)
+            if top:
+                digits = [(c - top * m) % p for c, m in zip(digits, modulus)]
+                label = sum(map(mul, digits, weights))
+            else:
+                label *= p  # nothing to fold in: the shift alone
+            if label == 1:
+                break
+            exp.append(label)
+        if len(exp) == p**e - 1:
+            return modulus, exp
+    raise AssertionError("no primitive polynomial found")  # pragma: no cover
 
 
 class GF:
-    """GF(q) on the exp and log tables of a generator g, built in O(q) steps.
+    """GF(q) on the exp and log tables of x over the first primitive modulus.
 
-    A product adds logarithms mod q - 1. A sum uses Zech logarithms,
-    zech[k] = log(1 + g^k), as x + y = x (1 + y / x) (Lidl and Niederreiter,
-    Finite Fields, ch. 10). x is a square iff log x is even, for odd q; every
-    element of an even-order field is a square.
+    The labels are base-p digits over that modulus, and g = x generates the
+    nonzero elements, so the one search that finds the modulus also yields
+    the exp table, in O(q) steps per candidate (Lidl and Niederreiter,
+    Finite Fields, section 3.1). A product adds logarithms mod q - 1. A sum
+    uses Zech logarithms, zech[k] = log(1 + g^k), as x + y = x (1 + y / x)
+    (ch. 10). An element is a square iff its logarithm is even, for odd q;
+    every element of an even-order field is a square.
     """
 
     def __init__(self, q: int):
@@ -119,12 +93,7 @@ class GF:
         self.q = q
         self.p = p
         self.e = e
-        self.modulus = _find_modulus(p, e)
-        # the modulus need not be primitive, so g is searched for
-        for g in range(1, q):
-            exp = _powers(g, self.modulus, p)
-            if len(exp) == q - 1:
-                break
+        self.modulus, exp = _primitive(p, e)
         # doubled, so sums of two logarithms and negative indices need no reduction
         self._exp = exp + exp
         self._log = [None] * q

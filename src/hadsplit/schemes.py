@@ -654,13 +654,6 @@ class EigenTables:
     size: int
 
 
-def _entry(num_re: int, num_im: int, den: int) -> GaussianRational:
-    """(num_re + i num_im) / den, with integer parts passed as ints."""
-    re = Fraction(num_re, den) if num_re % den else num_re // den
-    im = Fraction(num_im, den) if num_im % den else num_im // den
-    return GaussianRational(re, im)
-
-
 def eigenmatrices(scheme: Scheme) -> EigenTables:
     """Exact eigenmatrices of a commutative scheme.
 
@@ -699,9 +692,12 @@ def eigenmatrices(scheme: Scheme) -> EigenTables:
     if sum(mults) != size:
         raise HadsplitError("multiplicities do not sum to the point count")
 
-    p_rows = tuple(tuple(_entry(a, b, 1) for a, b in zip(re, im)) for re, im in rows)
+    p_rows = tuple(tuple(GaussianRational(a, b) for a, b in zip(re, im)) for re, im in rows)
     q_rows = tuple(
-        tuple(_entry(m * re[i], -m * im[i], k) for m, (re, im) in zip(mults, rows))
+        tuple(
+            GaussianRational(Fraction(m * re[i], k), Fraction(-m * im[i], k))
+            for m, (re, im) in zip(mults, rows)
+        )
         for i, k in enumerate(val)
     )
     return EigenTables(p=p_rows, q=q_rows, multiplicities=tuple(mults), size=size)

@@ -497,6 +497,17 @@ def test_any_command_reports_a_stopped_search_as_inconclusive(capsys, monkeypatc
     assert run(capsys, *argv) == (1, "search stopped: table past n = 64\n", "")
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8.0 TiB")])
+def test_memory_exhaustion_is_bad_input(capsys, monkeypatch, exc):
+    def exhaust(n):
+        raise exc
+
+    monkeypatch.setattr(cli, "hamming_scheme", exhaust)
+    code, out, err = run(capsys, "scheme", "hamming", "--n", "40", "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: {exc or 'MemoryError'}\n"
+
+
 @pytest.mark.parametrize("change", ["loops", "weights"])
 def test_nonexist_rejects_a_matrix_that_is_not_a_graph(capsys, tmp_path, change):
     # A + I and 2A used to report a multiplicity mismatch (exit 1)
@@ -622,6 +633,20 @@ def test_scheme_verify_eig_of_the_pentagon_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "scheme", "verify", "--inputs", ",".join(files), "--eig", "--json")
     assert (code, out) == (1, "")
     assert err == "error: discriminant 5 is not a square\n"
+
+
+def test_scheme_verify_eig_of_cubic_characters_exits_one(capsys, tmp_path):
+    """Z_7's symmetric 3-class scheme has characters 2 cos(2 pi k / 7), roots
+    of a cubic, which leave a three-dimensional space unsplit."""
+    files = []
+    for i, diffs in enumerate([{0}, {1, 6}, {2, 5}, {3, 4}]):
+        f = tmp_path / f"class-{i}.txt"
+        rows = [[int((y - x) % 7 in diffs) for y in range(7)] for x in range(7)]
+        f.write_text(serialize_matrix(IntMatrix(rows)))
+        files.append(str(f))
+    code, out, err = run(capsys, "scheme", "verify", "--inputs", ",".join(files), "--eig")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot separate a subspace of dimension > 2\n"
 
 
 def test_scheme_verify_entry_past_int64_exits_two(capsys, tmp_path):

@@ -15,6 +15,7 @@ from hadsplit.core import (
 )
 from hadsplit.constructions import (
     _hadamard_order_ok,
+    _twin_partition,
     core_tensor,
     gram_construction,
     ja_recursion,
@@ -183,6 +184,23 @@ def test_twin_partition_covers(m):
     twin = (n, half * (2**m - 1), half, -half)
     assert t.reports[1].params.astuple() == twin
     assert t.reports[2].params.astuple() == twin
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_twin_partition_is_the_kronecker_recursion(m):
+    # the parts' first definition: each further base-4 digit v of a row index
+    # refines the parts of the order-4 split ({0, 2}, {1}, {3})
+    p, q, r = [0, 2], [1], [3]
+    for _ in range(m - 1):
+        def cell(xs, ys):
+            return [4 * u + v for u in xs for v in ys]
+
+        p, q, r = (
+            cell(p, [0, 2]),
+            cell(p, [1]) + cell(q, [0, 2]) + cell(q, [1]) + cell(r, [3]),
+            cell(p, [3]) + cell(q, [3]) + cell(r, [0, 2]) + cell(r, [1]),
+        )
+    assert _twin_partition(m) == (sorted(p), sorted(q), sorted(r))
 
 
 def test_twin_sylvester_order_1024():

@@ -451,6 +451,14 @@ def test_seidel_enumeration_at_the_int64_bound():
     assert all(r.srg == derive_seidel(*r.params.astuple()[:3]).srg for r in rows)
 
 
+def test_seidel_cells_have_odd_eigenvalues_without_a_screen():
+    # ell (n - ell) = a^2 (n - 1): the quotients multiply to the odd n - 1
+    n, ell, a = feas._seidel_cells(2**15)
+    assert n.size
+    assert np.all(ell % a == 0) and np.all((n - ell) % a == 0)
+    assert np.all((ell // a) % 2 == 1) and np.all(((n - ell) // a) % 2 == 1)
+
+
 def test_case_a_eigsearch_rows_are_the_curated_ones():
     assert {k for k, v in feas._RECORDS.items() if v == STATUS_EIGSEARCH} == EIGSEARCH_ROWS
 

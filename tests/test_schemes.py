@@ -2,6 +2,7 @@ import cProfile
 import dataclasses
 import hashlib
 import math
+import os
 import pstats
 import time
 import tracemalloc
@@ -1219,6 +1220,17 @@ def test_eigenmatrices_pentagon_is_irrational():
         eigenmatrices(sch)
 
 
+def test_eigenmatrices_cubic_characters_leave_a_three_dimensional_space():
+    """The symmetric 3-class scheme of Z_7 has characters 2 cos(2 pi k / 7),
+    roots of a cubic: no integer eigenvalue splits their common
+    three-dimensional space, and the exact splitting gives up on it."""
+    sch = _cyclic_scheme(7, [{0}, {1, 6}, {2, 5}, {3, 4}])
+    assert sch.valencies == (1, 2, 2, 2)
+    with pytest.raises(IrrationalEigenvalue) as info:
+        eigenmatrices(sch)
+    assert str(info.value) == "cannot separate a subspace of dimension > 2"
+
+
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
 def test_eigenmatrices_give_primitive_idempotents(case, built_schemes):
     sch = built_schemes[case]
@@ -1694,8 +1706,9 @@ def test_eigenmatrices_split_primitive_integer_bases(case, built_schemes, monkey
 @pytest.mark.parametrize("case", ["4class-nonsym", "6class-f2", "hamming6", "petersen"])
 def test_eigenmatrices_build_fractions_only_for_table_entries(case, built_schemes):
     """Under cProfile, every Fraction that eigenmatrices builds comes from
-    a final P or Q entry: Fraction.__new__ is called only by `_entry` and by
-    the GaussianRational it builds, and nothing else builds one."""
+    a final P or Q entry: Fraction.__new__ is called only by the generator
+    expressions that build the tables and by the GaussianRational they
+    build, and nothing else builds one."""
     sch = _scheme_for(case, built_schemes)
     prof = cProfile.Profile()
     prof.runcall(eigenmatrices, sch)
@@ -1703,14 +1716,15 @@ def test_eigenmatrices_build_fractions_only_for_table_entries(case, built_scheme
 
     def callers(name, filename):
         return {
-            caller[2]
+            (os.path.basename(caller[0]), caller[2])
             for func, (*_, by) in stats.items()
             if func[2] == name and func[0].endswith(filename)
             for caller in by
         }
 
-    assert callers("__new__", "fractions.py") <= {"__init__", "_entry"}
-    assert callers("__init__", "exactla.py") <= {"_entry"}
+    tables = ("schemes.py", "<genexpr>")
+    assert callers("__new__", "fractions.py") <= {("exactla.py", "__init__"), tables}
+    assert callers("__init__", "exactla.py") <= {tables}
 
 
 @pytest.mark.parametrize("case", list(_BUILT_SCHEMES))
