@@ -20,11 +20,13 @@ from .core import (
     IntMatrix,
     SkewCore,
     _proved_hadamard,
+    conference_from_core,
     isqrt_exact,
     kronecker,
     normalize,
     sylvester,
 )
+from .gf import is_prime_power
 from .splitting import SplitParams, SplitReport, check_split
 
 __all__ = [
@@ -247,8 +249,6 @@ def skew_core_bsh(core: SkewCore) -> BshInstance:
     With Ct = -C and CCt = qI, HHt = I kron (jjt + q aat) + C kron (jat - ajt),
     which ja_recursion's identities make q(q+1) I.
     """
-    from .core import conference_from_core
-
     q = core.q
     pair = ja_recursion(core, 1)
     c = conference_from_core(core)
@@ -281,11 +281,8 @@ def _family(n: int, ell: int, a: int, b: int) -> str | None:
         if k >= 2 and n % k == 0 and ell == n - k and n // k >= 2:
             if _hadamard_order_ok(k) and _hadamard_order_ok(n // k):
                 return f"core-tensor k={k}"
-    if a == ell and b == -1 and n == a * (a + 1) and a % 4 == 3:
-        from .gf import is_prime_power
-
-        if is_prime_power(a):
-            return f"skew-core q={a}"
+    if a == ell and b == -1 and n == a * (a + 1) and a % 4 == 3 and is_prime_power(a):
+        return f"skew-core q={a}"
     return None
 
 

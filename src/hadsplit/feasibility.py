@@ -33,7 +33,8 @@ past it before building anything:
   max(D, 0) <= n^2 <= 2^30, where the float64 test above is exact. b's
   numerator ell (ell - a - n) and denominator a (n-1) + ell are below n^2
   in magnitude. k, lam and mu are formed (_srg_terms with sigma = 0) only
-  on cells with b an integer in [-ell, 0) and 1 <= a <= ell < n, so
+  on cells with b an integer in [-ell, 0) (b >= -ell with no screen, see
+  _case_a_integral_cells) and 1 <= a <= ell < n, so
   c = a - b and d = ell - b lie in [1, 2 ell]. k's numerator -d - bn lies
   in [0, n^2); mu's, nb(b + 1), in [0, n ell (ell - 1)]; (n - 2d) c in
   (-6n^2, 2n ell), so lam's numerator, their sum, lies in
@@ -385,13 +386,15 @@ def enumerate_seidel(max_n: int) -> list[FeasibleRow]:
 
 def _seidel_cells(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns (n, ell, a) for n = 4, 8, ..., max_n and a >= 1 where
-    n^2 - 4a^2(n-1) = d^2 is a perfect square with n - d even, ell = (n-d)/2
-    exceeds a^2, and a divides ell and n - ell.
+    n^2 - 4a^2(n-1) = d^2 is a perfect square with n - d even and
+    ell = (n-d)/2 exceeds a^2.
 
-    The quotients ell/a and (n - ell)/a, the sign-matrix eigenvalues, are
-    then odd with no further screen: ell (n - ell) = (n^2 - d^2)/4 =
-    a^2 (n-1), so the two quotients multiply to n - 1, which is odd, as n is
-    a multiple of 4."""
+    a divides ell and n - ell wherever k and mu are integers (see
+    splitting.derive_seidel), so _integral_cells drops the other cells. The
+    quotients ell/a and (n - ell)/a, the sign-matrix eigenvalues, are then
+    odd with no further screen: ell (n - ell) = (n^2 - d^2)/4 = a^2 (n-1),
+    so the two quotients multiply to n - 1, which is odd, as n is a
+    multiple of 4."""
     n = np.arange(4, max_n + 1, 4, dtype=np.int64)[:, None]
     # 4a^2(n-1) <= n^2 forces a^2 <= n^2 / (4(n-1)) <= n/3 for n >= 4
     a = np.arange(1, math.isqrt(max(max_n, 0) // 3) + 1, dtype=np.int64)
@@ -400,7 +403,7 @@ def _seidel_cells(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i, j = np.nonzero((disc >= 0) & (d * d == disc))
     n, a, d = n[i, 0], a[j], d[i, j]
     ell = (n - d) // 2
-    ok = ((n - d) % 2 == 0) & (ell > a * a) & (ell % a == 0) & ((n - ell) % a == 0)
+    ok = ((n - d) % 2 == 0) & (ell > a * a)
     return n[ok], ell[ok], a[ok]
 
 
@@ -421,9 +424,9 @@ _GRID_CELLS = 2**16
 
 def _case_a_cells(max_n: int) -> list[tuple[int, ...]]:
     """Rows (n, ell, a, b, k, lam, mu) for n = 8, 12, ..., max_n, 2 <= ell < n and
-    1 <= a <= ell where the zero-row-sum b is an integer, b >= -ell,
-    a^2 != b^2, a = b = ell (mod 2), and k, lam and mu are integers passing
-    every SRG screen; in no particular order.
+    1 <= a <= ell where the zero-row-sum b is an integer (then b > -ell, see
+    _case_a_integral_cells), a^2 != b^2, a = b = ell (mod 2), and k, lam and
+    mu are integers passing every SRG screen; in no particular order.
 
     Only the cells with an integral b are visited, as divisor pairs. With
     den = a(n-1) + ell, ell = -a(n-1) (mod den) turns b's numerator
@@ -497,9 +500,11 @@ def _case_a_integral_cells(
     n: np.ndarray, ell: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> list[np.ndarray]:
     """Columns (n, ell, a, b, k, lam, mu) of the integral cells (n, ell, a, b)
-    with b >= -ell, a^2 != b^2, a = b = ell (mod 2), and integral k, lam
-    and mu."""
-    keep = (b >= -ell) & (a * a != b * b) & ((ell - a) % 2 == 0) & ((ell - b) % 2 == 0)
+    with a^2 != b^2, a = b = ell (mod 2), and integral k, lam and mu.
+
+    Every cell has b > -ell, as a >= 1 and ell >= 2 give
+    b + ell = ell (2 ell + a(n - 2) - n) / (a(n - 1) + ell) > 0."""
+    keep = (a * a != b * b) & ((ell - a) % 2 == 0) & ((ell - b) % 2 == 0)
     n, ell, a, b = n[keep], ell[keep], a[keep], b[keep]
     return _integral_cells(_srg_terms(n, ell, a, b, 0), n, ell, a, b)
 

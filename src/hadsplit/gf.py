@@ -38,7 +38,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             if m != 1:
                 raise NotPrimePower(f"{q} is not a prime power")
             return p, e
-    return q, 1
+    # the loop has returned by p = q at the latest, since q * q > q
 
 
 def is_prime_power(q: int) -> bool:

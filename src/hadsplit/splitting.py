@@ -42,7 +42,6 @@ from .search import _bitmasks, max_clique
 
 __all__ = [
     "NotSplittable",
-    "InvalidSingleValue",
     "NonIntegral",
     "InfeasibleSeidel",
     "MissingAllOnesRow",
@@ -79,10 +78,6 @@ class NotSplittable(HadsplitError):
     """More than two distinct off-diagonal Gram values."""
 
 
-class InvalidSingleValue(HadsplitError):
-    """Single Gram value outside the allowed (ell, a) set."""
-
-
 class NonIntegral(HadsplitError):
     """A derived parameter is not an integer."""
 
@@ -108,7 +103,7 @@ class WrongParameters(HadsplitError):
 
 
 class NotDiagonalized(HadsplitError):
-    """H A Ht is not n times an integer diagonal matrix."""
+    """H A Ht is not diagonal."""
 
     def __init__(self, message: str, witness: tuple[int, int, int]):
         super().__init__(message)
@@ -336,9 +331,9 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
     a, b = (-low, -high) if other else (high, low)
 
     if a == b:
-        if (ell, a) not in {(1, 1), (n - 1, -1), (n, 0)}:
-            raise InvalidSingleValue(f"single value {a} with ell={ell} not allowed")
-        # gram_ok holds because h is a HadamardMatrix (see above)
+        # G = (ell - a) I + aJ, and G^2 = nG gives (ell - a)^2 = n(ell - a) and
+        # 2a(ell - a) + a^2 n = na: (ell, a) is (1, 1), (n - 1, -1) or (n, 0),
+        # and gram_ok holds because h is a HadamardMatrix (see above)
         checks = {"rowsum_zero": n * ell + a * (n * n - n) == 0, "gram_ok": True}
         return SplitReport(
             params=SplitParams(n, ell, a, a),
@@ -453,11 +448,9 @@ def derive_seidel(n: int, ell: int, a: int) -> SeidelDerivation:
     if ell == a * a and n % 2:
         # forced ell = 1, a = 1: two disjoint cliques of size n/2
         raise NonIntegral("odd order in the degenerate branch")
+    # integral k = (a(n - 1) - ell)/(2a) and mu = n(a - 1)/(4a) give a | ell
+    # and, as gcd(a, a - 1) = 1, a | n: the Seidel spectrum below is integral
     srg = _srg_params(n, ell, a, -a, 0)
-    if (n - ell) % a or ell % a:
-        raise NonIntegral(
-            f"Seidel spectrum {Fraction(n - ell, a)}, {Fraction(-ell, a)} not integral"
-        )
     return SeidelDerivation(
         params=SplitParams(n, ell, a, -a),
         srg=_require_graph(srg),
@@ -640,7 +633,7 @@ def regular_hadamard_normalize(h: HadamardMatrix, report: SplitReport) -> Hadama
 
 
 def diagonalize_by_hadamard(a: IntMatrix, h: HadamardMatrix) -> SpectrumLayout:
-    """Eigenvalues read off D = H A Ht when it is n times a diagonal."""
+    """Eigenvalues read off D = H A Ht when it is diagonal."""
     n = h.order
     if a.shape != (n, n):
         raise ValueError("shape mismatch")
@@ -651,13 +644,9 @@ def diagonalize_by_hadamard(a: IntMatrix, h: HadamardMatrix) -> SpectrumLayout:
     if bad.size:
         i, j = divmod(int(bad[0]), n)
         raise NotDiagonalized(f"off-diagonal entry at ({i}, {j})", witness=(i, j, int(d[i, j])))
-    diag = np.diagonal(d)
-    bad = np.flatnonzero(diag % n)
-    if bad.size:
-        i = int(bad[0])
-        raise NotDiagonalized(f"diagonal entry at ({i}, {i}) not divisible by {n}",
-                              witness=(i, i, int(d[i, i])))
-    return SpectrumLayout(per_row=tuple((diag // n).tolist()))
+    # H A Ht = D and Ht H = nI give A Ht = Ht D / n: each D_ii / n is a
+    # rational eigenvalue of the integer matrix A, so an integer
+    return SpectrumLayout(per_row=tuple((np.diagonal(d) // n).tolist()))
 
 
 def split_from_diagonalizable_srg(a: IntMatrix, h: HadamardMatrix) -> SplitReport:
@@ -665,12 +654,11 @@ def split_from_diagonalizable_srg(a: IntMatrix, h: HadamardMatrix) -> SplitRepor
     n = h.order
     if set(h.row(n - 1)) != {1}:
         raise MissingAllOnesRow("the last row of h must be all-ones")
-    srg = direct_srg_params(a)
-    if srg is None:
+    if direct_srg_params(a) is None:
         raise ValueError("input is not a strongly regular graph")
+    # the last row of h is 1t and A is k-regular, so that row carries the
+    # valency: per_row[n - 1] = 1t A 1 / n = k
     layout = diagonalize_by_hadamard(a, h)
-    if layout.per_row[n - 1] != srg.k:
-        raise HadsplitError("last row does not carry the valency eigenvalue")
     others = sorted({v for i, v in enumerate(layout.per_row) if i != n - 1})
     if len(others) != 2:
         raise HadsplitError(f"expected two non-valency eigenvalues, got {others}")
@@ -746,10 +734,8 @@ def search_splits(h: HadamardMatrix, ell: int, budget: int = 10**7) -> list[Spli
     Python object is built per subset. Each chunk's subsets are screened
     at once. A subset whose off-diagonal Gram entries take only the values
     max and min has the parameter tuple (n, ell, max, min) in check_split's
-    report, so check_split runs once per tuple, on its first subset.
-    Whether check_split raises depends on the tuple alone
-    (InvalidSingleValue, which G^2 = nG rules out on a Hadamard matrix), so
-    it raises on the same subset as a check of every subset.
+    report, so check_split runs once per tuple, on its first subset;
+    check_split cannot raise on a subset that passes the screen.
 
     The screen forms no Gram product. prods[r, e] = h[r, p] h[r, q] for
     the e-th column pair p < q, so a subset's off-diagonal Gram entries are

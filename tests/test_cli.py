@@ -79,6 +79,12 @@ def test_check_row_ranges(capsys, tmp_path):
     run(capsys, "construct", "twin", "--m", "2", "--out", str(t))
     code, out, _ = run(capsys, "check", "--input", str(t), "--rows", "1,4-6,9,15")
     assert code == 0
+    # an empty token is skipped; a list of empty tokens is no list
+    code, out, _ = run(capsys, "check", "--input", str(t), "--rows", "1,,4,5,6,9,15")
+    assert code == 0 and "(16, 6, 2, -2)" in out
+    code, out, err = run(capsys, "check", "--input", str(t), "--rows", ",")
+    assert (code, out) == (2, "")
+    assert "error: empty row list" in err
     code, out, err = run(capsys, "check", "--input", str(t), "--rows", "1,4,6-5,9,15")
     assert code == 2
     assert out == ""
@@ -144,6 +150,20 @@ def test_construct_kron_small(capsys):
     assert code == 0
     data = json.loads(out)["data"]
     assert (data["n"], data["ell"], data["a"], data["b"]) == (16, 6, 2, -2)
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["gram", "--sylvester", "2"], (16, 4, 4, 0)),
+        (["two-row", "--sylvester", "3"], (8, 6, 0, -2)),
+    ],
+)
+def test_construct_gram_and_two_row(capsys, argv, params):
+    code, out, _ = run(capsys, "construct", *argv, "--json")
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert (data["n"], data["ell"], data["a"], data["b"]) == params
 
 
 def test_construct_unknown_dataset_exits_two(capsys):
@@ -751,6 +771,20 @@ def test_scheme_hamming_and_fusion(capsys):
     code, out, _ = run(capsys, "scheme", "fusion", "--n", "6", "--variant", "03")
     assert code == 0
     assert "2-class symmetric scheme on 64 points" in out
+
+
+def test_scheme_build4_from_input_rows(capsys, tmp_path):
+    # the rows --twin-delete 2 keeps, read from the order-16 twin file
+    f = tmp_path / "twin.txt"
+    run(capsys, "construct", "twin", "--m", "2", "--out", str(f))
+    code, out, _ = run(
+        capsys, "scheme", "build4", "--input", str(f), "--rows", "2,3,7,8,10-14", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)["data"]
+    code, out, _ = run(capsys, "scheme", "build4", "--twin-delete", "2", "--json")
+    assert code == 0 and json.loads(out)["data"] == data
+    assert data["size"] == 160 and data["valencies"] == [1, 9, 6, 72, 72]
 
 
 def test_scheme_split_requires_source(capsys):

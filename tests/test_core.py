@@ -38,6 +38,16 @@ def test_intmatrix_basic_algebra():
     assert a == IntMatrix([[1, 2], [3, 4]])
 
 
+def test_intmatrix_refuses_mismatched_operands():
+    a = IntMatrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a + IntMatrix([[1, 2]])
+    assert a.__eq__([[1, 2], [3, 4]]) is NotImplemented and a != [[1, 2], [3, 4]]
+    assert a != IntMatrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(TypeError):
+        2.5 * a
+
+
 def test_intmatrix_is_immutable():
     a = IntMatrix([[1, 2], [3, 4]])
     arr = np.array(a.tolist())
@@ -310,6 +320,13 @@ def test_hadamard_rejects_bad_input():
     for bad in (0, 2, -2):
         with pytest.raises(ValueError, match=re.escape("entries must be +-1")):
             HadamardMatrix([[1, 1], [bad, -1]])
+    with pytest.raises(ValueError, match="Hadamard matrix must be square"):
+        HadamardMatrix([[1, 1, 1], [1, -1, 1]])
+
+
+def test_sylvester_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        sylvester(-1)
 
 
 def test_normalize_gives_all_ones_first_row_and_column():
@@ -373,6 +390,25 @@ def test_skew_core_validation():
         SkewCore(IntMatrix([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]))
     with pytest.raises(ValueError, match="core entries"):
         SkewCore(IntMatrix([[1, 1, -1], [-1, 1, 1], [1, -1, 1]]))
+    with pytest.raises(ValueError, match="core must be square"):
+        SkewCore(IntMatrix([[0, 1, -1]]))
+    # the symmetric Paley core of q = 5: QQt = 5I - J and zero sums, Qt = Q
+    residue = [0, 1, -1, -1, 1]
+    symmetric = IntMatrix([[residue[(y - x) % 5] for y in range(5)] for x in range(5)])
+    with pytest.raises(ValueError, match="core must be skew symmetric"):
+        SkewCore(symmetric)
+
+
+def test_skew_core_needs_no_row_or_column_sum_test():
+    # QQt = qI - J forces Qt 1 = 0, and Qt = -Q then Q1 = 0; a q = 7 Paley
+    # core with one column negated keeps QQt and its zero column sums but
+    # not its zero row sums, and the skew test refuses it
+    q = paley_skew_core(7).matrix.array
+    signed = IntMatrix(q * np.where(np.arange(7) == 2, -1, 1))
+    assert signed @ signed.T == 7 * IntMatrix.identity(7) - IntMatrix.ones(7)
+    assert any(signed.row_sums()) and not any(signed.col_sums())
+    with pytest.raises(ValueError, match="core must be skew symmetric"):
+        SkewCore(signed)
 
 
 def test_parse_serialize_round_trip_is_byte_exact():
@@ -396,6 +432,7 @@ def test_parse_accepts_sign_tokens_and_comments():
     [
         "",
         "2\n1 1\n1 1",
+        "2 x\n1 1\n1 1",
         "2 2\n1 1",
         "2 2\n1 1\n1 x",
         "0 2\n",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hadsplit.feasibility as feas
+import hadsplit.splitting as splitting
 from hadsplit.cli import bundled_data
 from hadsplit.constructions import witness_for
 from hadsplit.feasibility import (
@@ -451,12 +452,32 @@ def test_seidel_enumeration_at_the_int64_bound():
     assert all(r.srg == derive_seidel(*r.params.astuple()[:3]).srg for r in rows)
 
 
+def test_divisor_pair_cells_need_no_lower_bound_on_b():
+    # b + ell = ell (2 ell + a(n - 2) - n) / (a(n - 1) + ell) > 0 for a >= 1
+    # and ell >= 2, so _case_a_integral_cells has no b >= -ell screen; below
+    # order 8 there are no items at all
+    assert enumerate_case_a(4) == []
+    cells = 0
+    for items in feas._case_a_items(1024):
+        n, ell, a, b = feas._divisor_pair_cells(*items)
+        assert np.all(a >= 1) and np.all(ell >= 2) and np.all(b > -ell)
+        cells += n.size
+    assert cells > 10**5
+
+
 def test_seidel_cells_have_odd_eigenvalues_without_a_screen():
-    # ell (n - ell) = a^2 (n - 1): the quotients multiply to the odd n - 1
+    # no cell screen on a | ell or on odd quotients: integral k and mu give
+    # a | ell and a | n, and ell (n - ell) = a^2 (n - 1) makes the quotients
+    # multiply to the odd n - 1
     n, ell, a = feas._seidel_cells(2**15)
-    assert n.size
-    assert np.all(ell % a == 0) and np.all((n - ell) % a == 0)
-    assert np.all((ell // a) % 2 == 1) and np.all(((n - ell) // a) % 2 == 1)
+    assert np.any(ell % a)
+    n, ell, a = feas._integral_cells(splitting._srg_terms(n, ell, a, -a, 0), n, ell, a)[:3]
+    assert n.size and not np.any(ell % a) and not np.any(n % a)
+    rows = [r.params for r in enumerate_seidel(2**15)]
+    assert rows
+    for p in rows:
+        assert p.ell % p.a == 0 and (p.n - p.ell) % p.a == 0
+        assert (p.ell // p.a) % 2 == 1 and ((p.n - p.ell) // p.a) % 2 == 1
 
 
 def test_case_a_eigsearch_rows_are_the_curated_ones():
@@ -536,6 +557,9 @@ def test_srg_multiplicities_known_values():
     # conference graph: irrational eigenvalues, equal halves
     assert srg_multiplicities(SrgParams(5, 2, 0, 1)) == (2, 2)
     assert srg_multiplicities(SrgParams(16, 6, 2, 1)) is None
+    # no real eigenvalue pair (discriminant 0); multiplicity g = -1
+    assert srg_multiplicities(SrgParams(10, 1, 0, 2)) is None
+    assert srg_multiplicities(SrgParams(3, 1, 0, 3)) is None
 
 
 def test_srg_complement_filter():

@@ -251,6 +251,9 @@ def test_latin_square_validation():
         LatinSquare(order=0, min_symbol=0, cells=())
     sq = LatinSquare(order=2, min_symbol=0, cells=((0, 0), (0, 0)))
     assert not sq.is_latin()
+    # every row is a permutation, column 0 repeats 0
+    sq = LatinSquare(order=3, min_symbol=0, cells=((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+    assert not sq.is_latin()
 
 
 def test_getitem_and_symbols():

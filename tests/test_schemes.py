@@ -20,6 +20,7 @@ from hadsplit.constructions import twin_sylvester
 from hadsplit.core import HadamardMatrix, HadsplitError, IntMatrix, isqrt_exact, sylvester
 from hadsplit.exactla import GaussianRational, _integer_roots, mat_vec, rref
 from hadsplit.latin import (
+    LatinSquare,
     affine_ufs_family,
     circle_symmetric,
     compose_ufs,
@@ -49,6 +50,7 @@ from hadsplit.schemes import (
     verify_scheme,
 )
 from hadsplit.splitting import (
+    check_split,
     delete_allones_transform,
     diagonalize_by_hadamard,
     direct_srg_params,
@@ -178,6 +180,8 @@ def test_lemma_c(aux16, twin16, split_16_9):
     assert AuxiliarySet(twin16.h, split_16_9).lemma_c_ok()
     # the block split contains the all-ones row, so its sums are not zero
     assert not AuxiliarySet(twin16.h, twin16.reports[0]).lemma_c_ok()
+    # a single-value split has no graph
+    assert not AuxiliarySet(twin16.h, check_split(twin16.h, range(16))).lemma_c_ok()
 
 
 def test_auxiliary_set_computes_only_the_split_gram(kernel_calls, twin16):
@@ -280,11 +284,19 @@ def test_4class_rejects_even_split(twin16):
 def test_4class_rejects_wrong_square(twin16, split_16_9):
     with pytest.raises(ValueError):
         build_4class_symmetric(twin16.h, split_16_9, affine_ufs_family(9)[0])
+    zeros = LatinSquare(10, 0, ((0,) * 10,) * 10)
+    with pytest.raises(ValueError, match="square is not Latin"):
+        build_4class_symmetric(twin16.h, split_16_9, zeros)
+    shifted = LatinSquare(10, 0, tuple(tuple((j - i) % 10 for j in range(10)) for i in range(10)))
+    with pytest.raises(ValueError, match="square must be symmetric with zero diagonal"):
+        build_4class_symmetric(twin16.h, split_16_9, shifted)
 
 
 def test_4class_rejects_nonzero_row_sums(twin16):
     with pytest.raises(HadsplitError):
         build_4class_symmetric(twin16.h, twin16.reports[0])
+    with pytest.raises(HadsplitError, match="need a two-value split"):
+        build_4class_symmetric(twin16.h, check_split(twin16.h, range(16)))
 
 
 # --------------------------------------------------------- 5-class schemes
@@ -388,6 +400,14 @@ def test_5class_needs_two_squares(twin16, split_16_9, fam9):
         build_5class(twin16.h, split_16_9, fam9[:1])
 
 
+def test_5class_checks_each_square(twin16, split_16_9, fam9):
+    with pytest.raises(ValueError, match="every square must have order 9 and symbols from 1"):
+        build_5class(twin16.h, split_16_9, [fam9[0], affine_ufs_family(7)[0]])
+    ones = LatinSquare(9, 1, ((1,) * 9,) * 9)
+    with pytest.raises(ValueError, match="square is not Latin"):
+        build_5class(twin16.h, split_16_9, [fam9[0], ones])
+
+
 # --------------------------------------------------------- 6-class schemes
 
 
@@ -434,6 +454,13 @@ def test_6class_reports_non_ufs_before_the_diagonal(twin16):
 
 
 # ------------------------------------------------------- scheme verification
+
+
+def test_verify_rejects_no_classes_and_wrong_shapes():
+    with pytest.raises(AxiomFailure, match="no class matrices"):
+        verify_scheme([])
+    with pytest.raises(AxiomFailure, match="class 1 is not 3 x 3"):
+        verify_scheme([IntMatrix.identity(3), IntMatrix.ones(2)])
 
 
 def test_verify_rejects_non_01():

@@ -16,6 +16,13 @@ def test_empty_graph():
     assert size == 1 and len(members) == 1
 
 
+def test_masks_are_checked():
+    with pytest.raises(ValueError, match="neighbor mask out of range"):
+        max_clique([0b100, 0])
+    with pytest.raises(ValueError, match="self-loop"):
+        max_clique([0b10, 0b11])
+
+
 def test_no_vertices():
     size, members = max_clique([])
     assert size == 0 and members == []

@@ -32,7 +32,6 @@ from hadsplit.splitting import (
     BoundInapplicable,
     BudgetExceeded,
     InfeasibleSeidel,
-    InvalidSingleValue,
     MissingAllOnesRow,
     NonIntegral,
     NotDiagonalized,
@@ -363,8 +362,6 @@ def _direct_report(h, rows):
     }
     if len(values) == 1:
         (a,) = values
-        if (ell, a) not in {(1, 1), (n - 1, -1), (n, 0)}:
-            raise InvalidSingleValue(f"single value {a} with ell={ell} not allowed")
         return SplitReport(SplitParams(n, ell, a, a), tuple(rows), None, "single-value", None, checks)
     b, a = values
     adj = IntMatrix(((g == a) & ~eye).astype(np.int64))
@@ -395,7 +392,7 @@ def _direct_report(h, rows):
 def _outcome_of(fn, *args):
     try:
         return fn(*args)
-    except (NotSplittable, InvalidSingleValue) as exc:
+    except NotSplittable as exc:
         return type(exc), str(exc)
 
 
@@ -463,11 +460,6 @@ def test_check_split_error_messages_list_gram_values_in_ascending_order(twin16):
         check_split(twin16.h, [0, 1, 2])
     with pytest.raises(NotSplittable, match=re.escape("off-diagonal Gram values [-3, -1, 1]")):
         check_split(twin16.h, range(3, 16))
-    # a genuine Hadamard matrix has no disallowed single value (G^2 = nG
-    # rules it out), so the all-ones matrix is passed off as one
-    ones = _proved_hadamard(np.ones((4, 4), dtype=np.int64))
-    with pytest.raises(InvalidSingleValue, match=re.escape("single value 2 with ell=2 not allowed")):
-        check_split(ones, [0, 1])
 
 
 def test_check_split_allocates_no_int64_gram():
@@ -502,6 +494,11 @@ def test_direct_srg_params_on_bundled_graphs():
     assert direct_srg_params(_load("shrikhande")).astuple() == (16, 6, 2, 2)
     assert direct_srg_params(_load("srg-36-10-4-2")).astuple() == (36, 10, 4, 2)
     assert direct_srg_params(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])) is None
+    # not symmetric; entries off 0/1; the 6-cycle is regular but not an SRG
+    assert direct_srg_params(IntMatrix([[0, 1], [0, 0]])) is None
+    assert direct_srg_params(IntMatrix([[0, 2], [2, 0]])) is None
+    cycle = [[int((i - j) % 6 in (1, 5)) for j in range(6)] for i in range(6)]
+    assert direct_srg_params(IntMatrix(cycle)) is None
 
 
 def test_derive_seidel_canonical():
@@ -515,6 +512,27 @@ def test_derive_seidel_degenerate_single_line():
     der = derive_seidel(16, 1, 1)
     assert der.srg.astuple() == (16, 7, 6, 0)
     assert der.s_spectrum == ((15, 1), (-1, 15))
+
+
+def test_derive_seidel_successes_have_an_integral_spectrum():
+    # no spectrum test: integral k and mu give a | ell and a | n
+    found = 0
+    for n in range(4, 3000):
+        a = 1
+        while 4 * a * a * (n - 1) <= n * n:
+            disc = n * n - 4 * a * a * (n - 1)
+            d = math.isqrt(disc)
+            if d * d == disc and (n - d) % 2 == 0:
+                for ell in {(n - d) // 2, (n + d) // 2} - {0}:
+                    try:
+                        der = derive_seidel(n, ell, a)
+                    except HadsplitError:
+                        continue
+                    assert ell % a == 0 and n % a == 0, (n, ell, a)
+                    assert der.s_spectrum == (((n - ell) // a, ell), (-ell // a, n - ell))
+                    found += 1
+            a += 1
+    assert found > 100
 
 
 def test_derive_seidel_rejects_broken_trace_identity():
@@ -663,6 +681,8 @@ def test_general_srg_from_b_is_exact():
     assert (k, lam, mu) == (Fraction(9), Fraction(4), Fraction(6))
     k, lam, mu = general_srg_from_b(64, 21, 5, -3)
     assert (k, lam, mu) == (Fraction(21), Fraction(8), Fraction(6))
+    with pytest.raises(NonIntegral, match=re.escape("a^2 = b^2 has no two-value derivation")):
+        general_srg_from_b(16, 6, 2, -2)
 
 
 def _ref_integer(name, val):
@@ -777,8 +797,15 @@ def test_derivations_match_the_fraction_formulas(seed):
             assert _outcome(derive, *cell) == _outcome(ref, *cell), (derive.__name__, cell)
 
 
-def test_verify_seidel_matrix(twin16):
+def test_verify_seidel_matrix(twin16, split_16_9):
     assert verify_seidel_matrix(twin16.reports[1])
+    with pytest.raises(InfeasibleSeidel, match="report is not on the b = -a branch"):
+        verify_seidel_matrix(split_16_9)
+    # (16, 16, 0, 0) has b = -a but a single value, so no adjacency
+    single = check_split(twin16.h, range(16))
+    assert single.branch == "single-value"
+    with pytest.raises(InfeasibleSeidel, match="no adjacency available"):
+        verify_seidel_matrix(single)
 
 
 def test_complement_split_is_involutive(twin16):
@@ -910,6 +937,10 @@ def test_regular_normal_form(twin16):
     assert reg @ reg.T == 16 * IntMatrix.identity(16)
     with pytest.raises(WrongParameters):
         regular_hadamard_normalize(twin16.h, twin16.reports[0])
+    # with rows 0 and 1 swapped, the report's rows name one row outside the split
+    moved = HadamardMatrix(twin16.h.array[[1, 0, *range(2, 16)]])
+    with pytest.raises(HadsplitError, match=re.escape("column sums are not +-2m after row flips")):
+        regular_hadamard_normalize(moved, twin16.reports[1])
 
 
 @pytest.mark.parametrize(
@@ -929,6 +960,8 @@ def test_diagonalize_by_hadamard(twin16):
     with pytest.raises(NotDiagonalized) as err:
         diagonalize_by_hadamard(_load("shrikhande"), twin16.h)
     assert err.value.witness == (10, 15, 32)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        diagonalize_by_hadamard(IntMatrix.zeros(4), twin16.h)
 
 
 def test_not_diagonalized_names_first_offdiagonal_entry(twin16):
@@ -955,6 +988,13 @@ def test_split_from_diagonalizable_srg(twin16):
     rep = split_from_diagonalizable_srg(_load("lattice-4x4"), reordered)
     assert rep.params.astuple() == (16, 6, 2, -2)
     assert rep.branch == "seidel"
+    cycle = [[int((i - j) % 16 in (1, 15)) for j in range(16)] for i in range(16)]
+    with pytest.raises(ValueError, match="input is not a strongly regular graph"):
+        split_from_diagonalizable_srg(IntMatrix(cycle), reordered)
+    # K16 = J - I: every row but the all-ones one carries -1
+    complete = IntMatrix.ones(16) - IntMatrix.identity(16)
+    with pytest.raises(HadsplitError, match=re.escape("expected two non-valency eigenvalues, got [-1]")):
+        split_from_diagonalizable_srg(complete, reordered)
 
 
 def test_search_splits(twin16):

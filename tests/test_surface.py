@@ -12,7 +12,7 @@ PUBLIC = {
         "AuxiliarySet", "AxiomFailure", "BoundInapplicable", "BshInstance",
         "BudgetExceeded", "EigenTables", "EigvecSearchResult", "EquiangularReport",
         "FeasibleRow", "GF", "HadamardMatrix", "HadsplitError", "InfeasibleSeidel",
-        "IntMatrix", "InvalidSingleValue", "IrrationalEigenvalue", "JaPair",
+        "IntMatrix", "IrrationalEigenvalue", "JaPair",
         "LatinSquare", "MissingAllOnesRow", "MultiplicityMismatch", "NonIntegral",
         "NotDiagonalized", "NotPrimePower", "NotSplittable", "NotUfs",
         "NotUnbiasedCase", "OddOrder", "OddityViolation", "ParseError", "Scheme",
@@ -41,7 +41,7 @@ PUBLIC = {
     ),
     "hadsplit.splitting": (
         "BoundInapplicable", "BudgetExceeded", "EquiangularReport", "InfeasibleSeidel",
-        "InvalidSingleValue", "MissingAllOnesRow", "NonIntegral", "NotDiagonalized",
+        "MissingAllOnesRow", "NonIntegral", "NotDiagonalized",
         "NotSplittable", "NotUnbiasedCase", "SeidelDerivation", "SpectrumLayout",
         "SplitParams", "SplitReport", "SrgParams", "WrongParameters", "check_split",
         "classify_srg16", "delete_allones_transform", "derive_seidel",
