@@ -3,7 +3,8 @@
 Every subcommand prints a short human summary, or a structured run report
 with --json. Exit codes: 0 for an affirmative result, 1 for a negative
 determination (invalid split, infeasible parameters, inconclusive search),
-2 for bad input or usage.
+2 for usage errors and bad input, which is any ValueError: the library's
+ParseError, NotPrimePower and OddOrder, and UnknownDataset, subclass it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .core import (
     HadamardMatrix,
     HadsplitError,
     IntMatrix,
-    ParseError,
     paley_skew_core,
     parse_matrix,
     serialize_matrix,
@@ -36,10 +36,9 @@ from .constructions import (
     witness_for,
 )
 from .feasibility import eigvec_search, enumerate_case_a, enumerate_seidel
-from .gf import GF, NotPrimePower
+from .gf import GF
 from .latin import (
     LatinSquare,
-    OddOrder,
     _affine_squares,
     affine_ufs_family,
     circle_symmetric,
@@ -79,7 +78,7 @@ from .splitting import (
 )
 
 
-class UnknownDataset(HadsplitError):
+class UnknownDataset(HadsplitError, ValueError):
     """Requested bundled dataset does not exist."""
 
 
@@ -106,14 +105,6 @@ def _load_matrix(spec: str) -> IntMatrix:
 
 def _load_hadamard(spec: str) -> HadamardMatrix:
     return HadamardMatrix.from_matrix(_load_matrix(spec))
-
-
-def _parameter(build, value: int):
-    """build(value), reporting a value it cannot build for as bad input."""
-    try:
-        return build(value)
-    except (NotPrimePower, OddOrder) as exc:
-        raise ValueError(str(exc)) from exc
 
 
 def _parse_rows(text: str) -> list[int]:
@@ -225,7 +216,7 @@ def _source_hadamard(path: str | None, exponent: int) -> HadamardMatrix:
 
 
 def _construct_skew_core(args: argparse.Namespace, em: _Emitter) -> None:
-    _emit_split(skew_core_bsh(_parameter(paley_skew_core, args.q)), args, em)
+    _emit_split(skew_core_bsh(paley_skew_core(args.q)), args, em)
 
 
 def _construct_kron(args: argparse.Namespace, em: _Emitter) -> None:
@@ -386,12 +377,12 @@ def _load_latin(spec: str) -> LatinSquare:
 
 
 def _latin_circle(args: argparse.Namespace, em: _Emitter) -> None:
-    square = _parameter(circle_symmetric, args.v)
+    square = circle_symmetric(args.v)
     _write_text("square", serialize_latin(square), args.out, em)
 
 
 def _latin_affine(args: argparse.Namespace, em: _Emitter) -> None:
-    field = _parameter(GF, args.q)
+    field = GF(args.q)
     if args.pick is not None:
         if not 0 <= args.pick < args.q - 1:
             raise ValueError(f"--pick must be in 0..{args.q - 2}, got {args.pick}")
@@ -487,7 +478,7 @@ def _scheme_split(args: argparse.Namespace):
 
 def _first_squares(q: int, f: int) -> list[LatinSquare]:
     """The first f squares of GF(q)'s affine family; the others are never built."""
-    field = _parameter(GF, q)
+    field = GF(q)
     if not 2 <= f <= q - 1:
         raise ValueError(f"--f must be in 2..{q - 1}, got {f}")
     return _affine_squares(field, range(1, f + 1))
@@ -681,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args, em)
         return em.finish()
-    except (ParseError, UnknownDataset, ValueError, OverflowError, OSError, MemoryError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -188,19 +188,11 @@ def twin_sylvester(m_exponent: int) -> TwinSplit:
     half = 2 ** (m - 1)
     gram_params = SplitParams(n, 2**m, 2**m, 0)
     twin_params = SplitParams(n, half * (2**m - 1), half, -half)
-    rep1 = check_split(h, p)
-    rep2 = check_split(h, q)
-    rep3 = check_split(h, r)
-    for rep, want in ((rep1, gram_params), (rep2, twin_params), (rep3, twin_params)):
-        if rep.params != want:
-            raise HadsplitError(f"partition produced {rep.params}, wanted {want}")
-    return TwinSplit(
-        h=h,
-        h1_rows=tuple(p),
-        h2_rows=tuple(q),
-        h3_rows=tuple(r),
-        reports=(rep1, rep2, rep3),
+    reports = tuple(
+        _instance(h, rows, want).report
+        for rows, want in ((p, gram_params), (q, twin_params), (r, twin_params))
     )
+    return TwinSplit(h=h, h1_rows=tuple(p), h2_rows=tuple(q), h3_rows=tuple(r), reports=reports)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ class HadsplitError(Exception):
     """Base for all library errors."""
 
 
-class ParseError(HadsplitError):
+class ParseError(HadsplitError, ValueError):
     """Malformed matrix or Latin square text."""
 
 
@@ -289,10 +289,6 @@ class IntMatrix:
     def row_sums(self) -> tuple[int, ...]:
         _check_bound(_bound(self._a, self.ncols))
         return tuple(int(v) for v in self._a.sum(axis=1))
-
-    def col_sums(self) -> tuple[int, ...]:
-        _check_bound(_bound(self._a, self.nrows))
-        return tuple(int(v) for v in self._a.sum(axis=0))
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:

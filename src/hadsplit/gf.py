@@ -19,7 +19,7 @@ from .core import HadsplitError
 __all__ = ["NotPrimePower", "GF", "factor_prime_power", "is_prime_power"]
 
 
-class NotPrimePower(HadsplitError):
+class NotPrimePower(HadsplitError, ValueError):
     """Order is not a prime power."""
 
 

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-class OddOrder(HadsplitError):
+class OddOrder(HadsplitError, ValueError):
     """The construction needs an even order."""
 
 

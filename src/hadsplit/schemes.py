@@ -68,7 +68,9 @@ class AuxiliarySet:
     split Gram H1t H1 by definition. The first three facts reduce to row and
     column orthogonality of the parent matrix, which HadamardMatrix proved
     when h was built (HHt = nI, hence HtH = nI), so nothing is re-checked here.
-    Projectors are formed only when asked for.
+    report must be check_split's report of rows of h (ValueError otherwise),
+    so all it states holds of the rows of h. Projectors are formed only when
+    asked for.
     """
 
     def __init__(self, h: HadamardMatrix, report: SplitReport):
@@ -93,14 +95,13 @@ class AuxiliarySet:
         A is symmetric and each split row h is nonzero, so
         (a - b) A hht = (n - ell + b) hht holds exactly when
         (a - b) A h = (n - ell + b) h, and hht A is the transpose of A hht:
-        one product of A with the split rows decides the lemma.
+        one product of A with the split rows decides the lemma. The report
+        is of h, so rowsum_zero says whether every split row sums to zero.
         """
         rep = self.report
-        if rep.adjacency is None:
+        if rep.adjacency is None or not rep.checks["rowsum_zero"]:
             return False
         n, ell, a, b = rep.params.astuple()
-        if np.any(self._h1.sum(axis=1)):
-            return False
         left = (a - b) * exact_matmul(rep.adjacency.array, self._h1.T).astype(np.int64, copy=False)
         return bool(np.array_equal(left, (n - ell + b) * self._h1.T))
 
@@ -379,11 +380,12 @@ class _KroneckerForm:
     J^2 = nJ, J P_s = P_s J = 0 and P_s P_t = n [s = t] P_s. So E_J = J/n,
     E_s = P_s/n and E_0 = I - E_J - sum_s E_s are orthogonal idempotents,
     the projections on 1, on each h_s and on their orthogonal complement;
-    ell <= n - 2, so each is nonzero and they are linearly independent. The
-    report's graph A is checked to be 0/1 and to satisfy
-    G = (ell - b) I + (a - b) A + bJ entry by entry. So every listed block
-    is 0/1, symmetric and a combination Y = sum_e y_e E_e, and coords[t]
-    holds block t's y: I = (1, 1, 1..1),
+    ell <= n - 2, so each is nonzero and they are linearly independent.
+    AuxiliarySet has refused any report but check_split's report of rows of
+    h, so the graph A is 0/1 and G = (ell - b) I + (a - b) A + bJ entry by
+    entry, and nothing here re-proves it: only _rows reads the rows of h.
+    So every listed block is 0/1, symmetric and a combination
+    Y = sum_e y_e E_e, and coords[t] holds block t's y: I = (1, 1, 1..1),
     J = (0, n, 0..0), (J +- P_s)/2 has n/2 at J and +-n/2 at s, and A has
     r = -(ell - b)/(a - b) at E_0, its valency at J and
     theta = (n - ell + b)/(a - b) at each s: eigenvalues of the integer
@@ -399,15 +401,10 @@ class _KroneckerForm:
 
     def __init__(self, aux: AuxiliarySet, grids: np.ndarray):
         n, ell, a, b = aux.report.params.astuple()
-        if ell + 2 > n or a == b:
-            raise HadsplitError("need a two-value split")
-        adj = aux.report.adjacency.array
-        want = (a - b) * adj + b
-        want.flat[:: n + 1] += ell - b
-        if not (np.all(adj.view(np.uint64) <= 1) and np.array_equal(aux.gram, want)):
-            raise AxiomFailure("the split Gram of h does not give the report's graph")
-        if np.any(aux._h1.sum(axis=1)):
-            raise AxiomFailure("split rows of h do not sum to zero")
+        # the report is of h, and each builder's _require_zero_row_sums read
+        # a graph, so a != b, and rowsum_zero: 1t G 1 = |H1 1|^2 = 0, the split
+        # rows sum to zero. At ell = n - 1 the other row is then constant and
+        # G = nI - J takes one value, so ell <= n - 2
         self.aux, self.grids, self.n = aux, grids, n
         coords = np.zeros((5 + 2 * ell, ell + 2), dtype=np.int64)
         coords[_EYE] = 1
@@ -552,6 +549,7 @@ def _build_4class(
 ) -> Scheme:
     """4-class body: the lifted blocks below the block diagonal are scaled
     by below (1 keeps the scheme symmetric, -1 pairs the last two classes)."""
+    aux = AuxiliarySet(h, report)
     _require_zero_row_sums(report)
     ell = report.params.ell
     if ell % 2 == 0:
@@ -561,7 +559,7 @@ def _build_4class(
     _check_scheme_square(square, ell)
     m = ell + 1
     signs = np.where(np.tri(m, k=-1, dtype=bool), below, 1)
-    return _verify_blocks(_assemble_blocks(AuxiliarySet(h, report), np.array(square.cells) * signs))
+    return _verify_blocks(_assemble_blocks(aux, np.array(square.cells) * signs))
 
 
 def build_4class_symmetric(
@@ -617,12 +615,13 @@ def build_5class(
 ) -> Scheme:
     """Scheme on f * ell * n points from f mutually UFS squares of order ell
     on symbols 1..ell."""
+    aux = AuxiliarySet(h, report)
     ell = report.params.ell
     lift = _ufs_cross_lift(report, squares, 1)
     f = len(squares)
     off = np.ones((ell, ell), dtype=np.int64) - np.eye(ell, dtype=np.int64)
     pattern = np.kron(np.eye(f, dtype=np.int64), off)
-    return _verify_blocks(_assemble_blocks(AuxiliarySet(h, report), lift, [pattern]))
+    return _verify_blocks(_assemble_blocks(aux, lift, [pattern]))
 
 
 def build_6class(
@@ -630,6 +629,7 @@ def build_6class(
 ) -> Scheme:
     """Scheme on f * (ell+1) * n points from f mutually UFS squares of order
     ell+1 on symbols 0..ell with constant zero diagonal."""
+    aux = AuxiliarySet(h, report)
     m = report.params.ell + 1
     lift = _ufs_cross_lift(report, squares, 0)
     f = len(squares)
@@ -638,7 +638,7 @@ def build_6class(
         np.kron(eye_f, np.ones((m, m), dtype=np.int64) - eye_m),
         np.kron(np.ones((f, f), dtype=np.int64) - eye_f, eye_m),
     ]
-    return _verify_blocks(_assemble_blocks(AuxiliarySet(h, report), lift, patterns))
+    return _verify_blocks(_assemble_blocks(aux, lift, patterns))
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,9 @@ class SrgParams:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """A checked split; check_split documents the keys of checks."""
+    """A checked split; check_split documents the keys of checks. Only a
+    report that check_split returned records the matrix it read, and every
+    function taking a matrix h and a report refuses a report not of h."""
 
     params: SplitParams
     rows: tuple[int, ...]
@@ -156,6 +158,9 @@ class SplitReport:
     srg: SrgParams | None
     checks: dict[str, bool]
     alt_branch: str | None = None
+    # the HadamardMatrix whose rows check_split read, which it alone sets;
+    # not a field, so the constructor and dataclasses.replace leave it None
+    _source = None
 
     def as_dict(self) -> dict:
         p = self.params
@@ -257,11 +262,18 @@ def _require_order_above_1(n: int) -> None:
 
 
 def _require_report_of(h: HadamardMatrix, report: SplitReport) -> None:
-    """A report of another order cannot describe rows of h. A same-order
-    report of another matrix goes undetected: telling it apart would take
-    a product."""
-    if report.params.n != h.order:
+    """ValueError unless check_split made report from h or from a matrix
+    equal to it, so that everything the report states holds of h's rows.
+    The compare reads n^2 entries and forms no product."""
+    src = report._source
+    if src is not h and (src is None or not np.array_equal(src.array, h.array)):
         raise ValueError("report does not belong to this matrix")
+
+
+def _vouched(report: SplitReport, h: HadamardMatrix) -> SplitReport:
+    """report, recorded as check_split's report of rows of h."""
+    object.__setattr__(report, "_source", h)
+    return report
 
 
 def _row_index(i) -> int:
@@ -335,14 +347,8 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         # 2a(ell - a) + a^2 n = na: (ell, a) is (1, 1), (n - 1, -1) or (n, 0),
         # and gram_ok holds because h is a HadamardMatrix (see above)
         checks = {"rowsum_zero": n * ell + a * (n * n - n) == 0, "gram_ok": True}
-        return SplitReport(
-            params=SplitParams(n, ell, a, a),
-            rows=rows,
-            adjacency=None,
-            branch="single-value",
-            srg=None,
-            checks=checks,
-        )
+        single = SplitReport(SplitParams(n, ell, a, a), rows, None, "single-value", None, checks)
+        return _vouched(single, h)
 
     if other:
         np.subtract(high, prod, out=prod)
@@ -381,7 +387,7 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         checks["seidel_ok"] = True
 
     regular = degrees.min() == degrees.max()
-    return SplitReport(
+    report = SplitReport(
         params=SplitParams(n, ell, a, b),
         rows=rows,
         adjacency=IntMatrix._wrap(adj),
@@ -390,6 +396,7 @@ def check_split(h: HadamardMatrix, row_subset: Iterable[int]) -> SplitReport:
         checks=checks,
         alt_branch=alt,
     )
+    return _vouched(report, h)
 
 
 def _srg_terms(n: int, ell: int, a, b, sigma) -> tuple[tuple, tuple, tuple]:
@@ -589,9 +596,10 @@ def equiangular_report(params: SplitParams) -> EquiangularReport:
 def unbiased_partner(h: HadamardMatrix, report: SplitReport) -> HadamardMatrix:
     """Hadamard matrix K with H Kt entries all +-sqrt(n).
 
-    Exists for b = -a splits with n = 4a^2 and ell = (n +- sqrt n)/2, where
-    report is check_split's report of rows of h. K = (2G - nI) / (2a) is
-    read off the report's adjacency A with no product: there
+    Exists for b = -a splits with n = 4a^2 and ell = (n +- sqrt n)/2.
+    report must be check_split's report of rows of h (ValueError otherwise),
+    so its adjacency A marks the a-entries of h's split Gram G, and
+    K = (2G - nI) / (2a) is read off A with no product: there
     G = (ell + a) I + 2aA - aJ, so K = 2A - J + cI with
     c = (2 ell + 2a - n) / (2a), which is 0 or 2.
 

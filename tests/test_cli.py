@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -13,9 +14,12 @@ import pytest
 import hadsplit
 import hadsplit.cli as cli
 from hadsplit.cli import UnknownDataset, build_parser, bundled_data, main
-from hadsplit.core import IntMatrix, parse_matrix, serialize_matrix
+from hadsplit.core import IntMatrix, ParseError, parse_matrix, serialize_matrix
+from hadsplit.gf import GF, NotPrimePower
 from hadsplit.latin import (
+    OddOrder,
     affine_ufs_family,
+    circle_symmetric,
     force_constant_diagonal,
     parse_latin,
     with_min_symbol,
@@ -42,6 +46,22 @@ def test_bundled_datasets_are_srgs():
 def test_bundled_unknown_name():
     with pytest.raises(UnknownDataset):
         bundled_data("petersen")
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (ParseError, lambda: parse_matrix("")),
+        (NotPrimePower, lambda: GF(6)),
+        (OddOrder, lambda: circle_symmetric(5)),
+        (UnknownDataset, lambda: bundled_data("petersen")),
+    ],
+)
+def test_bad_input_errors_are_value_errors(error, call):
+    # main reports every ValueError as bad input, exit 2, by its type alone
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, ValueError) and isinstance(exc.value, hadsplit.HadsplitError)
 
 
 # ---------------------------------------------------------------- construct
@@ -372,6 +392,13 @@ def test_analyze_search_none_found(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", "search", "--input", str(f), "--ell", "2")
     assert code == 1
     assert "no balanced split on 2 rows" in out
+
+
+def test_analyze_search_ell_out_of_range_exits_two(capsys, tmp_path):
+    f = tmp_path / "twin.txt"
+    run(capsys, "construct", "twin", "--m", "2", "--out", str(f))
+    code, out, err = run(capsys, "analyze", "search", "--input", str(f), "--ell", "0")
+    assert (code, out, err) == (2, "", "error: ell out of range\n")
 
 
 def test_analyze_search_past_the_int64_ranks_exits_two(capsys, tmp_path):
@@ -875,6 +902,19 @@ def test_python_m_hadsplit_rejects_an_unread_flag():
     done = _hadsplit_process("construct", "kron", "--m", "3")
     assert (done.returncode, done.stdout) == (2, "")
     assert "unrecognized arguments: --m 3" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(("construct", "sylvester", "--m", "1"), 0), (("latin", "circle", "--v", "5"), 2)]
+)
+def test_python_m_hadsplit_exits_with_mains_code(argv, code, capsys, monkeypatch):
+    # the __main__ module run in-process, as python -m hadsplit runs it
+    monkeypatch.setattr(sys, "argv", ["hadsplit", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("hadsplit", run_name="__main__")
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert bool(out) == (code == 0) and bool(err) == (code == 2)
 
 
 def _commands(parser, path=()):

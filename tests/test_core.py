@@ -239,7 +239,6 @@ def test_sum_past_int64_safe_range_raises():
 def test_row_and_col_sums():
     a = IntMatrix([[1, -1, 1], [1, 1, 1]])
     assert list(a.row_sums()) == [1, 3]
-    assert list(a.col_sums()) == [2, 0, 2]
 
 
 def test_row_and_col_sums_past_int64_safe_range_raise():
@@ -247,9 +246,6 @@ def test_row_and_col_sums_past_int64_safe_range_raise():
     wide = IntMatrix([[2**62 - 1] * 3])
     with pytest.raises(OverflowError):
         wide.row_sums()
-    with pytest.raises(OverflowError):
-        wide.T.col_sums()
-    assert wide.col_sums() == (2**62 - 1,) * 3
     assert wide.T.row_sums() == (2**62 - 1,) * 3
 
 
@@ -399,6 +395,11 @@ def test_skew_core_validation():
         SkewCore(symmetric)
 
 
+def test_reprs_name_the_shape_and_the_order():
+    assert repr(IntMatrix([[1, 2, 3], [4, 5, 6]])) == "IntMatrix(2x3)"
+    assert repr(paley_skew_core(7)) == "SkewCore(q=7)"
+
+
 def test_skew_core_needs_no_row_or_column_sum_test():
     # QQt = qI - J forces Qt 1 = 0, and Qt = -Q then Q1 = 0; a q = 7 Paley
     # core with one column negated keeps QQt and its zero column sums but
@@ -406,7 +407,7 @@ def test_skew_core_needs_no_row_or_column_sum_test():
     q = paley_skew_core(7).matrix.array
     signed = IntMatrix(q * np.where(np.arange(7) == 2, -1, 1))
     assert signed @ signed.T == 7 * IntMatrix.identity(7) - IntMatrix.ones(7)
-    assert any(signed.row_sums()) and not any(signed.col_sums())
+    assert any(signed.row_sums()) and not signed.array.sum(axis=0).any()
     with pytest.raises(ValueError, match="core must be skew symmetric"):
         SkewCore(signed)
 

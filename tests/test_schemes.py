@@ -54,6 +54,8 @@ from hadsplit.splitting import (
     delete_allones_transform,
     diagonalize_by_hadamard,
     direct_srg_params,
+    regular_hadamard_normalize,
+    unbiased_partner,
 )
 from helpers import fraction_nullspace, lift_latin, mat_mul, table_as_ints
 
@@ -1181,30 +1183,97 @@ def _with_columns(h, arr):
 @pytest.mark.parametrize("builder", [build_4class_symmetric, build_4class_nonsymmetric])
 def test_a_report_not_of_h_is_refused(builder, twin16, split_16_9):
     """The (16, 9, 1, -3) report read against h with its columns rotated by
-    one, whose split Gram is another graph, and against h with one column
-    negated, whose split Gram takes -1 and 3 in that column. The dense
-    check refused them as "product of classes 1, 3 leaves the algebra" and
-    "class 3 is not regular". Reversing the columns is an automorphism of
-    the graph, so that copy still gives a scheme."""
+    one, whose split Gram is another graph, against h with one column
+    negated, whose split Gram takes -1 and 3 in that column, and against h
+    with its columns reversed: check_split read none of them, so each is
+    refused before a block is formed. Reversing the columns is an
+    automorphism of the graph, so that copy's own report gives the scheme."""
     arr = twin16.h.array
     negated = arr.copy()
     negated[:, 5] *= -1
-    for other in (np.roll(arr, 1, axis=1), negated):
-        with pytest.raises(AxiomFailure, match="split Gram of h does not give the report's graph"):
+    for other in (np.roll(arr, 1, axis=1), negated, arr[:, ::-1]):
+        with pytest.raises(ValueError, match="report does not belong to this matrix"):
             builder(HadamardMatrix(other), split_16_9)
-    reversed_scheme = builder(HadamardMatrix(arr[:, ::-1]), split_16_9)
+    flipped = HadamardMatrix(arr[:, ::-1])
+    reversed_scheme = builder(flipped, check_split(flipped, split_16_9.rows))
     assert reversed_scheme.p == builder(twin16.h, split_16_9).p
 
 
+def _report_consumers(twin16, split_16_9, fam9):
+    """Each function of a matrix and a report of its rows, as a call whose
+    result compares with ==, and the report of twin16.h it takes."""
+    squares7 = [force_constant_diagonal(sq, 0) for sq in affine_ufs_family(7)][:2]
+    twin = twin16.reports[1]
+    return {
+        "unbiased_partner": (unbiased_partner, twin),
+        "regular_hadamard_normalize": (regular_hadamard_normalize, twin),
+        "delete_allones_transform": (delete_allones_transform, twin),
+        "AuxiliarySet": (lambda h, rep: AuxiliarySet(h, rep).gram.tolist(), twin),
+        "build_4class_symmetric": (build_4class_symmetric, split_16_9),
+        "build_4class_nonsymmetric": (build_4class_nonsymmetric, split_16_9),
+        "build_5class": (lambda h, rep: build_5class(h, rep, fam9[:2]), split_16_9),
+        "build_6class": (lambda h, rep: build_6class(h, rep, squares7), twin),
+    }
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        "unbiased_partner",
+        "regular_hadamard_normalize",
+        "delete_allones_transform",
+        "AuxiliarySet",
+        "build_4class_symmetric",
+        "build_4class_nonsymmetric",
+        "build_5class",
+        "build_6class",
+    ],
+)
+def test_only_check_splits_report_of_the_matrix_is_taken(consumer, twin16, split_16_9, fam9):
+    """A copy of the report made by dataclasses.replace, equal to it field by
+    field, the report read against h with its columns rotated, and a copy
+    with no graph and no checks are refused at entry, before any of the
+    report is read; the report read against an equal copy of h gives h's
+    result."""
+    call, rep = _report_consumers(twin16, split_16_9, fam9)[consumer]
+    h = twin16.h
+    copy = dataclasses.replace(rep)
+    assert copy == rep
+    rolled = HadamardMatrix(np.roll(h.array, 1, axis=1))
+    bare = dataclasses.replace(rep, adjacency=None, checks={})
+    for other, report in ((h, copy), (rolled, rep), (h, bare)):
+        with pytest.raises(ValueError, match="report does not belong to this matrix"):
+            call(other, report)
+    assert call(HadamardMatrix(h.array.copy()), rep) == call(h, rep)
+
+
+def test_unbiased_partner_takes_no_forged_graph(twin16):
+    """The (16, 6, 2, -2) report with its graph replaced by the complement:
+    read as given, K = 2A - J + cI would have KKt != 16I, and HKt would take
+    the values +-2 and +-6. The forged report is refused instead."""
+    h, rep = twin16.h, twin16.reports[1]
+    complement = IntMatrix(1 - np.eye(16, dtype=np.int64) - rep.adjacency.array)
+    k = 2 * complement.array - 1  # c = (2 ell + 2a - n)/(2a) = 0 here
+    assert not np.array_equal(k @ k.T, 16 * np.eye(16, dtype=np.int64))
+    assert set(np.abs(h.array @ k.T).ravel().tolist()) == {2, 6}
+    with pytest.raises(ValueError, match="report does not belong to this matrix"):
+        unbiased_partner(h, dataclasses.replace(rep, adjacency=complement))
+    partner = unbiased_partner(h, rep)
+    assert partner @ partner.T == 16 * IntMatrix.identity(16)
+
+
 def test_split_rows_that_do_not_sum_to_zero_are_refused(twin16):
-    """The (16, 4, 4, 0) report of h, whose split rows do not sum to zero,
-    with its rowsum_zero check forged: its graph matches h's split Gram, but
-    J P_s = 0 fails, and the Kronecker form refuses it."""
+    """The (16, 4, 4, 0) report of h, whose split rows do not sum to zero, is
+    refused as it is; with its rowsum_zero check forged by
+    dataclasses.replace it is no longer check_split's report of h, and is
+    refused at entry."""
     rep = twin16.reports[0]
     assert rep.params.astuple() == (16, 4, 4, 0) and not rep.checks["rowsum_zero"]
     forged = dataclasses.replace(rep, checks={**rep.checks, "rowsum_zero": True})
     squares = [with_min_symbol(sq, 1) for sq in affine_ufs_family(4)]
-    with pytest.raises(AxiomFailure, match="split rows of h do not sum to zero"):
+    with pytest.raises(HadsplitError, match="split rows must sum to zero"):
+        build_5class(twin16.h, rep, squares)
+    with pytest.raises(ValueError, match="report does not belong to this matrix"):
         build_5class(twin16.h, forged, squares)
 
 

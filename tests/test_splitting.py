@@ -931,16 +931,23 @@ def test_unbiased_rejects_other_branches(twin16, split_16_9):
 def test_regular_normal_form(twin16):
     reg = regular_hadamard_normalize(twin16.h, twin16.reports[1])
     assert set(reg.row_sums()) == {4}
-    assert set(reg.col_sums()) == {4}
+    assert set(reg.array.sum(axis=0)) == {4}
     # the result is not re-proved Hadamard; this is the reference
     assert isinstance(reg, HadamardMatrix)
     assert reg @ reg.T == 16 * IntMatrix.identity(16)
     with pytest.raises(WrongParameters):
         regular_hadamard_normalize(twin16.h, twin16.reports[0])
-    # with rows 0 and 1 swapped, the report's rows name one row outside the split
+    # with rows 0 and 1 swapped, the report is not of the matrix given
     moved = HadamardMatrix(twin16.h.array[[1, 0, *range(2, 16)]])
-    with pytest.raises(HadsplitError, match=re.escape("column sums are not +-2m after row flips")):
+    with pytest.raises(ValueError, match="report does not belong to this matrix"):
         regular_hadamard_normalize(moved, twin16.reports[1])
+    # one split row negated keeps the split Gram, and so the parameters,
+    # but not the column sums
+    negated = twin16.h.array.copy()
+    negated[twin16.reports[1].rows[0]] *= -1
+    signed = HadamardMatrix(negated)
+    with pytest.raises(HadsplitError, match=re.escape("column sums are not +-2m after row flips")):
+        regular_hadamard_normalize(signed, check_split(signed, twin16.reports[1].rows))
 
 
 @pytest.mark.parametrize(
@@ -995,6 +1002,12 @@ def test_split_from_diagonalizable_srg(twin16):
     complete = IntMatrix.ones(16) - IntMatrix.identity(16)
     with pytest.raises(HadsplitError, match=re.escape("expected two non-valency eigenvalues, got [-1]")):
         split_from_diagonalizable_srg(complete, reordered)
+
+
+@pytest.mark.parametrize("ell", [0, 17])
+def test_search_splits_ell_out_of_range(twin16, ell):
+    with pytest.raises(ValueError, match="ell out of range"):
+        search_splits(twin16.h, ell)
 
 
 def test_search_splits(twin16):
